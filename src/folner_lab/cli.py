@@ -27,6 +27,7 @@ from .operators import (
 )
 from .projections import RankZeroError, finite_section, finite_section_sequence
 from .spectral import (
+    ComplexSymbolError,
     NonHermitianError,
     ResidualError,
     eigenvalues_hermitian,
@@ -259,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("json", "csv"), default="csv")
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
-        p.add_argument("--seed", type=int, default=0, help="seed for any random inputs")
 
     p = sub.add_parser("folner", help="commutator-norm ratio grid")
     p.add_argument("--op", action="append", required=True, help="operator spec file (repeatable)")
@@ -322,6 +322,7 @@ def main(argv=None) -> int:
         MissingReferenceError,
         NotSelfAdjointError,
         NonHermitianError,
+        ComplexSymbolError,
         DimensionCapError,
     ) as exc:
         print(f"spec error: {exc}", file=sys.stderr)

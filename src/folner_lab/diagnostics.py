@@ -2,8 +2,8 @@
 
 The central quantity is ||A P - P A||_p / ||P||_p for coordinate
 projections P, with ||P||_1 = rank and ||P||_2 = sqrt(rank).  Commutators
-are formed on a padded index window so they coincide with the
-infinite-dimensional commutator entrywise.
+are formed from the exact entries that couple P to the padded index window
+around it, so they coincide with the infinite-dimensional commutator.
 """
 from __future__ import annotations
 
@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import report_csv, worker_count
-from .operators import OperatorSpec, padded_compression
+from .operators import OperatorSpec, dense_entries, exact_entries, pad_indices
+from .operators import padded_compression, tensor_pair
 
 INF = math.inf
 
@@ -53,27 +54,24 @@ def _proj_norm(rank: int, p) -> float:
 
 
 def _corner_blocks(op: OperatorSpec, proj):
-    """Blocks B1 = (1-P) A P and B2 = P A (1-P) on the padded window.
+    """Blocks B1 = (1-P) A P and B2 = P A (1-P), cut down to the rows and
+    columns that hold entries, all of them near the boundary of P.
 
     With respect to the in/out index splitting, [P, A] = B2 - B1 placed on
     the two anti-diagonal blocks, so every Schatten norm of the commutator
     is recovered from (B1, B2) alone.
     """
-    from .operators import Band, Shift, Toeplitz, AlmostMathieu, pad_indices, _leaf_entries
-    from .projections import KronProj
-
-    if isinstance(op, (Toeplitz, Shift, Band, AlmostMathieu)) and not isinstance(
-        proj, KronProj
-    ):
-        if op.lattice != proj.lattice:
-            padded_compression(op, proj)  # raises the canonical mismatch error
-        idx = proj.index_array()
-        big = pad_indices(op, idx)
-        out_idx = np.setdiff1d(big, idx, assume_unique=True)
-        return _leaf_entries(op, out_idx, idx), _leaf_entries(op, idx, out_idx)
-    a, mask = padded_compression(op, proj)
-    inside = mask > 0.5
-    return a[np.ix_(~inside, inside)], a[np.ix_(inside, ~inside)]
+    if tensor_pair(op, proj):
+        a, mask = padded_compression(op, proj)
+        inside = mask > 0.5
+        return a[np.ix_(~inside, inside)], a[np.ix_(inside, ~inside)]
+    idx = proj.index_array()
+    pad = pad_indices(op, idx)
+    out = pad[~np.isin(pad, idx)]
+    src = exact_entries(op, idx)
+    reach = max(map(abs, src.offsets), default=0)
+    near = idx[np.isin(idx, (out[:, None] + np.arange(-reach, reach + 1)).ravel())]
+    return dense_entries(src, out, near), dense_entries(src, near, out)
 
 
 def _comm_schatten(b1: np.ndarray, b2: np.ndarray, p) -> float:

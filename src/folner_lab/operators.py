@@ -1,16 +1,14 @@
 """Operator specifications on sequence spaces and their finite compressions.
 
 An operator spec is a symbolic description of a bounded operator on
-l2(N0), l2(Z), or a tensor product of those.  Compressions P T P are
-generated exactly from the entry formula of each variant; polynomial
-combinations are evaluated on a padded index window so that all requested
-entries agree with the infinite-dimensional operator.
+l2(N0), l2(Z), or a tensor product of those.  Leaves give their entries by
+diagonals; polynomial combinations are evaluated in diagonal storage on a
+padded index window, exactly and in O(d * bandwidth).
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -33,9 +31,16 @@ class NyquistError(ValueError):
 
 
 class OperatorSpec:
-    """Base class for operator specifications."""
+    """Base class for operator specifications.
+
+    A leaf has A[r, r + k] = diagonal(k, rows) for k in `offsets`, zero
+    elsewhere; `bandwidth` bounds banded hops, and a `Dense` leaf instead
+    keeps its entries in [0, support) x [0, support).
+    """
 
     lattice: str
+    support = 0
+    offsets = ()
 
     def __add__(self, other):
         return op_sum(self, other)
@@ -58,12 +63,15 @@ class Dense(OperatorSpec):
 
     matrix: np.ndarray
     lattice: str = N0
+    bandwidth = 0
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"dense spec needs a square matrix, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "support", m.shape[0])
+        object.__setattr__(self, "offsets", tuple(range(1 - m.shape[0], m.shape[0])))
 
     def __hash__(self):
         return hash((self.lattice, self.matrix.shape[0]))
@@ -74,6 +82,13 @@ class Dense(OperatorSpec):
             and self.lattice == other.lattice
             and np.array_equal(self.matrix, other.matrix)
         )
+
+    def diagonal(self, k, rows):
+        rows = np.asarray(rows)
+        out = np.zeros(rows.shape, dtype=complex)
+        ok = (rows >= max(0, -k)) & (rows < self.support - max(0, k))
+        out[ok] = self.matrix[rows[ok], rows[ok] + k]
+        return out
 
 
 @dataclass(frozen=True)
@@ -91,6 +106,7 @@ class Toeplitz(OperatorSpec):
             items = self.coeffs
         cs = tuple(sorted((int(k), complex(v)) for k, v in items if v != 0))
         object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "offsets", tuple(-k for k, _ in cs))
         if self.selfadjoint:
             d = dict(cs)
             for k, v in cs:
@@ -102,6 +118,9 @@ class Toeplitz(OperatorSpec):
     @property
     def bandwidth(self) -> int:
         return max((abs(k) for k, _ in self.coeffs), default=0)
+
+    def diagonal(self, k, rows):
+        return np.full(np.shape(rows), dict(self.coeffs)[-k])
 
     def symbol_values(self, theta: np.ndarray) -> np.ndarray:
         """Evaluate g(theta) = sum_k a_k e^{ik theta}."""
@@ -137,11 +156,14 @@ class Shift(OperatorSpec):
 
     weight: Callable[[np.ndarray], np.ndarray] | None = None
     lattice: str = N0
+    bandwidth = 1
+    offsets = (-1,)
 
-    def weights(self, idx: np.ndarray) -> np.ndarray:
+    def diagonal(self, k, rows):
+        # S[i + 1, i] = w(i): row r holds w(r - 1) on offset -1
         if self.weight is None:
-            return np.ones(idx.shape, dtype=complex)
-        return np.asarray(self.weight(idx), dtype=complex)
+            return np.ones(np.shape(rows), dtype=complex)
+        return np.asarray(self.weight(np.asarray(rows) - 1), dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -166,14 +188,13 @@ class Band(OperatorSpec):
             if abs(off) > self.bandwidth:
                 raise ValueError(f"diagonal offset {off} exceeds bandwidth {self.bandwidth}")
         object.__setattr__(self, "diagonals", ds)
+        object.__setattr__(self, "offsets", tuple(off for off, _ in ds))
 
-    def diag_values(self, offset: int, idx: np.ndarray) -> np.ndarray:
-        for off, fn in self.diagonals:
-            if off == offset:
-                if callable(fn):
-                    return np.asarray(fn(idx), dtype=complex)
-                return np.full(idx.shape, complex(fn))
-        return np.zeros(idx.shape, dtype=complex)
+    def diagonal(self, k, rows):
+        fn = dict(self.diagonals)[k]
+        if callable(fn):
+            return np.asarray(fn(rows), dtype=complex)
+        return np.full(np.shape(rows), complex(fn))
 
 
 @dataclass(frozen=True)
@@ -187,6 +208,11 @@ class AlmostMathieu(OperatorSpec):
     freq: float
     phase: float = 0.0
     lattice: str = Z
+    bandwidth = 1
+    offsets = (-1, 0, 1)
+
+    def diagonal(self, k, rows):
+        return self.as_band().diagonal(k, rows)
 
     def as_band(self) -> Band:
         lam, alpha, phi = self.coupling, self.freq, self.phase
@@ -241,22 +267,41 @@ class Poly(OperatorSpec):
     lattice: str = field(init=False)
 
     def __post_init__(self):
-        lats = set(_expr_lattices(self.expr))
+        lats = {leaf.lattice for leaf in _leaves(self.expr)}
         if len(lats) != 1:
             raise LatticeMismatchError(f"poly spec mixes lattices {sorted(map(str, lats))}")
         object.__setattr__(self, "lattice", lats.pop())
 
+    @property
+    def bandwidth(self) -> int:
+        return _bandwidth(self.expr)
 
-def _expr_lattices(node):
+    @property
+    def support(self) -> int:
+        return max(leaf.support for leaf in _leaves(self.expr))
+
+
+def _children(node) -> tuple:
+    if isinstance(node, (SumE, ProdE)):
+        return node.parts
+    if isinstance(node, (AdjE, ScaleE)):
+        return (node.child,)
+    raise TypeError(f"not a polynomial node: {node!r}")
+
+
+def _leaves(node):
     if isinstance(node, OperatorSpec):
-        yield node.lattice
-    elif isinstance(node, (SumE, ProdE)):
-        for p in node.parts:
-            yield from _expr_lattices(p)
-    elif isinstance(node, (AdjE, ScaleE)):
-        yield from _expr_lattices(node.child)
+        yield node
     else:
-        raise TypeError(f"not a polynomial node: {node!r}")
+        for child in _children(node):
+            yield from _leaves(child)
+
+
+def _bandwidth(node) -> int:
+    if isinstance(node, OperatorSpec):
+        return node.bandwidth
+    widths = [_bandwidth(child) for child in _children(node)]
+    return sum(widths) if isinstance(node, ProdE) else max(widths)
 
 
 def _as_node(op):
@@ -290,152 +335,151 @@ def identity(lattice: str = N0) -> OperatorSpec:
 
 
 # ---------------------------------------------------------------------------
-# entry formulas
+# diagonal storage
 
 
-def _match(rows: np.ndarray, cols: np.ndarray, k: int):
-    """Positions (ri, ci) with rows[ri] == cols[ci] + k; inputs strictly increasing."""
-    _, ri, ci = np.intersect1d(rows, cols + k, assume_unique=True, return_indices=True)
-    return ri, ci
+@dataclass(frozen=True)
+class Section:
+    """Diagonal storage over a sorted index set: diags[k][p] = A[pad[p], pad[p] + k],
+    zero where pad[p] + k is outside the contiguous run of pad holding pad[p].
+    Runs of a padded set lie over twice the bandwidth apart, so no entry
+    couples two of them and each run evaluates exactly as if alone."""
+
+    pad: np.ndarray
+    diags: dict
+
+    @property
+    def offsets(self) -> tuple:
+        return tuple(self.diags)
+
+    def diagonal(self, k, rows):
+        return self.diags[k][np.searchsorted(self.pad, rows)]
 
 
-def _leaf_entries(op: OperatorSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Matrix of <e_r, T e_c> for a non-composite spec."""
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
-    out = np.zeros((rows.size, cols.size), dtype=complex)
-    if isinstance(op, Dense):
-        d = op.matrix.shape[0]
-        rm = rows < d
-        cm = cols < d
-        out[np.ix_(rm, cm)] = op.matrix[np.ix_(rows[rm], cols[cm])]
+def _storage(node, pad: np.ndarray) -> dict:
+    """Diagonal storage of an expression node on pad (see `Section`)."""
+    if isinstance(node, OperatorSpec):
+        out = {}
+        for k in node.offsets:
+            # positions p whose column pad[p] + k lies in the run of pad[p]
+            a = min(abs(k), pad.size)
+            p = np.flatnonzero(pad[a:] - pad[: pad.size - a] == abs(k)) + max(0, -k)
+            out[k] = v = np.zeros(pad.size, dtype=complex)
+            v[p] = node.diagonal(k, pad[p])
         return out
-    if isinstance(op, Toeplitz):
-        for k, a in op.coeffs:
-            ri, ci = _match(rows, cols, k)
-            out[ri, ci] = a
-        return out
-    if isinstance(op, Shift):
-        ri, ci = _match(rows, cols, 1)
-        out[ri, ci] = op.weights(cols[ci])
-        return out
-    if isinstance(op, AlmostMathieu):
-        return _leaf_entries(op.as_band(), rows, cols)
-    if isinstance(op, Band):
-        for off, _ in op.diagonals:
-            ri, ci = _match(rows, cols, -off)  # entry (i, j) nonzero when j - i == off
-            if ri.size:
-                out[ri, ci] = op.diag_values(off, rows[ri])
-        return out
-    raise TypeError(f"no entry formula for {type(op).__name__}")
-
-
-def _banded_width(node) -> int:
-    """Upper bound on how far matrix entries reach via banded hops."""
-    if isinstance(node, (Toeplitz, Band)):
-        return node.bandwidth
-    if isinstance(node, Shift):
-        return 1
-    if isinstance(node, AlmostMathieu):
-        return 1
-    if isinstance(node, Dense):
-        return 0  # handled via support
-    if isinstance(node, Poly):
-        return _banded_width(node.expr)
+    parts = [_storage(child, pad) for child in _children(node)]
     if isinstance(node, SumE):
-        return max(_banded_width(p) for p in node.parts)
+        out = {}
+        for part in parts:
+            for k, v in part.items():
+                out[k] = out[k] + v if k in out else v
+        return out
     if isinstance(node, ProdE):
-        return sum(_banded_width(p) for p in node.parts)
-    if isinstance(node, (AdjE, ScaleE)):
-        return _banded_width(node.child)
-    raise TypeError(f"no bandwidth for {node!r}")
+        out = parts[0]
+        for part in parts[1:]:
+            out = _times(out, part)
+        return out
+    if isinstance(node, AdjE):  # A*[i, i + k] = conj(A[i + k, i])
+        return {-k: np.conj(_shifted(v, -k)) for k, v in parts[0].items()}
+    return {k: node.scalar * v for k, v in parts[0].items()}
 
 
-def _dense_supports(node):
-    if isinstance(node, Dense):
-        yield node.matrix.shape[0]
-    elif isinstance(node, Poly):
-        yield from _dense_supports(node.expr)
-    elif isinstance(node, (SumE, ProdE)):
-        for p in node.parts:
-            yield from _dense_supports(p)
-    elif isinstance(node, (AdjE, ScaleE)):
-        yield from _dense_supports(node.child)
+def _shifted(v: np.ndarray, a: int) -> np.ndarray:
+    """w[p] = v[p + a], zero where p + a falls outside v."""
+    if a == 0:
+        return v
+    w = np.zeros_like(v)
+    if a > 0:
+        w[:-a] = v[a:]
+    else:
+        w[-a:] = v[:a]
+    return w
+
+
+def _times(x: dict, y: dict) -> dict:
+    # (AB)[i, i + a + b] collects A[i, i + a] B[i + a, i + a + b]
+    out = {}
+    for a, u in x.items():
+        for b, v in y.items():
+            t = u * _shifted(v, a)
+            out[a + b] = out[a + b] + t if a + b in out else t
+    return out
 
 
 def pad_indices(op: OperatorSpec, idx: np.ndarray) -> np.ndarray:
-    """Smallest convenient index set on which every entry coupling idx is visible."""
+    """idx (and a dense support [0, s)) widened by the bandwidth, as a sorted
+    union of contiguous runs: every entry coupling idx is exact on it."""
     idx = np.asarray(idx, dtype=np.int64)
-    bw = _banded_width(op)
-    support = max(_dense_supports(op), default=0)
-    pieces = [idx]
-    if support:
-        pieces.append(np.arange(support, dtype=np.int64))
-    base = np.unique(np.concatenate(pieces))
-    if bw:
-        base = np.unique(base[:, None] + np.arange(-bw, bw + 1)[None, :])
+    if op.support:
+        idx = np.union1d(idx, np.arange(op.support, dtype=np.int64))
+    bw = op.bandwidth
+    cut = np.flatnonzero(np.diff(idx) > 2 * bw + 1)
+    los = idx[np.r_[0, cut + 1]] - bw
+    his = idx[np.r_[cut, idx.size - 1]] + bw
     if op.lattice == N0:
-        base = base[base >= 0]
-    return base
+        los = np.maximum(los, 0)
+    return np.concatenate([np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in zip(los, his)])
 
 
-def _eval_expr(node, idx: np.ndarray) -> np.ndarray:
-    if isinstance(node, OperatorSpec):
-        return _leaf_entries(node, idx, idx)
-    if isinstance(node, SumE):
-        acc = _eval_expr(node.parts[0], idx)
-        for p in node.parts[1:]:
-            acc = acc + _eval_expr(p, idx)
-        return acc
-    if isinstance(node, ProdE):
-        acc = _eval_expr(node.parts[0], idx)
-        for p in node.parts[1:]:
-            acc = acc @ _eval_expr(p, idx)
-        return acc
-    if isinstance(node, AdjE):
-        return _eval_expr(node.child, idx).conj().T
-    if isinstance(node, ScaleE):
-        return node.scalar * _eval_expr(node.child, idx)
-    raise TypeError(f"cannot evaluate node {node!r}")
+def exact_entries(op: OperatorSpec, idx: np.ndarray):
+    """The exact entries of a non-tensor op on idx x pad and pad x idx, for
+    pad = pad_indices(op, idx), as `offsets` and `diagonal(k, rows)`: a leaf
+    answers itself, a polynomial is evaluated once in diagonal storage."""
+    if not isinstance(op, Poly):
+        return op
+    pad = pad_indices(op, idx)
+    return Section(pad, _storage(op.expr, pad))
 
 
-def exact_entries(op: OperatorSpec, idx: np.ndarray) -> np.ndarray:
-    """Entries of the infinite operator restricted to idx x idx, exactly.
+def _match(rows: np.ndarray, cols: np.ndarray, k: int):
+    """Positions (ri, ci) with cols[ci] == rows[ri] + k; cols sorted."""
+    want = rows + k
+    ci = np.minimum(np.searchsorted(cols, want), cols.size - 1)
+    ri = np.flatnonzero(cols[ci] == want)
+    return ri, ci[ri]
 
-    Polynomial specs are evaluated on an enlarged window and cut back so
-    that no compression-product boundary error reaches the requested block.
+
+def dense_entries(src, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Matrix of the entries of src (see `exact_entries`) on sorted rows x cols.
+
+    Each offset costs one search of the shorter index array in the longer.
     """
-    idx = np.asarray(idx, dtype=np.int64)
-    if isinstance(op, Kron):
-        raise LatticeMismatchError("tensor-product specs need a tensor-product projection")
-    if isinstance(op, Poly):
-        big = pad_indices(op, idx)
-        m = _eval_expr(op.expr, big)
-        pos = np.searchsorted(big, idx)
-        return m[np.ix_(pos, pos)]
-    return _leaf_entries(op, idx, idx)
+    out = np.zeros((rows.size, cols.size), dtype=complex)
+    for k in src.offsets:
+        if rows.size <= cols.size:
+            ri, ci = _match(rows, cols, k)
+        else:
+            ci, ri = _match(cols, rows, -k)
+        out[ri, ci] = src.diagonal(k, rows[ri])
+    return out
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 
-def compress(op: OperatorSpec, proj) -> np.ndarray:
-    """Finite section P T P as a rank(P) x rank(P) matrix on the range of P."""
+def tensor_pair(op: OperatorSpec, proj) -> bool:
+    """Whether (op, proj) is a tensor-product pair; raises on mismatches."""
     from .projections import KronProj  # local import to avoid a cycle
 
-    if isinstance(op, Kron) or isinstance(proj, KronProj):
-        if not (isinstance(op, Kron) and isinstance(proj, KronProj)):
-            raise LatticeMismatchError(
-                "tensor-product operator requires a tensor-product projection (and vice versa)"
-            )
-        return np.kron(compress(op.left, proj.left), compress(op.right, proj.right))
-    if op.lattice != proj.lattice:
+    tensor = isinstance(op, Kron)
+    if tensor != isinstance(proj, KronProj):
+        raise LatticeMismatchError(
+            "tensor-product operator requires a tensor-product projection (and vice versa)"
+        )
+    if not tensor and op.lattice != proj.lattice:
         raise LatticeMismatchError(
             f"operator on {op.lattice!r} vs projection on {proj.lattice!r}"
         )
+    return tensor
+
+
+def compress(op: OperatorSpec, proj) -> np.ndarray:
+    """Finite section P T P as a rank(P) x rank(P) matrix on the range of P."""
+    if tensor_pair(op, proj):
+        return np.kron(compress(op.left, proj.left), compress(op.right, proj.right))
     idx = proj.index_array()
-    return exact_entries(op, idx)
+    return dense_entries(exact_entries(op, idx), idx, idx)
 
 
 def padded_compression(op: OperatorSpec, proj):
@@ -445,56 +489,27 @@ def padded_compression(op: OperatorSpec, proj):
     The padded set captures every nonzero entry of A P and P A, so
     commutators and off-corner blocks formed from (A, mask) are exact.
     """
-    from .projections import KronProj
-
-    if isinstance(op, Kron) or isinstance(proj, KronProj):
-        if not (isinstance(op, Kron) and isinstance(proj, KronProj)):
-            raise LatticeMismatchError(
-                "tensor-product operator requires a tensor-product projection (and vice versa)"
-            )
+    if tensor_pair(op, proj):
         a, ma = padded_compression(op.left, proj.left)
         b, mb = padded_compression(op.right, proj.right)
         return np.kron(a, b), np.kron(ma, mb)
-    if op.lattice != proj.lattice:
-        raise LatticeMismatchError(
-            f"operator on {op.lattice!r} vs projection on {proj.lattice!r}"
-        )
     idx = proj.index_array()
-    big = pad_indices(op, idx)
-    a = exact_entries(op, big)
-    mask = np.isin(big, idx).astype(float)
-    return a, mask
+    pad = pad_indices(op, idx)
+    return dense_entries(exact_entries(op, pad), pad, pad), np.isin(pad, idx).astype(float)
 
 
 def diagonal_entries(op: OperatorSpec, proj) -> np.ndarray:
-    """Diagonal of the compression, via the entry formula where possible."""
-    from .projections import KronProj
-
-    if isinstance(op, Kron) and isinstance(proj, KronProj):
+    """Diagonal of the compression: offset 0 of the exact entries on the
+    projection's indices."""
+    if tensor_pair(op, proj):
         dl = diagonal_entries(op.left, proj.left)
         dr = diagonal_entries(op.right, proj.right)
         return np.outer(dl, dr).ravel()
-    if isinstance(op, (Kron,)) or isinstance(proj, KronProj):
-        raise LatticeMismatchError(
-            "tensor-product operator requires a tensor-product projection (and vice versa)"
-        )
     idx = proj.index_array()
-    if isinstance(op, Dense):
-        d = op.matrix.shape[0]
-        out = np.zeros(idx.size, dtype=complex)
-        m = idx < d
-        out[m] = np.diag(op.matrix)[idx[m]]
-        return out
-    if isinstance(op, Toeplitz):
-        a0 = dict(op.coeffs).get(0, 0j)
-        return np.full(idx.size, a0)
-    if isinstance(op, Shift):
+    src = exact_entries(op, idx)
+    if 0 not in src.offsets:
         return np.zeros(idx.size, dtype=complex)
-    if isinstance(op, AlmostMathieu):
-        return op.as_band().diag_values(0, idx)
-    if isinstance(op, Band):
-        return op.diag_values(0, idx)
-    return np.diag(exact_entries(op, idx)).copy()
+    return src.diagonal(0, idx)
 
 
 def op_adjoint(op: OperatorSpec) -> OperatorSpec:
@@ -505,33 +520,13 @@ def op_adjoint(op: OperatorSpec) -> OperatorSpec:
         return Toeplitz({-k: a.conjugate() for k, a in op.coeffs}, selfadjoint=op.selfadjoint)
     if isinstance(op, AlmostMathieu):
         return op
-    if isinstance(op, Band):
-        diags = []
-        for off, fn in op.diagonals:
-            if callable(fn):
-                diags.append((-off, _shifted_conj(fn, off)))
-            else:
-                diags.append((-off, complex(fn).conjugate()))
-        return Band(op.bandwidth, tuple(diags))
     if isinstance(op, Kron):
         return Kron(op_adjoint(op.left), op_adjoint(op.right))
-    if isinstance(op, Poly):
-        node = op.expr
-        if isinstance(node, AdjE):
-            child = node.child
-            return child if isinstance(child, OperatorSpec) else Poly(child)
-        return Poly(AdjE(node))
-    if isinstance(op, Shift):
-        return Poly(AdjE(op))
-    raise TypeError(f"no adjoint rule for {type(op).__name__}")
-
-
-def _shifted_conj(fn, off):
-    # adjoint diagonal: d'_{-off}(n) = conj(d_off(n + off))
-    def g(n):
-        return np.conj(np.asarray(fn(np.asarray(n) + off), dtype=complex))
-
-    return g
+    node = _as_node(op)
+    if isinstance(node, AdjE):
+        child = node.child
+        return child if isinstance(child, OperatorSpec) else Poly(child)
+    return Poly(AdjE(node))
 
 
 def is_selfadjoint(op: OperatorSpec, proj, tol: float = 1e-12) -> bool:
@@ -548,4 +543,4 @@ def build_toeplitz_section(symbol: Toeplitz, n: int) -> np.ndarray:
     if n < 0:
         raise ValueError("section order must be nonnegative")
     idx = np.arange(n + 1, dtype=np.int64)
-    return _leaf_entries(symbol, idx, idx)
+    return dense_entries(symbol, idx, idx)

@@ -186,12 +186,19 @@ def ncpoly_from_json(doc, where: str = "ncpoly") -> NCPolynomial:
     return NCPolynomial(float(alpha), terms)
 
 
+def _reject_constant(name: str):
+    raise SpecValidationError(f"non-finite number {name} is not allowed")
+
+
 def load_spec_file(path):
-    """Load a spec file; returns ('operator'|'projection'|'ncpoly', value)."""
+    """Load a spec file; returns ('operator'|'projection'|'ncpoly', value).
+
+    NaN and +-Infinity are rejected: every number in a spec must be finite.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            doc = json.load(fh, parse_constant=_reject_constant)
+    except (OSError, json.JSONDecodeError, SpecValidationError) as exc:
         raise SpecValidationError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SpecValidationError(f"{path}: spec document needs a 'kind' field")

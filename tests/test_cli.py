@@ -118,6 +118,13 @@ class TestSzegoCommand:
         )
         assert code == 3 and "spec error" in err
 
+    def test_complex_symbol_is_spec_error(self, capsys, tmp_path):
+        spec = tmp_path / "complex_symbol.json"
+        spec.write_text('{"kind": "toeplitz", "coeffs": {"1": [0.0, 1.0]}}')
+        code, _, err = run(capsys, "szego", "--op", str(spec), "--n", "4")
+        assert code == 3
+        assert err.startswith("spec error:") and len(err.strip().splitlines()) == 1
+
     def test_plot_out(self, capsys, tmp_path):
         plot = tmp_path / "plot.csv"
         code, _, _ = run(

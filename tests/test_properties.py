@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import dense_oracle
 import folner_lab as fl
+from folner_lab.operators import AdjE, _as_node
 
 N_CASES = 500
 
@@ -124,3 +126,88 @@ def test_nc_algebra_axioms():
             assert cmath.isclose(
                 lhs.coefficient(*mk), rhs.coefficient(*mk), rel_tol=1e-9, abs_tol=1e-10
             )
+
+
+def _random_leaf(rng, lattice):
+    def c():
+        return complex(rng.standard_normal(), rng.standard_normal())
+
+    kind = rng.integers(5)
+    if kind == 0:
+        ks = rng.choice(np.arange(-2, 3), size=int(rng.integers(1, 4)), replace=False)
+        return fl.Toeplitz({int(k): c() for k in ks}, lattice=lattice)
+    if kind == 1:
+        a, b, f = c(), c(), float(rng.uniform(0.1, 2.0))
+        return fl.Shift(weight=lambda i: a + b * np.sin(f * np.asarray(i)), lattice=lattice)
+    if kind == 2:
+        bw = int(rng.integers(0, 3))
+        diags = []
+        for off in rng.choice(np.arange(-bw, bw + 1), size=int(rng.integers(1, 2 * bw + 2)),
+                              replace=False):
+            a, f = c(), float(rng.uniform(0.1, 2.0))
+            if rng.random() < 0.7:
+                diags.append((int(off), lambda n, a=a, f=f: a * np.exp(1j * f * np.asarray(n))))
+            else:
+                diags.append((int(off), a))
+        return fl.Band(bw, tuple(diags), lattice=lattice)
+    if kind == 3:
+        return fl.AlmostMathieu(float(rng.uniform(0.2, 2.0)), float(rng.random()),
+                                float(rng.random()), lattice=lattice)
+    s = int(rng.integers(1, 5))
+    return fl.Dense(rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s)), lattice=lattice)
+
+
+def _random_poly(rng, lattice, depth=3):
+    """A random *-polynomial tree of the given depth over random leaves."""
+    if depth == 0 or rng.random() < 0.2:
+        return _random_leaf(rng, lattice)
+    parts = [_random_poly(rng, lattice, depth - 1) for _ in range(rng.integers(1, 4))]
+    kind = rng.integers(4)
+    if kind == 0:
+        return fl.op_sum(*parts)
+    if kind == 1:
+        return fl.op_prod(*parts)
+    if kind == 2:
+        return fl.Poly(AdjE(_as_node(parts[0])))
+    return fl.op_scale(complex(rng.standard_normal(), rng.standard_normal()), parts[0])
+
+
+def _random_projection(rng, lattice):
+    """A window or a gapped index set; on n0 a third of them start at 0."""
+    lo = int(rng.integers(-12, 12))
+    if lattice == fl.N0:
+        lo = 0 if rng.random() < 1 / 3 else abs(lo)
+    hi = lo + int(rng.integers(0, 14))
+    if rng.random() < 0.5:
+        return fl.Window(lattice, lo, hi)
+    span = np.arange(lo, hi + 12)
+    keep = np.sort(rng.choice(span, size=int(rng.integers(1, span.size)), replace=False))
+    return fl.IndexSet(lattice, tuple(int(i) for i in keep))
+
+
+def test_banded_path_matches_dense_oracle():
+    # compressions, commutator ratios, the quasidiagonality gap and traces
+    # from diagonal storage against dense products on the padded window
+    rng = np.random.default_rng(4242)
+    for _ in range(N_CASES):
+        lattice = fl.N0 if rng.random() < 0.5 else fl.Z
+        op = _random_poly(rng, lattice)
+        proj = _random_projection(rng, lattice)
+        idx = proj.index_array()
+        pad_matrix, _ = dense_oracle.padded_matrix(op, idx)
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(pad_matrix), initial=0.0)))
+
+        want = dense_oracle.exact(op, idx)
+        assert np.max(np.abs(fl.compress(op, proj) - want)) <= tol
+        assert abs(fl.trace_estimate(op, proj) - np.trace(want) / idx.size) <= tol
+
+        b1, b2 = dense_oracle.corner_blocks(op, idx)
+        sv1 = np.linalg.svd(b1, compute_uv=False) if b1.size else np.zeros(1)
+        sv2 = np.linalg.svd(b2, compute_uv=False) if b2.size else np.zeros(1)
+        hs1, hs2 = np.linalg.norm(b1), np.linalg.norm(b2)
+        r = idx.size
+        assert abs(fl.folner_ratio(op, proj, 2) - math.hypot(hs1, hs2) / math.sqrt(r)) <= tol
+        assert abs(fl.folner_ratio(op, proj, 1) - (sv1.sum() + sv2.sum()) / r) <= tol
+        assert abs(fl.off_corner_ratio(op, proj, 2) - hs1 / math.sqrt(r)) <= tol
+        assert abs(fl.off_corner_ratio(op, proj, 1) - sv1.sum() / r) <= tol
+        assert abs(fl.qd_gap(op, proj) - max(sv1.max(), sv2.max())) <= tol
