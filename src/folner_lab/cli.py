@@ -23,14 +23,12 @@ from .operators import (
     Shift,
     Toeplitz,
     Z,
-    compress,
 )
 from .projections import RankZeroError, finite_section, finite_section_sequence
 from .spectral import (
     ComplexSymbolError,
     NonHermitianError,
     ResidualError,
-    eigenvalues_hermitian,
     reference_pushforward,
 )
 from .specio import SpecValidationError, load_spec_file
@@ -154,12 +152,6 @@ def cmd_szego(args) -> int:
                 f"no reference measure available for {label!r} "
                 "(toeplitz and ncpoly specs only)"
             )
-
-    # eigensolver contract check at the largest scale
-    for label, op in ops:
-        eigenvalues_hermitian(
-            compress(op, seq.projections[-1]), herm_tol=args.herm_tol, check_residual=True
-        )
 
     report = szego_pair_test(
         ops, seq, refs, f_family=fam, trace_refs=trace_refs, sa_tol=args.herm_tol

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,8 @@ def eigenvalues_hermitian(m: np.ndarray, herm_tol: float = 1e-10,
     """Ascending eigenvalues of a Hermitian matrix.
 
     The input is symmetrized as (M + M^dagger)/2 before solving; deviations
-    beyond herm_tol (relative to the sup of |entries|) are an error.  With
+    beyond herm_tol (relative to the sup of |entries|) are an error.  A matrix
+    whose imaginary part is exactly zero is solved in real arithmetic.  With
     check_residual, every eigenpair is verified against the contract
     ||M v - lam v|| <= 1e-9 * max|M| * sqrt(d).
     """
@@ -38,7 +39,10 @@ def eigenvalues_hermitian(m: np.ndarray, herm_tol: float = 1e-10,
     dev = float(np.max(np.abs(m - m.conj().T)))
     if dev > herm_tol * scale:
         raise NonHermitianError(f"Hermiticity defect {dev:.3e} exceeds tolerance")
-    h = 0.5 * (m + m.conj().T)
+    if m.imag.any():
+        h = 0.5 * (m + m.conj().T)
+    else:
+        h = 0.5 * (m.real + m.real.T)
     if not check_residual:
         return np.linalg.eigvalsh(h)
     vals, vecs = np.linalg.eigh(h)
@@ -118,9 +122,6 @@ class EmpiricalMeasure:
     def cdf(self, x) -> np.ndarray:
         return np.searchsorted(self.atoms, np.asarray(x, dtype=float), side="right") / self.dim
 
-    def cdf_left(self, x) -> np.ndarray:
-        return np.searchsorted(self.atoms, np.asarray(x, dtype=float), side="left") / self.dim
-
     def moment(self, k: int) -> float:
         return float(np.mean(self.atoms**k))
 
@@ -158,11 +159,6 @@ class ReferenceMeasure:
         pos = np.searchsorted(self.xs, x, side="right")
         out = np.where(pos > 0, self.Fs[np.minimum(pos, self.xs.size) - 1], 0.0)
         return out
-
-    def cdf_left(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        pos = np.searchsorted(self.xs, x, side="left")
-        return np.where(pos > 0, self.Fs[np.minimum(pos, self.xs.size) - 1], 0.0)
 
     def to_json(self) -> str:
         payload = {}
@@ -237,7 +233,11 @@ def reference_pushforward(symbol: Toeplitz, grid_size: int = 1 << 16) -> Referen
 
 
 def kolmogorov_distance(a, b) -> float:
-    """sup |F_a - F_b| over the merged support grid (both one-sided limits)."""
+    """sup |F_a - F_b| over the real line.
+
+    Both CDFs are right-continuous steps that jump only on the merged grid, so
+    the sup is attained there (a left limit is the previous grid value, or 0).
+    """
     grids = []
     for m in (a, b):
         if isinstance(m, EmpiricalMeasure):
@@ -249,6 +249,4 @@ def kolmogorov_distance(a, b) -> float:
         else:
             raise TypeError(f"not a measure: {m!r}")
     xs = np.unique(np.concatenate(grids))
-    d_right = np.max(np.abs(a.cdf(xs) - b.cdf(xs)))
-    d_left = np.max(np.abs(a.cdf_left(xs) - b.cdf_left(xs)))
-    return float(max(d_right, d_left))
+    return float(np.max(np.abs(a.cdf(xs) - b.cdf(xs))))

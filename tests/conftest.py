@@ -1,5 +1,23 @@
 import re
 
+import numpy as np
+import pytest
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """(solver, dimension, dtype) of every np.linalg.eigvalsh / eigh call."""
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        orig = getattr(np.linalg, name)
+
+        def spy(h, *args, _name=name, _orig=orig, **kwargs):
+            calls.append((_name, h.shape[0], h.dtype))
+            return _orig(h, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
 
 def pytest_terminal_summary(terminalreporter):
     """One pass/fail line per acceptance criterion, after the test run."""

@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from folner_lab.cli import ConfigError, main, parse_f_family, parse_n_list
@@ -124,6 +125,32 @@ class TestSzegoCommand:
         code, _, err = run(capsys, "szego", "--op", str(spec), "--n", "4")
         assert code == 3
         assert err.startswith("spec error:") and len(err.strip().splitlines()) == 1
+
+    def test_residual_breach_is_numerical_failure(self, capsys, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def perturbed(h, *args, **kwargs):
+            vals, vecs = eigh(h, *args, **kwargs)
+            return vals, vecs + 1e-3
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        code, out, err = run(
+            capsys, "szego", "--op", str(CORPUS / "valid" / "hopping.json"), "--n", "4,8",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("numerical failure:") and len(err.strip().splitlines()) == 1
+
+    def test_non_hermitian_compression_is_spec_error(self, capsys, tmp_path):
+        # the symbol's imaginary part (1e-11) passes the pushforward check,
+        # but the compression's Hermiticity defect exceeds --herm-tol
+        spec = tmp_path / "skew.json"
+        spec.write_text('{"kind": "toeplitz", "coeffs": {"1": 1.0, "-1": 1.00000000001}}')
+        code, out, err = run(
+            capsys, "szego", "--op", str(spec), "--n", "4,8", "--herm-tol", "1e-14",
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("spec error:") and "Hermiticity" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_plot_out(self, capsys, tmp_path):
         plot = tmp_path / "plot.csv"

@@ -44,6 +44,41 @@ class TestEigenvalues:
         assert np.all(np.diff(vals) >= 0)
 
 
+class TestSolverDtype:
+    """Which dtype reaches LAPACK: real when the imaginary part is exactly zero."""
+
+    @pytest.mark.parametrize("check_residual", [False, True])
+    def test_exactly_real_solves_in_float64(self, eig_calls, check_residual):
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((60, 60)) * 3.0
+        m = (a + a.T).astype(complex)
+        expected = np.linalg.eigvalsh(m)
+        eig_calls.clear()
+        vals = fl.eigenvalues_hermitian(m, check_residual=check_residual)
+        solver = "eigh" if check_residual else "eigvalsh"
+        assert eig_calls == [(solver, 60, np.dtype(np.float64))]
+        assert np.max(np.abs(vals - expected)) <= 1e-12 * np.max(np.abs(m))
+
+    def test_tiny_imaginary_entry_stays_complex(self, eig_calls):
+        m = np.array([[1.0, 1.0 + 1e-17j, 0.0], [1.0 - 1e-17j, 2.0, 0.5], [0.0, 0.5, 3.0]])
+        vals = fl.eigenvalues_hermitian(m)
+        assert eig_calls == [("eigvalsh", 3, np.dtype(np.complex128))]
+        assert np.allclose(vals, np.linalg.eigvalsh(m.real), atol=1e-14)
+
+    @pytest.mark.parametrize("phase", [1.0, 1j])
+    def test_solves_the_symmetrized_matrix(self, phase):
+        # a defect inside herm_tol: the solve sees (M + M^dagger)/2, not one triangle
+        m = np.array([[0.0, phase], [np.conj(phase) * (1.0 + 2e-11), 0.0]])
+        vals = fl.eigenvalues_hermitian(m)
+        assert np.allclose(vals, [-(1.0 + 1e-11), 1.0 + 1e-11], rtol=0.0, atol=1e-15)
+
+    def test_real_solve_keeps_hermiticity_check(self, eig_calls):
+        m = np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]], dtype=complex)
+        with pytest.raises(fl.NonHermitianError):
+            fl.eigenvalues_hermitian(m)
+        assert eig_calls == []
+
+
 class TestEmpiricalMeasure:
     def test_zero_operator(self):
         meas = fl.empirical_measure(fl.Dense(np.zeros((4, 4))), fl.Window(fl.N0, 0, 3))
@@ -191,6 +226,32 @@ class TestKolmogorov:
         d02 = fl.kolmogorov_distance(ms[0], ms[2])
         d12 = fl.kolmogorov_distance(ms[1], ms[2])
         assert d02 <= d01 + d12 + 1e-14
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_brute_force_sup(self, seed):
+        # both CDFs evaluated independently at every grid point, every midpoint
+        # between neighbours (the left limits) and outside the grid; rounding
+        # to a coarse lattice makes atoms and grid points repeat and coincide
+        rng = np.random.default_rng(seed)
+
+        def empirical():
+            atoms = np.round(rng.normal(size=int(rng.integers(1, 12))), 1)
+            return fl.EmpiricalMeasure(atoms, atoms.size), lambda x: np.mean(atoms <= x)
+
+        def reference():
+            xs = np.sort(np.round(rng.normal(size=int(rng.integers(1, 12))), 1))
+            fs = np.sort(rng.uniform(size=xs.size))
+            fs[-1] = rng.choice([fs[-1], 1.0])
+            ref = fl.ReferenceMeasure(xs=xs, Fs=fs)
+            return ref, lambda x: fs[xs <= x].max(initial=0.0)
+
+        (a, fa), (b, fb) = [rng.choice([empirical, reference])() for _ in range(2)]
+        grid = np.unique(np.concatenate([m.atoms if hasattr(m, "atoms") else m.xs
+                                         for m in (a, b)]))
+        probes = np.concatenate([grid, (grid[1:] + grid[:-1]) / 2,
+                                 [grid[0] - 1.0, grid[-1] + 1.0]])
+        brute = max(abs(fa(x) - fb(x)) for x in probes)
+        assert fl.kolmogorov_distance(a, b) == brute
 
     def test_moments_only_rejected(self):
         ref = fl.ReferenceMeasure(moments=(1.0, 0.0))

@@ -88,6 +88,20 @@ class TestSzegoPair:
         rep = fl.szego_pair_test([("h", fl.represent_nc(h))], seq, refs, f_family=fam)
         assert {r["f"] for r in rep.rows} == {"x^2"}
 
+    def test_one_eigensolve_per_window(self, eig_calls):
+        # eigenvalues only below the largest window; there one solve with
+        # eigenvectors serves both the measure and the residual contract
+        cplx = fl.Toeplitz({0: 0.3, 1: 0.5 + 0.5j, -1: 0.5 - 0.5j}, selfadjoint=True)
+        seq = fl.finite_section_sequence(fl.N0, [4, 8, 16])
+        refs = {lab: fl.ReferenceMeasure(moments=(1.0, 0.0, 2.0)) for lab in ("t", "c")}
+        rep = fl.szego_pair_test([("t", HOPPING), ("c", cplx)], seq, refs,
+                                 f_family=[fl.monomial(2)])
+        real, cx = np.dtype(np.float64), np.dtype(np.complex128)
+        assert eig_calls == [("eigvalsh", 5, real), ("eigvalsh", 9, real), ("eigh", 17, real),
+                             ("eigvalsh", 5, cx), ("eigvalsh", 9, cx), ("eigh", 17, cx)]
+        row = next(r for r in rep.rows if r["label"] == "t" and r["n"] == 16)
+        assert row["error"] == pytest.approx(2.0 / 17.0, abs=1e-12)
+
     def test_missing_reference(self):
         seq = fl.finite_section_sequence(fl.N0, [4])
         with pytest.raises(fl.MissingReferenceError):
