@@ -283,7 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op-a", required=True)
     p.add_argument("--op-b", required=True)
     p.add_argument("--n", required=True)
-    p.add_argument("--dim-cap", type=int, default=4096)
+    p.add_argument("--dim-cap", type=int, default=4096,
+                   help="largest allowed product of the two padded factor orders; "
+                        "a window beyond it is a spec error (exit 3)")
     common(p)
     p.set_defaults(func=cmd_tensor)
 

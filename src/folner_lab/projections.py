@@ -91,14 +91,6 @@ class KronProj:
     def hs_norm(self) -> float:
         return self.left.hs_norm * self.right.hs_norm
 
-    def index_pairs(self):
-        """Row-major enumeration of the product index set."""
-        return [
-            (int(i), int(j))
-            for i in self.left.index_array()
-            for j in self.right.index_array()
-        ]
-
 
 def kron_proj(p, q) -> KronProj:
     return KronProj(p, q)

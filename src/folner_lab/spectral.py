@@ -35,14 +35,13 @@ def eigenvalues_hermitian(m: np.ndarray, herm_tol: float = 1e-10,
     ||M v - lam v|| <= 1e-9 * max|M| * sqrt(d).
     """
     m = np.asarray(m, dtype=complex)
+    if not m.imag.any():
+        m = m.real  # same scale and defect, with no complex temporaries
     scale = max(float(np.max(np.abs(m))), 1.0)
     dev = float(np.max(np.abs(m - m.conj().T)))
     if dev > herm_tol * scale:
         raise NonHermitianError(f"Hermiticity defect {dev:.3e} exceeds tolerance")
-    if m.imag.any():
-        h = 0.5 * (m + m.conj().T)
-    else:
-        h = 0.5 * (m.real + m.real.T)
+    h = 0.5 * (m + m.conj().T)
     if not check_residual:
         return np.linalg.eigvalsh(h)
     vals, vecs = np.linalg.eigh(h)

@@ -119,3 +119,13 @@ def corner_blocks(op, idx):
     """(1 - P) A P and P A (1 - P) cut from the padded matrix."""
     a, inside = padded_matrix(op, idx)
     return a[np.ix_(~inside, inside)], a[np.ix_(inside, ~inside)]
+
+
+def tensor_lhs(a, idx_a, b, idx_b) -> float:
+    """|(1 - P(x)Q)(A(x)B)(P(x)Q)|_2^2 / (rank P rank Q) from the Kronecker
+    product of the padded factor columns, with the P(x)Q rows zeroed."""
+    ma, in_a = padded_matrix(a, idx_a)
+    mb, in_b = padded_matrix(b, idx_b)
+    leak = np.kron(ma[:, in_a], mb[:, in_b])
+    leak[np.kron(in_a, in_b).astype(bool)] = 0.0
+    return float(np.linalg.norm(leak) ** 2) / (idx_a.size * idx_b.size)

@@ -33,6 +33,9 @@ SZEGO = {
     "symbol_sampled": "poly:4,hat:4:-2:2",
     "harper": "poly:4",
 }
+TENSOR = (("shift", "shift"), ("shift", "hopping"), ("dense_pauli", "hopping"),
+          ("almost_mathieu", "modulated_band"), ("harper", "symbol_sampled"),
+          ("modulated_band", "dense_pauli"))
 
 
 def cases():
@@ -45,6 +48,9 @@ def cases():
     for name, fam in SZEGO.items():
         out[f"szego_{name}.json"] = ["szego", "--op", f"{name}.json", "--n", "2,4,8,16",
                                      "--f", fam, "--format", "json"]
+    for a, b in TENSOR:
+        out[f"tensor_{a}_{b}.csv"] = ["tensor", "--op-a", f"{a}.json", "--op-b", f"{b}.json",
+                                      "--n", N_LIST]
     return out
 
 

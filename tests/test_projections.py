@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 import folner_lab as fl
@@ -50,15 +49,6 @@ def test_kron_rank_and_norm_multiply():
     assert k.rank == 6
     assert k.hs_norm == pytest.approx(math.sqrt(6))
     assert fl.kron_proj(fl.Window(fl.N0, 0, 0), fl.Window(fl.N0, 0, 0)).rank == 1
-
-
-def test_kron_row_major_enumeration():
-    rng = np.random.default_rng(2)
-    a = tuple(sorted(rng.choice(20, size=4, replace=False).tolist()))
-    b = tuple(sorted(rng.choice(20, size=5, replace=False).tolist()))
-    k = fl.kron_proj(fl.IndexSet(fl.N0, a), fl.IndexSet(fl.N0, b))
-    # brute-force pairing oracle
-    assert k.index_pairs() == [(i, j) for i in a for j in b]
 
 
 def test_rank_zero_rejected():

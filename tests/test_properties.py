@@ -211,3 +211,38 @@ def test_banded_path_matches_dense_oracle():
         assert abs(fl.off_corner_ratio(op, proj, 2) - hs1 / math.sqrt(r)) <= tol
         assert abs(fl.off_corner_ratio(op, proj, 1) - sv1.sum() / r) <= tol
         assert abs(fl.qd_gap(op, proj) - max(sv1.max(), sv2.max())) <= tol
+
+
+def _forbid_kron(*args, **kwargs):
+    raise AssertionError("np.kron called")
+
+
+def test_tensor_lhs_matches_brute_force(monkeypatch):
+    # the closed-form lhs from the factor sections against the norm of the
+    # Kronecker leak, with np.kron unavailable to the closed form
+    rng = np.random.default_rng(9090)
+    for _ in range(200):
+        factors = []
+        for _ in range(2):
+            lattice = fl.N0 if rng.random() < 0.5 else fl.Z
+            small_tree = rng.random() < 0.4
+            op = _random_poly(rng, lattice, depth=2) if small_tree else _random_leaf(rng, lattice)
+            factors.append((op, _random_projection(rng, lattice)))
+        (a, p), (b, q) = factors
+        want = dense_oracle.tensor_lhs(a, p.index_array(), b, q.index_array())
+        with monkeypatch.context() as m:
+            m.setattr(np, "kron", _forbid_kron)
+            got = fl.tensor_bound_check(a, p, b, q, dim_cap=10**9).lhs
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_tensor_shift_pair_without_kron(monkeypatch):
+    # a padded product of order 302^2, far past what a dense Kronecker
+    # product could hold; one column leaks per factor
+    monkeypatch.setattr(np, "kron", _forbid_kron)
+    s = fl.Shift()
+    p = fl.finite_section(fl.N0, 300)
+    rec = fl.tensor_bound_check(s, p, s, p, dim_cap=10**6)
+    r = 301
+    assert rec.lhs == pytest.approx((2 * r - 1) / r**2, rel=1e-12)
+    assert rec.rhs == pytest.approx(2 / r, rel=1e-12)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,19 @@ class TestSolverDtype:
         with pytest.raises(fl.NonHermitianError):
             fl.eigenvalues_hermitian(m)
         assert eig_calls == []
+
+    def test_real_defect_equals_complex_defect(self, eig_calls):
+        # max |entry| is 4, so herm_tol * scale is exact and the tolerance
+        # can sit on either side of the defect the complex arithmetic gives
+        rng = np.random.default_rng(5)
+        m = rng.uniform(-1.0, 1.0, (40, 40))
+        m[3, 7] = 4.0
+        mc = m.astype(complex)
+        dev = float(np.max(np.abs(mc - mc.conj().T)))
+        fl.eigenvalues_hermitian(m, herm_tol=dev / 4.0)
+        with pytest.raises(fl.NonHermitianError, match=re.escape(f"{dev:.3e}")):
+            fl.eigenvalues_hermitian(m, herm_tol=np.nextafter(dev, 0.0) / 4.0)
+        assert [c[0] for c in eig_calls] == ["eigvalsh"]
 
 
 class TestEmpiricalMeasure:
