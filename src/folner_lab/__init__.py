@@ -27,7 +27,6 @@ from .operators import (
     compress,
     identity,
     is_selfadjoint,
-    kron_op,
     op_adjoint,
     op_prod,
     op_scale,
@@ -42,7 +41,6 @@ from .projections import (
     Window,
     finite_section,
     finite_section_sequence,
-    kron_proj,
 )
 from .spectral import (
     EmpiricalMeasure,
@@ -57,7 +55,6 @@ from .spectral import (
     integrate,
     kolmogorov_distance,
     monomial,
-    polynomial,
     reference_pushforward,
 )
 from .szego import (

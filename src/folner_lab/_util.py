@@ -1,22 +1,9 @@
-"""Shared helpers: parallelism cap and deterministic report serialization."""
+"""Shared helpers: the version stamp and deterministic report serialization."""
 from __future__ import annotations
 
 import io
-import os
 
 VERSION = "0.1.0"
-THREADS_ENV = "FOLNER_LAB_THREADS"
-
-
-def worker_count() -> int:
-    """Worker cap for grid evaluation; FOLNER_LAB_THREADS overrides."""
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return min(4, os.cpu_count() or 1)
 
 
 def fmt_value(v) -> str:

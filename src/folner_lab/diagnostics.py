@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import report_csv, worker_count
+from ._util import report_csv
 from .operators import OperatorSpec, dense_entries, exact_entries, pad_indices
 from .operators import padded_compression, tensor_pair
 
@@ -140,8 +139,8 @@ def fit_decay_slope(d_list, ratios):
 def folner_profile(ops, seq, p_list=(1, 2)) -> FolnerReport:
     """Evaluate the full (operator, n, p) ratio grid for a projection sequence.
 
-    `ops` is a list of (label, OperatorSpec) pairs.  Per grid point one
-    padded compression is built and reused for every norm.
+    `ops` is a list of (label, OperatorSpec) pairs.  Per grid point the
+    corner blocks are built once and reused for every norm.
     """
     ops = list(ops)
     if not ops or not seq.projections:
@@ -149,34 +148,24 @@ def folner_profile(ops, seq, p_list=(1, 2)) -> FolnerReport:
     for p in p_list:
         _proj_norm(1, p)  # validate exponents up front
 
-    def one(job):
-        label, op, n, proj = job
-        b1, b2 = _corner_blocks(op, proj)
-        out = []
-        gap = _comm_schatten(b1, b2, INF)
-        for p in p_list:
-            den = _proj_norm(proj.rank, p)
-            out.append(
-                {
-                    "label": label,
-                    "n": n,
-                    "d_n": proj.rank,
-                    "p": p,
-                    "ratio": _comm_schatten(b1, b2, p) / den,
-                    "off_corner": schatten_norm(b1, p) / den,
-                    "qd_gap": gap,
-                }
-            )
-        return out
-
-    jobs = [(label, op, n, proj) for label, op in ops for n, proj in seq]
-    nw = worker_count()
-    if nw > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=nw) as ex:
-            chunks = list(ex.map(one, jobs))
-    else:
-        chunks = [one(j) for j in jobs]
-    rows = [r for c in chunks for r in c]
+    rows = []
+    for label, op in ops:
+        for n, proj in seq:
+            b1, b2 = _corner_blocks(op, proj)
+            gap = _comm_schatten(b1, b2, INF)
+            for p in p_list:
+                den = _proj_norm(proj.rank, p)
+                rows.append(
+                    {
+                        "label": label,
+                        "n": n,
+                        "d_n": proj.rank,
+                        "p": p,
+                        "ratio": _comm_schatten(b1, b2, p) / den,
+                        "off_corner": schatten_norm(b1, p) / den,
+                        "qd_gap": gap,
+                    }
+                )
     rows.sort(key=lambda r: (r["label"], r["n"], r["p"]))
 
     report = FolnerReport(rows=rows)

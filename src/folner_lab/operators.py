@@ -514,12 +514,6 @@ def diagonal_entries(op: OperatorSpec, proj) -> np.ndarray:
 
 def op_adjoint(op: OperatorSpec) -> OperatorSpec:
     """Spec of the adjoint operator."""
-    if isinstance(op, Dense):
-        return Dense(op.matrix.conj().T)
-    if isinstance(op, Toeplitz):
-        return Toeplitz({-k: a.conjugate() for k, a in op.coeffs}, selfadjoint=op.selfadjoint)
-    if isinstance(op, AlmostMathieu):
-        return op
     if isinstance(op, Kron):
         return Kron(op_adjoint(op.left), op_adjoint(op.right))
     node = _as_node(op)
@@ -532,10 +526,6 @@ def op_adjoint(op: OperatorSpec) -> OperatorSpec:
 def is_selfadjoint(op: OperatorSpec, proj, tol: float = 1e-12) -> bool:
     m = compress(op, proj)
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
-def kron_op(a: OperatorSpec, b: OperatorSpec) -> Kron:
-    return Kron(a, b)
 
 
 def build_toeplitz_section(symbol: Toeplitz, n: int) -> np.ndarray:

@@ -92,10 +92,6 @@ class KronProj:
         return self.left.hs_norm * self.right.hs_norm
 
 
-def kron_proj(p, q) -> KronProj:
-    return KronProj(p, q)
-
-
 def finite_section(lattice: str, n: int) -> Window:
     """The n-th finite-section window: {0..n} on n0, {-n..n} on z."""
     if n < 0:
@@ -119,12 +115,9 @@ class ProjectionSequence:
         if not self.projections:
             raise ValueError("empty projection sequence")
         if self.increasing:
-            prev = None
-            for p in self.projections:
-                cur = set(p.index_array().tolist())
-                if prev is not None and not prev <= cur:
+            for p, q in zip(self.projections, self.projections[1:]):
+                if not np.isin(p.index_array(), q.index_array()).all():
                     raise ValueError("sequence flagged increasing but index sets are not nested")
-                prev = cur
 
     @property
     def proper(self) -> bool:

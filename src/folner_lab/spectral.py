@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import report_csv
 from .operators import OperatorSpec, Toeplitz, compress
 
 
@@ -91,10 +90,6 @@ def monomial(k: int) -> TestFunction:
     return TestFunction("poly", np.asarray(coeffs, dtype=float), f"x^{k}")
 
 
-def polynomial(coeffs) -> TestFunction:
-    return TestFunction("poly", np.asarray(coeffs, dtype=float), "poly")
-
-
 def hat(left: float, center: float, right: float) -> TestFunction:
     if not left <= center <= right:
         raise ValueError("hat nodes must be ordered")
@@ -166,10 +161,6 @@ class ReferenceMeasure:
         if self.moments is not None:
             payload["moments"] = list(self.moments)
         return json.dumps(payload)
-
-    def cdf_csv(self) -> str:
-        rows = [{"x": float(x), "F": float(f)} for x, f in zip(self.xs, self.Fs)]
-        return report_csv(rows, ("x", "F"))
 
 
 def empirical_measure(op: OperatorSpec, proj, herm_tol: float = 1e-10) -> EmpiricalMeasure:

@@ -7,6 +7,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .diagnostics import INF, schatten_norm
 from .operators import OperatorSpec, padded_compression
 
@@ -42,6 +44,11 @@ class TensorBoundRecord:
         )
 
 
+def _hs2(m: np.ndarray) -> float:
+    """Squared Hilbert-Schmidt norm as the plain sum of |entries|^2."""
+    return float(np.vdot(m, m).real)
+
+
 def tensor_bound_check(a: OperatorSpec, p, b: OperatorSpec, q,
                        dim_cap: int = 4096) -> TensorBoundRecord:
     """Evaluate both sides of the tensor-product off-corner bound.
@@ -69,26 +76,24 @@ def tensor_bound_check(a: OperatorSpec, p, b: OperatorSpec, q,
     rank_p = float(p.rank)
     rank_q = float(q.rank)
 
-    off_a = schatten_norm(ma * ((1.0 - mask_a)[:, None] * mask_a[None, :]), 2)
-    off_b = schatten_norm(mb * ((1.0 - mask_b)[:, None] * mask_b[None, :]), 2)
-    bq = schatten_norm(mb * mask_b[None, :], 2)
-    pap = schatten_norm(ma * (mask_a[:, None] * mask_a[None, :]), 2)
-    lhs = (off_a**2 * bq**2 + pap**2 * off_b**2) / (rank_p * rank_q)
-    middle = (off_a**2 / rank_p) * (bq**2 / rank_q) + (pap**2 / rank_p) * (off_b**2 / rank_q)
+    off_a2 = _hs2(ma * ((1.0 - mask_a)[:, None] * mask_a[None, :]))
+    off_b2 = _hs2(mb * ((1.0 - mask_b)[:, None] * mask_b[None, :]))
+    bq2 = _hs2(mb * mask_b[None, :])
+    pap2 = _hs2(ma * (mask_a[:, None] * mask_a[None, :]))
+    lhs = (off_a2 * bq2 + pap2 * off_b2) / (rank_p * rank_q)
+    middle = (off_a2 / rank_p) * (bq2 / rank_q) + (pap2 / rank_p) * (off_b2 / rank_q)
 
     norm_a = schatten_norm(ma, INF)
     norm_b = schatten_norm(mb, INF)
-    r_a = off_a / math.sqrt(rank_p)
-    r_b = off_b / math.sqrt(rank_q)
-    rhs = norm_b**2 * r_a**2 + norm_a**2 * r_b**2
+    rhs = norm_b**2 * (off_a2 / rank_p) + norm_a**2 * (off_b2 / rank_q)
 
     return TensorBoundRecord(
         lhs=float(lhs),
         middle=float(middle),
         rhs=float(rhs),
         slack=float(rhs - lhs),
-        ratio_a=float(r_a),
-        ratio_b=float(r_b),
+        ratio_a=math.sqrt(off_a2 / rank_p),
+        ratio_b=math.sqrt(off_b2 / rank_q),
         norm_a=float(norm_a),
         norm_b=float(norm_b),
     )

@@ -2,10 +2,12 @@
 
 The goldens under tests/golden/ are the program's reports at small n.  Any
 change to the order of arithmetic may move the last digits, so numeric
-cells compare within RTOL/ATOL and every other cell exactly.  Record them
-again only on purpose:
+cells compare within RTOL/ATOL and every other cell exactly.  Running
 
     PYTHONPATH=src python tests/test_golden.py
+
+records only the goldens whose file is missing; delete a file to record
+it again.
 """
 import contextlib
 import io
@@ -116,6 +118,7 @@ def test_cli_matches_golden(name):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for fname, argv in cases().items():
+    missing = {f: argv for f, argv in cases().items() if not (GOLDEN / f).exists()}
+    for fname, argv in missing.items():
         (GOLDEN / fname).write_text(run_cli(argv), encoding="utf-8")
-    print(f"recorded {len(cases())} goldens in {GOLDEN}", file=sys.stderr)
+    print(f"recorded {len(missing)} missing goldens in {GOLDEN}", file=sys.stderr)

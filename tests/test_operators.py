@@ -79,7 +79,23 @@ class TestCompress:
 class TestAdjoint:
     def test_dense_example(self):
         adj = fl.op_adjoint(fl.Dense(np.array([[0.0, 1.0], [0.0, 0.0]])))
-        assert np.array_equal(adj.matrix, [[0.0, 0.0], [1.0, 0.0]])
+        assert np.array_equal(fl.compress(adj, fl.Window(fl.N0, 0, 1)), [[0.0, 0.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("kind", ["dense", "toeplitz"])
+    def test_adjoint_keeps_z_lattice(self, kind):
+        rng = np.random.default_rng(17)
+        if kind == "dense":
+            op = fl.Dense(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)),
+                          lattice=fl.Z)
+        else:
+            op = fl.Toeplitz({k: complex(rng.standard_normal(), rng.standard_normal())
+                              for k in (-2, 0, 1)}, lattice=fl.Z)
+        adj = fl.op_adjoint(op)
+        assert adj.lattice == fl.Z
+        w = fl.Window(fl.Z, -3, 5)
+        assert np.array_equal(fl.compress(adj, w), fl.compress(op, w).conj().T)
+        herm = fl.compress(op + adj, w)
+        assert np.max(np.abs(herm - herm.conj().T)) < 1e-14
 
     def test_almost_mathieu_selfadjoint(self):
         am = fl.AlmostMathieu(1.7, ALPHA, 0.3)
@@ -115,14 +131,14 @@ class TestKron:
     def test_scalar_example(self):
         a = fl.Dense(np.array([[2.0]]))
         p = fl.Window(fl.N0, 0, 0)
-        m = fl.compress(fl.kron_op(a, a), fl.kron_proj(p, p))
+        m = fl.compress(fl.Kron(a, a), fl.KronProj(p, p))
         assert np.array_equal(m, [[4.0]])
 
     def test_shift_tensor_identity_blocks(self):
         s, one = fl.Shift(), fl.identity(fl.N0)
         p = fl.Window(fl.N0, 0, 2)
         q = fl.Window(fl.N0, 0, 1)
-        m = fl.compress(fl.kron_op(s, one), fl.kron_proj(p, q))
+        m = fl.compress(fl.Kron(s, one), fl.KronProj(p, q))
         assert np.array_equal(m, np.kron(np.eye(3, k=-1), np.eye(2)))
 
     def test_random_kron_oracle(self):
@@ -130,8 +146,8 @@ class TestKron:
         a = fl.Dense(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         b = fl.Dense(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
         m = fl.compress(
-            fl.kron_op(a, b),
-            fl.kron_proj(fl.Window(fl.N0, 0, 2), fl.Window(fl.N0, 0, 1)),
+            fl.Kron(a, b),
+            fl.KronProj(fl.Window(fl.N0, 0, 2), fl.Window(fl.N0, 0, 1)),
         )
         assert np.max(np.abs(m - np.kron(a.matrix, b.matrix))) < 1e-14
 
@@ -144,14 +160,14 @@ class TestKron:
             b = fl.Toeplitz({k: complex(rng.standard_normal()) for k in (-1, 0, 2)})
             p = fl.Window(fl.N0, 0, int(rng.integers(1, da)))
             q = fl.Window(fl.N0, 0, int(rng.integers(1, 6)))
-            lhs = fl.compress(fl.kron_op(a, b), fl.kron_proj(p, q))
+            lhs = fl.compress(fl.Kron(a, b), fl.KronProj(p, q))
             rhs = np.kron(fl.compress(a, p), fl.compress(b, q))
             assert lhs.shape[0] <= 64
             assert np.max(np.abs(lhs - rhs)) < 1e-13
 
     def test_kron_requires_kron_projection(self):
         with pytest.raises(fl.LatticeMismatchError):
-            fl.compress(fl.kron_op(fl.Shift(), fl.Shift()), fl.Window(fl.N0, 0, 3))
+            fl.compress(fl.Kron(fl.Shift(), fl.Shift()), fl.Window(fl.N0, 0, 3))
 
 
 class TestPoly:

@@ -36,7 +36,7 @@ def test_hs_norm_squared_is_rank():
     specs = [
         fl.Window(fl.N0, 0, 9),
         fl.IndexSet(fl.Z, (-4, 0, 7)),
-        fl.kron_proj(fl.Window(fl.N0, 0, 1), fl.Window(fl.N0, 0, 2)),
+        fl.KronProj(fl.Window(fl.N0, 0, 1), fl.Window(fl.N0, 0, 2)),
     ]
     for p in specs:
         assert p.hs_norm**2 == pytest.approx(p.rank, abs=1e-12)
@@ -45,10 +45,10 @@ def test_hs_norm_squared_is_rank():
 def test_kron_rank_and_norm_multiply():
     p = fl.IndexSet(fl.N0, (0, 1))
     q = fl.IndexSet(fl.N0, (0, 1, 5))
-    k = fl.kron_proj(p, q)
+    k = fl.KronProj(p, q)
     assert k.rank == 6
     assert k.hs_norm == pytest.approx(math.sqrt(6))
-    assert fl.kron_proj(fl.Window(fl.N0, 0, 0), fl.Window(fl.N0, 0, 0)).rank == 1
+    assert fl.KronProj(fl.Window(fl.N0, 0, 0), fl.Window(fl.N0, 0, 0)).rank == 1
 
 
 def test_rank_zero_rejected():
@@ -76,3 +76,16 @@ def test_increasing_flag_checked():
             (fl.Window(fl.N0, 0, 1), fl.Window(fl.N0, 1, 2)),
             increasing=True,
         )
+    rejected = [
+        # an index past the later set's end
+        (fl.IndexSet(fl.Z, (-3, 0, 6)), fl.IndexSet(fl.Z, (-3, -1, 0, 2, 5))),
+        # an index missing from the middle of the later set
+        (fl.IndexSet(fl.Z, (-3, 1)), fl.IndexSet(fl.Z, (-3, -2, 0, 2, 5))),
+    ]
+    for pair in rejected:
+        with pytest.raises(ValueError, match="not nested"):
+            fl.ProjectionSequence(fl.Z, (1, 2), pair, increasing=True)
+    nested = (fl.IndexSet(fl.Z, (-3, 2)), fl.IndexSet(fl.Z, (-3, 0, 2, 7)),
+              fl.Window(fl.Z, -3, 7))
+    seq = fl.ProjectionSequence(fl.Z, (1, 2, 3), nested, increasing=True)
+    assert seq.increasing and not seq.proper

@@ -35,6 +35,16 @@ class TestShiftShift:
             assert rec.slack >= 0.0
 
 
+def test_equality_case_has_nonnegative_slack():
+    # Pauli-Y (x) hopping at n = 1: both sides are exactly 1/2
+    a = fl.Dense(np.array([[0.0, -1j], [1j, 0.0]]))
+    b = fl.Toeplitz({1: 1.0, -1: 1.0}, selfadjoint=True)
+    p = fl.finite_section(fl.N0, 1)
+    rec = fl.tensor_bound_check(a, p, b, p)
+    assert rec.lhs == rec.middle == rec.rhs == 0.5
+    assert rec.slack >= 0.0
+
+
 class TestBoundChain:
     @pytest.mark.parametrize("seed", range(20))
     def test_random_dense_chain(self, seed):
