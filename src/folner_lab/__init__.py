@@ -48,6 +48,7 @@ from .spectral import (
     ResidualError,
     ReferenceMeasure,
     TestFunction,
+    compression_eigenvalues,
     counting,
     eigenvalues_hermitian,
     empirical_measure,

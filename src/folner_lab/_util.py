@@ -1,9 +1,14 @@
-"""Shared helpers: the version stamp and deterministic report serialization."""
+"""Shared helpers: the version stamp, the configuration error and
+deterministic report serialization."""
 from __future__ import annotations
 
 import io
 
 VERSION = "0.1.0"
+
+
+class ConfigError(ValueError):
+    """Bad command-line configuration, or a run too large for this machine."""
 
 
 def fmt_value(v) -> str:

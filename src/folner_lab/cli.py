@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import VERSION, report_csv
+from ._util import VERSION, ConfigError, report_csv
 from .diagnostics import folner_profile, folner_ratio, qd_gap
 from .operators import (
     Kron,
@@ -36,10 +36,6 @@ from .szego import MissingReferenceError, NotSelfAdjointError, monomial, szego_p
 from .szego import hat_family, moments_reference
 from .tensor import DimensionCapError, tensor_bound_check
 from .traces import canonical_trace, represent_nc, trace_convergence_report
-
-
-class ConfigError(ValueError):
-    """Bad command-line configuration."""
 
 
 def parse_n_list(text: str):

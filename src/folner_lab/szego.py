@@ -11,13 +11,12 @@ import numpy as np
 
 from ._util import report_csv
 from .diagnostics import FolnerReport, fit_decay_slope, folner_profile
-from .operators import compress
 from .spectral import (
     EmpiricalMeasure,
     ReferenceMeasure,
     TestFunction,
-    eigenvalues_hermitian,
-    empirical_measure,
+    check_footprint,
+    compression_eigenvalues,
     hat,
     integrate,
     kolmogorov_distance,
@@ -127,17 +126,17 @@ def szego_pair_test(ops, seq, refs, f_family=None, p_list=(2,), trace_refs=None,
         if label not in refs:
             raise MissingReferenceError(f"no reference measure for {label!r}")
 
+    # even the cheapest solve of the residual-checked largest window must
+    # fit in memory, or the run stops before its first solve
+    check_footprint(seq.projections[-1].rank, tridiagonal=True, check_residual=True)
     report = SzegoReport()
     measures = {}
     last_n = seq.n_list[-1]
     for label, op in ops:
         for n, proj in seq:
-            if n == last_n:
-                vals = eigenvalues_hermitian(compress(op, proj), herm_tol=sa_tol,
-                                             check_residual=True)
-                measures[(label, n)] = EmpiricalMeasure(vals, proj.rank)
-            else:
-                measures[(label, n)] = empirical_measure(op, proj, herm_tol=sa_tol)
+            vals = compression_eigenvalues(op, proj, herm_tol=sa_tol,
+                                           check_residual=n == last_n)
+            measures[(label, n)] = EmpiricalMeasure(vals, proj.rank)
 
     for label, op in ops:
         ref = refs[label]

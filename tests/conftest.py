@@ -6,16 +6,21 @@ import pytest
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """(solver, dimension, dtype) of every np.linalg.eigvalsh / eigh call."""
+    """(solver, dimension, dtype) of every np.linalg.eigvalsh / eigh and every
+    scipy.linalg.eigvalsh_tridiagonal / eigh_tridiagonal call; a tridiagonal
+    solver reports its diagonal's length and dtype."""
+    import scipy.linalg
+
     calls = []
-    for name in ("eigvalsh", "eigh"):
-        orig = getattr(np.linalg, name)
+    for mod, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"),
+                      (scipy.linalg, "eigvalsh_tridiagonal"), (scipy.linalg, "eigh_tridiagonal")):
+        orig = getattr(mod, name)
 
         def spy(h, *args, _name=name, _orig=orig, **kwargs):
             calls.append((_name, h.shape[0], h.dtype))
             return _orig(h, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, spy)
+        monkeypatch.setattr(mod, name, spy)
     return calls
 
 

@@ -278,3 +278,112 @@ def test_reference_measure_validation():
         fl.ReferenceMeasure(xs=np.array([0.0, 1.0]), Fs=np.array([0.8, 0.2]))
     with pytest.raises(ValueError):
         fl.ReferenceMeasure()
+
+
+def _tridiagonal_cases():
+    """Seeded real bandwidth-1 operators, each on a window and on a gapped
+    index set of its lattice."""
+    rng = np.random.default_rng(23)
+    off = rng.uniform(-2.0, 2.0, 400)
+    diag = rng.uniform(-3.0, 3.0, 400)
+    up = rng.uniform(-1.0, 1.0, 400)
+    weight = rng.uniform(0.5, 1.5, 400)
+    a0, a1 = rng.uniform(-1.0, 1.0, 2)
+    ops = {
+        "toeplitz": fl.Toeplitz({0: a0, 1: a1, -1: a1}, selfadjoint=True),
+        "shift_poly": fl.op_sum(fl.Shift(lambda n: weight[n]),
+                                fl.op_adjoint(fl.Shift(lambda n: weight[n])),
+                                fl.op_scale(0.5, fl.identity(fl.N0))),
+        "almost_mathieu": fl.AlmostMathieu(float(rng.uniform(0.2, 2.0)),
+                                           (math.sqrt(5.0) - 1.0) / 2.0,
+                                           float(rng.uniform())),
+        # A[i, i + 1] = off[i + 200] = A[i + 1, i]
+        "band": fl.Band(1, ((-1, lambda n: off[n + 199]), (0, lambda n: diag[n + 200]),
+                            (1, lambda n: off[n + 200]))),
+        "band_poly": fl.op_sum(fl.Band(1, ((0, lambda n: diag[n + 200]),
+                                           (1, lambda n: up[n + 200]))),
+                               fl.op_adjoint(fl.Band(1, ((1, lambda n: up[n + 200]),)))),
+        "harper": fl.represent_nc(fl.almost_mathieu_element((math.sqrt(5.0) - 1.0) / 2.0, 0.5),
+                                  phi=float(rng.uniform())),
+    }
+    gaps = {
+        fl.N0: np.sort(rng.choice(np.arange(0, 190), 90, replace=False)),
+        fl.Z: np.sort(rng.choice(np.arange(-95, 95), 90, replace=False)),
+    }
+    cases = []
+    for name, op in ops.items():
+        cases.append((f"{name}-window", op, fl.finite_section(op.lattice, 60)))
+        cases.append((f"{name}-gapped", op, fl.IndexSet(op.lattice, tuple(gaps[op.lattice]))))
+    return cases
+
+
+class TestTridiagonalPath:
+    """Real bandwidth-1 compressions at or above TRIDIAGONAL_MIN_DIM are solved
+    from their diagonals; the threshold is lowered so small windows take it."""
+
+    @pytest.mark.parametrize("check_residual", [False, True])
+    @pytest.mark.parametrize("label,op,proj", _tridiagonal_cases(),
+                             ids=[c[0] for c in _tridiagonal_cases()])
+    def test_matches_dense_eigvalsh(self, monkeypatch, eig_calls, label, op, proj,
+                                    check_residual):
+        monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 2)
+        m = fl.compress(op, proj)
+        expected = np.linalg.eigvalsh(m)
+        eig_calls.clear()
+        vals = fl.compression_eigenvalues(op, proj, check_residual=check_residual)
+        solver = "eigh_tridiagonal" if check_residual else "eigvalsh_tridiagonal"
+        assert eig_calls == [(solver, proj.rank, np.dtype(np.float64))]
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(m))))
+        assert np.max(np.abs(vals - expected)) <= tol
+
+    def test_crossover_pinned(self, eig_calls):
+        # below the threshold the dense solve runs, at it the tridiagonal one
+        hop = fl.Toeplitz({1: 1.0, -1: 1.0}, selfadjoint=True)
+        d = fl.spectral.TRIDIAGONAL_MIN_DIM
+        for rank in (d - 1, d):
+            vals = fl.compression_eigenvalues(hop, fl.Window(fl.N0, 0, rank - 1))
+            assert np.max(np.abs(vals - tridiagonal_eigs(rank - 1))) < 1e-12
+        real = np.dtype(np.float64)
+        assert eig_calls == [("eigvalsh", d - 1, real), ("eigvalsh_tridiagonal", d, real)]
+
+    @pytest.mark.parametrize("op", [
+        fl.Toeplitz({0: 0.3, 1: 0.5 + 0.5j, -1: 0.5 - 0.5j}, selfadjoint=True),
+        fl.Toeplitz({0: 1.0, 2: 0.5, -2: 0.5}, selfadjoint=True),
+        fl.op_prod(fl.Toeplitz({1: 1.0, -1: 1.0}), fl.Toeplitz({1: 1.0, -1: 1.0})),
+        fl.Dense(np.array([[1.0, 0.5, 0.25], [0.5, 2.0, 0.5], [0.25, 0.5, 3.0]])),
+    ], ids=["complex", "bandwidth-2", "poly-bandwidth-2", "dense-leaf"])
+    def test_other_compressions_stay_dense(self, monkeypatch, eig_calls, op):
+        monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 2)
+        proj = fl.Window(fl.N0, 0, 20)
+        vals = fl.compression_eigenvalues(op, proj)
+        assert [c[:2] for c in eig_calls] == [("eigvalsh", 21)]
+        assert np.array_equal(vals, fl.eigenvalues_hermitian(fl.compress(op, proj)))
+
+    @pytest.mark.parametrize("peak", ["diagonal", "offdiagonal"])
+    def test_defect_bit_identical_to_dense(self, monkeypatch, eig_calls, peak):
+        # lower diagonal = upper one times (1 + small noise); max |entry| is
+        # 4, so herm_tol * scale is exact and the tolerance sits on either
+        # side of the defect the dense check computes
+        monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 2)
+        rng = np.random.default_rng(31)
+        up = rng.uniform(-1.0, 1.0, 200)
+        lo = up * (1.0 + rng.uniform(-1e-9, 1e-9, 200))
+        diag = rng.uniform(-1.0, 1.0, 200)
+        if peak == "diagonal":
+            diag[57] = 4.0
+        else:
+            up[57] = lo[57] = -4.0
+        op = fl.Band(1, ((-1, lambda n: lo[n + 99]), (0, lambda n: diag[n + 100]),
+                         (1, lambda n: up[n + 100])))
+        proj = fl.finite_section(fl.Z, 80)
+        m = fl.compress(op, proj)
+        dev = float(np.max(np.abs(m - m.conj().T)))
+        assert dev > 0.0
+        fl.compression_eigenvalues(op, proj, herm_tol=dev / 4.0)
+        fl.eigenvalues_hermitian(m, herm_tol=dev / 4.0)
+        below = np.nextafter(dev, 0.0) / 4.0
+        with pytest.raises(fl.NonHermitianError, match=re.escape(f"{dev:.3e}")):
+            fl.compression_eigenvalues(op, proj, herm_tol=below)
+        with pytest.raises(fl.NonHermitianError, match=re.escape(f"{dev:.3e}")):
+            fl.eigenvalues_hermitian(m, herm_tol=below)
+        assert [c[0] for c in eig_calls] == ["eigvalsh_tridiagonal", "eigvalsh"]

@@ -1,9 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import folner_lab as fl
+from folner_lab.cli import ConfigError, main
+
+CORPUS = Path(__file__).parent / "corpus"
 
 ALPHA = (math.sqrt(5.0) - 1.0) / 2.0
 HOPPING = fl.Toeplitz({1: 1.0, -1: 1.0}, selfadjoint=True)
@@ -140,3 +147,103 @@ class TestSzegoPair:
         err = {r["n"]: r["error"] for r in rep.rows}
         assert ratio[4] > 0.4 and err[4] > 0.35
         assert ratio[512] < 0.07 and err[512] < 0.005
+
+    def test_one_eigensolve_per_window_tridiagonal(self, monkeypatch, eig_calls):
+        # the same contract above the tridiagonal threshold: eigenvalues only
+        # below the largest window, one solve with eigenvectors there, and no
+        # dense solve at all
+        monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 5)
+        real_sym = fl.Toeplitz({0: 0.3, 1: 0.7, -1: 0.7}, selfadjoint=True)
+        seq = fl.finite_section_sequence(fl.N0, [4, 8, 16])
+        refs = {lab: fl.ReferenceMeasure(moments=(1.0, 0.0, 2.0)) for lab in ("t", "r")}
+        rep = fl.szego_pair_test([("t", HOPPING), ("r", real_sym)], seq, refs,
+                                 f_family=[fl.monomial(2)])
+        real = np.dtype(np.float64)
+        per_op = [("eigvalsh_tridiagonal", 5, real), ("eigvalsh_tridiagonal", 9, real),
+                  ("eigh_tridiagonal", 17, real)]
+        assert eig_calls == per_op + per_op
+        row = next(r for r in rep.rows if r["label"] == "t" and r["n"] == 16)
+        assert row["error"] == pytest.approx(2.0 / 17.0, abs=1e-12)
+
+
+HOPPING_SPEC = str(CORPUS / "valid" / "hopping.json")
+
+
+def test_perturbed_tridiagonal_vectors_exit_1(monkeypatch, capsys):
+    import scipy.linalg
+
+    orig = scipy.linalg.eigh_tridiagonal
+
+    def perturbed(*args, **kwargs):
+        vals, vecs = orig(*args, **kwargs)
+        vecs[0] += 1e-6
+        return vals, vecs
+
+    monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 5)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", perturbed)
+    code = main(["szego", "--op", HOPPING_SPEC, "--n", "8,16"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("numerical failure: residual")
+
+
+class TestMemoryFootprint:
+    """A solve whose d x d arrays exceed physical memory is refused before
+    anything is allocated; the memory reading is patched, never exhausted."""
+
+    def test_oversized_window_is_config_error(self, monkeypatch, capsys, eig_calls):
+        monkeypatch.setattr(fl.spectral, "_physical_memory", lambda: 64 << 30)
+        code = main(["szego", "--op", HOPPING_SPEC, "--n", "200000"])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        err = out.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert "200001" in err[0]
+        assert eig_calls == []
+
+    def test_refused_before_the_first_solve(self, monkeypatch, capsys, eig_calls):
+        # the largest window's eigenvectors (8 d^2 bytes at d = 4001) do not
+        # fit; the smaller window is never solved
+        monkeypatch.setattr(fl.spectral, "_physical_memory", lambda: 100 << 20)
+        assert main(["szego", "--op", HOPPING_SPEC, "--n", "100,4000"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert eig_calls == []
+
+    def test_dense_estimate(self, monkeypatch, eig_calls):
+        # a complex compression stays dense: matrix, symmetrization and
+        # eigenvectors, 48 d^2 bytes, are 3.17 MB at d = 257
+        monkeypatch.setattr(fl.spectral, "_physical_memory", lambda: 3 << 20)
+        cplx = fl.Toeplitz({0: 0.3, 1: 0.5 + 0.5j, -1: 0.5 - 0.5j}, selfadjoint=True)
+        seq = fl.finite_section_sequence(fl.N0, [32, 256])
+        refs = {"c": fl.ReferenceMeasure(moments=(1.0, 0.0, 2.0))}
+        with pytest.raises(ConfigError, match="dimension 257"):
+            fl.szego_pair_test([("c", cplx)], seq, refs, f_family=[fl.monomial(2)])
+        assert eig_calls == [("eigvalsh", 33, np.dtype(np.complex128))]
+
+
+def test_smoke_round_leaves_scipy_unimported():
+    # the tiny windows every benchmark workload ends with stay on the dense
+    # path, which never imports scipy
+    valid = CORPUS / "valid"
+    runs = [
+        ["szego", "--op", HOPPING_SPEC, "--n", "2,4", "--f", "poly:2,hat:2:-2:2"],
+        ["szego", "--op", str(valid / "harper.json"), "--n", "1,2", "--f", "poly:4"],
+        ["folner", "--op", str(valid / "normal_poly.json"), "--n", "1,2"],
+        ["trace", "--op", HOPPING_SPEC, "--n", "1,2"],
+        ["tensor", "--op-a", str(valid / "shift.json"), "--op-b", HOPPING_SPEC, "--n", "1,2"],
+        ["demo-shift", "--n", "1,3"],
+    ]
+    script = (
+        "import sys\n"
+        "from folner_lab.cli import main\n"
+        f"codes = [main(argv) for argv in {runs!r}]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+        " file=sys.stderr)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"{[0] * len(runs)} []"
