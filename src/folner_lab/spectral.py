@@ -13,7 +13,7 @@ from ._util import ConfigError
 from .operators import OperatorSpec, Toeplitz, _match, compress, exact_entries, tensor_pair
 
 # Windows of at least this order whose compression is real and tridiagonal
-# are solved from their diagonals by scipy's tridiagonal LAPACK drivers.
+# are solved from their diagonals by scipy's tridiagonal LAPACK routines.
 # Below it a dense solve costs less than importing scipy.linalg (0.26 s):
 # at d = 1025 a dense eigh with the residual check takes 0.36 s, the import
 # and a stemr solve 0.34 s (one BLAS thread).

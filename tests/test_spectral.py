@@ -312,8 +312,9 @@ def _tridiagonal_cases():
     }
     cases = []
     for name, op in ops.items():
-        cases.append((f"{name}-window", op, fl.finite_section(op.lattice, 60)))
-        cases.append((f"{name}-gapped", op, fl.IndexSet(op.lattice, tuple(gaps[op.lattice]))))
+        cases.append(pytest.param(op, fl.finite_section(op.lattice, 60), id=f"{name}-window"))
+        cases.append(pytest.param(op, fl.IndexSet(op.lattice, tuple(gaps[op.lattice])),
+                                  id=f"{name}-gapped"))
     return cases
 
 
@@ -322,10 +323,8 @@ class TestTridiagonalPath:
     from their diagonals; the threshold is lowered so small windows take it."""
 
     @pytest.mark.parametrize("check_residual", [False, True])
-    @pytest.mark.parametrize("label,op,proj", _tridiagonal_cases(),
-                             ids=[c[0] for c in _tridiagonal_cases()])
-    def test_matches_dense_eigvalsh(self, monkeypatch, eig_calls, label, op, proj,
-                                    check_residual):
+    @pytest.mark.parametrize("op,proj", _tridiagonal_cases())
+    def test_matches_dense_eigvalsh(self, monkeypatch, eig_calls, op, proj, check_residual):
         monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 2)
         m = fl.compress(op, proj)
         expected = np.linalg.eigvalsh(m)
