@@ -67,7 +67,7 @@ from .szego import (
     moments_reference,
     szego_pair_test,
 )
-from .tensor import DimensionCapError, TensorBoundRecord, tensor_bound_check
+from .tensor import TensorBoundRecord, tensor_bound_check
 from .traces import (
     NCPolynomial,
     TraceReport,

@@ -1,14 +1,34 @@
-"""Shared helpers: the version stamp, the configuration error and
-deterministic report serialization."""
+"""Shared helpers: the version stamp, the configuration error, the memory
+guard and deterministic report serialization."""
 from __future__ import annotations
 
 import io
+import os
 
 VERSION = "0.1.0"
 
 
 class ConfigError(ValueError):
     """Bad command-line configuration, or a run too large for this machine."""
+
+
+def _physical_memory():
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def check_footprint(nbytes: int, what: str):
+    """ConfigError when `what` needs more than physical memory; called
+    before anything of that size is allocated."""
+    have = _physical_memory()
+    if have is not None and nbytes > have:
+        raise ConfigError(
+            f"{what} needs about {nbytes / 2**30:.1f} GiB, more than the "
+            f"{have / 2**30:.1f} GiB of physical memory"
+        )
 
 
 def fmt_value(v) -> str:

@@ -1,8 +1,8 @@
 """Batch command-line driver.
 
 Subcommands: folner, szego, trace, tensor, demo-shift, validate.
-Exit codes: 0 success, 1 numerical failure, 2 configuration error,
-3 spec validation error.
+Exit codes: 0 success, 1 numerical failure, 2 configuration error or a
+run too large for this machine's memory, 3 spec validation error.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from .spectral import (
 from .specio import SpecValidationError, load_spec_file
 from .szego import MissingReferenceError, NotSelfAdjointError, monomial, szego_pair_test
 from .szego import hat_family, moments_reference
-from .tensor import DimensionCapError, tensor_bound_check
+from .tensor import tensor_bound_check
 from .traces import canonical_trace, represent_nc, trace_convergence_report
 
 
@@ -55,6 +55,22 @@ def parse_n_list(text: str):
     if not ns or any(n <= 0 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ConfigError("n list must be strictly increasing and positive")
     return ns
+
+
+def parse_p_list(text: str):
+    """Schatten exponents '1,2': each 1 or 2, none repeated."""
+    try:
+        ps = tuple(int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse p list {text!r}") from exc
+    if any(p not in (1, 2) for p in ps) or len(set(ps)) != len(ps):
+        raise ConfigError("--p entries must be 1 or 2, each at most once")
+    return ps
+
+
+def _check_phi(phi: float):
+    if not math.isfinite(phi):
+        raise ConfigError("--phi must be finite")
 
 
 def parse_f_family(text: str):
@@ -120,17 +136,22 @@ def _sequence_for(ops, n_list):
 
 
 def cmd_folner(args) -> int:
+    p_list = parse_p_list(args.p)
     ops, _ = _load_operators(args.op)
     seq = _sequence_for(ops, parse_n_list(args.n))
-    p_list = tuple(int(p) for p in args.p.split(","))
-    if any(p not in (1, 2) for p in p_list):
-        raise ConfigError("--p entries must be 1 or 2")
     report = folner_profile(ops, seq, p_list=p_list)
     _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
     return 0
 
 
 def cmd_szego(args) -> int:
+    if args.nodes < 1:
+        raise ConfigError("--nodes must be at least 1")
+    if args.moment_order < 0:
+        raise ConfigError("--moment-order must be nonnegative")
+    if not 0 <= args.herm_tol < math.inf:
+        raise ConfigError("--herm-tol must be a finite number >= 0")
+    _check_phi(args.phi)
     ops, ncpolys = _load_operators(args.op, phi=args.phi)
     seq = _sequence_for(ops, parse_n_list(args.n))
     fam = parse_f_family(args.f) if args.f else None
@@ -159,6 +180,7 @@ def cmd_szego(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    _check_phi(args.phi)
     ops, ncpolys = _load_operators(args.op, phi=args.phi)
     seq = _sequence_for(ops, parse_n_list(args.n))
     refs = {}
@@ -181,7 +203,7 @@ def cmd_tensor(args) -> int:
     for n in parse_n_list(args.n):
         p = finite_section(op_a.lattice, n)
         q = finite_section(op_b.lattice, n)
-        rec = tensor_bound_check(op_a, p, op_b, q, dim_cap=args.dim_cap)
+        rec = tensor_bound_check(op_a, p, op_b, q)
         rows.append(
             {
                 "label": f"{label_a}(x){label_b}",
@@ -241,6 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="folner-lab",
         description="Finite-section diagnostics, Szego-type spectral tests, trace estimates.",
+        epilog="exit codes: 0 success, 1 numerical failure, 2 configuration error or a "
+               "run too large for physical memory, 3 spec validation error",
     )
     ap.add_argument("--version", action="version", version=f"folner-lab {VERSION}")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -275,13 +299,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("tensor", help="tensor-product off-corner bound records")
+    p = sub.add_parser(
+        "tensor", help="tensor-product off-corner bound records",
+        description="Both sides of the Hilbert-Schmidt bound for P(x)Q, from one padded "
+                    "section per factor; no Kronecker product is formed.  A factor section "
+                    "too large for physical memory is a configuration error (exit 2).",
+    )
     p.add_argument("--op-a", required=True)
     p.add_argument("--op-b", required=True)
     p.add_argument("--n", required=True)
-    p.add_argument("--dim-cap", type=int, default=4096,
-                   help="largest allowed product of the two padded factor orders; "
-                        "a window beyond it is a spec error (exit 3)")
     common(p)
     p.set_defaults(func=cmd_tensor)
 
@@ -302,8 +328,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, MemoryError) as exc:
+        print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except (
         SpecValidationError,
@@ -313,7 +339,6 @@ def main(argv=None) -> int:
         NotSelfAdjointError,
         NonHermitianError,
         ComplexSymbolError,
-        DimensionCapError,
     ) as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 3

@@ -61,8 +61,7 @@ def _corner_blocks(op: OperatorSpec, proj):
     is recovered from (B1, B2) alone.
     """
     if tensor_pair(op, proj):
-        a, mask = padded_compression(op, proj)
-        inside = mask > 0.5
+        a, inside = padded_compression(op, proj)
         return a[np.ix_(~inside, inside)], a[np.ix_(inside, ~inside)]
     idx = proj.index_array()
     pad = pad_indices(op, idx)

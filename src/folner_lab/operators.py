@@ -12,10 +12,19 @@ from typing import Callable
 
 import numpy as np
 
+from ._util import check_footprint
+
 N0 = "n0"
 Z = "z"
 
 _LATTICES = (N0, Z)
+
+# Complex arrays of a padded section's size counted against physical memory
+# before the section is built: the section, its zero-trimmed copy and the
+# workspace of the SVD that takes its operator norm.  hopping (x) hopping at
+# n = 2000 (order 2002, 61 MiB a section) peaked 188 MiB, 3.1 sections,
+# above its start (one BLAS thread); 4 leaves a section of headroom.
+_SECTION_ARRAYS = 4
 
 
 class LatticeMismatchError(ValueError):
@@ -482,20 +491,29 @@ def compress(op: OperatorSpec, proj) -> np.ndarray:
     return dense_entries(exact_entries(op, idx), idx, idx)
 
 
+def _check_section(order: int):
+    check_footprint(_SECTION_ARRAYS * 16 * order * order,
+                    f"a padded section of order {order}")
+
+
 def padded_compression(op: OperatorSpec, proj):
-    """Return (A, mask): entries of op on the padded index set and the 0/1
-    marker of the projection's indices inside it.
+    """Return (A, inside): entries of op on the padded index set and the
+    boolean marker of the projection's indices inside it.
 
     The padded set captures every nonzero entry of A P and P A, so
-    commutators and off-corner blocks formed from (A, mask) are exact.
+    commutators and off-corner blocks cut from A by `inside` are exact.
+    A section too large for physical memory raises ConfigError before it
+    is allocated.
     """
     if tensor_pair(op, proj):
-        a, ma = padded_compression(op.left, proj.left)
-        b, mb = padded_compression(op.right, proj.right)
-        return np.kron(a, b), np.kron(ma, mb)
+        a, ia = padded_compression(op.left, proj.left)
+        b, ib = padded_compression(op.right, proj.right)
+        _check_section(a.shape[0] * b.shape[0])
+        return np.kron(a, b), np.kron(ia, ib)
     idx = proj.index_array()
     pad = pad_indices(op, idx)
-    return dense_entries(exact_entries(op, pad), pad, pad), np.isin(pad, idx).astype(float)
+    _check_section(pad.size)
+    return dense_entries(exact_entries(op, pad), pad, pad), np.isin(pad, idx)
 
 
 def diagonal_entries(op: OperatorSpec, proj) -> np.ndarray:

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._util import check_footprint
 from .operators import N0, Z, _LATTICES
 
 
@@ -38,6 +39,7 @@ class Window:
         return math.sqrt(self.rank)
 
     def index_array(self) -> np.ndarray:
+        check_footprint(8 * self.rank, f"the index array of a window of rank {self.rank}")
         return np.arange(self.lo, self.hi + 1, dtype=np.int64)
 
 

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import ConfigError
+from ._util import check_footprint
 from .operators import OperatorSpec, Toeplitz, _match, compress, exact_entries, tensor_pair
 
 # Windows of at least this order whose compression is real and tridiagonal
@@ -111,15 +110,7 @@ def _tridiagonal_eigenvalues(a, up, lo, herm_tol: float, check_residual: bool):
     return vals
 
 
-def _physical_memory():
-    """Bytes of physical memory, or None where the platform does not say."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, OSError, ValueError):
-        return None
-
-
-def check_footprint(d: int, tridiagonal: bool, check_residual: bool):
+def check_solve_footprint(d: int, tridiagonal: bool, check_residual: bool):
     """ConfigError, before anything is allocated, when the d x d arrays of
     a solve exceed physical memory: the float64 eigenvectors on the
     tridiagonal path; the complex compression, its symmetrization and, with
@@ -128,12 +119,7 @@ def check_footprint(d: int, tridiagonal: bool, check_residual: bool):
         need = 8 * d * d if check_residual else 0
     else:
         need = 16 * d * d * (3 if check_residual else 2)
-    have = _physical_memory()
-    if have is not None and need > have:
-        raise ConfigError(
-            f"the eigensolve of a window of dimension {d} needs about "
-            f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB of physical memory"
-        )
+    check_footprint(need, f"the eigensolve of a window of dimension {d}")
 
 
 def compression_eigenvalues(op: OperatorSpec, proj, herm_tol: float = 1e-10,
@@ -151,7 +137,7 @@ def compression_eigenvalues(op: OperatorSpec, proj, herm_tol: float = 1e-10,
     bands = None
     if d >= TRIDIAGONAL_MIN_DIM and not tensor_pair(op, proj):
         bands = _tridiagonal(op, proj)
-    check_footprint(d, bands is not None, check_residual)
+    check_solve_footprint(d, bands is not None, check_residual)
     if bands is None:
         return eigenvalues_hermitian(compress(op, proj), herm_tol=herm_tol,
                                      check_residual=check_residual)

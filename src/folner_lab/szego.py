@@ -15,7 +15,7 @@ from .spectral import (
     EmpiricalMeasure,
     ReferenceMeasure,
     TestFunction,
-    check_footprint,
+    check_solve_footprint,
     compression_eigenvalues,
     hat,
     integrate,
@@ -44,6 +44,9 @@ def hat_family(lo: float, hi: float, count: int = 17):
     if hi <= lo:
         hi = lo + 1.0
     nodes = np.linspace(lo, hi, count + 2)
+    # a node that is zero up to the round-off of lo and hi is zero, so that
+    # its hat is named hat@0 and not after the last bits of the support
+    nodes[np.abs(nodes) <= 64 * np.finfo(float).eps * max(abs(lo), abs(hi))] = 0.0
     return [hat(nodes[i], nodes[i + 1], nodes[i + 2]) for i in range(count)]
 
 
@@ -128,7 +131,7 @@ def szego_pair_test(ops, seq, refs, f_family=None, p_list=(2,), trace_refs=None,
 
     # even the cheapest solve of the residual-checked largest window must
     # fit in memory, or the run stops before its first solve
-    check_footprint(seq.projections[-1].rank, tridiagonal=True, check_residual=True)
+    check_solve_footprint(seq.projections[-1].rank, tridiagonal=True, check_residual=True)
     report = SzegoReport()
     measures = {}
     last_n = seq.n_list[-1]

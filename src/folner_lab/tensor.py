@@ -13,10 +13,6 @@ from .diagnostics import INF, schatten_norm
 from .operators import OperatorSpec, padded_compression
 
 
-class DimensionCapError(ValueError):
-    """The product of the padded factor orders exceeds the configured cap."""
-
-
 @dataclass(frozen=True)
 class TensorBoundRecord:
     lhs: float           # ||(1 - P(x)Q)(A(x)B)(P(x)Q)||_2^2 / ||P(x)Q||_2^2
@@ -49,8 +45,15 @@ def _hs2(m: np.ndarray) -> float:
     return float(np.vdot(m, m).real)
 
 
-def tensor_bound_check(a: OperatorSpec, p, b: OperatorSpec, q,
-                       dim_cap: int = 4096) -> TensorBoundRecord:
+def _factor(op: OperatorSpec, proj):
+    """(|(1-P)AP|_2^2, |PAP|_2^2, |A|) from one padded section of A."""
+    a, inside = padded_compression(op, proj)
+    off2 = _hs2(a[np.ix_(~inside, inside)])
+    pap2 = _hs2(a[np.ix_(inside, inside)])
+    return off2, pap2, schatten_norm(a, INF)
+
+
+def tensor_bound_check(a: OperatorSpec, p, b: OperatorSpec, q) -> TensorBoundRecord:
     """Evaluate both sides of the tensor-product off-corner bound.
 
     Everything comes from the padded factor compressions; no Kronecker
@@ -59,32 +62,23 @@ def tensor_bound_check(a: OperatorSpec, p, b: OperatorSpec, q,
     PAP (x) (1-Q)BQ, whose ranges are orthogonal, and the Hilbert-Schmidt
     norm of a Kronecker product is the product of the factor norms; so
     lhs = (|(1-P)AP|^2 |BQ|^2 + |PAP|^2 |(1-Q)BQ|^2) / (rank P rank Q),
-    a sum of nonnegative terms with no cancellation.  dim_cap bounds the
-    product of the padded factor orders.
+    with |BQ|^2 = |PBQ|^2 + |(1-Q)BQ|^2: sums of nonnegative terms with no
+    cancellation.  One padded section per factor is alive at a time, and
+    one too large for physical memory raises ConfigError before it is
+    allocated.
 
     The operator norms entering the right side are taken from the padded
     factor compressions; they lower-bound the true norms, so the reported
     slack can slightly undercut the ideal one (exact for dense factors).
     """
-    ma, mask_a = padded_compression(a, p)
-    mb, mask_b = padded_compression(b, q)
-    if ma.shape[0] * mb.shape[0] > dim_cap:
-        raise DimensionCapError(
-            f"padded Kronecker dimension {ma.shape[0] * mb.shape[0]} exceeds cap {dim_cap}"
-        )
+    off_a2, pap2, norm_a = _factor(a, p)
+    off_b2, qbq2, norm_b = _factor(b, q)
+    bq2 = qbq2 + off_b2
 
     rank_p = float(p.rank)
     rank_q = float(q.rank)
-
-    off_a2 = _hs2(ma * ((1.0 - mask_a)[:, None] * mask_a[None, :]))
-    off_b2 = _hs2(mb * ((1.0 - mask_b)[:, None] * mask_b[None, :]))
-    bq2 = _hs2(mb * mask_b[None, :])
-    pap2 = _hs2(ma * (mask_a[:, None] * mask_a[None, :]))
     lhs = (off_a2 * bq2 + pap2 * off_b2) / (rank_p * rank_q)
     middle = (off_a2 / rank_p) * (bq2 / rank_q) + (pap2 / rank_p) * (off_b2 / rank_q)
-
-    norm_a = schatten_norm(ma, INF)
-    norm_b = schatten_norm(mb, INF)
     rhs = norm_b**2 * (off_a2 / rank_p) + norm_a**2 * (off_b2 / rank_q)
 
     return TensorBoundRecord(

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from folner_lab.cli import ConfigError, main, parse_f_family, parse_n_list
+import folner_lab as fl
+from folner_lab.cli import ConfigError, build_parser, main, parse_f_family, parse_n_list
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -193,16 +194,48 @@ class TestTensorCommand:
         assert float(row[3]) == pytest.approx(15.0 / 64.0, abs=1e-12)
         assert float(row[5]) == pytest.approx(0.25, abs=1e-12)
 
-    def test_dim_cap(self, capsys):
-        code, _, err = run(
+    def test_window_past_the_old_cap(self, capsys):
+        # padded factor orders 102 x 102, formerly refused by a 4096 cap
+        code, out, err = run(
             capsys,
             "tensor",
             "--op-a", str(CORPUS / "valid" / "shift.json"),
             "--op-b", str(CORPUS / "valid" / "shift.json"),
-            "--n", "200",
-            "--dim-cap", "1000",
+            "--n", "100",
         )
-        assert code == 3 and "spec error" in err
+        assert code == 0 and err == ""
+        row = out.strip().splitlines()[-1].split(",")
+        assert int(row[2]) == 101 * 101
+        assert float(row[5]) == pytest.approx(2.0 / 101.0, abs=1e-12)
+
+    def test_window_too_large_for_memory(self, capsys, monkeypatch):
+        # the n = 10 sections (order 12) are built; the n = 100000 section
+        # (order 100002, 640 GB for four complex copies) is refused unbuilt
+        sizes = []
+        dense_entries = fl.operators.dense_entries
+
+        def spy(src, rows, cols):
+            sizes.append((rows.size, cols.size))
+            return dense_entries(src, rows, cols)
+
+        monkeypatch.setattr(fl.operators, "dense_entries", spy)
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 64 << 30)
+        code, out, err = run(
+            capsys,
+            "tensor",
+            "--op-a", str(CORPUS / "valid" / "shift.json"),
+            "--op-b", str(CORPUS / "valid" / "shift.json"),
+            "--n", "10,100000",
+        )
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
+        assert "100002" in lines[0]
+        assert sizes == [(12, 12), (12, 12)]
+
+    def test_options(self):
+        args = build_parser().parse_args(["tensor", "--op-a", "a", "--op-b", "b", "--n", "1"])
+        assert set(vars(args)) == {"command", "func", "op_a", "op_b", "n", "format", "out"}
 
     def test_kron_factor_rejected(self, capsys):
         code, _, _ = run(
@@ -250,3 +283,52 @@ class TestExitCodes:
             main(["folner", "--n", "2"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+class TestOneLineFailures:
+    """Every run refused for its size or options exits 2 with exactly one
+    stderr line and no traceback."""
+
+    HOPPING = str(CORPUS / "valid" / "hopping.json")
+    HARPER = str(CORPUS / "valid" / "harper.json")
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["trace", "--op", HOPPING, "--n", "dyadic:40:40"], id="trace-2^40"),
+        pytest.param(["folner", "--op", HOPPING, "--n", "dyadic:62:62"], id="folner-2^62"),
+    ])
+    def test_oversized_index_array(self, capsys, argv):
+        # 8 TiB and 32 EiB of indices: refused against this machine's real
+        # memory before the array is built
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: the index array")
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["szego", "--op", HOPPING, "--n", "4", "--nodes", "0"], id="nodes-0"),
+        pytest.param(["szego", "--op", HOPPING, "--n", "4", "--nodes", "-5"], id="nodes-neg"),
+        pytest.param(["szego", "--op", HARPER, "--n", "4", "--moment-order", "-1"],
+                     id="moment-order-neg"),
+        pytest.param(["szego", "--op", HOPPING, "--n", "4", "--herm-tol", "nan"], id="herm-tol-nan"),
+        pytest.param(["szego", "--op", HOPPING, "--n", "4", "--herm-tol", "inf"], id="herm-tol-inf"),
+        pytest.param(["szego", "--op", HOPPING, "--n", "4", "--herm-tol=-1e-10"],
+                     id="herm-tol-neg"),
+        pytest.param(["szego", "--op", HARPER, "--n", "4", "--phi", "nan"], id="szego-phi-nan"),
+        pytest.param(["trace", "--op", HARPER, "--n", "4", "--phi", "inf"], id="trace-phi-inf"),
+        pytest.param(["folner", "--op", HOPPING, "--n", "4", "--p", "2,2"], id="p-repeated"),
+        pytest.param(["folner", "--op", HOPPING, "--n", "4", "--p", "x"], id="p-unparsable"),
+    ])
+    def test_bad_numeric_option(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
+
+    def test_memory_error_is_config_error(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(fl.cli, "trace_convergence_report", exhausted)
+        code, out, err = run(capsys, "trace", "--op", self.HOPPING, "--n", "4")
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["config error: out of memory"]

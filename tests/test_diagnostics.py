@@ -98,7 +98,8 @@ class TestQdGap:
         am = fl.AlmostMathieu(1.0, ALPHA, 0.0)
         for n in (2, 6):
             proj = fl.finite_section(fl.Z, n)
-            a, mask = fl.operators.padded_compression(am, proj)
+            a, inside = fl.operators.padded_compression(am, proj)
+            mask = inside.astype(float)
             comm = a * (mask[:, None] - mask[None, :])
             want = np.linalg.svd(comm, compute_uv=False)[0]
             assert fl.qd_gap(am, proj) == pytest.approx(want, abs=1e-12)

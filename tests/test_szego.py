@@ -43,6 +43,33 @@ class TestFamilies:
         for x in nodes[1:-1]:
             assert sum(f(x) for f in fam) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("lo, hi, count", [
+        (-2.0, 2.0, 17), (-2.0, 2.0, 4), (-1.0, 3.0, 7), (-3.5, 1.5, 9), (0.25, 8.0, 5),
+    ])
+    def test_names_ignore_round_off_of_the_support(self, lo, hi, count):
+        names = [f.name for f in fl.hat_family(lo, hi, count)]
+        assert not any("e-" in name for name in names)
+        for k in (-8, -3, -1, 1, 3, 8):
+            for lo2, hi2 in ((lo + k * np.spacing(lo), hi),
+                             (lo, hi + k * np.spacing(hi)),
+                             (lo + k * np.spacing(lo), hi - k * np.spacing(hi))):
+                assert [f.name for f in fl.hat_family(lo2, hi2, count)] == names
+
+    def test_zero_center_is_named_hat_at_0(self):
+        assert fl.hat_family(-2 + 1e-15, 2 - 3e-15, 17)[8].name == "hat@0"
+        assert [f.name for f in fl.hat_family(-2.0, 2.0, 4)] == [
+            "hat@-1.2", "hat@-0.4", "hat@0.4", "hat@1.2",
+        ]
+        # a center genuinely off zero keeps its own name
+        assert fl.hat_family(-2.0 + 1e-6, 2.0, 17)[8].name == "hat@5e-07"
+
+    def test_default_family_on_a_symmetric_spectrum(self, capsys):
+        code = main(["szego", "--op", HOPPING_SPEC, "--n", "64,256"])
+        names = {line.split(",")[3] for line in capsys.readouterr().out.splitlines()[2:]}
+        assert code == 0
+        assert "hat@0" in names
+        assert not any("e-" in name for name in names)
+
     def test_default_family_composition(self):
         fam = fl.szego.default_f_family((-2.0, 2.0))
         kinds = [f.kind for f in fam]
@@ -192,7 +219,7 @@ class TestMemoryFootprint:
     anything is allocated; the memory reading is patched, never exhausted."""
 
     def test_oversized_window_is_config_error(self, monkeypatch, capsys, eig_calls):
-        monkeypatch.setattr(fl.spectral, "_physical_memory", lambda: 64 << 30)
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 64 << 30)
         code = main(["szego", "--op", HOPPING_SPEC, "--n", "200000"])
         out = capsys.readouterr()
         assert code == 2
@@ -205,7 +232,7 @@ class TestMemoryFootprint:
     def test_refused_before_the_first_solve(self, monkeypatch, capsys, eig_calls):
         # the largest window's eigenvectors (8 d^2 bytes at d = 4001) do not
         # fit; the smaller window is never solved
-        monkeypatch.setattr(fl.spectral, "_physical_memory", lambda: 100 << 20)
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 100 << 20)
         assert main(["szego", "--op", HOPPING_SPEC, "--n", "100,4000"]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert eig_calls == []
@@ -213,7 +240,7 @@ class TestMemoryFootprint:
     def test_dense_estimate(self, monkeypatch, eig_calls):
         # a complex compression stays dense: matrix, symmetrization and
         # eigenvectors, 48 d^2 bytes, are 3.17 MB at d = 257
-        monkeypatch.setattr(fl.spectral, "_physical_memory", lambda: 3 << 20)
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 3 << 20)
         cplx = fl.Toeplitz({0: 0.3, 1: 0.5 + 0.5j, -1: 0.5 - 0.5j}, selfadjoint=True)
         seq = fl.finite_section_sequence(fl.N0, [32, 256])
         refs = {"c": fl.ReferenceMeasure(moments=(1.0, 0.0, 2.0))}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import folner_lab as fl
+from folner_lab._util import ConfigError
 
 
 def dense_pair(rng, da, db):
@@ -94,11 +95,28 @@ class TestBoundChain:
 
 
 class TestGuards:
-    def test_dimension_cap(self):
+    def test_section_footprint(self, monkeypatch):
+        # shift at n = 100 pads to order 102: four complex sections of
+        # 16 * 102^2 bytes each must fit, and nothing is built when they don't
         s = fl.Shift()
         p = fl.finite_section(fl.N0, 100)
-        with pytest.raises(fl.DimensionCapError):
-            fl.tensor_bound_check(s, p, s, p, dim_cap=1000)
+        need = 4 * 16 * 102**2
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ConfigError, match="order 102"):
+            fl.tensor_bound_check(s, p, s, p)
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: need)
+        assert fl.tensor_bound_check(s, p, s, p).rhs == pytest.approx(2.0 / 101.0, abs=1e-12)
+
+    def test_kron_product_footprint(self, monkeypatch):
+        # a tensor pair's padded section is the Kronecker product of two
+        # order-5 factor sections, refused before np.kron forms it
+        s = fl.Shift()
+        p = fl.finite_section(fl.N0, 3)
+        pair = fl.KronProj(p, p)
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 4 * 16 * 25**2 - 1)
+        monkeypatch.setattr(np, "kron", None)
+        with pytest.raises(ConfigError, match="order 25"):
+            fl.qd_gap(fl.Kron(s, s), pair)
 
     def test_json_record(self):
         s = fl.Shift()
