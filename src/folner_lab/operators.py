@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import check_footprint
+from ._util import ConfigError, check_footprint
 
 N0 = "n0"
 Z = "z"
@@ -289,6 +289,11 @@ class Poly(OperatorSpec):
     def support(self) -> int:
         return max(leaf.support for leaf in _leaves(self.expr))
 
+    @property
+    def offsets(self) -> tuple:
+        """The offsets of the diagonals its diagonal storage keeps."""
+        return tuple(sorted(_offsets(self.expr)))
+
 
 def _children(node) -> tuple:
     if isinstance(node, (SumE, ProdE)):
@@ -311,6 +316,21 @@ def _bandwidth(node) -> int:
         return node.bandwidth
     widths = [_bandwidth(child) for child in _children(node)]
     return sum(widths) if isinstance(node, ProdE) else max(widths)
+
+
+def _offsets(node) -> set:
+    """The keys of `_storage(node, pad)`, whatever the pad."""
+    if isinstance(node, OperatorSpec):
+        return set(node.offsets)
+    parts = [_offsets(child) for child in _children(node)]
+    if isinstance(node, ProdE):
+        out = parts[0]
+        for part in parts[1:]:
+            out = {a + b for a in out for b in part}
+        return out
+    if isinstance(node, AdjE):
+        return {-k for k in parts[0]}
+    return set().union(*parts)
 
 
 def _as_node(op):
@@ -415,28 +435,98 @@ def _times(x: dict, y: dict) -> dict:
     return out
 
 
-def pad_indices(op: OperatorSpec, idx: np.ndarray) -> np.ndarray:
-    """idx (and a dense support [0, s)) widened by the bandwidth, as a sorted
-    union of contiguous runs: every entry coupling idx is exact on it."""
+# ---------------------------------------------------------------------------
+# index runs: a sorted index set as sorted, disjoint, inclusive (lo, hi) pairs
+
+_INT64 = np.iinfo(np.int64)
+
+
+def index_runs(idx) -> tuple:
+    """Maximal contiguous runs of a sorted index array."""
     idx = np.asarray(idx, dtype=np.int64)
+    if not idx.size:
+        return ()
+    cut = np.flatnonzero(np.diff(idx) != 1)
+    los = idx[np.r_[0, cut + 1]].tolist()
+    his = idx[np.r_[cut, idx.size - 1]].tolist()
+    return tuple(zip(los, his))
+
+
+def run_indices(runs) -> np.ndarray:
+    """The sorted index array of runs."""
+    parts = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in runs]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+
+def widen_runs(runs, r: int) -> list:
+    """Runs (sorted by lo) widened by r on each side, joined where they
+    overlap or touch."""
+    out = []
+    for lo, hi in runs:
+        if out and lo - r <= out[-1][1] + 1:
+            out[-1] = (out[-1][0], max(out[-1][1], hi + r))
+        else:
+            out.append((lo - r, hi + r))
+    return out
+
+
+def intersect_runs(a, b) -> list:
+    """Runs of the intersection of two run lists."""
+    out, i, j = [], 0, 0
+    while i < len(a) and j < len(b):
+        lo, hi = max(a[i][0], b[j][0]), min(a[i][1], b[j][1])
+        if lo <= hi:
+            out.append((lo, hi))
+        if a[i][1] < b[j][1]:
+            i += 1
+        else:
+            j += 1
+    return out
+
+
+def subtract_runs(a, b) -> list:
+    """Runs of a minus b."""
+    if not a:
+        return []
+    his = [a[0][0] - 1, *(hi for _, hi in b)]
+    los = [*(lo for lo, _ in b), a[-1][1] + 1]
+    gaps = [(hi + 1, lo - 1) for hi, lo in zip(his, los) if hi + 1 < lo]
+    return intersect_runs(a, gaps)
+
+
+def pad_runs(op: OperatorSpec, runs) -> list:
+    """Runs (and a dense support [0, s)) widened by the bandwidth, the runs
+    fewer than 2 * bandwidth + 2 apart joined with the gap between them, and
+    clipped at 0 on n0: every entry coupling the runs is exact on the pad
+    (see `Section`).  ConfigError where a padded index leaves int64."""
     if op.support:
-        idx = np.union1d(idx, np.arange(op.support, dtype=np.int64))
-    bw = op.bandwidth
-    cut = np.flatnonzero(np.diff(idx) > 2 * bw + 1)
-    los = idx[np.r_[0, cut + 1]] - bw
-    his = idx[np.r_[cut, idx.size - 1]] + bw
-    if op.lattice == N0:
-        los = np.maximum(los, 0)
-    return np.concatenate([np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in zip(los, his)])
+        runs = sorted([*runs, (0, op.support - 1)])
+    pad = widen_runs(runs, op.bandwidth)
+    if pad and op.lattice == N0:
+        pad[0] = (max(pad[0][0], 0), pad[0][1])
+    if pad and (pad[0][0] < _INT64.min or pad[-1][1] > _INT64.max):
+        raise ConfigError(
+            f"padded indices [{pad[0][0]}, {pad[-1][1]}] leave the 64-bit index range"
+        )
+    return pad
+
+
+def pad_indices(op: OperatorSpec, idx: np.ndarray) -> np.ndarray:
+    """The index array of `pad_runs` for a sorted index array: O(|idx|)."""
+    return run_indices(pad_runs(op, index_runs(idx)))
 
 
 def exact_entries(op: OperatorSpec, idx: np.ndarray):
     """The exact entries of a non-tensor op on idx x pad and pad x idx, for
     pad = pad_indices(op, idx), as `offsets` and `diagonal(k, rows)`: a leaf
-    answers itself, a polynomial is evaluated once in diagonal storage."""
+    answers itself, a polynomial is evaluated once in diagonal storage,
+    after its 16 bytes an offset and padded index are checked against
+    physical memory."""
     if not isinstance(op, Poly):
         return op
     pad = pad_indices(op, idx)
+    check_footprint(16 * pad.size * len(op.offsets),
+                    f"the diagonal storage of a polynomial on {pad.size} padded indices")
     return Section(pad, _storage(op.expr, pad))
 
 

@@ -1,4 +1,8 @@
-"""Non-zero finite-rank coordinate projections and candidate sequences."""
+"""Non-zero finite-rank coordinate projections and candidate sequences.
+
+A window or an index set also gives its indices as `runs`: sorted,
+disjoint, inclusive (lo, hi) pairs, one per maximal contiguous stretch.
+"""
 from __future__ import annotations
 
 import math
@@ -7,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import check_footprint
-from .operators import N0, Z, _LATTICES
+from .operators import _INT64, N0, Z, _LATTICES, index_runs, subtract_runs
 
 
 class RankZeroError(ValueError):
@@ -35,6 +39,10 @@ class Window:
         return self.hi - self.lo + 1
 
     @property
+    def runs(self) -> tuple:
+        return ((self.lo, self.hi),)
+
+    @property
     def hs_norm(self) -> float:
         return math.sqrt(self.rank)
 
@@ -49,6 +57,7 @@ class IndexSet:
 
     lattice: str
     indices: tuple
+    runs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lattice not in _LATTICES:
@@ -60,7 +69,10 @@ class IndexSet:
             raise ValueError("index set must be strictly increasing")
         if self.lattice == N0 and idx[0] < 0:
             raise ValueError("index set on n0 cannot contain negative indices")
+        if idx[0] < _INT64.min or idx[-1] > _INT64.max:
+            raise ValueError("index set indices must fit in 64 bits")
         object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "runs", index_runs(idx))
 
     @property
     def rank(self) -> int:
@@ -118,7 +130,7 @@ class ProjectionSequence:
             raise ValueError("empty projection sequence")
         if self.increasing:
             for p, q in zip(self.projections, self.projections[1:]):
-                if not np.isin(p.index_array(), q.index_array()).all():
+                if subtract_runs(p.runs, q.runs):
                     raise ValueError("sequence flagged increasing but index sets are not nested")
 
     @property

@@ -8,7 +8,9 @@ a numeric coefficient is requested, so long products do not drift.
 """
 from __future__ import annotations
 
+import bisect
 import cmath
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -220,17 +222,47 @@ class TraceReport:
         return report_csv(self.rows, self.COLUMNS)
 
 
+def _window_slices(big_runs, runs) -> list:
+    """Slices of the index array of big_runs that hold each run of runs,
+    every one of which lies inside a run of big_runs."""
+    starts = [lo for lo, _ in big_runs]
+    pos = list(itertools.accumulate((hi - lo + 1 for lo, hi in big_runs), initial=0))
+    out = []
+    for lo, hi in runs:
+        j = bisect.bisect_right(starts, lo) - 1
+        out.append(slice(pos[j] + lo - starts[j], pos[j] + hi - starts[j] + 1))
+    return out
+
+
+def _estimates(op: OperatorSpec, seq: ProjectionSequence) -> list:
+    """`trace_estimate` at every window of seq.  On a nested sequence the
+    diagonal is evaluated once, on the largest window, and each window sums
+    its own slices of it: the same values in the same order, so the same
+    sums, bit for bit."""
+    if not seq.increasing:
+        return [trace_estimate(op, proj) for proj in seq.projections]
+    big = seq.projections[-1]
+    diag = diagonal_entries(op, big)
+    ests = []
+    for proj in seq.projections:
+        parts = [diag[s] for s in _window_slices(big.runs, proj.runs)]
+        mine = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        ests.append(complex(mine.sum() / proj.rank))
+    return ests
+
+
 def trace_convergence_report(ops, seq: ProjectionSequence, refs=None) -> TraceReport:
     """Grid of trace estimates, with absolute errors where a reference is known.
 
     `ops` is a list of (label, spec); `refs` maps label to a complex
-    reference trace.
+    reference trace.  On a nested sequence each operator's diagonal is
+    evaluated once, on the largest window, and only one operator's diagonal
+    is held at a time.
     """
     refs = refs or {}
     rows = []
     for label, op in ops:
-        for n, proj in seq:
-            est = trace_estimate(op, proj)
+        for (n, proj), est in zip(seq, _estimates(op, seq)):
             row = {
                 "label": label,
                 "n": n,

@@ -291,18 +291,59 @@ class TestOneLineFailures:
 
     HOPPING = str(CORPUS / "valid" / "hopping.json")
     HARPER = str(CORPUS / "valid" / "harper.json")
+    AM = str(CORPUS / "valid" / "almost_mathieu.json")
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["trace", "--op", HOPPING, "--n", "dyadic:40:40"], id="trace-2^40"),
-        pytest.param(["folner", "--op", HOPPING, "--n", "dyadic:62:62"], id="folner-2^62"),
     ])
     def test_oversized_index_array(self, capsys, argv):
-        # 8 TiB and 32 EiB of indices: refused against this machine's real
-        # memory before the array is built
+        # 8 TiB of indices: refused against this machine's real memory
+        # before the array is built
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: the index array")
+
+    def test_folner_window_of_rank_2_62(self, capsys):
+        # the commutator lives on the window's boundary: one column leaks on
+        # each side, whatever the rank d = 2^62 + 1
+        code, out, err = run(capsys, "folner", "--op", self.HOPPING, "--n", "dyadic:62:62")
+        assert code == 0 and err == ""
+        rows = out.splitlines()[2:]
+        assert len(rows) == 2
+        d = 2**62 + 1
+        for line, p, ratio, off in zip(rows, (1, 2), (2 / d, math.sqrt(2) / math.sqrt(d)),
+                                       (1 / d, 1 / math.sqrt(d))):
+            label, n, d_n, p_, *vals = line.split(",")
+            assert (label, int(n), int(d_n), int(p_)) == ("hopping", 2**62, d, p)
+            assert [float(v) for v in vals] == [ratio, off, 1.0]
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["folner", "--op", HOPPING, "--n", "dyadic:63:63"], id="n0-2^63"),
+        pytest.param(["folner", "--op", AM, "--n", "dyadic:63:63"], id="z-2^63"),
+        pytest.param(["folner", "--op", HOPPING, "--n", str(2**63 - 1)], id="n0-pad-past-2^63"),
+        pytest.param(["folner", "--op", AM, "--n", str(2**63 - 1)], id="z-pad-past-2^63"),
+        pytest.param(["trace", "--op", AM, "--n", "dyadic:63:63"], id="trace-z-2^63"),
+    ])
+    def test_padded_indices_leave_int64(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
+
+    def test_poly_storage_too_large_for_memory(self, capsys, monkeypatch):
+        # S*S - 1 at n = 1000: 1001 indices of 8 bytes fit; one offset of
+        # 16 bytes on 1003 padded indices does not, and is refused before
+        # the storage is built
+        poly = str(CORPUS / "valid" / "normal_poly.json")
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 16 * 1003 - 1)
+        code, out, err = run(capsys, "trace", "--op", poly, "--n", "1000")
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: the diagonal storage")
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 16 * 1003)
+        code, out, err = run(capsys, "trace", "--op", poly, "--n", "1000")
+        assert code == 0 and err == ""
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["szego", "--op", HOPPING, "--n", "4", "--nodes", "0"], id="nodes-0"),

@@ -149,6 +149,41 @@ class TestProfile:
         assert '"slopes"' in rep.to_json()
 
 
+class TestBoundaryCost:
+    @pytest.mark.parametrize("lattice", [fl.N0, fl.Z])
+    def test_rank_2_20_window_is_evaluated_on_its_boundary(self, monkeypatch, lattice):
+        # a bandwidth-3 polynomial: no index array of the window is built and
+        # every diagonal storage covers a few bandwidths at the window's ends
+        s = fl.Toeplitz({1: 1.0, -1: 0.5j}, lattice=lattice)
+        op = fl.op_sum(fl.op_prod(s, s, s), 0.5 * s)
+        bw = op.bandwidth
+        small = fl.finite_section(lattice, 32)
+        big = fl.finite_section(lattice, 2**20 if lattice == fl.N0 else 2**19)
+        want = fl.folner_profile([("a", op)], fl.ProjectionSequence(lattice, (1,), (small,))).rows
+
+        sizes = []
+        section = fl.operators.Section
+
+        def spy(pad, diags):
+            sizes.append(pad.size)
+            return section(pad, diags)
+
+        def forbidden(self):
+            raise AssertionError("index array built")
+
+        monkeypatch.setattr(fl.operators, "Section", spy)
+        monkeypatch.setattr(fl.Window, "index_array", forbidden)
+        seq = fl.ProjectionSequence(lattice, (1,), (big,))
+        got = fl.folner_profile([("a", op)], seq).rows
+        assert big.rank == 2**20 + 1 and sizes and max(sizes) <= 8 * bw
+        # a Toeplitz polynomial's blocks depend on the boundary only, so
+        # ratio * ||P||_p is the same at every window
+        for g, w in zip(got, want):
+            scale = big.rank / small.rank if g["p"] == 1 else math.sqrt(big.rank / small.rank)
+            assert g["ratio"] * scale == pytest.approx(w["ratio"], rel=1e-12)
+            assert g["qd_gap"] == w["qd_gap"]
+
+
 def test_fit_decay_slope_skips_zeros():
     assert fit_decay_slope([2, 4, 8], [0.0, 0.0, 0.0]) is None
     s = fit_decay_slope([2, 4, 8], [1.0 / 2, 0.0, 1.0 / 8])

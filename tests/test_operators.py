@@ -212,3 +212,51 @@ class TestPoly:
         m = fl.compress(2.0 * t + fl.identity(fl.N0), proj)
         want = 2.0 * (np.eye(5, k=1) + np.eye(5, k=-1)) + np.eye(5)
         assert np.max(np.abs(m - want)) < 1e-14
+
+
+class TestIndexRuns:
+    def test_pad_runs_join_across_short_gaps(self):
+        # bandwidth 1: runs 3 apart (2 * 1 + 1) share a padded run, 4 apart do not
+        t = fl.Toeplitz({1: 1.0, -1: 1.0}, lattice=fl.Z)
+        pad = fl.operators.pad_runs
+        assert pad(t, ((0, 2), (5, 6))) == [(-1, 7)]
+        assert pad(t, ((0, 2), (6, 6))) == [(-1, 3), (5, 7)]
+        assert pad(fl.Shift(), ((0, 4),)) == [(0, 5)]
+        # a dense support joins the runs, and reaches no further than itself
+        dense = fl.Dense(np.eye(4))
+        assert pad(dense, ((2, 2), (9, 9))) == [(0, 3), (9, 9)]
+
+    def test_pad_runs_stay_in_int64(self):
+        am = fl.AlmostMathieu(1.0, 0.3)
+        diag = fl.Band(0, ((0, 1.0),))
+        low, high = ((-(2**63), 0),), ((0, 2**63 - 1),)
+        for runs in (low, high):
+            with pytest.raises(fl.operators.ConfigError, match="64-bit"):
+                fl.operators.pad_runs(am, runs)
+            assert fl.operators.pad_runs(diag, runs) == list(runs)
+        with pytest.raises(fl.operators.ConfigError, match="64-bit"):
+            fl.operators.pad_runs(fl.Shift(), ((0, 2**63 - 1),))
+
+    def test_run_arithmetic(self):
+        ops = fl.operators
+        runs = ops.index_runs(np.array([-3, -2, 0, 4, 5, 6]))
+        assert runs == ((-3, -2), (0, 0), (4, 6))
+        assert ops.run_indices(runs).tolist() == [-3, -2, 0, 4, 5, 6]
+        assert ops.run_indices(()).size == 0
+        assert ops.widen_runs(runs, 1) == [(-4, 1), (3, 7)]
+        assert ops.intersect_runs([(0, 10)], [(-5, 1), (3, 4), (9, 20)]) == [
+            (0, 1), (3, 4), (9, 10)]
+        assert ops.subtract_runs([(0, 10), (20, 22)], [(-5, 1), (3, 4), (9, 21)]) == [
+            (2, 2), (5, 8), (22, 22)]
+        assert ops.subtract_runs([(3, 4)], [(0, 9)]) == []
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_poly_offsets_are_its_storage_keys(self, seed):
+        from test_properties import _random_poly
+
+        rng = np.random.default_rng(seed)
+        for lattice in (fl.N0, fl.Z):
+            op = _random_poly(rng, lattice)
+            if isinstance(op, fl.Poly):
+                src = fl.operators.exact_entries(op, np.arange(3, 9))
+                assert op.offsets == tuple(sorted(src.offsets))

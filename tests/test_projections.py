@@ -22,6 +22,13 @@ def test_nesting():
     assert sets[0] < sets[1] < sets[2]
 
 
+def test_runs():
+    assert fl.Window(fl.Z, -3, 4).runs == ((-3, 4),)
+    p = fl.IndexSet(fl.Z, (-4, -3, -1, 2, 3, 4))
+    assert p.runs == ((-4, -3), (-1, -1), (2, 4))
+    assert p == fl.IndexSet(fl.Z, (-4, -3, -1, 2, 3, 4)) and "runs" not in repr(p)
+
+
 def test_empty_n_list_rejected():
     with pytest.raises(ValueError):
         fl.finite_section_sequence(fl.N0, [])
@@ -61,6 +68,13 @@ def test_rank_zero_rejected():
 def test_index_set_must_increase():
     with pytest.raises(ValueError):
         fl.IndexSet(fl.N0, (3, 1))
+
+
+def test_index_set_fits_int64():
+    fl.IndexSet(fl.Z, (-(2**63), 2**63 - 1))
+    for bad in ((-(2**63) - 1, 0), (0, 2**63)):
+        with pytest.raises(ValueError, match="64 bits"):
+            fl.IndexSet(fl.Z, bad)
 
 
 def test_n0_window_nonnegative():

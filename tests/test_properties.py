@@ -213,6 +213,75 @@ def test_banded_path_matches_dense_oracle():
         assert abs(fl.qd_gap(op, proj) - max(sv1.max(), sv2.max())) <= tol
 
 
+def _boundary_projection(rng, lattice, bw):
+    """A window at the n0 edge, or an index set whose gaps step across
+    2 * bw + 1, where padded runs join or split."""
+    if rng.random() < 0.3:
+        lo = int(rng.integers(0, bw + 2)) if lattice == fl.N0 else int(rng.integers(-9, 9))
+        return fl.Window(lattice, lo, lo + int(rng.integers(0, 6)))
+    idx, at = [], int(rng.integers(0, 5))
+    for _ in range(int(rng.integers(1, 5))):
+        idx.extend(range(at, at + int(rng.integers(1, 4))))
+        at = idx[-1] + max(2, 2 * bw + int(rng.integers(0, 4)))
+    return fl.IndexSet(lattice, tuple(idx))
+
+
+def _as_bits(x: complex) -> str:
+    return repr((x.real, x.imag))
+
+
+def test_runs_path_matches_dense_oracle():
+    # folner_profile rows from the runs of P against the commutator blocks
+    # cut from the dense padded matrix, for every leaf kind and for trees
+    rng = np.random.default_rng(8080)
+    for case in range(300):
+        lattice = fl.N0 if rng.random() < 0.5 else fl.Z
+        op = _random_leaf(rng, lattice) if case % 3 == 0 else _random_poly(rng, lattice)
+        proj = _boundary_projection(rng, lattice, op.bandwidth)
+        idx = proj.index_array()
+        pad_matrix, _ = dense_oracle.padded_matrix(op, idx)
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(pad_matrix), initial=0.0)))
+
+        b1, b2 = dense_oracle.corner_blocks(op, idx)
+        sv1 = np.linalg.svd(b1, compute_uv=False) if b1.size else np.zeros(1)
+        sv2 = np.linalg.svd(b2, compute_uv=False) if b2.size else np.zeros(1)
+        hs1, hs2 = np.linalg.norm(b1), np.linalg.norm(b2)
+        r = idx.size
+        want = {1: ((sv1.sum() + sv2.sum()) / r, sv1.sum() / r),
+                2: (math.hypot(hs1, hs2) / math.sqrt(r), hs1 / math.sqrt(r))}
+        seq = fl.ProjectionSequence(lattice, (1,), (proj,))
+        for row in fl.folner_profile([("a", op)], seq, p_list=(1, 2)).rows:
+            assert abs(row["ratio"] - want[row["p"]][0]) <= tol
+            assert abs(row["off_corner"] - want[row["p"]][1]) <= tol
+            assert abs(row["qd_gap"] - max(sv1.max(), sv2.max())) <= tol
+
+
+def test_nested_trace_grid_is_per_window_estimate_bit_for_bit():
+    # one diagonal on the largest window, sliced per window, gives exactly
+    # the sums of per-window diagonals; a sequence that is not nested still
+    # takes each window on its own
+    rng = np.random.default_rng(6060)
+    for _ in range(150):
+        lattice = fl.N0 if rng.random() < 0.5 else fl.Z
+        op = _random_poly(rng, lattice)
+        projs = [_boundary_projection(rng, lattice, op.bandwidth)]
+        for _ in range(int(rng.integers(1, 4))):
+            prev = projs[-1].index_array()
+            extra = rng.integers(prev[0] - 6, prev[-1] + 8, size=4)
+            grown = np.union1d(prev, extra[extra >= 0] if lattice == fl.N0 else extra)
+            projs.append(fl.IndexSet(lattice, tuple(int(i) for i in grown)))
+        whole = projs[-1].index_array()
+        projs.append(fl.Window(lattice, int(whole[0]), int(whole[-1]) + 1))
+        ns = tuple(range(1, len(projs) + 1))
+        for nested in (True, False):
+            seq_projs = projs if nested else projs[::-1]
+            seq = fl.ProjectionSequence(lattice, ns, tuple(seq_projs), increasing=nested)
+            rows = fl.trace_convergence_report([("a", op)], seq).rows
+            for row, proj in zip(rows, seq_projs):
+                want = fl.trace_estimate(op, proj)
+                assert _as_bits(complex(row["estimate_re"], row["estimate_im"])) == _as_bits(want)
+
+
 def _forbid_kron(*args, **kwargs):
     raise AssertionError("np.kron called")
 
