@@ -49,6 +49,7 @@ from .spectral import (
     ReferenceMeasure,
     TestFunction,
     compression_eigenvalues,
+    compression_moments,
     counting,
     eigenvalues_hermitian,
     empirical_measure,

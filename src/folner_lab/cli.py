@@ -7,6 +7,7 @@ run too large for this machine's memory, 3 spec validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -323,11 +324,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# one parser a process: building it costs about 1.6 ms, and parsing leaves
+# it unchanged (each call gets fresh defaults and a fresh namespace)
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # the subcommand is looked up by name at each call, so that a cmd_*
+    # rebound after the parser was built (patched or wrapped) is what runs
+    command = globals()[args.func.__name__]
     try:
-        return args.func(args)
+        return command(args)
     except (ConfigError, MemoryError) as exc:
         print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2

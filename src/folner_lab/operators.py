@@ -385,32 +385,41 @@ class Section:
         return self.diags[k][np.searchsorted(self.pad, rows)]
 
 
-def _storage(node, pad: np.ndarray) -> dict:
-    """Diagonal storage of an expression node on pad (see `Section`)."""
+def _storage(node, pad: np.ndarray, keep=None) -> dict:
+    """Diagonal storage of an expression node on pad (see `Section`); with
+    `keep`, a set of offsets, only those diagonals.  Sums, adjoints and
+    scalars pass `keep` down; a product folds its factors in full, one at a
+    time, and forms only the kept diagonals of its last product, in
+    `_times`'s order, so each kept diagonal is bit-identical to its full
+    evaluation."""
     if isinstance(node, OperatorSpec):
         out = {}
         for k in node.offsets:
+            if keep is not None and k not in keep:
+                continue
             # positions p whose column pad[p] + k lies in the run of pad[p]
             a = min(abs(k), pad.size)
             p = np.flatnonzero(pad[a:] - pad[: pad.size - a] == abs(k)) + max(0, -k)
             out[k] = v = np.zeros(pad.size, dtype=complex)
             v[p] = node.diagonal(k, pad[p])
         return out
-    parts = [_storage(child, pad) for child in _children(node)]
+    if isinstance(node, ProdE):
+        out = _storage(node.parts[0], pad, keep if len(node.parts) == 1 else None)
+        for i, child in enumerate(node.parts[1:], 2):
+            last = keep is not None and i == len(node.parts)
+            part = _storage(child, pad, {k - a for k in keep for a in out} if last else None)
+            out = _times(out, part, keep if last else None)
+        return out
     if isinstance(node, SumE):
         out = {}
-        for part in parts:
-            for k, v in part.items():
+        for child in node.parts:
+            for k, v in _storage(child, pad, keep).items():
                 out[k] = out[k] + v if k in out else v
         return out
-    if isinstance(node, ProdE):
-        out = parts[0]
-        for part in parts[1:]:
-            out = _times(out, part)
-        return out
     if isinstance(node, AdjE):  # A*[i, i + k] = conj(A[i + k, i])
-        return {-k: np.conj(_shifted(v, -k)) for k, v in parts[0].items()}
-    return {k: node.scalar * v for k, v in parts[0].items()}
+        child = _storage(node.child, pad, None if keep is None else {-k for k in keep})
+        return {-k: np.conj(_shifted(v, -k)) for k, v in child.items()}
+    return {k: node.scalar * v for k, v in _storage(node.child, pad, keep).items()}
 
 
 def _shifted(v: np.ndarray, a: int) -> np.ndarray:
@@ -425,11 +434,14 @@ def _shifted(v: np.ndarray, a: int) -> np.ndarray:
     return w
 
 
-def _times(x: dict, y: dict) -> dict:
-    # (AB)[i, i + a + b] collects A[i, i + a] B[i + a, i + a + b]
+def _times(x: dict, y: dict, keep=None) -> dict:
+    # (AB)[i, i + a + b] collects A[i, i + a] B[i + a, i + a + b]; with
+    # `keep`, only the offsets a + b in it
     out = {}
     for a, u in x.items():
         for b, v in y.items():
+            if keep is not None and a + b not in keep:
+                continue
             t = u * _shifted(v, a)
             out[a + b] = out[a + b] + t if a + b in out else t
     return out
@@ -516,18 +528,19 @@ def pad_indices(op: OperatorSpec, idx: np.ndarray) -> np.ndarray:
     return run_indices(pad_runs(op, index_runs(idx)))
 
 
-def exact_entries(op: OperatorSpec, idx: np.ndarray):
+def exact_entries(op: OperatorSpec, idx: np.ndarray, keep=None):
     """The exact entries of a non-tensor op on idx x pad and pad x idx, for
     pad = pad_indices(op, idx), as `offsets` and `diagonal(k, rows)`: a leaf
     answers itself, a polynomial is evaluated once in diagonal storage,
     after its 16 bytes an offset and padded index are checked against
-    physical memory."""
+    physical memory.  With `keep`, a set of offsets, a polynomial forms only
+    those diagonals (see `_storage`)."""
     if not isinstance(op, Poly):
         return op
     pad = pad_indices(op, idx)
     check_footprint(16 * pad.size * len(op.offsets),
                     f"the diagonal storage of a polynomial on {pad.size} padded indices")
-    return Section(pad, _storage(op.expr, pad))
+    return Section(pad, _storage(op.expr, pad, keep))
 
 
 def _match(rows: np.ndarray, cols: np.ndarray, k: int):
@@ -614,7 +627,7 @@ def diagonal_entries(op: OperatorSpec, proj) -> np.ndarray:
         dr = diagonal_entries(op.right, proj.right)
         return np.outer(dl, dr).ravel()
     idx = proj.index_array()
-    src = exact_entries(op, idx)
+    src = exact_entries(op, idx, keep={0})
     if 0 not in src.offsets:
         return np.zeros(idx.size, dtype=complex)
     return src.diagonal(0, idx)

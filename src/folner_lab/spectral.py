@@ -4,12 +4,21 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._util import check_footprint
-from .operators import OperatorSpec, Toeplitz, _match, compress, exact_entries, tensor_pair
+from .operators import (
+    OperatorSpec,
+    Toeplitz,
+    _match,
+    _shifted,
+    _times,
+    compress,
+    exact_entries,
+    tensor_pair,
+)
 
 # Windows of at least this order whose compression is real and tridiagonal
 # are solved from their diagonals by scipy's tridiagonal LAPACK routines.
@@ -69,6 +78,25 @@ def eigenvalues_hermitian(m: np.ndarray, herm_tol: float = 1e-10,
     return vals
 
 
+def _positions(src, idx: np.ndarray) -> dict:
+    """Diagonal storage of the compression of src (see `exact_entries`) to
+    the sorted indices idx, by position: out[j][p] = A[idx[p], idx[p + j]],
+    zero where p + j leaves [0, idx.size).  On a window position offsets are
+    index offsets; on a gapped index set an index offset k lands on
+    position offsets between 0 and k."""
+    out = {}
+    for k in src.offsets:
+        ri, ci = _match(idx, idx, k)
+        vals = src.diagonal(k, idx[ri])
+        jumps = ci - ri
+        for j in (k,) if (jumps == k).all() else np.unique(jumps).tolist():
+            at = jumps == j
+            if j not in out:
+                out[j] = np.zeros(idx.size, dtype=complex)
+            out[j][ri[at]] = vals[at]
+    return out
+
+
 def _tridiagonal(op: OperatorSpec, proj):
     """(diagonal, upper, lower) of the compression by position, with
     upper[j] = A[j, j + 1] and lower[j] = A[j + 1, j], when its entries are
@@ -77,13 +105,12 @@ def _tridiagonal(op: OperatorSpec, proj):
     src = exact_entries(op, idx)
     if not set(src.offsets) <= {-1, 0, 1}:
         return None
-    bands = {k: np.zeros(idx.size - abs(k), dtype=complex) for k in (0, 1, -1)}
-    for k in src.offsets:
-        ri, ci = _match(idx, idx, k)
-        bands[k][np.minimum(ri, ci)] = src.diagonal(k, idx[ri])
-    if any(b.imag.any() for b in bands.values()):
+    diags = _positions(src, idx)
+    zero = np.zeros(idx.size, dtype=complex)
+    bands = diags.get(0, zero), diags.get(1, zero)[:-1], diags.get(-1, zero)[1:]
+    if any(b.imag.any() for b in bands):
         return None
-    return tuple(b.real for b in bands.values())
+    return tuple(b.real for b in bands)
 
 
 def _tridiagonal_eigenvalues(a, up, lo, herm_tol: float, check_residual: bool):
@@ -142,6 +169,65 @@ def compression_eigenvalues(op: OperatorSpec, proj, herm_tol: float = 1e-10,
         return eigenvalues_hermitian(compress(op, proj), herm_tol=herm_tol,
                                      check_residual=check_residual)
     return _tridiagonal_eigenvalues(*bands, herm_tol, check_residual)
+
+
+def _hermitian_part(diags: dict, herm_tol: float) -> dict:
+    """(M + M^dagger)/2 of a matrix in diagonal storage by position, after
+    the Hermiticity check of `eigenvalues_hermitian` on the storage: the
+    same scale and defect, bit for bit."""
+    scale = max([1.0, *(float(np.max(np.abs(v))) for v in diags.values())])
+    adj = {-j: np.conj(_shifted(v, -j)) for j, v in diags.items()}
+    keys = sorted(set(diags) | set(adj))
+    # |M[p, q] - conj(M[q, p])| is symmetric in (p, q): offsets j >= 0 see it all
+    dev = max([0.0, *(float(np.max(np.abs(diags.get(j, 0.0) - adj.get(j, 0.0))))
+                      for j in keys if j >= 0)])
+    _check_hermitian(dev, scale, herm_tol)
+    return {j: 0.5 * (diags.get(j, 0.0) + adj.get(j, 0.0)) for j in keys}
+
+
+def compression_moments(op: OperatorSpec, proj, order: int,
+                        herm_tol: float = 1e-10) -> np.ndarray:
+    """tr(H^k) / rank for k = 0..order, H = (M + M^dagger)/2 for M the
+    compression of op to the range of proj, with no eigensolve.
+
+    M is held in diagonal storage by position and checked for Hermiticity
+    as `eigenvalues_hermitian` checks it.  The moments come from half
+    powers: tr(H^2j) = |H^j|_F^2 and tr(H^(2j+1)) = <H^j, H^(j+1)>_F, each
+    further power one `_times`, so the cost is O(d * order^2 * bw^2) for
+    index bandwidth bw.  The storage is checked against physical memory
+    before it is allocated.  A tensor pair has no diagonal storage and takes
+    its moments from `compression_eigenvalues`.
+    """
+    if tensor_pair(op, proj):
+        vals = compression_eigenvalues(op, proj, herm_tol=herm_tol)
+        return np.array([np.mean(vals**k) for k in range(order + 1)])
+    idx = proj.index_array()
+    src = exact_entries(op, idx)
+    width = min(max((abs(k) for k in src.offsets), default=0), idx.size - 1)
+    # every power up to H^ceil(order/2) of 2 width + 1 diagonals at once,
+    # and the three temporaries of one product
+    half = max(1, (order + 1) // 2)
+    check_footprint(16 * idx.size * ((2 * half + 1) * (2 * width + 1) + 3),
+                    f"the moment storage of a window of dimension {idx.size}")
+    diags = _positions(src, idx)
+    del src
+    if not any(v.imag.any() for v in diags.values()):
+        diags = {j: v.real for j, v in diags.items()}
+    h = _hermitian_part(diags, herm_tol)
+    del diags
+    moments = [1.0]
+    low, high = None, h  # H^j and H^(j + 1), from j = 0
+    for k in range(1, order + 1):
+        if k == 1:
+            tr = np.sum(h[0]) if 0 in h else 0.0
+        elif k % 2:
+            low = high
+            high = _times(low, h)
+            tr = sum(np.vdot(v, high[j]) for j, v in low.items() if j in high)
+        else:
+            tr = sum(np.vdot(v, v) for v in high.values())
+        moments.append(float(np.real(tr)) / idx.size)
+    return np.array(moments)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +307,8 @@ class ReferenceMeasure:
     xs: np.ndarray | None = None
     Fs: np.ndarray | None = None
     moments: tuple | None = None
+    # whether Fs is nondecreasing exactly, not only up to round-off
+    nondecreasing: bool = field(init=False, repr=False, compare=False, default=True)
 
     def __post_init__(self):
         if self.xs is not None:
@@ -228,12 +316,14 @@ class ReferenceMeasure:
             fs = np.asarray(self.Fs, dtype=float)
             if xs.shape != fs.shape or xs.ndim != 1 or xs.size == 0:
                 raise ValueError("CDF grid must be two equal-length 1-d arrays")
-            if np.any(np.diff(xs) < 0) or np.any(np.diff(fs) < -1e-15):
+            steps = np.diff(fs)
+            if np.any(np.diff(xs) < 0) or np.any(steps < -1e-15):
                 raise ValueError("CDF grid must be nondecreasing")
             if fs[0] < -1e-15 or fs[-1] > 1 + 1e-15:
                 raise ValueError("CDF values must lie in [0, 1]")
             object.__setattr__(self, "xs", xs)
             object.__setattr__(self, "Fs", fs)
+            object.__setattr__(self, "nondecreasing", bool(np.all(steps >= 0)))
         if self.moments is not None:
             object.__setattr__(self, "moments", tuple(float(m) for m in self.moments))
         if self.xs is None and self.moments is None:
@@ -311,21 +401,33 @@ def reference_pushforward(symbol: Toeplitz, grid_size: int = 1 << 16) -> Referen
     return ReferenceMeasure(xs=xs, Fs=fs)
 
 
+def _steps(m):
+    """(grid, whether the CDF is nondecreasing on it) of a measure."""
+    if isinstance(m, EmpiricalMeasure):
+        return m.atoms, True
+    if isinstance(m, ReferenceMeasure):
+        if m.xs is None:
+            raise ValueError("Kolmogorov distance needs CDF data, not bare moments")
+        return m.xs, m.nondecreasing
+    raise TypeError(f"not a measure: {m!r}")
+
+
 def kolmogorov_distance(a, b) -> float:
     """sup |F_a - F_b| over the real line.
 
     Both CDFs are right-continuous steps that jump only on the merged grid, so
     the sup is attained there (a left limit is the previous grid value, or 0).
+    When both are nondecreasing, between two points of the smaller grid its
+    CDF is constant and the other's monotone, so the sup over the merged grid
+    is attained at a point of the smaller grid, at its predecessor in the
+    larger grid, or at an end of the larger grid: the same value, bit for bit,
+    in O(d log N) for grids of d <= N points.
     """
-    grids = []
-    for m in (a, b):
-        if isinstance(m, EmpiricalMeasure):
-            grids.append(m.atoms)
-        elif isinstance(m, ReferenceMeasure):
-            if m.xs is None:
-                raise ValueError("Kolmogorov distance needs CDF data, not bare moments")
-            grids.append(m.xs)
-        else:
-            raise TypeError(f"not a measure: {m!r}")
-    xs = np.unique(np.concatenate(grids))
+    (ga, ua), (gb, ub) = _steps(a), _steps(b)
+    if ua and ub:
+        small, large = (ga, gb) if ga.size <= gb.size else (gb, ga)
+        pred = large[np.searchsorted(large, small, side="left") - 1]
+        xs = np.concatenate([small, pred, large[[0, -1]]])
+    else:
+        xs = np.unique(np.concatenate([ga, gb]))
     return float(np.max(np.abs(a.cdf(xs) - b.cdf(xs))))

@@ -17,6 +17,7 @@ from .spectral import (
     TestFunction,
     check_solve_footprint,
     compression_eigenvalues,
+    compression_moments,
     hat,
     integrate,
     kolmogorov_distance,
@@ -50,10 +51,12 @@ def hat_family(lo: float, hi: float, count: int = 17):
     return [hat(nodes[i], nodes[i + 1], nodes[i + 2]) for i in range(count)]
 
 
-def default_f_family(support, degree: int = 6, hats: int = 17):
-    """Monomials up to `degree` plus hats spanning the empirical support."""
+def default_f_family(support=None, degree: int = 6, hats: int = 17):
+    """Monomials up to `degree`, plus hats spanning the empirical support
+    when one is given."""
     fam = [monomial(k) for k in range(degree + 1)]
-    fam += hat_family(support[0], support[1], hats)
+    if support is not None:
+        fam += hat_family(support[0], support[1], hats)
     return fam
 
 
@@ -119,42 +122,48 @@ def szego_pair_test(ops, seq, refs, f_family=None, p_list=(2,), trace_refs=None,
     """Quantify weak convergence of empirical spectral measures to references.
 
     `ops` is a list of (label, spec), `refs` maps label to ReferenceMeasure.
-    Hat-function integrals and Kolmogorov distances are reported only for
-    references carrying a CDF grid; moments-only references contribute
-    moment errors alone.  The largest window of each operator is solved
-    once, under the eigenpair residual contract.
+    Against a reference carrying a CDF grid, each window is solved once (the
+    largest under the eigenpair residual contract) and hat integrals and
+    Kolmogorov distances are reported too.  Against a moments-only reference
+    only polynomial f are reported, from the moments tr((PAP)^k)/rank of
+    each compression's diagonal storage, with no eigensolve.  Each f's
+    reference integral is taken once per operator.
     """
     ops = list(ops)
     for label, _ in ops:
         if label not in refs:
             raise MissingReferenceError(f"no reference measure for {label!r}")
 
-    # even the cheapest solve of the residual-checked largest window must
-    # fit in memory, or the run stops before its first solve
-    check_solve_footprint(seq.projections[-1].rank, tridiagonal=True, check_residual=True)
+    if any(refs[label].xs is not None for label, _ in ops):
+        # even the cheapest solve of the residual-checked largest window must
+        # fit in memory, or the run stops before its first solve
+        check_solve_footprint(seq.projections[-1].rank, tridiagonal=True, check_residual=True)
     report = SzegoReport()
-    measures = {}
+    measures, families = {}, {}
     last_n = seq.n_list[-1]
     for label, op in ops:
+        if refs[label].xs is None:
+            fam = default_f_family() if f_family is None else f_family
+            fam = families[label] = [f for f in fam if f.kind == "poly"]
+            order = max((len(f.params) - 1 for f in fam), default=0)
+            for n, proj in seq:
+                measures[(label, n)] = ReferenceMeasure(
+                    moments=compression_moments(op, proj, order, herm_tol=sa_tol))
+            continue
         for n, proj in seq:
             vals = compression_eigenvalues(op, proj, herm_tol=sa_tol,
                                            check_residual=n == last_n)
             measures[(label, n)] = EmpiricalMeasure(vals, proj.rank)
+        top = measures[(label, last_n)].atoms
+        families[label] = default_f_family((top[0], top[-1])) if f_family is None else f_family
 
     for label, op in ops:
-        ref = refs[label]
-        if f_family is None:
-            support_meas = measures[(label, last_n)]
-            fam = default_f_family((support_meas.atoms[0], support_meas.atoms[-1]))
-        else:
-            fam = f_family
+        ref, fam = refs[label], families[label]
+        ref_values = [integrate(ref, f) for f in fam]
         for n, proj in seq:
             meas = measures[(label, n)]
-            for f in fam:
-                if ref.xs is None and f.kind != "poly":
-                    continue
+            for f, rv in zip(fam, ref_values):
                 emp = integrate(meas, f)
-                rv = integrate(ref, f)
                 report.rows.append(
                     {
                         "label": label,

@@ -40,6 +40,20 @@ class TestArgParsing:
         with pytest.raises(ConfigError):
             parse_f_family(" , ")
 
+    def test_parser_built_once_keeps_no_state(self, capsys):
+        # two --op and then one in the same process: the second run's output
+        # is a fresh parser's, so no appended --op survives a call
+        shift = str(CORPUS / "valid" / "shift.json")
+        hopping = str(CORPUS / "valid" / "hopping.json")
+        fl.cli._parser.cache_clear()
+        assert run(capsys, "trace", "--op", shift, "--op", hopping, "--n", "1,2")[0] == 0
+        second = run(capsys, "trace", "--op", hopping, "--n", "1,2")
+        assert fl.cli._parser.cache_info().misses == 1
+        fl.cli._parser.cache_clear()
+        fresh = run(capsys, "trace", "--op", hopping, "--n", "1,2")
+        assert second == fresh
+        assert second[0] == 0 and len(second[1].splitlines()) == 4
+
 
 class TestFolnerCommand:
     def test_shift_csv_values(self, capsys):

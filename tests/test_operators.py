@@ -260,3 +260,19 @@ class TestIndexRuns:
             if isinstance(op, fl.Poly):
                 src = fl.operators.exact_entries(op, np.arange(3, 9))
                 assert op.offsets == tuple(sorted(src.offsets))
+
+
+def test_poly_diagonal_is_offset_0_of_the_full_storage():
+    # offset 0 alone, on random *-polynomial trees over windows and gapped
+    # index sets of both lattices, is bit-identical to the full evaluation's
+    from test_properties import _random_poly, _random_projection
+
+    rng = np.random.default_rng(2718)
+    for case in range(300):
+        lattice = (fl.N0, fl.Z)[case % 2]
+        op = _random_poly(rng, lattice)
+        proj = _random_projection(rng, lattice)
+        idx = proj.index_array()
+        src = fl.operators.exact_entries(op, idx)
+        want = src.diagonal(0, idx) if 0 in src.offsets else np.zeros(idx.size, dtype=complex)
+        assert np.array_equal(fl.operators.diagonal_entries(op, proj), want), case

@@ -273,6 +273,62 @@ class TestKolmogorov:
             fl.kolmogorov_distance(ref, fl.EmpiricalMeasure(np.zeros(1), 1))
 
 
+def merged_grid_kolmogorov(a, b):
+    """The merged-grid formula: both CDFs at every point of either grid."""
+    grids = [m.atoms if isinstance(m, fl.EmpiricalMeasure) else m.xs for m in (a, b)]
+    xs = np.unique(np.concatenate(grids))
+    return float(np.max(np.abs(a.cdf(xs) - b.cdf(xs))))
+
+
+HOPPING = fl.Toeplitz({1: 1.0, -1: 1.0}, selfadjoint=True)
+
+
+class TestKolmogorovAgainstMergedGrid:
+    """The distance from the smaller grid, its predecessors and the larger
+    grid's ends equals the merged-grid sup bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def hopping_ref(self):
+        return fl.reference_pushforward(HOPPING)
+
+    @pytest.mark.parametrize("n", [*range(71), *(2**k - 1 for k in range(7, 12))])
+    def test_hopping_windows(self, hopping_ref, n):
+        meas = fl.empirical_measure(HOPPING, fl.Window(fl.N0, 0, n))
+        want = merged_grid_kolmogorov(meas, hopping_ref)
+        assert fl.kolmogorov_distance(meas, hopping_ref) == want
+        assert fl.kolmogorov_distance(hopping_ref, meas) == want
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 100, 3000])
+    def test_atoms_on_grid_nodes(self, hopping_ref, size):
+        # atoms drawn from the grid itself tie with its nodes, repeats included
+        rng = np.random.default_rng(size)
+        atoms = rng.choice(hopping_ref.xs, size=size)
+        meas = fl.EmpiricalMeasure(atoms, size)
+        assert fl.kolmogorov_distance(meas, hopping_ref) == merged_grid_kolmogorov(
+            meas, hopping_ref)
+
+    @pytest.mark.parametrize("nodes", [64, 1000, 4096])
+    def test_random_bandwidth_2_symbols(self, nodes):
+        rng = np.random.default_rng(nodes)
+        for _ in range(4):
+            a1, a2 = rng.normal(size=2) + 1j * rng.normal(size=2)
+            sym = fl.Toeplitz({0: rng.normal(), 1: a1, -1: np.conj(a1), 2: a2, -2: np.conj(a2)},
+                              selfadjoint=True)
+            ref = fl.reference_pushforward(sym, grid_size=nodes)
+            for n in (0, 5, 40, 300):  # d = 301 exceeds 64 nodes: the grids swap roles
+                meas = fl.empirical_measure(sym, fl.Window(fl.N0, 0, n))
+                assert fl.kolmogorov_distance(meas, ref) == merged_grid_kolmogorov(meas, ref)
+
+    def test_cdf_dipping_by_round_off(self):
+        # a reference CDF may step down by up to 1e-15; the merged grid is used then
+        ref = fl.ReferenceMeasure(xs=np.array([0.0, 1.0, 2.0, 3.0]),
+                                  Fs=np.array([0.5, 0.5 - 1e-16, 0.75, 1.0]))
+        assert not ref.nondecreasing
+        meas = fl.EmpiricalMeasure(np.array([0.5]), 1)
+        assert fl.kolmogorov_distance(meas, ref) == merged_grid_kolmogorov(meas, ref)
+        assert fl.reference_pushforward(HOPPING, grid_size=64).nondecreasing
+
+
 def test_reference_measure_validation():
     with pytest.raises(ValueError):
         fl.ReferenceMeasure(xs=np.array([0.0, 1.0]), Fs=np.array([0.8, 0.2]))
@@ -386,3 +442,92 @@ class TestTridiagonalPath:
         with pytest.raises(fl.NonHermitianError, match=re.escape(f"{dev:.3e}")):
             fl.eigenvalues_hermitian(m, herm_tol=below)
         assert [c[0] for c in eig_calls] == ["eigvalsh_tridiagonal", "eigvalsh"]
+
+
+def _eigenvalue_moments(op, proj, order):
+    vals = np.linalg.eigvalsh(fl.compress(op, proj))
+    return np.array([np.mean(vals**k) for k in range(order + 1)])
+
+
+class TestCompressionMoments:
+    """tr(H^k)/rank from diagonal storage, against the eigenvalues."""
+
+    def test_random_hermitian_polys(self, eig_calls):
+        # H = A + A* over random *-polynomial trees on both lattices, windows
+        # and gapped index sets, scaled to spectral radius 1 so that the
+        # eigenvalue oracle itself holds to the tolerance
+        from test_properties import _random_poly, _random_projection
+
+        rng = np.random.default_rng(909)
+        for case in range(200):
+            lattice = (fl.N0, fl.Z)[case % 2]
+            a = _random_poly(rng, lattice)
+            h = fl.op_sum(a, fl.op_adjoint(a))
+            proj = _random_projection(rng, lattice)
+            radius = float(np.max(np.abs(np.linalg.eigvalsh(fl.compress(h, proj)))))
+            if radius > 0.0:
+                h = fl.op_scale(1.0 / radius, h)
+            want = _eigenvalue_moments(h, proj, 6)
+            eig_calls.clear()
+            got = fl.spectral.compression_moments(h, proj, 6)
+            assert eig_calls == []
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), case
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 5])
+    def test_orders(self, order):
+        proj = fl.finite_section(fl.Z, 30)
+        op = fl.AlmostMathieu(1.3, (math.sqrt(5.0) - 1.0) / 2.0, 0.2)
+        got = fl.spectral.compression_moments(op, proj, order)
+        assert got.shape == (order + 1,) and got[0] == 1.0
+        assert np.allclose(got, _eigenvalue_moments(op, proj, order), rtol=1e-12, atol=1e-12)
+
+    def test_tensor_pair_from_eigenvalues(self, eig_calls):
+        hop = fl.Toeplitz({1: 1.0, -1: 1.0}, selfadjoint=True)
+        proj = fl.KronProj(fl.finite_section(fl.N0, 3), fl.finite_section(fl.N0, 2))
+        got = fl.spectral.compression_moments(fl.Kron(hop, hop), proj, 4)
+        assert [c[0] for c in eig_calls] == ["eigvalsh"]
+        # moments of a Kronecker product multiply
+        ma = _eigenvalue_moments(hop, proj.left, 4)
+        mb = _eigenvalue_moments(hop, proj.right, 4)
+        assert np.allclose(got, ma * mb, atol=1e-12)
+
+    @pytest.mark.parametrize("proj", [
+        fl.finite_section(fl.Z, 80),
+        fl.IndexSet(fl.Z, tuple(range(-91, 90, 2)) + tuple(range(90, 120))),
+    ], ids=["window", "gapped"])
+    @pytest.mark.parametrize("peak", ["diagonal", "offdiagonal"])
+    def test_defect_bit_identical_to_dense(self, peak, proj):
+        # as TestTridiagonalPath's: max |entry| is 4, so herm_tol * scale is
+        # exact and the tolerance sits on either side of the dense defect
+        rng = np.random.default_rng(37)
+        up = rng.uniform(-1.0, 1.0, 300) + 1j * rng.uniform(-1.0, 1.0, 300)
+        lo = np.conj(up) * (1.0 + rng.uniform(-1e-9, 1e-9, 300))
+        diag = rng.uniform(-1.0, 1.0, 300)
+        if peak == "diagonal":
+            diag[157] = 4.0
+        else:
+            up[157] = lo[157] = -4.0
+        op = fl.Band(2, ((-2, lambda n: lo[n + 148]), (0, lambda n: diag[n + 150]),
+                         (2, lambda n: up[n + 150])))
+        m = fl.compress(op, proj)
+        dev = float(np.max(np.abs(m - m.conj().T)))
+        assert dev > 0.0
+        fl.spectral.compression_moments(op, proj, 3, herm_tol=dev / 4.0)
+        fl.eigenvalues_hermitian(m, herm_tol=dev / 4.0)
+        below = np.nextafter(dev, 0.0) / 4.0
+        with pytest.raises(fl.NonHermitianError, match=re.escape(f"{dev:.3e}")):
+            fl.spectral.compression_moments(op, proj, 3, herm_tol=below)
+        with pytest.raises(fl.NonHermitianError, match=re.escape(f"{dev:.3e}")):
+            fl.eigenvalues_hermitian(m, herm_tol=below)
+
+    def test_storage_checked_before_it_is_built(self, monkeypatch):
+        # order 6 keeps H, H^2 and H^3: (2 * 3 + 1) powers of 3 diagonals
+        # plus 3 temporaries, 16 bytes each, for each of the 61 positions
+        op = fl.AlmostMathieu(1.0, (math.sqrt(5.0) - 1.0) / 2.0)
+        proj = fl.finite_section(fl.Z, 30)
+        need = 16 * 61 * (7 * 3 + 3)
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: need - 1)
+        with pytest.raises(fl._util.ConfigError, match="moment storage of a window of dimension 61"):
+            fl.spectral.compression_moments(op, proj, 6)
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: need)
+        fl.spectral.compression_moments(op, proj, 6)

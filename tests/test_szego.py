@@ -127,7 +127,7 @@ class TestSzegoPair:
         # eigenvectors serves both the measure and the residual contract
         cplx = fl.Toeplitz({0: 0.3, 1: 0.5 + 0.5j, -1: 0.5 - 0.5j}, selfadjoint=True)
         seq = fl.finite_section_sequence(fl.N0, [4, 8, 16])
-        refs = {lab: fl.ReferenceMeasure(moments=(1.0, 0.0, 2.0)) for lab in ("t", "c")}
+        refs = {"t": fl.reference_pushforward(HOPPING), "c": fl.reference_pushforward(cplx)}
         rep = fl.szego_pair_test([("t", HOPPING), ("c", cplx)], seq, refs,
                                  f_family=[fl.monomial(2)])
         real, cx = np.dtype(np.float64), np.dtype(np.complex128)
@@ -135,6 +135,48 @@ class TestSzegoPair:
                              ("eigvalsh", 5, cx), ("eigvalsh", 9, cx), ("eigh", 17, cx)]
         row = next(r for r in rep.rows if r["label"] == "t" and r["n"] == 16)
         assert row["error"] == pytest.approx(2.0 / 17.0, abs=1e-12)
+
+    @pytest.mark.parametrize("family", [None, [fl.monomial(k) for k in range(5)]],
+                             ids=["default", "explicit"])
+    def test_moments_only_makes_no_eigensolve(self, monkeypatch, eig_calls, family):
+        # not even above the tridiagonal threshold: the moments come from
+        # the compressions' diagonal storage
+        monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 5)
+        h = fl.almost_mathieu_element(ALPHA, 0.5)
+        op = fl.represent_nc(h)
+        seq = fl.finite_section_sequence(fl.Z, [2, 16, 100])
+        degree = 6 if family is None else 4
+        want = {}
+        for n, proj in seq:
+            vals = np.linalg.eigvalsh(fl.compress(op, proj))
+            want.update({(n, f"x^{k}"): np.mean(vals**k) for k in range(degree + 1)})
+        eig_calls.clear()
+        refs = {"h": fl.moments_reference(h, order=6)}
+        rep = fl.szego_pair_test([("h", op)], seq, refs, f_family=family)
+        assert eig_calls == []
+        assert {(r["n"], r["f"]) for r in rep.rows} == set(want)
+        for r in rep.rows:
+            m = want[(r["n"], r["f"])]
+            assert abs(r["empirical"] - m) <= 1e-12 * max(1.0, abs(m))
+
+    def test_one_reference_integral_per_operator_and_f(self, monkeypatch):
+        calls = []
+        orig = fl.szego.integrate
+
+        def counting(meas, f):
+            calls.append((id(meas), f.name))
+            return orig(meas, f)
+
+        monkeypatch.setattr(fl.szego, "integrate", counting)
+        real_sym = fl.Toeplitz({0: 0.3, 1: 0.7, -1: 0.7}, selfadjoint=True)
+        refs = {"t": fl.reference_pushforward(HOPPING),
+                "r": fl.ReferenceMeasure(moments=(1.0, 0.3, 1.07))}
+        fam = [fl.monomial(0), fl.monomial(1), fl.monomial(2), fl.hat(-1.0, 0.0, 1.0)]
+        seq = fl.finite_section_sequence(fl.N0, [4, 8, 16])
+        rep = fl.szego_pair_test([("t", HOPPING), ("r", real_sym)], seq, refs, f_family=fam)
+        assert sorted(f for m, f in calls if m == id(refs["t"])) == sorted(f.name for f in fam)
+        assert sorted(f for m, f in calls if m == id(refs["r"])) == ["x^0", "x^1", "x^2"]
+        assert len(calls) == len(rep.rows) + 4 + 3
 
     def test_missing_reference(self):
         seq = fl.finite_section_sequence(fl.N0, [4])
@@ -182,7 +224,7 @@ class TestSzegoPair:
         monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 5)
         real_sym = fl.Toeplitz({0: 0.3, 1: 0.7, -1: 0.7}, selfadjoint=True)
         seq = fl.finite_section_sequence(fl.N0, [4, 8, 16])
-        refs = {lab: fl.ReferenceMeasure(moments=(1.0, 0.0, 2.0)) for lab in ("t", "r")}
+        refs = {"t": fl.reference_pushforward(HOPPING), "r": fl.reference_pushforward(real_sym)}
         rep = fl.szego_pair_test([("t", HOPPING), ("r", real_sym)], seq, refs,
                                  f_family=[fl.monomial(2)])
         real = np.dtype(np.float64)
@@ -243,10 +285,26 @@ class TestMemoryFootprint:
         monkeypatch.setattr(fl._util, "_physical_memory", lambda: 3 << 20)
         cplx = fl.Toeplitz({0: 0.3, 1: 0.5 + 0.5j, -1: 0.5 - 0.5j}, selfadjoint=True)
         seq = fl.finite_section_sequence(fl.N0, [32, 256])
-        refs = {"c": fl.ReferenceMeasure(moments=(1.0, 0.0, 2.0))}
+        refs = {"c": fl.reference_pushforward(cplx)}
         with pytest.raises(ConfigError, match="dimension 257"):
             fl.szego_pair_test([("c", cplx)], seq, refs, f_family=[fl.monomial(2)])
         assert eig_calls == [("eigvalsh", 33, np.dtype(np.complex128))]
+
+
+def test_harper_moments_storage_checked_before_it_is_built(monkeypatch, capsys, eig_calls):
+    # order 6 at n = 100 (d = 201): (2 * 3 + 1) powers of 3 diagonals plus 3
+    # temporaries of 16 bytes a position; no solve is checked or run
+    harper = str(CORPUS / "valid" / "harper.json")
+    need = 16 * 201 * (7 * 3 + 3)
+    monkeypatch.setattr(fl._util, "_physical_memory", lambda: need - 1)
+    assert main(["szego", "--op", harper, "--n", "10,100", "--f", "poly:6"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: the moment storage of a window of dimension 201 needs about "
+                   f"{need / 2**30:.1f} GiB, more than the {(need - 1) / 2**30:.1f} GiB of "
+                   "physical memory"]
+    monkeypatch.setattr(fl._util, "_physical_memory", lambda: need)
+    assert main(["szego", "--op", harper, "--n", "10,100", "--f", "poly:6"]) == 0
+    assert eig_calls == []
 
 
 def test_smoke_round_leaves_scipy_unimported():
