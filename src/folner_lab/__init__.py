@@ -21,7 +21,9 @@ from .operators import (
     OperatorSpec,
     Poly,
     Shift,
+    Term,
     Toeplitz,
+    Wave,
     Z,
     build_toeplitz_section,
     compress,

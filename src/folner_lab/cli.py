@@ -34,7 +34,7 @@ from .spectral import (
 )
 from .specio import SpecValidationError, load_spec_file
 from .szego import MissingReferenceError, NotSelfAdjointError, monomial, szego_pair_test
-from .szego import hat_family, moments_reference
+from .szego import default_f_family, hat_family, moments_reference
 from .tensor import tensor_bound_check
 from .traces import canonical_trace, represent_nc, trace_convergence_report
 
@@ -145,6 +145,23 @@ def cmd_folner(args) -> int:
     return 0
 
 
+def _check_moment_family(ncpolys, fam, order: int):
+    """ConfigError unless the polynomials of the f family (default: monomials
+    to degree 6) exist and have degree at most `order`: an ncpoly spec's
+    reference holds moments to `order` and integrates polynomials only."""
+    if not ncpolys:
+        return
+    polys = [f for f in (fam or default_f_family()) if f.kind == "poly"]
+    if not polys:
+        labels = ", ".join(map(repr, ncpolys))
+        raise ConfigError(f"the f family has no polynomial for {labels}, whose "
+                          "moments-only reference integrates polynomials only")
+    degree = max(len(f.params) - 1 for f in polys)
+    if degree > order:
+        raise ConfigError(f"--moment-order {order} is below the f family's "
+                          f"polynomial degree {degree}")
+
+
 def cmd_szego(args) -> int:
     if args.nodes < 1:
         raise ConfigError("--nodes must be at least 1")
@@ -156,6 +173,7 @@ def cmd_szego(args) -> int:
     ops, ncpolys = _load_operators(args.op, phi=args.phi)
     seq = _sequence_for(ops, parse_n_list(args.n))
     fam = parse_f_family(args.f) if args.f else None
+    _check_moment_family(ncpolys, fam, args.moment_order)
 
     refs, trace_refs = {}, {}
     for label, op in ops:

@@ -18,7 +18,9 @@ from .operators import (
     OperatorSpec,
     Poly,
     Shift,
+    Term,
     Toeplitz,
+    Wave,
     toeplitz_from_samples,
 )
 from .traces import NCPolynomial
@@ -65,11 +67,11 @@ def _band_fn(doc, where: str):
         amp = float(_need(doc, "amp", where))
         freq = float(_need(doc, "freq", where))
         phase = float(doc.get("phase", 0.0))
-        return lambda n: amp * np.cos(2.0 * np.pi * (freq * np.asarray(n) + phase)) + 0j
+        return Wave((Term(amp, freq, phase, cos=True),))
     if kind == "exp":
         freq = float(_need(doc, "freq", where))
         phase = float(doc.get("phase", 0.0))
-        return lambda n: np.exp(2j * np.pi * (freq * np.asarray(n) + phase))
+        return Wave((Term(1.0, freq, phase),))
     raise SpecValidationError(f"{where}: unknown diagonal function type {kind!r}")
 
 
@@ -95,11 +97,7 @@ def operator_from_json(doc, where: str = "operator") -> OperatorSpec:
                 return toeplitz_from_samples(vals, bw, selfadjoint=sa)
             raise SpecValidationError(f"{where}: toeplitz needs 'coeffs' or 'samples'")
         if kind == "shift":
-            w = doc.get("weight")
-            if w is None:
-                return Shift()
-            c = _as_complex(w, where)
-            return Shift(weight=lambda i, c=c: np.full(np.shape(i), c))
+            return Shift(weight=_as_complex(doc.get("weight", 1.0), where))
         if kind == "band":
             bw = int(_need(doc, "bandwidth", where))
             diags = []

@@ -145,6 +145,8 @@ def szego_pair_test(ops, seq, refs, f_family=None, p_list=(2,), trace_refs=None,
         if refs[label].xs is None:
             fam = default_f_family() if f_family is None else f_family
             fam = families[label] = [f for f in fam if f.kind == "poly"]
+            if not fam:
+                raise ValueError(f"no polynomial f for {label!r}, whose reference has moments only")
             order = max((len(f.params) - 1 for f in fam), default=0)
             for n, proj in seq:
                 measures[(label, n)] = ReferenceMeasure(

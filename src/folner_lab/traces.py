@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import report_csv
-from .operators import Band, OperatorSpec, diagonal_entries
+from .operators import Band, OperatorSpec, Term, Wave, diagonal_entries, diagonal_sum
 from .projections import ProjectionSequence
 
 
@@ -173,29 +173,16 @@ def represent_nc(a: NCPolynomial, phi: float = 0.0) -> OperatorSpec:
     """Concrete l2(Z) representation: u = two-sided shift, v = modulation.
 
     u e_n = e_{n+1} and v e_n = e^{2 pi i (alpha n + phi)} e_n, so a maps to
-    a band operator whose diagonals carry the modulation sums of a's
-    normal-ordered monomials.
+    a band operator whose diagonals are `Wave`s: the modulation sums
+    c e^{2 pi i k (alpha (n + off) + phi)} of a's normal-ordered monomials.
     """
-    alpha = a.alpha
     by_offset = {}
     for m, k in a.monomials():
-        by_offset.setdefault(-m, []).append((k, a.coefficient(m, k)))
+        by_offset.setdefault(-m, []).append(Term(a.coefficient(m, k), a.alpha, phi, k=k, s=-m))
     if not by_offset:
         return Band(0, ((0, 0.0),))
     bw = max(abs(off) for off in by_offset)
-
-    def make_diag(off, ks):
-        def d(n):
-            n = np.asarray(n)
-            acc = np.zeros(n.shape, dtype=complex)
-            for k, c in ks:
-                acc += c * np.exp(2j * np.pi * k * (alpha * (n + off) + phi))
-            return acc
-
-        return d
-
-    diags = tuple((off, make_diag(off, ks)) for off, ks in sorted(by_offset.items()))
-    return Band(bw, diags)
+    return Band(bw, tuple((off, Wave(tuple(terms))) for off, terms in sorted(by_offset.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +190,12 @@ def represent_nc(a: NCPolynomial, phi: float = 0.0) -> OperatorSpec:
 
 
 def trace_estimate(op: OperatorSpec, proj) -> complex:
-    """Tr(A P) / Tr(P): the normalized diagonal sum of the compression."""
-    diag = diagonal_entries(op, proj)
-    return complex(diag.sum() / proj.rank)
+    """Tr(A P) / Tr(P): the normalized diagonal sum of the compression, in
+    closed form over the projection's runs where `diagonal_sum` has one."""
+    total = diagonal_sum(op, proj)
+    if total is None:
+        total = diagonal_entries(op, proj).sum()
+    return complex(total / proj.rank)
 
 
 @dataclass
@@ -235,11 +225,11 @@ def _window_slices(big_runs, runs) -> list:
 
 
 def _estimates(op: OperatorSpec, seq: ProjectionSequence) -> list:
-    """`trace_estimate` at every window of seq.  On a nested sequence the
-    diagonal is evaluated once, on the largest window, and each window sums
-    its own slices of it: the same values in the same order, so the same
-    sums, bit for bit."""
-    if not seq.increasing:
+    """`trace_estimate` at every window of seq.  Where the diagonal has no
+    closed-form sum and seq is nested, the diagonal is evaluated once, on
+    the largest window, and each window sums its own slices of it: the same
+    values in the same order, so the same sums, bit for bit."""
+    if not seq.increasing or diagonal_sum(op, seq.projections[0]) is not None:
         return [trace_estimate(op, proj) for proj in seq.projections]
     big = seq.projections[-1]
     diag = diagonal_entries(op, big)
@@ -255,9 +245,10 @@ def trace_convergence_report(ops, seq: ProjectionSequence, refs=None) -> TraceRe
     """Grid of trace estimates, with absolute errors where a reference is known.
 
     `ops` is a list of (label, spec); `refs` maps label to a complex
-    reference trace.  On a nested sequence each operator's diagonal is
-    evaluated once, on the largest window, and only one operator's diagonal
-    is held at a time.
+    reference trace.  A constant or `Wave` diagonal is summed in closed form
+    over each window's runs; otherwise, on a nested sequence, each
+    operator's diagonal is evaluated once, on the largest window, and only
+    one operator's diagonal is held at a time.
     """
     refs = refs or {}
     rows = []

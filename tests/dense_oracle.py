@@ -32,8 +32,7 @@ def leaf_entries(op, rows, cols) -> np.ndarray:
             out[ri, ci] = a
     elif isinstance(op, Shift):
         ri, ci = _match(rows, cols, 1)
-        w = np.ones(ci.size) if op.weight is None else op.weight(cols[ci])
-        out[ri, ci] = w
+        out[ri, ci] = op.weight(cols[ci]) if callable(op.weight) else op.weight
     elif isinstance(op, AlmostMathieu):
         return leaf_entries(op.as_band(), rows, cols)
     elif isinstance(op, Band):

@@ -306,13 +306,14 @@ class TestOneLineFailures:
     HOPPING = str(CORPUS / "valid" / "hopping.json")
     HARPER = str(CORPUS / "valid" / "harper.json")
     AM = str(CORPUS / "valid" / "almost_mathieu.json")
+    NORMAL_POLY = str(CORPUS / "valid" / "normal_poly.json")
 
     @pytest.mark.parametrize("argv", [
-        pytest.param(["trace", "--op", HOPPING, "--n", "dyadic:40:40"], id="trace-2^40"),
+        pytest.param(["trace", "--op", NORMAL_POLY, "--n", "dyadic:40:40"], id="trace-2^40"),
     ])
     def test_oversized_index_array(self, capsys, argv):
-        # 8 TiB of indices: refused against this machine's real memory
-        # before the array is built
+        # 8 TiB of indices for a polynomial's diagonal: refused against this
+        # machine's real memory before the array is built
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         lines = err.splitlines()
@@ -331,6 +332,16 @@ class TestOneLineFailures:
             label, n, d_n, p_, *vals = line.split(",")
             assert (label, int(n), int(d_n), int(p_)) == ("hopping", 2**62, d, p)
             assert [float(v) for v in vals] == [ratio, off, 1.0]
+
+    def test_trace_window_of_rank_2_62(self, capsys):
+        # a trigonometric diagonal is summed over the window's one run in
+        # closed form, whatever its rank d = 2^62 + 1
+        code, out, err = run(capsys, "trace", "--op", self.HARPER, "--n", "dyadic:61:61")
+        assert code == 0 and err == ""
+        (row,) = out.splitlines()[2:]
+        label, n, d_n, *_, abs_error = row.split(",")
+        assert (label, int(n), int(d_n)) == ("harper", 2**61, 2**62 + 1)
+        assert float(abs_error) <= 1e-15
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["folner", "--op", HOPPING, "--n", "dyadic:63:63"], id="n0-2^63"),
@@ -378,6 +389,32 @@ class TestOneLineFailures:
         assert code == 2 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error:")
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["--f", "hat:2:-1:1"], "the f family has no polynomial for 'harper'",
+                     id="hats-only"),
+        pytest.param(["--moment-order", "2"],
+                     "--moment-order 2 is below the f family's polynomial degree 6",
+                     id="moment-order-below-default-degree"),
+        pytest.param(["--f", "poly:3,hat:2:-1:1", "--moment-order", "2"],
+                     "--moment-order 2 is below the f family's polynomial degree 3",
+                     id="moment-order-below-degree"),
+    ])
+    def test_moments_reference_family(self, capsys, monkeypatch, argv, message):
+        # refused before any numerics: no compression moment is taken
+        def unreachable(*args, **kwargs):
+            raise AssertionError("numerics ran")
+
+        monkeypatch.setattr(fl.cli, "szego_pair_test", unreachable)
+        code, out, err = run(capsys, "szego", "--op", self.HARPER, "--n", "4", *argv)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"config error: {message}")
+
+    def test_moment_order_unused_without_ncpoly(self, capsys):
+        code, _, err = run(capsys, "szego", "--op", self.HOPPING, "--n", "4",
+                           "--moment-order", "0")
+        assert code == 0 and err == ""
 
     def test_memory_error_is_config_error(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):

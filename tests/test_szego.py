@@ -122,6 +122,14 @@ class TestSzegoPair:
         rep = fl.szego_pair_test([("h", fl.represent_nc(h))], seq, refs, f_family=fam)
         assert {r["f"] for r in rep.rows} == {"x^2"}
 
+    def test_moments_only_needs_a_polynomial(self):
+        h = fl.almost_mathieu_element(ALPHA, 0.5)
+        seq = fl.finite_section_sequence(fl.Z, [64])
+        refs = {"h": fl.moments_reference(h, order=2)}
+        with pytest.raises(ValueError, match="no polynomial f for 'h'"):
+            fl.szego_pair_test([("h", fl.represent_nc(h))], seq, refs,
+                               f_family=[fl.hat(-1.0, 0.0, 1.0)])
+
     def test_one_eigensolve_per_window(self, eig_calls):
         # eigenvalues only below the largest window; there one solve with
         # eigenvectors serves both the measure and the residual contract
