@@ -14,7 +14,6 @@ from .operators import (
     AlmostMathieu,
     Band,
     Dense,
-    Kron,
     LatticeMismatchError,
     N0,
     NyquistError,
@@ -37,7 +36,6 @@ from .operators import (
 )
 from .projections import (
     IndexSet,
-    KronProj,
     ProjectionSequence,
     RankZeroError,
     Window,

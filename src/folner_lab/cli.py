@@ -17,14 +17,7 @@ import numpy as np
 
 from ._util import VERSION, ConfigError, report_csv
 from .diagnostics import folner_profile, folner_ratio, qd_gap
-from .operators import (
-    Kron,
-    LatticeMismatchError,
-    N0,
-    Shift,
-    Toeplitz,
-    Z,
-)
+from .operators import LatticeMismatchError, N0, Shift, Toeplitz
 from .projections import RankZeroError, finite_section, finite_section_sequence
 from .spectral import (
     ComplexSymbolError,
@@ -40,19 +33,23 @@ from .traces import canonical_trace, represent_nc, trace_convergence_report
 
 
 def parse_n_list(text: str):
-    """Explicit '1,3,7' or dyadic rule 'dyadic:LO:HI' meaning 2^LO .. 2^HI."""
+    """Explicit '1,3,7' or dyadic rule 'dyadic:LO:HI' meaning 2^LO .. 2^HI,
+    for 0 <= LO <= HI <= 62: a window of order 2^63 leaves the 64-bit
+    indices, so larger exponents are refused before the list is built."""
     text = text.strip()
     try:
         if text.startswith("dyadic:"):
             _, lo, hi = text.split(":")
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError
-            ns = [2**k for k in range(lo, hi + 1)]
+            lo, hi, ns = int(lo), int(hi), None
         else:
             ns = [int(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise ConfigError(f"cannot parse n list {text!r}") from exc
+    if ns is None:
+        if not 0 <= lo <= hi <= 62:
+            raise ConfigError(f"dyadic exponents must satisfy 0 <= LO <= HI <= 62, "
+                              f"got {lo}:{hi}")
+        ns = [2**k for k in range(lo, hi + 1)]
     if not ns or any(n <= 0 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ConfigError("n list must be strictly increasing and positive")
     return ns
@@ -104,7 +101,10 @@ def _emit(text: str, out: str):
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _load_operators(paths, phi: float = 0.0):
@@ -127,10 +127,7 @@ def _sequence_for(ops, n_list):
     lattices = {op.lattice for _, op in ops}
     if len(lattices) != 1:
         raise SpecValidationError("all operators in one run must share a lattice")
-    lat = lattices.pop()
-    if not isinstance(lat, str):
-        raise SpecValidationError("tensor-product operators are driven via the tensor subcommand")
-    return finite_section_sequence(lat, n_list)
+    return finite_section_sequence(lattices.pop(), n_list)
 
 
 # -- subcommands ------------------------------------------------------------
@@ -216,8 +213,6 @@ def cmd_trace(args) -> int:
 def cmd_tensor(args) -> int:
     loaded, _ = _load_operators([args.op_a, args.op_b])
     (label_a, op_a), (label_b, op_b) = loaded
-    if isinstance(op_a, Kron) or isinstance(op_b, Kron):
-        raise SpecValidationError("tensor factors must not themselves be tensor products")
     rows = []
     for n in parse_n_list(args.n):
         p = finite_section(op_a.lattice, n)

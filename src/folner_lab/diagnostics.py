@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import report_csv
-from .operators import OperatorSpec, dense_entries, exact_entries, intersect_runs, pad_runs
-from .operators import padded_compression, run_indices, subtract_runs, tensor_pair
-from .operators import widen_runs
+from .operators import OperatorSpec, _check_lattice, dense_entries, exact_entries
+from .operators import intersect_runs, pad_runs, run_indices, subtract_runs, widen_runs
 
 INF = math.inf
 
@@ -74,9 +73,7 @@ def _corner_blocks(op: OperatorSpec, proj):
     so a window costs O(runs * bandwidth^2), plus the square of a dense
     support, whatever its rank.
     """
-    if tensor_pair(op, proj):
-        a, inside = padded_compression(op, proj)
-        return a[np.ix_(~inside, inside)], a[np.ix_(inside, ~inside)]
+    _check_lattice(op, proj)
     runs = proj.runs
     out = subtract_runs(pad_runs(op, runs), runs)
     reach = max(map(abs, op.offsets), default=0)

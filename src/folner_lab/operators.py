@@ -1,9 +1,9 @@
 """Operator specifications on sequence spaces and their finite compressions.
 
 An operator spec is a symbolic description of a bounded operator on
-l2(N0), l2(Z), or a tensor product of those.  Leaves give their entries by
-diagonals; polynomial combinations are evaluated in diagonal storage on a
-padded index window, exactly and in O(d * bandwidth).
+l2(N0) or l2(Z).  Leaves give their entries by diagonals; polynomial
+combinations are evaluated in diagonal storage on a padded index window,
+exactly and in O(d * bandwidth).
 """
 from __future__ import annotations
 
@@ -324,18 +324,6 @@ class AlmostMathieu(OperatorSpec):
         return Band(1, ((-1, 1.0), (0, pot), (1, 1.0)))
 
 
-@dataclass(frozen=True)
-class Kron(OperatorSpec):
-    """Tensor product of two operator specs; compressions factor through np.kron."""
-
-    left: OperatorSpec
-    right: OperatorSpec
-    lattice: str = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "lattice", (self.left.lattice, self.right.lattice))
-
-
 # polynomial expression nodes ------------------------------------------------
 
 
@@ -428,8 +416,6 @@ def _offsets(node) -> set:
 def _as_node(op):
     if isinstance(op, Poly):
         return op.expr
-    if isinstance(op, Kron):
-        raise LatticeMismatchError("tensor-product specs cannot appear inside a poly spec")
     if isinstance(op, OperatorSpec):
         return op
     raise TypeError(f"expected an operator spec, got {op!r}")
@@ -627,7 +613,7 @@ def pad_indices(op: OperatorSpec, idx: np.ndarray) -> np.ndarray:
 
 
 def exact_entries(op: OperatorSpec, idx: np.ndarray, keep=None):
-    """The exact entries of a non-tensor op on idx x pad and pad x idx, for
+    """The exact entries of op on idx x pad and pad x idx, for
     pad = pad_indices(op, idx), as `offsets` and `diagonal(k, rows)`: a leaf
     answers itself, a polynomial is evaluated once in diagonal storage,
     after its 16 bytes an offset and padded index are checked against
@@ -668,33 +654,19 @@ def dense_entries(src, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 # public operations
 
 
-def tensor_pair(op: OperatorSpec, proj) -> bool:
-    """Whether (op, proj) is a tensor-product pair; raises on mismatches."""
-    from .projections import KronProj  # local import to avoid a cycle
-
-    tensor = isinstance(op, Kron)
-    if tensor != isinstance(proj, KronProj):
-        raise LatticeMismatchError(
-            "tensor-product operator requires a tensor-product projection (and vice versa)"
-        )
-    if not tensor and op.lattice != proj.lattice:
+def _check_lattice(op: OperatorSpec, proj):
+    """LatticeMismatchError unless op and proj live on the same lattice."""
+    if op.lattice != proj.lattice:
         raise LatticeMismatchError(
             f"operator on {op.lattice!r} vs projection on {proj.lattice!r}"
         )
-    return tensor
 
 
 def compress(op: OperatorSpec, proj) -> np.ndarray:
     """Finite section P T P as a rank(P) x rank(P) matrix on the range of P."""
-    if tensor_pair(op, proj):
-        return np.kron(compress(op.left, proj.left), compress(op.right, proj.right))
+    _check_lattice(op, proj)
     idx = proj.index_array()
     return dense_entries(exact_entries(op, idx), idx, idx)
-
-
-def _check_section(order: int):
-    check_footprint(_SECTION_ARRAYS * 16 * order * order,
-                    f"a padded section of order {order}")
 
 
 def padded_compression(op: OperatorSpec, proj):
@@ -706,24 +678,18 @@ def padded_compression(op: OperatorSpec, proj):
     A section too large for physical memory raises ConfigError before it
     is allocated.
     """
-    if tensor_pair(op, proj):
-        a, ia = padded_compression(op.left, proj.left)
-        b, ib = padded_compression(op.right, proj.right)
-        _check_section(a.shape[0] * b.shape[0])
-        return np.kron(a, b), np.kron(ia, ib)
+    _check_lattice(op, proj)
     idx = proj.index_array()
     pad = pad_indices(op, idx)
-    _check_section(pad.size)
+    check_footprint(_SECTION_ARRAYS * 16 * pad.size**2,
+                    f"a padded section of order {pad.size}")
     return dense_entries(exact_entries(op, pad), pad, pad), np.isin(pad, idx)
 
 
 def diagonal_entries(op: OperatorSpec, proj) -> np.ndarray:
     """Diagonal of the compression: offset 0 of the exact entries on the
     projection's indices."""
-    if tensor_pair(op, proj):
-        dl = diagonal_entries(op.left, proj.left)
-        dr = diagonal_entries(op.right, proj.right)
-        return np.outer(dl, dr).ravel()
+    _check_lattice(op, proj)
     idx = proj.index_array()
     src = exact_entries(op, idx, keep={0})
     if 0 not in src.offsets:
@@ -735,10 +701,9 @@ def diagonal_sum(op: OperatorSpec, proj):
     """Tr(A P), the sum of the compression's diagonal, in closed form over
     the projection's runs, O(runs x terms), where op is a leaf whose offset-0
     diagonal is a constant or a `Wave`; None for other specs (`Poly`,
-    `Dense`, `Kron`) and for other callables.  Raises on lattice mismatches
-    as `diagonal_entries` does, and ConfigError where an index leaves int64."""
-    if tensor_pair(op, proj):
-        return None
+    `Dense`) and for other callables.  Raises on lattice mismatches as
+    `diagonal_entries` does, and ConfigError where an index leaves int64."""
+    _check_lattice(op, proj)
     if isinstance(op, AlmostMathieu):
         op = op.as_band()
     if isinstance(op, Toeplitz):
@@ -761,8 +726,6 @@ def diagonal_sum(op: OperatorSpec, proj):
 
 def op_adjoint(op: OperatorSpec) -> OperatorSpec:
     """Spec of the adjoint operator."""
-    if isinstance(op, Kron):
-        return Kron(op_adjoint(op.left), op_adjoint(op.right))
     node = _as_node(op)
     if isinstance(node, AdjE):
         child = node.child

@@ -86,26 +86,6 @@ class IndexSet:
         return np.asarray(self.indices, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class KronProj:
-    """Tensor product P (x) Q; rank and Hilbert-Schmidt norm multiply."""
-
-    left: object
-    right: object
-    lattice: tuple = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "lattice", (self.left.lattice, self.right.lattice))
-
-    @property
-    def rank(self) -> int:
-        return self.left.rank * self.right.rank
-
-    @property
-    def hs_norm(self) -> float:
-        return self.left.hs_norm * self.right.hs_norm
-
-
 def finite_section(lattice: str, n: int) -> Window:
     """The n-th finite-section window: {0..n} on n0, {-n..n} on z."""
     if n < 0:

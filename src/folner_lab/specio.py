@@ -3,6 +3,8 @@ rotation-algebra polynomial specs.  Schemas are documented under docs/."""
 from __future__ import annotations
 
 import json
+import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -12,7 +14,6 @@ from .operators import (
     AlmostMathieu,
     Band,
     Dense,
-    Kron,
     LatticeMismatchError,
     NyquistError,
     OperatorSpec,
@@ -26,8 +27,25 @@ from .operators import (
 from .traces import NCPolynomial
 
 
+# Deepest JSON nesting a spec file may have: a polynomial nested this deep
+# is evaluated well inside the interpreter's recursion limit.
+MAX_NESTING = 100
+
+
 class SpecValidationError(ValueError):
     """A spec file or document failed structural validation."""
+
+
+@contextmanager
+def _spec_errors(where: str):
+    """Re-raise what building a spec from a malformed document raises as a
+    SpecValidationError naming `where`."""
+    try:
+        yield
+    except SpecValidationError:
+        raise
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise SpecValidationError(f"{where}: {exc}") from exc
 
 
 def _need(doc: dict, key: str, where: str):
@@ -79,7 +97,7 @@ def operator_from_json(doc, where: str = "operator") -> OperatorSpec:
     if not isinstance(doc, dict):
         raise SpecValidationError(f"{where}: expected an object, got {type(doc).__name__}")
     kind = _need(doc, "kind", where)
-    try:
+    with _spec_errors(where):
         if kind == "dense":
             rows = _need(doc, "matrix", where)
             m = np.array([[_as_complex(x, where) for x in row] for row in rows])
@@ -87,6 +105,8 @@ def operator_from_json(doc, where: str = "operator") -> OperatorSpec:
         if kind == "toeplitz":
             sa = bool(doc.get("selfadjoint", False))
             if "coeffs" in doc:
+                if not isinstance(doc["coeffs"], dict):
+                    raise SpecValidationError(f"{where}: coeffs must map offsets to values")
                 coeffs = {
                     int(k): _as_complex(v, where) for k, v in doc["coeffs"].items()
                 }
@@ -114,16 +134,12 @@ def operator_from_json(doc, where: str = "operator") -> OperatorSpec:
         if kind == "identity":
             return ops.identity(_lattice(doc, where, default=ops.N0))
         if kind == "kron":
-            return Kron(
-                operator_from_json(_need(doc, "left", where), where + ".left"),
-                operator_from_json(_need(doc, "right", where), where + ".right"),
+            raise SpecValidationError(
+                f"{where}: tensor products are not operator specs; run "
+                "'tensor --op-a A --op-b B' on the two factor files"
             )
         if kind == "poly":
             return Poly(_poly_node(_need(doc, "expr", where), where + ".expr"))
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, SpecValidationError):
-            raise
-        raise SpecValidationError(f"{where}: {exc}") from exc
     raise SpecValidationError(f"{where}: unknown operator kind {kind!r}")
 
 
@@ -150,22 +166,13 @@ def projection_from_json(doc, where: str = "projection"):
     if not isinstance(doc, dict):
         raise SpecValidationError(f"{where}: expected an object")
     kind = _need(doc, "kind", where)
-    try:
+    with _spec_errors(where):
         if kind == "window":
             return prj.Window(
                 _lattice(doc, where), int(_need(doc, "lo", where)), int(_need(doc, "hi", where))
             )
         if kind == "index_set":
             return prj.IndexSet(_lattice(doc, where), tuple(_need(doc, "indices", where)))
-        if kind == "kron":
-            return prj.KronProj(
-                projection_from_json(_need(doc, "left", where), where + ".left"),
-                projection_from_json(_need(doc, "right", where), where + ".right"),
-            )
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, SpecValidationError):
-            raise
-        raise SpecValidationError(f"{where}: {exc}") from exc
     raise SpecValidationError(f"{where}: unknown projection kind {kind!r}")
 
 
@@ -176,28 +183,50 @@ def ncpoly_from_json(doc, where: str = "ncpoly") -> NCPolynomial:
     if not isinstance(alpha, (int, float)):
         raise SpecValidationError(f"{where}: alpha must be a real number")
     terms = {}
-    for item in _need(doc, "terms", where):
-        m = int(_need(item, "m", where))
-        k = int(_need(item, "k", where))
-        c = _as_complex(_need(item, "coeff", where), where)
-        terms[(m, k)] = {0: terms.get((m, k), {}).get(0, 0j) + c}
-    return NCPolynomial(float(alpha), terms)
+    with _spec_errors(where):
+        for item in _need(doc, "terms", where):
+            m = int(_need(item, "m", where))
+            k = int(_need(item, "k", where))
+            c = _as_complex(_need(item, "coeff", where), where)
+            terms[(m, k)] = {0: terms.get((m, k), {}).get(0, 0j) + c}
+        return NCPolynomial(float(alpha), terms)
 
 
 def _reject_constant(name: str):
     raise SpecValidationError(f"non-finite number {name} is not allowed")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        _reject_constant(text)
+    return value
+
+
+def _nesting(doc) -> int:
+    """Depth of a JSON tree, counted level by level without recursion."""
+    depth, level = 0, [doc]
+    while level:
+        depth += 1
+        level = [child for node in level if isinstance(node, (dict, list))
+                 for child in (node.values() if isinstance(node, dict) else node)]
+    return depth
+
+
 def load_spec_file(path):
     """Load a spec file; returns ('operator'|'projection'|'ncpoly', value).
 
-    NaN and +-Infinity are rejected: every number in a spec must be finite.
+    NaN, +-Infinity and literals that overflow a float are rejected: every
+    number in a spec must be finite.  So are files that cannot be read or
+    decoded, and documents nested deeper than MAX_NESTING.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=_reject_constant)
-    except (OSError, json.JSONDecodeError, SpecValidationError) as exc:
+            doc = json.load(fh, parse_float=_finite_float, parse_constant=_reject_constant)
+    except (OSError, ValueError, RecursionError) as exc:
         raise SpecValidationError(f"{path}: {exc}") from exc
+    if _nesting(doc) > MAX_NESTING:
+        raise SpecValidationError(f"{path}: nested deeper than {MAX_NESTING} levels")
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SpecValidationError(f"{path}: spec document needs a 'kind' field")
     kind = doc["kind"]

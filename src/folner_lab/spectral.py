@@ -12,12 +12,12 @@ from ._util import check_footprint
 from .operators import (
     OperatorSpec,
     Toeplitz,
+    _check_lattice,
     _match,
     _shifted,
     _times,
     compress,
     exact_entries,
-    tensor_pair,
 )
 
 # Windows of at least this order whose compression is real and tridiagonal
@@ -160,10 +160,9 @@ def compression_eigenvalues(op: OperatorSpec, proj, herm_tol: float = 1e-10,
     compression is formed densely.  A solve too large for physical memory
     raises ConfigError before it allocates.
     """
+    _check_lattice(op, proj)
     d = proj.rank
-    bands = None
-    if d >= TRIDIAGONAL_MIN_DIM and not tensor_pair(op, proj):
-        bands = _tridiagonal(op, proj)
+    bands = _tridiagonal(op, proj) if d >= TRIDIAGONAL_MIN_DIM else None
     check_solve_footprint(d, bands is not None, check_residual)
     if bands is None:
         return eigenvalues_hermitian(compress(op, proj), herm_tol=herm_tol,
@@ -195,12 +194,9 @@ def compression_moments(op: OperatorSpec, proj, order: int,
     powers: tr(H^2j) = |H^j|_F^2 and tr(H^(2j+1)) = <H^j, H^(j+1)>_F, each
     further power one `_times`, so the cost is O(d * order^2 * bw^2) for
     index bandwidth bw.  The storage is checked against physical memory
-    before it is allocated.  A tensor pair has no diagonal storage and takes
-    its moments from `compression_eigenvalues`.
+    before it is allocated.
     """
-    if tensor_pair(op, proj):
-        vals = compression_eigenvalues(op, proj, herm_tol=herm_tol)
-        return np.array([np.mean(vals**k) for k in range(order + 1)])
+    _check_lattice(op, proj)
     idx = proj.index_array()
     src = exact_entries(op, idx)
     width = min(max((abs(k) for k in src.offsets), default=0), idx.size - 1)

@@ -68,12 +68,13 @@ def moments_reference(a: NCPolynomial, order: int = 6) -> ReferenceMeasure:
             raise NotSelfAdjointError("moment reference requires a = a*")
     moments = []
     power = a._coerce(1)
-    for _ in range(order + 1):
+    for k in range(order + 1):
+        if k:
+            power = power * a
         t = canonical_trace(power)
         if abs(t.imag) > 1e-10:
             raise NotSelfAdjointError("trace of a power came out non-real")
         moments.append(t.real)
-        power = power * a
     return ReferenceMeasure(moments=moments)
 
 

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -252,14 +257,15 @@ class TestTensorCommand:
         assert set(vars(args)) == {"command", "func", "op_a", "op_b", "n", "format", "out"}
 
     def test_kron_factor_rejected(self, capsys):
-        code, _, _ = run(
+        code, _, err = run(
             capsys,
             "tensor",
-            "--op-a", str(CORPUS / "valid" / "lattice_pair.json"),
+            "--op-a", str(CORPUS / "invalid" / "lattice_pair.json"),
             "--op-b", str(CORPUS / "valid" / "shift.json"),
             "--n", "3",
         )
         assert code == 3
+        assert len(err.splitlines()) == 1 and "tensor --op-a" in err
 
 
 class TestDemoShift:
@@ -424,3 +430,72 @@ class TestOneLineFailures:
         code, out, err = run(capsys, "trace", "--op", self.HOPPING, "--n", "4")
         assert code == 2 and out == ""
         assert err.splitlines() == ["config error: out of memory"]
+
+    @pytest.mark.parametrize("flag", ["--out", "--plot-out"])
+    def test_unwritable_output(self, capsys, flag):
+        code, _, err = run(capsys, "szego", "--op", self.HOPPING, "--n", "4",
+                           flag, "/nonexistent/dir/out.csv")
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: cannot write")
+
+    def test_negative_dyadic_exponent(self, capsys):
+        code, out, err = run(capsys, "folner", "--op", self.HOPPING, "--n", "dyadic:-1:2")
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: dyadic exponents")
+
+    def test_huge_dyadic_exponent_refused_before_the_list(self):
+        # 2^0 .. 2^99999999 would fill any memory before the range check;
+        # the child runs under an address-space limit and a time bound
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        code = ("import sys; from folner_lab.cli import main; "
+                f"sys.exit(main(['folner', '--op', {self.HOPPING!r}, "
+                "'--n', 'dyadic:0:99999999']))")
+        env = {**os.environ, "PYTHONPATH": str(Path(fl.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": "1"}
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, preexec_fn=limit, timeout=60)
+        assert time.perf_counter() - start < 5.0
+        assert proc.returncode == 2 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: dyadic exponents")
+
+
+def _nested_adjoints(depth: int) -> str:
+    return ('{"kind": "poly", "expr": ' + '{"adj": ' * depth + '{"op": {"kind": "shift"}}'
+            + "}" * (depth + 1))
+
+
+class TestSpecDecodeFailures:
+    """A spec file that cannot be read, decoded or built is one spec error
+    line with exit 3."""
+
+    @pytest.mark.parametrize("data", [
+        pytest.param(b'{"kind": "shift", "weight": 1.0}\xff', id="non-utf8"),
+        pytest.param(b'{"kind": "shift", "weight": 1e400}', id="float-overflow"),
+        pytest.param(b'{"kind": "band", "bandwidth": 1e400, "diagonals": []}',
+                     id="bandwidth-overflow"),
+        pytest.param(_nested_adjoints(3000).encode(), id="nested-3000"),
+        pytest.param(_nested_adjoints(600).encode(), id="nested-600"),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "folner"])
+    def test_one_spec_error_line(self, capsys, tmp_path, data, command):
+        path = tmp_path / "spec.json"
+        path.write_bytes(data)
+        argv = [str(path)] if command == "validate" else ["--op", str(path), "--n", "2"]
+        code, out, err = run(capsys, command, *argv)
+        assert code == 3 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and str(path) in lines[0]
+        if command == "folner":
+            assert lines[0].startswith("spec error:")
+
+    def test_kron_spec_points_to_the_tensor_subcommand(self, capsys):
+        code, _, err = run(capsys, "validate", str(CORPUS / "invalid" / "lattice_pair.json"))
+        assert code == 3
+        lines = err.splitlines()
+        assert len(lines) == 1 and "tensor --op-a" in lines[0]

@@ -25,8 +25,7 @@ CORPUS = HERE / "corpus" / "valid"
 GOLDEN = HERE / "golden"
 RTOL, ATOL = 1e-12, 1e-14
 
-# every operator spec in the corpus except the tensor product, which
-# folner and trace reject (it is driven by the tensor subcommand)
+# every operator spec in the corpus
 OPERATORS = ("almost_mathieu", "dense_pauli", "harper", "hopping", "modulated_band",
              "normal_poly", "shift", "symbol_sampled")
 N_LIST = "1,2,3,5,8,13"

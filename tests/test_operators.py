@@ -76,6 +76,31 @@ class TestCompress:
         assert np.array_equal(m, mat[np.ix_([1, 3, 4], [1, 3, 4])])
 
 
+MISMATCH_CALLS = {
+    "compress": fl.compress,
+    "padded_compression": fl.operators.padded_compression,
+    "diagonal_entries": fl.operators.diagonal_entries,
+    "diagonal_sum": fl.operators.diagonal_sum,
+    "folner_ratio": fl.folner_ratio,
+    "compression_eigenvalues": fl.compression_eigenvalues,
+    "compression_moments": lambda op, proj: fl.compression_moments(op, proj, 4),
+}
+
+
+@pytest.mark.parametrize("name, rank", [
+    *((name, 5) for name in MISMATCH_CALLS),
+    # the tridiagonal path, which reads no projection lattice of its own
+    ("compression_eigenvalues", fl.spectral.TRIDIAGONAL_MIN_DIM),
+])
+@pytest.mark.parametrize("op, lattice", [
+    (fl.Band(1, ((-1, 1.0), (1, 1.0))), fl.N0),
+    (fl.Shift(), fl.Z),
+], ids=["z-op-on-n0", "n0-op-on-z"])
+def test_lattice_mismatch_at_every_entry_point(name, rank, op, lattice):
+    with pytest.raises(fl.LatticeMismatchError):
+        MISMATCH_CALLS[name](op, fl.Window(lattice, 0, rank - 1))
+
+
 class TestAdjoint:
     def test_dense_example(self):
         adj = fl.op_adjoint(fl.Dense(np.array([[0.0, 1.0], [0.0, 0.0]])))
@@ -125,49 +150,6 @@ class TestAdjoint:
         twice = fl.op_adjoint(fl.op_adjoint(band))
         proj = fl.Window(fl.Z, -4, 4)
         assert np.max(np.abs(fl.compress(twice, proj) - fl.compress(band, proj))) < 1e-14
-
-
-class TestKron:
-    def test_scalar_example(self):
-        a = fl.Dense(np.array([[2.0]]))
-        p = fl.Window(fl.N0, 0, 0)
-        m = fl.compress(fl.Kron(a, a), fl.KronProj(p, p))
-        assert np.array_equal(m, [[4.0]])
-
-    def test_shift_tensor_identity_blocks(self):
-        s, one = fl.Shift(), fl.identity(fl.N0)
-        p = fl.Window(fl.N0, 0, 2)
-        q = fl.Window(fl.N0, 0, 1)
-        m = fl.compress(fl.Kron(s, one), fl.KronProj(p, q))
-        assert np.array_equal(m, np.kron(np.eye(3, k=-1), np.eye(2)))
-
-    def test_random_kron_oracle(self):
-        rng = np.random.default_rng(3)
-        a = fl.Dense(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        b = fl.Dense(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        m = fl.compress(
-            fl.Kron(a, b),
-            fl.KronProj(fl.Window(fl.N0, 0, 2), fl.Window(fl.N0, 0, 1)),
-        )
-        assert np.max(np.abs(m - np.kron(a.matrix, b.matrix))) < 1e-14
-
-    def test_kron_factorization_random_specs(self):
-        # entrywise match of kron compression against factor compressions
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            da, db = rng.integers(2, 9), rng.integers(2, 8)
-            a = fl.Dense(rng.standard_normal((da, da)))
-            b = fl.Toeplitz({k: complex(rng.standard_normal()) for k in (-1, 0, 2)})
-            p = fl.Window(fl.N0, 0, int(rng.integers(1, da)))
-            q = fl.Window(fl.N0, 0, int(rng.integers(1, 6)))
-            lhs = fl.compress(fl.Kron(a, b), fl.KronProj(p, q))
-            rhs = np.kron(fl.compress(a, p), fl.compress(b, q))
-            assert lhs.shape[0] <= 64
-            assert np.max(np.abs(lhs - rhs)) < 1e-13
-
-    def test_kron_requires_kron_projection(self):
-        with pytest.raises(fl.LatticeMismatchError):
-            fl.compress(fl.Kron(fl.Shift(), fl.Shift()), fl.Window(fl.N0, 0, 3))
 
 
 class TestPoly:

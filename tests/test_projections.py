@@ -1,4 +1,3 @@
-import math
 
 import pytest
 
@@ -43,19 +42,9 @@ def test_hs_norm_squared_is_rank():
     specs = [
         fl.Window(fl.N0, 0, 9),
         fl.IndexSet(fl.Z, (-4, 0, 7)),
-        fl.KronProj(fl.Window(fl.N0, 0, 1), fl.Window(fl.N0, 0, 2)),
     ]
     for p in specs:
         assert p.hs_norm**2 == pytest.approx(p.rank, abs=1e-12)
-
-
-def test_kron_rank_and_norm_multiply():
-    p = fl.IndexSet(fl.N0, (0, 1))
-    q = fl.IndexSet(fl.N0, (0, 1, 5))
-    k = fl.KronProj(p, q)
-    assert k.rank == 6
-    assert k.hs_norm == pytest.approx(math.sqrt(6))
-    assert fl.KronProj(fl.Window(fl.N0, 0, 0), fl.Window(fl.N0, 0, 0)).rank == 1
 
 
 def test_rank_zero_rejected():

@@ -481,16 +481,6 @@ class TestCompressionMoments:
         assert got.shape == (order + 1,) and got[0] == 1.0
         assert np.allclose(got, _eigenvalue_moments(op, proj, order), rtol=1e-12, atol=1e-12)
 
-    def test_tensor_pair_from_eigenvalues(self, eig_calls):
-        hop = fl.Toeplitz({1: 1.0, -1: 1.0}, selfadjoint=True)
-        proj = fl.KronProj(fl.finite_section(fl.N0, 3), fl.finite_section(fl.N0, 2))
-        got = fl.spectral.compression_moments(fl.Kron(hop, hop), proj, 4)
-        assert [c[0] for c in eig_calls] == ["eigvalsh"]
-        # moments of a Kronecker product multiply
-        ma = _eigenvalue_moments(hop, proj.left, 4)
-        mb = _eigenvalue_moments(hop, proj.right, 4)
-        assert np.allclose(got, ma * mb, atol=1e-12)
-
     @pytest.mark.parametrize("proj", [
         fl.finite_section(fl.Z, 80),
         fl.IndexSet(fl.Z, tuple(range(-91, 90, 2)) + tuple(range(90, 120))),

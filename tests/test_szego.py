@@ -9,6 +9,7 @@ import pytest
 
 import folner_lab as fl
 from folner_lab.cli import ConfigError, main
+from folner_lab.specio import load_spec_file
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -32,6 +33,21 @@ class TestMomentsReference:
     def test_rejects_non_selfadjoint(self):
         with pytest.raises(fl.NotSelfAdjointError):
             fl.moments_reference(fl.nc_u(ALPHA))
+
+    def test_forms_only_the_powers_it_traces(self, monkeypatch):
+        # tau(a^0..a^order) needs the products a^1..a^order and no further one
+        _, h = load_spec_file(CORPUS / "valid" / "harper.json")
+        products = []
+        mul = fl.NCPolynomial.__mul__
+
+        def counted(self, other):
+            products.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(fl.NCPolynomial, "__mul__", counted)
+        ref = fl.moments_reference(h, order=6)
+        assert len(products) <= 6
+        assert list(ref.moments) == [fl.canonical_trace(h.power(k)).real for k in range(7)]
 
 
 class TestFamilies:

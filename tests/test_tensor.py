@@ -107,17 +107,6 @@ class TestGuards:
         monkeypatch.setattr(fl._util, "_physical_memory", lambda: need)
         assert fl.tensor_bound_check(s, p, s, p).rhs == pytest.approx(2.0 / 101.0, abs=1e-12)
 
-    def test_kron_product_footprint(self, monkeypatch):
-        # a tensor pair's padded section is the Kronecker product of two
-        # order-5 factor sections, refused before np.kron forms it
-        s = fl.Shift()
-        p = fl.finite_section(fl.N0, 3)
-        pair = fl.KronProj(p, p)
-        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 4 * 16 * 25**2 - 1)
-        monkeypatch.setattr(np, "kron", None)
-        with pytest.raises(ConfigError, match="order 25"):
-            fl.qd_gap(fl.Kron(s, s), pair)
-
     def test_json_record(self):
         s = fl.Shift()
         rec = fl.tensor_bound_check(s, fl.finite_section(fl.N0, 3), s, fl.finite_section(fl.N0, 3))
