@@ -24,10 +24,8 @@ from .operators import (
     Toeplitz,
     Wave,
     Z,
-    build_toeplitz_section,
     compress,
     identity,
-    is_selfadjoint,
     op_adjoint,
     op_prod,
     op_scale,
@@ -55,6 +53,7 @@ from .spectral import (
     empirical_measure,
     hat,
     integrate,
+    is_selfadjoint,
     kolmogorov_distance,
     monomial,
     reference_pushforward,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import VERSION, ConfigError, report_csv
+from ._util import VERSION, ConfigError, check_footprint, report_csv
 from .diagnostics import folner_profile, folner_ratio, qd_gap
 from .operators import LatticeMismatchError, N0, Shift, Toeplitz
 from .projections import RankZeroError, finite_section, finite_section_sequence
@@ -72,7 +72,9 @@ def _check_phi(phi: float):
 
 
 def parse_f_family(text: str):
-    """'poly:K' and/or 'hat:COUNT:LO:HI', comma separated."""
+    """'poly:K' and/or 'hat:COUNT:LO:HI', comma separated.  The monomials
+    of poly:K hold (K + 1)(K + 2)/2 coefficients, checked against physical
+    memory before any is built."""
     fam = []
     for part in text.split(","):
         part = part.strip()
@@ -82,12 +84,16 @@ def parse_f_family(text: str):
         try:
             if fields[0] == "poly":
                 (degree,) = map(int, fields[1:])
+                check_footprint(8 * (degree + 1) * (degree + 2) // 2,
+                                f"the f family item {part!r}")
                 fam.extend(monomial(k) for k in range(degree + 1))
             elif fields[0] == "hat":
                 count, lo, hi = int(fields[1]), float(fields[2]), float(fields[3])
                 fam.extend(hat_family(lo, hi, count))
             else:
                 raise ValueError
+        except ConfigError:
+            raise
         except (ValueError, IndexError) as exc:
             raise ConfigError(f"cannot parse f family item {part!r}") from exc
     if not fam:

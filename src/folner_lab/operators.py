@@ -731,16 +731,3 @@ def op_adjoint(op: OperatorSpec) -> OperatorSpec:
         child = node.child
         return child if isinstance(child, OperatorSpec) else Poly(child)
     return Poly(AdjE(node))
-
-
-def is_selfadjoint(op: OperatorSpec, proj, tol: float = 1e-12) -> bool:
-    m = compress(op, proj)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
-def build_toeplitz_section(symbol: Toeplitz, n: int) -> np.ndarray:
-    """(n+1) x (n+1) finite section with entries a_{i-j}."""
-    if n < 0:
-        raise ValueError("section order must be nonnegative")
-    idx = np.arange(n + 1, dtype=np.int64)
-    return dense_entries(symbol, idx, idx)

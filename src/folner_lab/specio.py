@@ -54,14 +54,30 @@ def _need(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _is_number(x) -> bool:
+    """Whether x decodes a JSON number: a bool or a string is not one."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _number(x, where: str, name: str) -> float:
+    """A field the schemas type `number`."""
+    if not _is_number(x):
+        raise SpecValidationError(f"{where}: {name} must be a number, got {x!r}")
+    return float(x)
+
+
+def _integer(x, where: str, name: str) -> int:
+    """A field the schemas type `integer`: an int, or a float with an
+    integral value, as JSON Schema draft 7 accepts."""
+    if not _is_number(x) or (isinstance(x, float) and not x.is_integer()):
+        raise SpecValidationError(f"{where}: {name} must be an integer, got {x!r}")
+    return int(x)
+
+
 def _as_complex(pair, where: str) -> complex:
-    if isinstance(pair, (int, float)):
+    if _is_number(pair):
         return complex(pair)
-    if (
-        isinstance(pair, (list, tuple))
-        and len(pair) == 2
-        and all(isinstance(x, (int, float)) for x in pair)
-    ):
+    if isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_number, pair)):
         return complex(pair[0], pair[1])
     raise SpecValidationError(f"{where}: expected a number or [re, im] pair, got {pair!r}")
 
@@ -82,13 +98,13 @@ def _band_fn(doc, where: str):
     if kind == "const":
         return _as_complex(_need(doc, "value", where), where)
     if kind == "cos":
-        amp = float(_need(doc, "amp", where))
-        freq = float(_need(doc, "freq", where))
-        phase = float(doc.get("phase", 0.0))
+        amp = _number(_need(doc, "amp", where), where, "amp")
+        freq = _number(_need(doc, "freq", where), where, "freq")
+        phase = _number(doc.get("phase", 0.0), where, "phase")
         return Wave((Term(amp, freq, phase, cos=True),))
     if kind == "exp":
-        freq = float(_need(doc, "freq", where))
-        phase = float(doc.get("phase", 0.0))
+        freq = _number(_need(doc, "freq", where), where, "freq")
+        phase = _number(doc.get("phase", 0.0), where, "phase")
         return Wave((Term(1.0, freq, phase),))
     raise SpecValidationError(f"{where}: unknown diagonal function type {kind!r}")
 
@@ -113,23 +129,23 @@ def operator_from_json(doc, where: str = "operator") -> OperatorSpec:
                 return Toeplitz(coeffs, selfadjoint=sa)
             if "samples" in doc:
                 vals = [_as_complex(x, where) for x in doc["samples"]]
-                bw = int(_need(doc, "bandwidth", where))
+                bw = _integer(_need(doc, "bandwidth", where), where, "bandwidth")
                 return toeplitz_from_samples(vals, bw, selfadjoint=sa)
             raise SpecValidationError(f"{where}: toeplitz needs 'coeffs' or 'samples'")
         if kind == "shift":
             return Shift(weight=_as_complex(doc.get("weight", 1.0), where))
         if kind == "band":
-            bw = int(_need(doc, "bandwidth", where))
+            bw = _integer(_need(doc, "bandwidth", where), where, "bandwidth")
             diags = []
             for item in _need(doc, "diagonals", where):
-                off = int(_need(item, "offset", where))
+                off = _integer(_need(item, "offset", where), where, "offset")
                 diags.append((off, _band_fn(_need(item, "fn", where), where)))
             return Band(bw, tuple(diags))
         if kind == "almost_mathieu":
             return AlmostMathieu(
-                coupling=float(_need(doc, "coupling", where)),
-                freq=float(_need(doc, "freq", where)),
-                phase=float(doc.get("phase", 0.0)),
+                coupling=_number(_need(doc, "coupling", where), where, "coupling"),
+                freq=_number(_need(doc, "freq", where), where, "freq"),
+                phase=_number(doc.get("phase", 0.0), where, "phase"),
             )
         if kind == "identity":
             return ops.identity(_lattice(doc, where, default=ops.N0))
@@ -169,27 +185,29 @@ def projection_from_json(doc, where: str = "projection"):
     with _spec_errors(where):
         if kind == "window":
             return prj.Window(
-                _lattice(doc, where), int(_need(doc, "lo", where)), int(_need(doc, "hi", where))
+                _lattice(doc, where),
+                _integer(_need(doc, "lo", where), where, "lo"),
+                _integer(_need(doc, "hi", where), where, "hi"),
             )
         if kind == "index_set":
-            return prj.IndexSet(_lattice(doc, where), tuple(_need(doc, "indices", where)))
+            indices = _need(doc, "indices", where)
+            return prj.IndexSet(_lattice(doc, where),
+                                tuple(_integer(i, where, "an index") for i in indices))
     raise SpecValidationError(f"{where}: unknown projection kind {kind!r}")
 
 
 def ncpoly_from_json(doc, where: str = "ncpoly") -> NCPolynomial:
     if not isinstance(doc, dict):
         raise SpecValidationError(f"{where}: expected an object")
-    alpha = _need(doc, "alpha", where)
-    if not isinstance(alpha, (int, float)):
-        raise SpecValidationError(f"{where}: alpha must be a real number")
     terms = {}
     with _spec_errors(where):
+        alpha = _number(_need(doc, "alpha", where), where, "alpha")
         for item in _need(doc, "terms", where):
-            m = int(_need(item, "m", where))
-            k = int(_need(item, "k", where))
+            m = _integer(_need(item, "m", where), where, "m")
+            k = _integer(_need(item, "k", where), where, "k")
             c = _as_complex(_need(item, "coeff", where), where)
             terms[(m, k)] = {0: terms.get((m, k), {}).get(0, 0j) + c}
-        return NCPolynomial(float(alpha), terms)
+        return NCPolynomial(alpha, terms)
 
 
 def _reject_constant(name: str):

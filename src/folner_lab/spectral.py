@@ -1,5 +1,7 @@
-"""Eigenvalues of Hermitian compressions, empirical spectral measures,
-reference measures, and distances between them."""
+"""Eigenvalues and moments of Hermitian compressions, empirical spectral
+measures, reference measures, and distances between them.  A compression
+is read once, in checked diagonal storage (`_hermitian_compression`), and
+then solved as a tridiagonal or a dense matrix, or raised to powers."""
 from __future__ import annotations
 
 import json
@@ -16,7 +18,6 @@ from .operators import (
     _match,
     _shifted,
     _times,
-    compress,
     exact_entries,
 )
 
@@ -54,6 +55,18 @@ def _check_residual(resid: float, scale: float, d: int):
         raise ResidualError(f"residual {resid:.3e} breaches contract {bound:.3e}")
 
 
+def _dense_eigenvalues(h: np.ndarray, scale: float, check_residual: bool) -> np.ndarray:
+    """Ascending eigenvalues of the dense Hermitian matrix h, whose checks
+    took `scale` as max(1, max |entry|); with check_residual, every eigenpair
+    is verified against ||h v - lam v|| <= 1e-9 * scale * sqrt(d)."""
+    if not check_residual:
+        return np.linalg.eigvalsh(h)
+    vals, vecs = np.linalg.eigh(h)
+    resid = np.linalg.norm(h @ vecs - vecs * vals[None, :], axis=0)
+    _check_residual(float(resid.max()), scale, h.shape[0])
+    return vals
+
+
 def eigenvalues_hermitian(m: np.ndarray, herm_tol: float = 1e-10,
                           check_residual: bool = False) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix.
@@ -69,13 +82,7 @@ def eigenvalues_hermitian(m: np.ndarray, herm_tol: float = 1e-10,
         m = m.real  # same scale and defect, with no complex temporaries
     scale = max(float(np.max(np.abs(m))), 1.0)
     _check_hermitian(float(np.max(np.abs(m - m.conj().T))), scale, herm_tol)
-    h = 0.5 * (m + m.conj().T)
-    if not check_residual:
-        return np.linalg.eigvalsh(h)
-    vals, vecs = np.linalg.eigh(h)
-    resid = np.linalg.norm(h @ vecs - vecs * vals[None, :], axis=0)
-    _check_residual(float(resid.max()), scale, h.shape[0])
-    return vals
+    return _dense_eigenvalues(0.5 * (m + m.conj().T), scale, check_residual)
 
 
 def _positions(src, idx: np.ndarray) -> dict:
@@ -83,7 +90,8 @@ def _positions(src, idx: np.ndarray) -> dict:
     the sorted indices idx, by position: out[j][p] = A[idx[p], idx[p + j]],
     zero where p + j leaves [0, idx.size).  On a window position offsets are
     index offsets; on a gapped index set an index offset k lands on
-    position offsets between 0 and k."""
+    position offsets between 0 and k.  An offset of |j| >= idx.size may be
+    kept, all zero."""
     out = {}
     for k in src.offsets:
         ri, ci = _match(idx, idx, k)
@@ -97,29 +105,44 @@ def _positions(src, idx: np.ndarray) -> dict:
     return out
 
 
-def _tridiagonal(op: OperatorSpec, proj):
-    """(diagonal, upper, lower) of the compression by position, with
-    upper[j] = A[j, j + 1] and lower[j] = A[j + 1, j], when its entries are
-    exactly real and couple only neighbouring indices; None otherwise."""
+def _hermitian_part(op: OperatorSpec, proj):
+    """(H, scale, defect) for the compression M of op to the range of proj,
+    held in diagonal storage by position (see `_positions`), in float64 when
+    every entry is exactly real: H = (M + M^dagger)/2, scale = max(1, max
+    |entry|) and defect = max |M - M^dagger|, each bit for bit as
+    `eigenvalues_hermitian` computes them on the dense matrix."""
+    _check_lattice(op, proj)
     idx = proj.index_array()
-    src = exact_entries(op, idx)
-    if not set(src.offsets) <= {-1, 0, 1}:
-        return None
-    diags = _positions(src, idx)
-    zero = np.zeros(idx.size, dtype=complex)
-    bands = diags.get(0, zero), diags.get(1, zero)[:-1], diags.get(-1, zero)[1:]
-    if any(b.imag.any() for b in bands):
-        return None
-    return tuple(b.real for b in bands)
+    diags = _positions(exact_entries(op, idx), idx)
+    if not any(v.imag.any() for v in diags.values()):
+        diags = {j: v.real for j, v in diags.items()}
+    scale = max([1.0, *(float(np.max(np.abs(v))) for v in diags.values())])
+    adj = {-j: np.conj(_shifted(v, -j)) for j, v in diags.items()}
+    keys = sorted(set(diags) | set(adj))
+    # |M[p, q] - conj(M[q, p])| is symmetric in (p, q): offsets j >= 0 see it all
+    dev = max([0.0, *(float(np.max(np.abs(diags.get(j, 0.0) - adj.get(j, 0.0))))
+                      for j in keys if j >= 0)])
+    return {j: 0.5 * (diags.get(j, 0.0) + adj.get(j, 0.0)) for j in keys}, scale, dev
 
 
-def _tridiagonal_eigenvalues(a, up, lo, herm_tol: float, check_residual: bool):
-    """`eigenvalues_hermitian` of the real tridiagonal matrix with diagonal a,
-    superdiagonal up and subdiagonal lo, from the diagonals: the same scale,
-    defect and residual contract as the dense matrix, bit for bit."""
-    scale = max(float(np.max(np.abs(np.concatenate([a, up, lo])))), 1.0)
-    _check_hermitian(float(np.max(np.abs(up - lo), initial=0.0)), scale, herm_tol)
-    e = 0.5 * (up + lo)
+def _hermitian_compression(op: OperatorSpec, proj, herm_tol: float):
+    """(H, scale) of `_hermitian_part`, after the Hermiticity check of
+    `eigenvalues_hermitian` on the same scale and defect."""
+    h, scale, dev = _hermitian_part(op, proj)
+    _check_hermitian(dev, scale, herm_tol)
+    return h, scale
+
+
+def is_selfadjoint(op: OperatorSpec, proj, tol: float = 1e-12) -> bool:
+    """Whether max |M - M^dagger| <= tol for M the compression of op to the
+    range of proj, read from its diagonal storage."""
+    return _hermitian_part(op, proj)[2] <= tol
+
+
+def _tridiagonal_eigenvalues(a, e, scale: float, check_residual: bool):
+    """Ascending eigenvalues of the real symmetric tridiagonal matrix with
+    diagonal a and off-diagonal e, under the residual contract of
+    `eigenvalues_hermitian` with the given scale."""
     import scipy.linalg  # 0.26 s and 27 MB, paid only by large windows
 
     if not check_residual:
@@ -140,8 +163,8 @@ def _tridiagonal_eigenvalues(a, up, lo, herm_tol: float, check_residual: bool):
 def check_solve_footprint(d: int, tridiagonal: bool, check_residual: bool):
     """ConfigError, before anything is allocated, when the d x d arrays of
     a solve exceed physical memory: the float64 eigenvectors on the
-    tridiagonal path; the complex compression, its symmetrization and, with
-    check_residual, the eigenvectors on the dense path."""
+    tridiagonal path; on the dense path, counted as complex, the matrix,
+    LAPACK's working copy and, with check_residual, the eigenvectors."""
     if tridiagonal:
         need = 8 * d * d if check_residual else 0
     else:
@@ -154,34 +177,28 @@ def compression_eigenvalues(op: OperatorSpec, proj, herm_tol: float = 1e-10,
     """Ascending eigenvalues of the compression of op to the range of proj,
     under the checks and contract of `eigenvalues_hermitian`.
 
-    A window of order at least TRIDIAGONAL_MIN_DIM whose compression is
-    exactly real and tridiagonal is solved from its diagonals (LAPACK sterf,
-    or stemr with eigenvectors under check_residual); every other
-    compression is formed densely.  A solve too large for physical memory
-    raises ConfigError before it allocates.
+    The compression is built and checked once, in diagonal storage by
+    position (`_hermitian_compression`).  A window of order at least
+    TRIDIAGONAL_MIN_DIM whose storage is exactly real and tridiagonal is
+    solved from its diagonals (LAPACK sterf, or stemr with eigenvectors
+    under check_residual); every other one is scattered into a dense matrix.
+    A solve too large for physical memory raises ConfigError before its
+    d x d arrays are allocated.
     """
-    _check_lattice(op, proj)
+    h, scale = _hermitian_compression(op, proj, herm_tol)
     d = proj.rank
-    bands = _tridiagonal(op, proj) if d >= TRIDIAGONAL_MIN_DIM else None
-    check_solve_footprint(d, bands is not None, check_residual)
-    if bands is None:
-        return eigenvalues_hermitian(compress(op, proj), herm_tol=herm_tol,
-                                     check_residual=check_residual)
-    return _tridiagonal_eigenvalues(*bands, herm_tol, check_residual)
-
-
-def _hermitian_part(diags: dict, herm_tol: float) -> dict:
-    """(M + M^dagger)/2 of a matrix in diagonal storage by position, after
-    the Hermiticity check of `eigenvalues_hermitian` on the storage: the
-    same scale and defect, bit for bit."""
-    scale = max([1.0, *(float(np.max(np.abs(v))) for v in diags.values())])
-    adj = {-j: np.conj(_shifted(v, -j)) for j, v in diags.items()}
-    keys = sorted(set(diags) | set(adj))
-    # |M[p, q] - conj(M[q, p])| is symmetric in (p, q): offsets j >= 0 see it all
-    dev = max([0.0, *(float(np.max(np.abs(diags.get(j, 0.0) - adj.get(j, 0.0))))
-                      for j in keys if j >= 0)])
-    _check_hermitian(dev, scale, herm_tol)
-    return {j: 0.5 * (diags.get(j, 0.0) + adj.get(j, 0.0)) for j in keys}
+    real = not any(np.iscomplexobj(v) for v in h.values())
+    tridiagonal = d >= TRIDIAGONAL_MIN_DIM and real and set(h) <= {-1, 0, 1}
+    check_solve_footprint(d, tridiagonal, check_residual)
+    if tridiagonal:
+        zero = np.zeros(d)
+        return _tridiagonal_eigenvalues(h.get(0, zero), h.get(1, zero)[:-1], scale,
+                                        check_residual)
+    m = np.zeros((d, d), dtype=float if real else complex)
+    for j, v in h.items():  # an offset of |j| >= d has no positions
+        p = np.arange(max(0, -j), d - max(0, j))
+        m[p, p + j] = v[p]
+    return _dense_eigenvalues(m, scale, check_residual)
 
 
 def compression_moments(op: OperatorSpec, proj, order: int,
@@ -189,28 +206,20 @@ def compression_moments(op: OperatorSpec, proj, order: int,
     """tr(H^k) / rank for k = 0..order, H = (M + M^dagger)/2 for M the
     compression of op to the range of proj, with no eigensolve.
 
-    M is held in diagonal storage by position and checked for Hermiticity
-    as `eigenvalues_hermitian` checks it.  The moments come from half
-    powers: tr(H^2j) = |H^j|_F^2 and tr(H^(2j+1)) = <H^j, H^(j+1)>_F, each
-    further power one `_times`, so the cost is O(d * order^2 * bw^2) for
-    index bandwidth bw.  The storage is checked against physical memory
-    before it is allocated.
+    H comes from `_hermitian_compression`, checked as `eigenvalues_hermitian`
+    checks a dense matrix.  The moments come from half powers: tr(H^2j) =
+    |H^j|_F^2 and tr(H^(2j+1)) = <H^j, H^(j+1)>_F, each further power one
+    `_times`, so the cost is O(d * order^2 * bw^2) for index bandwidth bw.
+    The storage is checked against physical memory before it is built.
     """
-    _check_lattice(op, proj)
-    idx = proj.index_array()
-    src = exact_entries(op, idx)
-    width = min(max((abs(k) for k in src.offsets), default=0), idx.size - 1)
+    d = proj.rank
+    width = min(max((abs(k) for k in op.offsets), default=0), d - 1)
     # every power up to H^ceil(order/2) of 2 width + 1 diagonals at once,
     # and the three temporaries of one product
     half = max(1, (order + 1) // 2)
-    check_footprint(16 * idx.size * ((2 * half + 1) * (2 * width + 1) + 3),
-                    f"the moment storage of a window of dimension {idx.size}")
-    diags = _positions(src, idx)
-    del src
-    if not any(v.imag.any() for v in diags.values()):
-        diags = {j: v.real for j, v in diags.items()}
-    h = _hermitian_part(diags, herm_tol)
-    del diags
+    check_footprint(16 * d * ((2 * half + 1) * (2 * width + 1) + 3),
+                    f"the moment storage of a window of dimension {d}")
+    h, _ = _hermitian_compression(op, proj, herm_tol)
     moments = [1.0]
     low, high = None, h  # H^j and H^(j + 1), from j = 0
     for k in range(1, order + 1):
@@ -222,7 +231,7 @@ def compression_moments(op: OperatorSpec, proj, order: int,
             tr = sum(np.vdot(v, high[j]) for j, v in low.items() if j in high)
         else:
             tr = sum(np.vdot(v, v) for v in high.values())
-        moments.append(float(np.real(tr)) / idx.size)
+        moments.append(float(np.real(tr)) / d)
     return np.array(moments)
 
 

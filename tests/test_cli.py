@@ -376,6 +376,29 @@ class TestOneLineFailures:
         code, out, err = run(capsys, "trace", "--op", poly, "--n", "1000")
         assert code == 0 and err == ""
 
+    def test_f_family_too_large_for_memory(self, capsys, monkeypatch):
+        # poly:100000 holds 100001 * 100002 / 2 coefficients, 37 GiB: refused
+        # at once, before any monomial is built
+        def unreachable(k):
+            raise AssertionError("a monomial was built")
+
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 16 << 30)
+        monkeypatch.setattr(fl.cli, "monomial", unreachable)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "szego", "--op", self.HARPER, "--n", "4", "--f", "poly:100000")
+        assert time.perf_counter() - start < 5.0
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: the f family item 'poly:100000'")
+
+    def test_f_family_footprint_threshold(self, monkeypatch):
+        # poly:3 holds 1 + 2 + 3 + 4 = 10 coefficients of 8 bytes
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 79)
+        with pytest.raises(ConfigError, match="poly:3"):
+            parse_f_family("hat:2:-1:1,poly:3")
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 80)
+        assert [f.name for f in parse_f_family("poly:3")] == ["x^0", "x^1", "x^2", "x^3"]
+
     @pytest.mark.parametrize("argv", [
         pytest.param(["szego", "--op", HOPPING, "--n", "4", "--nodes", "0"], id="nodes-0"),
         pytest.param(["szego", "--op", HOPPING, "--n", "4", "--nodes", "-5"], id="nodes-neg"),

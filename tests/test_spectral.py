@@ -29,7 +29,7 @@ class TestEigenvalues:
 
     @pytest.mark.parametrize("n", [5, 30, 99])
     def test_tridiagonal_chebyshev_oracle(self, n):
-        m = fl.build_toeplitz_section(fl.Toeplitz({1: 1.0, -1: 1.0}), n)
+        m = fl.compress(fl.Toeplitz({1: 1.0, -1: 1.0}), fl.finite_section(fl.N0, n))
         vals = fl.eigenvalues_hermitian(m)
         assert np.max(np.abs(vals - tridiagonal_eigs(n))) < 1e-9
 
@@ -374,6 +374,27 @@ def _tridiagonal_cases():
     return cases
 
 
+def _dense_cases():
+    """Compressions that are not real and tridiagonal by position, each on a
+    window and on a gapped index set; the set holds 0..3, so an index offset
+    of 2 stays a position offset of 2 there."""
+    rng = np.random.default_rng(29)
+    x = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+    ops = {
+        "complex": fl.Toeplitz({0: 0.3, 1: 0.5 + 0.5j, -1: 0.5 - 0.5j}, selfadjoint=True),
+        "bandwidth-2": fl.Toeplitz({0: 1.0, 2: 0.5, -2: 0.5}, selfadjoint=True),
+        "poly-bandwidth-2": fl.op_prod(fl.Toeplitz({1: 1.0, -1: 1.0}),
+                                       fl.Toeplitz({1: 1.0, -1: 1.0})),
+        "dense-leaf": fl.Dense(np.array([[1.0, 0.5, 0.25], [0.5, 2.0, 0.5], [0.25, 0.5, 3.0]])),
+        # a support wider than the rank: offsets |j| >= d stay in the storage, all zero
+        "dense-leaf-past-rank": fl.Dense(x + x.conj().T),
+    }
+    gapped = fl.IndexSet(fl.N0, (0, 1, 2, 3, 5, 8, 9, 11, 12, 13, 17, 20))
+    return [pytest.param(op, proj, id=name + suffix)
+            for suffix, proj in (("", fl.Window(fl.N0, 0, 20)), ("-gapped", gapped))
+            for name, op in ops.items()]
+
+
 class TestTridiagonalPath:
     """Real bandwidth-1 compressions at or above TRIDIAGONAL_MIN_DIM are solved
     from their diagonals; the threshold is lowered so small windows take it."""
@@ -401,18 +422,46 @@ class TestTridiagonalPath:
         real = np.dtype(np.float64)
         assert eig_calls == [("eigvalsh", d - 1, real), ("eigvalsh_tridiagonal", d, real)]
 
-    @pytest.mark.parametrize("op", [
-        fl.Toeplitz({0: 0.3, 1: 0.5 + 0.5j, -1: 0.5 - 0.5j}, selfadjoint=True),
-        fl.Toeplitz({0: 1.0, 2: 0.5, -2: 0.5}, selfadjoint=True),
-        fl.op_prod(fl.Toeplitz({1: 1.0, -1: 1.0}), fl.Toeplitz({1: 1.0, -1: 1.0})),
-        fl.Dense(np.array([[1.0, 0.5, 0.25], [0.5, 2.0, 0.5], [0.25, 0.5, 3.0]])),
-    ], ids=["complex", "bandwidth-2", "poly-bandwidth-2", "dense-leaf"])
-    def test_other_compressions_stay_dense(self, monkeypatch, eig_calls, op):
+    @pytest.mark.parametrize("op,proj", _dense_cases())
+    def test_other_compressions_stay_dense(self, monkeypatch, eig_calls, op, proj):
         monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 2)
-        proj = fl.Window(fl.N0, 0, 20)
         vals = fl.compression_eigenvalues(op, proj)
-        assert [c[:2] for c in eig_calls] == [("eigvalsh", 21)]
-        assert np.array_equal(vals, fl.eigenvalues_hermitian(fl.compress(op, proj)))
+        assert [c[:2] for c in eig_calls] == [("eigvalsh", proj.rank)]
+        assert vals.tobytes() == fl.eigenvalues_hermitian(fl.compress(op, proj)).tobytes()
+
+    def test_tridiagonal_by_position(self, monkeypatch, eig_calls):
+        # index offsets +-2 on the even indices couple neighbouring positions
+        monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 2)
+        op = fl.Toeplitz({0: 0.5, 2: 1.0, -2: 1.0}, selfadjoint=True)
+        proj = fl.IndexSet(fl.N0, tuple(range(0, 80, 2)))
+        expected = np.linalg.eigvalsh(fl.compress(op, proj))
+        eig_calls.clear()
+        vals = fl.compression_eigenvalues(op, proj)
+        assert eig_calls == [("eigvalsh_tridiagonal", 40, np.dtype(np.float64))]
+        assert np.max(np.abs(vals - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("check_residual", [False, True])
+    @pytest.mark.parametrize("op,rank,solver", [
+        pytest.param(HOPPING, 7, "eigvalsh", id="below"),
+        pytest.param(HOPPING, 8, "eigvalsh_tridiagonal", id="at"),
+        pytest.param(fl.op_prod(HOPPING, HOPPING), 9, "eigvalsh", id="poly-bandwidth-2-above"),
+    ])
+    def test_one_storage_and_one_check_per_call(self, monkeypatch, eig_calls, op, rank,
+                                                solver, check_residual):
+        monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 8)
+        calls = []
+        for name in ("exact_entries", "_check_hermitian"):
+            def spy(*args, _name=name, _orig=getattr(fl.spectral, name), **kwargs):
+                calls.append(_name)
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(fl.spectral, name, spy)
+        fl.compression_eigenvalues(op, fl.Window(fl.N0, 0, rank - 1),
+                                   check_residual=check_residual)
+        assert sorted(calls) == ["_check_hermitian", "exact_entries"]
+        if check_residual:
+            solver = {"eigvalsh": "eigh", "eigvalsh_tridiagonal": "eigh_tridiagonal"}[solver]
+        assert [c[0] for c in eig_calls] == [solver]
 
     @pytest.mark.parametrize("peak", ["diagonal", "offdiagonal"])
     def test_defect_bit_identical_to_dense(self, monkeypatch, eig_calls, peak):
@@ -442,6 +491,34 @@ class TestTridiagonalPath:
         with pytest.raises(fl.NonHermitianError, match=re.escape(f"{dev:.3e}")):
             fl.eigenvalues_hermitian(m, herm_tol=below)
         assert [c[0] for c in eig_calls] == ["eigvalsh_tridiagonal", "eigvalsh"]
+
+
+def test_is_selfadjoint_matches_dense_verdict(monkeypatch):
+    # the storage defect against the dense max |M - M^dagger| <= tol, with
+    # tol on either side of the dense defect; no dense compression is formed
+    from test_properties import _random_poly, _random_projection
+
+    rng = np.random.default_rng(515)
+    cases = []
+    for case in range(150):
+        lattice = (fl.N0, fl.Z)[case % 2]
+        a = _random_poly(rng, lattice)
+        proj = _random_projection(rng, lattice)
+        for op in (a, fl.op_sum(a, fl.op_adjoint(a))):
+            m = fl.compress(op, proj)
+            cases.append((case, op, proj, float(np.max(np.abs(m - m.conj().T)))))
+
+    def no_dense(*args):
+        raise AssertionError("is_selfadjoint formed a dense matrix")
+
+    monkeypatch.setattr(fl.operators, "dense_entries", no_dense)
+    verdicts = set()
+    for case, op, proj, dev in cases:
+        for tol in (0.0, 1e-12, dev, float(np.nextafter(dev, 0.0))):
+            got = fl.is_selfadjoint(op, proj, tol=tol)
+            assert got == (dev <= tol), case
+            verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def _eigenvalue_moments(op, proj, order):
