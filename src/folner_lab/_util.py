@@ -2,7 +2,9 @@
 guard and deterministic report serialization."""
 from __future__ import annotations
 
+import cmath
 import io
+import json
 import os
 
 VERSION = "0.1.0"
@@ -32,7 +34,10 @@ def check_footprint(nbytes: int, what: str):
 
 
 def fmt_value(v) -> str:
-    """Shortest round-trip text for report cells."""
+    """Shortest round-trip text for report cells; FloatingPointError for a
+    number that is not finite."""
+    if isinstance(v, (float, complex)) and not cmath.isfinite(v):
+        raise FloatingPointError(f"a report value is not finite: {v!r}")
     if isinstance(v, float):
         return repr(v)
     if isinstance(v, complex):
@@ -48,3 +53,12 @@ def report_csv(rows, columns) -> str:
     for row in rows:
         buf.write(",".join(fmt_value(row.get(c, "")) for c in columns) + "\n")
     return buf.getvalue()
+
+
+def report_json(payload) -> str:
+    """Indented JSON with sorted keys; FloatingPointError for a number that
+    is not finite, which JSON cannot hold."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise FloatingPointError(f"a report value is not finite ({exc})") from exc

@@ -8,15 +8,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from ._util import VERSION, ConfigError, check_footprint, report_csv
-from .diagnostics import folner_profile, folner_ratio, qd_gap
+from ._util import VERSION, ConfigError, check_footprint, report_csv, report_json
+from .diagnostics import folner_profile
 from .operators import LatticeMismatchError, N0, Shift, Toeplitz
 from .projections import RankZeroError, finite_section, finite_section_sequence
 from .spectral import (
@@ -148,40 +147,34 @@ def cmd_folner(args) -> int:
     return 0
 
 
-def _check_moment_family(ncpolys, fam, order: int):
-    """ConfigError unless the polynomials of the f family (default: monomials
-    to degree 6) exist and have degree at most `order`: an ncpoly spec's
-    reference holds moments to `order` and integrates polynomials only."""
-    if not ncpolys:
-        return
+def _moment_order(ncpolys, fam) -> int:
+    """The polynomial degree of the f family (default: monomials to degree
+    6), the order to which an ncpoly spec's reference holds moments.
+    ConfigError where ncpoly specs meet a family with no polynomial: their
+    moments-only reference integrates polynomials only."""
     polys = [f for f in (fam or default_f_family()) if f.kind == "poly"]
-    if not polys:
+    if ncpolys and not polys:
         labels = ", ".join(map(repr, ncpolys))
         raise ConfigError(f"the f family has no polynomial for {labels}, whose "
                           "moments-only reference integrates polynomials only")
-    degree = max(len(f.params) - 1 for f in polys)
-    if degree > order:
-        raise ConfigError(f"--moment-order {order} is below the f family's "
-                          f"polynomial degree {degree}")
+    return max((len(f.params) - 1 for f in polys), default=0)
 
 
 def cmd_szego(args) -> int:
     if args.nodes < 1:
         raise ConfigError("--nodes must be at least 1")
-    if args.moment_order < 0:
-        raise ConfigError("--moment-order must be nonnegative")
     if not 0 <= args.herm_tol < math.inf:
         raise ConfigError("--herm-tol must be a finite number >= 0")
     _check_phi(args.phi)
     ops, ncpolys = _load_operators(args.op, phi=args.phi)
     seq = _sequence_for(ops, parse_n_list(args.n))
     fam = parse_f_family(args.f) if args.f else None
-    _check_moment_family(ncpolys, fam, args.moment_order)
+    order = _moment_order(ncpolys, fam)
 
     refs, trace_refs = {}, {}
     for label, op in ops:
         if label in ncpolys:
-            refs[label] = moments_reference(ncpolys[label], order=args.moment_order)
+            refs[label] = moments_reference(ncpolys[label], order=order)
             trace_refs[label] = canonical_trace(ncpolys[label])
         elif isinstance(op, Toeplitz):
             refs[label] = reference_pushforward(op, grid_size=args.nodes)
@@ -238,23 +231,21 @@ def cmd_tensor(args) -> int:
     if args.format == "csv":
         _emit(report_csv(rows, ("label", "n", "d_n", "lhs", "middle", "rhs", "slack")), args.out)
     else:
-        _emit(json.dumps({"rows": rows}, indent=2, sort_keys=True), args.out)
+        _emit(report_json({"rows": rows}), args.out)
     return 0
 
 
 def cmd_demo_shift(args) -> int:
     """Print the unilateral-shift table: exact 1/sqrt(n+1) commutator decay."""
-    shift = Shift()
     lines = [
         f"folner-lab {VERSION} -- unilateral shift S on l2(N0), windows {{0..n}}",
         f"{'n':>6} {'d_n':>6} {'ratio_p2':>22} {'1/sqrt(n+1)':>22} {'qd_gap':>8}",
     ]
-    for n in parse_n_list(args.n):
-        proj = finite_section(N0, n)
-        r = folner_ratio(shift, proj, p=2)
-        g = qd_gap(shift, proj)
+    seq = finite_section_sequence(N0, parse_n_list(args.n))
+    for row in folner_profile([("shift", Shift())], seq, p_list=(2,)).rows:
+        n, d, r, g = (row[c] for c in ("n", "d_n", "ratio", "qd_gap"))
         lines.append(
-            f"{n:>6} {proj.rank:>6} {r:>22.16f} {1.0 / math.sqrt(n + 1):>22.16f} {g:>8.4f}"
+            f"{n:>6} {d:>6} {r:>22.16f} {1.0 / math.sqrt(n + 1):>22.16f} {g:>8.4f}"
         )
     lines.append("the Hilbert-Schmidt ratio vanishes while the operator-norm gap stays at 1")
     _emit("\n".join(lines) + "\n", args.out)
@@ -305,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True)
     p.add_argument("--f", default=None, help="'poly:K' and/or 'hat:COUNT:LO:HI'")
     p.add_argument("--nodes", type=int, default=1 << 16, help="pushforward quadrature nodes")
-    p.add_argument("--moment-order", type=int, default=6)
     p.add_argument("--phi", type=float, default=0.0, help="representation phase for ncpoly specs")
     p.add_argument("--herm-tol", type=float, default=1e-10)
     p.add_argument("--plot-out", default=None, help="write n-vs-error CSV here")
@@ -354,7 +344,9 @@ def main(argv=None) -> int:
     # rebound after the parser was built (patched or wrapped) is what runs
     command = globals()[args.func.__name__]
     try:
-        return command(args)
+        # overflow and invalid operations are numerical failures, not warnings
+        with np.errstate(over="raise", invalid="raise"):
+            return command(args)
     except (ConfigError, MemoryError) as exc:
         print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
@@ -369,7 +361,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 3
-    except (ResidualError, np.linalg.LinAlgError) as exc:
+    except (ResidualError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

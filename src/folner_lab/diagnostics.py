@@ -7,13 +7,12 @@ around it, so they coincide with the infinite-dimensional commutator.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import report_csv
+from ._util import report_csv, report_json
 from .operators import OperatorSpec, _check_lattice, dense_entries, exact_entries
 from .operators import intersect_runs, pad_runs, run_indices, subtract_runs, widen_runs
 
@@ -83,34 +82,36 @@ def _corner_blocks(op: OperatorSpec, proj):
     return dense_entries(src, out, near), dense_entries(src, near, out)
 
 
-def _comm_schatten(b1: np.ndarray, b2: np.ndarray, p) -> float:
-    if p == 2:
-        return math.hypot(float(np.linalg.norm(b1)), float(np.linalg.norm(b2)))
-    if p == 1:
-        return schatten_norm(b1, 1) + schatten_norm(b2, 1)
-    if p in (INF, "inf"):
-        return max(schatten_norm(b1, INF), schatten_norm(b2, INF))
-    raise ValueError(f"unsupported Schatten exponent {p!r}")
+def _window_norms(op: OperatorSpec, proj) -> dict:
+    """The Schatten norms of one window's commutator: the corner blocks are
+    built once and each goes through one SVD.  Returns {"comm": {p: norm},
+    "off": {p: norm}} for p in {1, 2} (the commutator and its off-corner
+    part (1 - P) A P) and "gap", the commutator's operator norm."""
+    b1, b2 = _corner_blocks(op, proj)
+    sv1, sv2 = _singular_values(b1), _singular_values(b2)
+    hs1, hs2 = float(np.linalg.norm(b1)), float(np.linalg.norm(b2))
+    return {
+        "comm": {1: float(sv1.sum()) + float(sv2.sum()), 2: math.hypot(hs1, hs2)},
+        "off": {1: float(sv1.sum()), 2: hs1},
+        "gap": max(float(sv1[0]), float(sv2[0])),
+    }
 
 
 def folner_ratio(op: OperatorSpec, proj, p: int = 2) -> float:
     """||[P, A]||_p / ||P||_p on the padded window."""
     _proj_norm(1, p)
-    b1, b2 = _corner_blocks(op, proj)
-    return _comm_schatten(b1, b2, p) / _proj_norm(proj.rank, p)
+    return _window_norms(op, proj)["comm"][p] / _proj_norm(proj.rank, p)
 
 
 def off_corner_ratio(op: OperatorSpec, proj, p: int = 2) -> float:
     """||(1 - P) A P||_p / ||P||_p on the padded window."""
     _proj_norm(1, p)
-    b1, _ = _corner_blocks(op, proj)
-    return schatten_norm(b1, p) / _proj_norm(proj.rank, p)
+    return _window_norms(op, proj)["off"][p] / _proj_norm(proj.rank, p)
 
 
 def qd_gap(op: OperatorSpec, proj) -> float:
     """Operator norm of the padded commutator (quasidiagonality defect)."""
-    b1, b2 = _corner_blocks(op, proj)
-    return _comm_schatten(b1, b2, INF)
+    return _window_norms(op, proj)["gap"]
 
 
 @dataclass
@@ -124,7 +125,7 @@ class FolnerReport:
 
     def to_json(self) -> str:
         slopes = {f"{lab}|p={p}": s for (lab, p), s in sorted(self.slopes.items())}
-        return json.dumps({"rows": self.rows, "slopes": slopes}, indent=2, sort_keys=True)
+        return report_json({"rows": self.rows, "slopes": slopes})
 
     def to_csv(self) -> str:
         return report_csv(self.rows, self.COLUMNS)
@@ -149,9 +150,8 @@ def fit_decay_slope(d_list, ratios):
 def folner_profile(ops, seq, p_list=(1, 2)) -> FolnerReport:
     """Evaluate the full (operator, n, p) ratio grid for a projection sequence.
 
-    `ops` is a list of (label, OperatorSpec) pairs.  Per grid point the
-    corner blocks are built once and each goes through one SVD, which gives
-    the p=1 ratio, its off-corner part and the quasidiagonality gap.
+    `ops` is a list of (label, OperatorSpec) pairs; each grid point reads
+    one `_window_norms`.
     """
     ops = list(ops)
     if not ops or not seq.projections:
@@ -162,12 +162,7 @@ def folner_profile(ops, seq, p_list=(1, 2)) -> FolnerReport:
     rows = []
     for label, op in ops:
         for n, proj in seq:
-            b1, b2 = _corner_blocks(op, proj)
-            sv1, sv2 = _singular_values(b1), _singular_values(b2)
-            hs1, hs2 = float(np.linalg.norm(b1)), float(np.linalg.norm(b2))
-            comm = {1: float(sv1.sum()) + float(sv2.sum()), 2: math.hypot(hs1, hs2)}
-            off = {1: float(sv1.sum()), 2: hs1}
-            gap = max(float(sv1[0]), float(sv2[0]))
+            norms = _window_norms(op, proj)
             for p in p_list:
                 den = _proj_norm(proj.rank, p)
                 rows.append(
@@ -176,9 +171,9 @@ def folner_profile(ops, seq, p_list=(1, 2)) -> FolnerReport:
                         "n": n,
                         "d_n": proj.rank,
                         "p": p,
-                        "ratio": comm[p] / den,
-                        "off_corner": off[p] / den,
-                        "qd_gap": gap,
+                        "ratio": norms["comm"][p] / den,
+                        "off_corner": norms["off"][p] / den,
+                        "qd_gap": norms["gap"],
                     }
                 )
     rows.sort(key=lambda r: (r["label"], r["n"], r["p"]))

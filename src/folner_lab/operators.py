@@ -1,9 +1,13 @@
 """Operator specifications on sequence spaces and their finite compressions.
 
 An operator spec is a symbolic description of a bounded operator on
-l2(N0) or l2(Z).  Leaves give their entries by diagonals; polynomial
-combinations are evaluated in diagonal storage on a padded index window,
-exactly and in O(d * bandwidth).
+l2(N0) or l2(Z), and its structure is data fixed at construction.  A banded
+leaf holds one map from each offset to its diagonal function (a constant, a
+trigonometric `Wave` or another callable), which gives its entries and the
+closed-form traces of constant and `Wave` diagonals; a `Dense` leaf holds its
+matrix.  A polynomial combination takes its lattice, bandwidth, offsets and
+support from one walk of its expression tree, and is evaluated in diagonal
+storage on a padded index window, exactly and in O(d * bandwidth).
 """
 from __future__ import annotations
 
@@ -138,13 +142,27 @@ class OperatorSpec:
     """Base class for operator specifications.
 
     A leaf has A[r, r + k] = diagonal(k, rows) for k in `offsets`, zero
-    elsewhere; `bandwidth` bounds banded hops, and a `Dense` leaf instead
-    keeps its entries in [0, support) x [0, support).
+    elsewhere; `bandwidth` bounds banded hops.  A banded leaf builds `diags`
+    once, the map from each offset, in `offsets` order, to its diagonal
+    function: a constant, a `Wave` or another callable on integer arrays.
+    A `Dense` leaf instead keeps its entries in [0, support) x [0, support),
+    and it and `Poly` have no `diags`.
     """
 
     lattice: str
     support = 0
     offsets = ()
+    diags = None
+
+    def _set_diags(self, diags: dict):
+        object.__setattr__(self, "diags", diags)
+        object.__setattr__(self, "offsets", tuple(diags))
+
+    def diagonal(self, k, rows):
+        fn = self.diags[k]
+        if callable(fn):
+            return np.asarray(fn(rows), dtype=complex)
+        return np.full(np.shape(rows), complex(fn))
 
     def __add__(self, other):
         return op_sum(self, other)
@@ -210,7 +228,8 @@ class Toeplitz(OperatorSpec):
             items = self.coeffs
         cs = tuple(sorted((int(k), complex(v)) for k, v in items if v != 0))
         object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "offsets", tuple(-k for k, _ in cs))
+        object.__setattr__(self, "bandwidth", max((abs(k) for k, _ in cs), default=0))
+        self._set_diags({-k: v for k, v in cs})
         if self.selfadjoint:
             d = dict(cs)
             for k, v in cs:
@@ -218,13 +237,6 @@ class Toeplitz(OperatorSpec):
                     raise ValueError(
                         "selfadjoint toeplitz symbol requires a_{-k} == conj(a_k)"
                     )
-
-    @property
-    def bandwidth(self) -> int:
-        return max((abs(k) for k, _ in self.coeffs), default=0)
-
-    def diagonal(self, k, rows):
-        return np.full(np.shape(rows), dict(self.coeffs)[-k])
 
     def symbol_values(self, theta: np.ndarray) -> np.ndarray:
         """Evaluate g(theta) = sum_k a_k e^{ik theta}."""
@@ -262,13 +274,11 @@ class Shift(OperatorSpec):
     weight: Callable[[np.ndarray], np.ndarray] | complex = 1.0
     lattice: str = N0
     bandwidth = 1
-    offsets = (-1,)
 
-    def diagonal(self, k, rows):
+    def __post_init__(self):
         # S[i + 1, i] = w(i): row r holds w(r - 1) on offset -1
-        if callable(self.weight):
-            return np.asarray(self.weight(np.asarray(rows) - 1), dtype=complex)
-        return np.full(np.shape(rows), complex(self.weight))
+        w = self.weight
+        self._set_diags({-1: (lambda rows: w(np.asarray(rows) - 1)) if callable(w) else w})
 
 
 @dataclass(frozen=True)
@@ -293,13 +303,7 @@ class Band(OperatorSpec):
             if abs(off) > self.bandwidth:
                 raise ValueError(f"diagonal offset {off} exceeds bandwidth {self.bandwidth}")
         object.__setattr__(self, "diagonals", ds)
-        object.__setattr__(self, "offsets", tuple(off for off, _ in ds))
-
-    def diagonal(self, k, rows):
-        fn = dict(self.diagonals)[k]
-        if callable(fn):
-            return np.asarray(fn(rows), dtype=complex)
-        return np.full(np.shape(rows), complex(fn))
+        self._set_diags(dict(ds))
 
 
 @dataclass(frozen=True)
@@ -314,14 +318,13 @@ class AlmostMathieu(OperatorSpec):
     phase: float = 0.0
     lattice: str = Z
     bandwidth = 1
-    offsets = (-1, 0, 1)
 
-    def diagonal(self, k, rows):
-        return self.as_band().diagonal(k, rows)
+    def __post_init__(self):
+        pot = Wave((Term(2.0 * self.coupling, self.freq, self.phase, cos=True),))
+        self._set_diags({-1: 1.0, 0: pot, 1: 1.0})
 
     def as_band(self) -> Band:
-        pot = Wave((Term(2.0 * self.coupling, self.freq, self.phase, cos=True),))
-        return Band(1, ((-1, 1.0), (0, pot), (1, 1.0)))
+        return Band(1, tuple(self.diags.items()))
 
 
 # polynomial expression nodes ------------------------------------------------
@@ -350,67 +353,43 @@ class ScaleE:
 
 @dataclass(frozen=True)
 class Poly(OperatorSpec):
-    """*-polynomial combination of operator specs sharing one lattice."""
+    """*-polynomial combination of operator specs sharing one lattice; its
+    `offsets` are those of the diagonals its diagonal storage keeps."""
 
     expr: object
     lattice: str = field(init=False)
 
     def __post_init__(self):
-        lats = {leaf.lattice for leaf in _leaves(self.expr)}
+        lats, bandwidth, offsets, support = _structure(self.expr)
         if len(lats) != 1:
             raise LatticeMismatchError(f"poly spec mixes lattices {sorted(map(str, lats))}")
         object.__setattr__(self, "lattice", lats.pop())
-
-    @property
-    def bandwidth(self) -> int:
-        return _bandwidth(self.expr)
-
-    @property
-    def support(self) -> int:
-        return max(leaf.support for leaf in _leaves(self.expr))
-
-    @property
-    def offsets(self) -> tuple:
-        """The offsets of the diagonals its diagonal storage keeps."""
-        return tuple(sorted(_offsets(self.expr)))
+        object.__setattr__(self, "bandwidth", bandwidth)
+        object.__setattr__(self, "offsets", tuple(sorted(offsets)))
+        object.__setattr__(self, "support", support)
 
 
-def _children(node) -> tuple:
-    if isinstance(node, (SumE, ProdE)):
-        return node.parts
+def _structure(node) -> tuple:
+    """(lattices, bandwidth, offsets, support) of an expression node, in one
+    walk; the offsets are the keys of `_storage(node, pad)`, whatever the pad."""
+    if isinstance(node, OperatorSpec):
+        return {node.lattice}, node.bandwidth, set(node.offsets), node.support
     if isinstance(node, (AdjE, ScaleE)):
-        return (node.child,)
-    raise TypeError(f"not a polynomial node: {node!r}")
-
-
-def _leaves(node):
-    if isinstance(node, OperatorSpec):
-        yield node
-    else:
-        for child in _children(node):
-            yield from _leaves(child)
-
-
-def _bandwidth(node) -> int:
-    if isinstance(node, OperatorSpec):
-        return node.bandwidth
-    widths = [_bandwidth(child) for child in _children(node)]
-    return sum(widths) if isinstance(node, ProdE) else max(widths)
-
-
-def _offsets(node) -> set:
-    """The keys of `_storage(node, pad)`, whatever the pad."""
-    if isinstance(node, OperatorSpec):
-        return set(node.offsets)
-    parts = [_offsets(child) for child in _children(node)]
-    if isinstance(node, ProdE):
-        out = parts[0]
-        for part in parts[1:]:
-            out = {a + b for a in out for b in part}
-        return out
-    if isinstance(node, AdjE):
-        return {-k for k in parts[0]}
-    return set().union(*parts)
+        lats, bandwidth, offsets, support = _structure(node.child)
+        if isinstance(node, AdjE):
+            offsets = {-k for k in offsets}
+        return lats, bandwidth, offsets, support
+    if not isinstance(node, (SumE, ProdE)):
+        raise TypeError(f"not a polynomial node: {node!r}")
+    parts = [_structure(child) for child in node.parts]
+    lats, widths, offsets, supports = zip(*parts) if parts else ((),) * 4
+    lats, support = set().union(*lats), max(supports, default=0)
+    if isinstance(node, SumE):
+        return lats, max(widths, default=0), set().union(*offsets), support
+    product = {0}
+    for part in offsets:
+        product = {a + b for a in product for b in part}
+    return lats, sum(widths), product, support
 
 
 def _as_node(op):
@@ -704,16 +683,9 @@ def diagonal_sum(op: OperatorSpec, proj):
     `Dense`) and for other callables.  Raises on lattice mismatches as
     `diagonal_entries` does, and ConfigError where an index leaves int64."""
     _check_lattice(op, proj)
-    if isinstance(op, AlmostMathieu):
-        op = op.as_band()
-    if isinstance(op, Toeplitz):
-        fn = dict(op.coeffs).get(0, 0j)
-    elif isinstance(op, Band):
-        fn = dict(op.diagonals).get(0, 0j)
-    elif isinstance(op, Shift):
-        fn = 0j
-    else:
+    if op.diags is None:
         return None
+    fn = op.diags.get(0, 0j)
     _check_int64(proj.runs, "indices")
     if isinstance(fn, Wave):
         # summed exactly: a gapped set may have thousands of runs

@@ -4,12 +4,13 @@ integrals against reference integrals, with the accompanying commutator
 ratios and trace estimates."""
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import report_csv
+from ._util import ConfigError, report_csv, report_json
 from .diagnostics import FolnerReport, fit_decay_slope, folner_profile
 from .spectral import (
     EmpiricalMeasure,
@@ -61,18 +62,27 @@ def default_f_family(support=None, degree: int = 6, hats: int = 17):
 
 
 def moments_reference(a: NCPolynomial, order: int = 6) -> ReferenceMeasure:
-    """Moment list tau(a^0..a^order) of a self-adjoint rotation-algebra element."""
+    """Moment list tau(a^0..a^order) of a self-adjoint rotation-algebra element.
+
+    Both checks are relative to the size of what they test, since round-off
+    grows with it: a = a* to 1e-12 of max(1, |a|_1), |a|_1 the sum of the
+    coefficients' moduli, and each tau(a^k) real to 1e-10 of max(1, |a|_1^k).
+    A moment that overflows is a ConfigError naming its order.
+    """
     star = nc_adjoint(a)
+    norm = sum(abs(a.coefficient(m, k)) for m, k in a.monomials())
     for m, k in set(a.monomials()) | set(star.monomials()):
-        if abs(a.coefficient(m, k) - star.coefficient(m, k)) > 1e-12:
+        if abs(a.coefficient(m, k) - star.coefficient(m, k)) > 1e-12 * max(1.0, norm):
             raise NotSelfAdjointError("moment reference requires a = a*")
     moments = []
-    power = a._coerce(1)
+    power, scale = a._coerce(1), 1.0
     for k in range(order + 1):
         if k:
-            power = power * a
+            power, scale = power * a, scale * norm
         t = canonical_trace(power)
-        if abs(t.imag) > 1e-10:
+        if not cmath.isfinite(t):
+            raise ConfigError(f"the moment of order {k} of the reference overflows")
+        if abs(t.imag) > 1e-10 * max(1.0, scale):
             raise NotSelfAdjointError("trace of a power came out non-real")
         moments.append(t.real)
     return ReferenceMeasure(moments=moments)
@@ -102,7 +112,7 @@ class SzegoReport:
             payload["folner"] = json.loads(self.folner.to_json())
         if self.trace is not None:
             payload["trace"] = json.loads(self.trace.to_json())
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return report_json(payload)
 
     def to_csv(self) -> str:
         return report_csv(self.rows, self.COLUMNS)

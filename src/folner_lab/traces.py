@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import report_csv
+from ._util import report_csv, report_json
 from .operators import Band, OperatorSpec, Term, Wave, diagonal_entries, diagonal_sum
 from .projections import ProjectionSequence
 
@@ -206,7 +206,7 @@ class TraceReport:
                "reference_im", "abs_error")
 
     def to_json(self) -> str:
-        return json.dumps({"rows": self.rows}, indent=2, sort_keys=True)
+        return report_json({"rows": self.rows})
 
     def to_csv(self) -> str:
         return report_csv(self.rows, self.COLUMNS)

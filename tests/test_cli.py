@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 import folner_lab as fl
 from folner_lab.cli import ConfigError, build_parser, main, parse_f_family, parse_n_list
+from folner_lab.specio import load_spec_file
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -402,8 +404,6 @@ class TestOneLineFailures:
     @pytest.mark.parametrize("argv", [
         pytest.param(["szego", "--op", HOPPING, "--n", "4", "--nodes", "0"], id="nodes-0"),
         pytest.param(["szego", "--op", HOPPING, "--n", "4", "--nodes", "-5"], id="nodes-neg"),
-        pytest.param(["szego", "--op", HARPER, "--n", "4", "--moment-order", "-1"],
-                     id="moment-order-neg"),
         pytest.param(["szego", "--op", HOPPING, "--n", "4", "--herm-tol", "nan"], id="herm-tol-nan"),
         pytest.param(["szego", "--op", HOPPING, "--n", "4", "--herm-tol", "inf"], id="herm-tol-inf"),
         pytest.param(["szego", "--op", HOPPING, "--n", "4", "--herm-tol=-1e-10"],
@@ -422,12 +422,6 @@ class TestOneLineFailures:
     @pytest.mark.parametrize("argv, message", [
         pytest.param(["--f", "hat:2:-1:1"], "the f family has no polynomial for 'harper'",
                      id="hats-only"),
-        pytest.param(["--moment-order", "2"],
-                     "--moment-order 2 is below the f family's polynomial degree 6",
-                     id="moment-order-below-default-degree"),
-        pytest.param(["--f", "poly:3,hat:2:-1:1", "--moment-order", "2"],
-                     "--moment-order 2 is below the f family's polynomial degree 3",
-                     id="moment-order-below-degree"),
     ])
     def test_moments_reference_family(self, capsys, monkeypatch, argv, message):
         # refused before any numerics: no compression moment is taken
@@ -440,10 +434,24 @@ class TestOneLineFailures:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"config error: {message}")
 
-    def test_moment_order_unused_without_ncpoly(self, capsys):
-        code, _, err = run(capsys, "szego", "--op", self.HOPPING, "--n", "4",
-                           "--moment-order", "0")
+    def test_moment_order_is_no_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["szego", "--op", self.HARPER, "--n", "4", "--moment-order", "6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --moment-order" in capsys.readouterr().err
+
+    def test_moment_order_is_the_family_degree(self, capsys):
+        # the reference now holds moments to degree 3 only; the rows are those
+        # of a reference to the former default order 6
+        code, out, err = run(capsys, "szego", "--op", self.HARPER, "--n", "4,8",
+                             "--f", "poly:3")
+        _, a = load_spec_file(self.HARPER)
+        want = fl.szego_pair_test(
+            [("harper", fl.represent_nc(a))], fl.finite_section_sequence(fl.Z, [4, 8]),
+            {"harper": fl.moments_reference(a, order=6)}, f_family=parse_f_family("poly:3"),
+            trace_refs={"harper": fl.canonical_trace(a)})
         assert code == 0 and err == ""
+        assert out == want.to_csv() and out.count(",x^") == 8
 
     def test_memory_error_is_config_error(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
@@ -486,6 +494,49 @@ class TestOneLineFailures:
         assert proc.returncode == 2 and proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: dyadic exponents")
+
+
+class TestNumericalFailures:
+    """Finite spec numbers whose entries or sums overflow: one numerical
+    failure line, exit 1, no warning text and no inf or nan printed."""
+
+    HUGE = '{"kind": "toeplitz", "coeffs": {"0": 1e308, "1": 1e308, "-1": 1e308}, ' \
+           '"selfadjoint": true}'
+    HUGE_AM = '{"kind": "almost_mathieu", "coupling": 1e308, "freq": 0.3}'
+
+    @pytest.mark.parametrize("spec, argv", [
+        pytest.param(HUGE, ["trace", "--n", "4"], id="trace"),
+        pytest.param(HUGE, ["trace", "--n", "4", "--format", "json"], id="trace-json"),
+        pytest.param(HUGE, ["folner", "--n", "4"], id="folner"),
+        pytest.param(HUGE, ["folner", "--n", "4", "--format", "json"], id="folner-json"),
+        pytest.param(HUGE, ["szego", "--n", "4"], id="szego"),
+        pytest.param(HUGE, ["tensor", "--n", "2"], id="tensor"),
+        pytest.param(HUGE, ["tensor", "--n", "2", "--format", "json"], id="tensor-json"),
+        pytest.param(HUGE_AM, ["trace", "--n", "4"], id="trace-almost-mathieu"),
+    ])
+    def test_one_numerical_failure_line(self, capsys, tmp_path, spec, argv):
+        path = tmp_path / "huge.json"
+        path.write_text(spec)
+        ops = ["--op-a", str(path), "--op-b", str(path)] if argv[0] == "tensor" \
+            else ["--op", str(path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv[0], *ops, *argv[1:])
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure:")
+
+    @pytest.mark.parametrize("spec", [HUGE, HUGE_AM])
+    def test_spec_is_valid(self, capsys, tmp_path, spec):
+        path = tmp_path / "huge.json"
+        path.write_text(spec)
+        assert run(capsys, "validate", str(path))[0] == 0
+
+    def test_error_state_is_restored(self, capsys):
+        # overflow raises inside main only; its caller keeps its own setting
+        before = np.geterr()
+        run(capsys, "trace", "--op", str(CORPUS / "valid" / "hopping.json"), "--n", "4")
+        assert np.geterr() == before
 
 
 def _nested_adjoints(depth: int) -> str:

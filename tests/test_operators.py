@@ -244,6 +244,19 @@ class TestIndexRuns:
                 assert op.offsets == tuple(sorted(src.offsets))
 
 
+def test_poly_structure_matches_dense_oracle():
+    # bandwidth and support, taken in the one construction walk, against the
+    # oracle's own walks over random *-polynomial trees
+    import dense_oracle
+    from test_properties import _random_poly
+
+    rng = np.random.default_rng(1618)
+    for case in range(300):
+        op = _random_poly(rng, (fl.N0, fl.Z)[case % 2])
+        assert op.bandwidth == dense_oracle._width(op), case
+        assert op.support == max(dense_oracle._supports(op), default=0), case
+
+
 def test_poly_diagonal_is_offset_0_of_the_full_storage():
     # offset 0 alone, on random *-polynomial trees over windows and gapped
     # index sets of both lattices, is bit-identical to the full evaluation's

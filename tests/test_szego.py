@@ -34,6 +34,36 @@ class TestMomentsReference:
         with pytest.raises(fl.NotSelfAdjointError):
             fl.moments_reference(fl.nc_u(ALPHA))
 
+    def test_large_coefficients_from_the_cli(self, capsys, tmp_path):
+        path = tmp_path / "uv.json"
+        path.write_text('{"kind": "ncpoly", "alpha": 0.6180339887498949, "terms": ['
+                        '{"m": 1, "k": 1, "coeff": 1000.0}, {"m": -1, "k": -1, '
+                        '"coeff": [-737.3688780783199, -675.4902942615237]}]}')
+        code = main(["szego", "--op", str(path), "--n", "4"])
+        out = capsys.readouterr()
+        assert code == 0 and out.err == "" and out.out.count(",x^") == 7
+
+    def test_moments_scale_with_the_element(self):
+        # m_k(c a) = c^k m_k(a), to 1e-12 of c^k |a|_1^k
+        _, h = load_spec_file(CORPUS / "valid" / "harper.json")
+        small = fl.moments_reference(h, order=10).moments
+        big = fl.moments_reference(1000.0 * h, order=10).moments
+        for k in range(11):
+            assert abs(big[k] - 1000.0**k * small[k]) <= 1e-12 * (1000.0 * 3.0) ** k
+
+    def test_adjoint_tolerance_is_relative(self):
+        # a coefficient of the adjoint half off by 1e-9 |a|_1 is still refused
+        uv = fl.nc_monomial(ALPHA, 1, 1, 1000.0)
+        star = fl.nc_adjoint(uv)
+        off = fl.nc_monomial(ALPHA, -1, -1, 1e-9 * 2000.0)
+        with pytest.raises(fl.NotSelfAdjointError, match="a = a"):
+            fl.moments_reference(uv + star + off)
+
+    def test_overflowing_moment_is_config_error(self):
+        u = fl.nc_u(ALPHA)
+        with pytest.raises(ConfigError, match="order 2"):
+            fl.moments_reference(1e200 * (u + fl.nc_adjoint(u)), order=4)
+
     def test_forms_only_the_powers_it_traces(self, monkeypatch):
         # tau(a^0..a^order) needs the products a^1..a^order and no further one
         _, h = load_spec_file(CORPUS / "valid" / "harper.json")

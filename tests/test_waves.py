@@ -110,6 +110,87 @@ class TestPointwise:
             assert _bits(op.diagonal(off, self.N)) == _bits(acc)
 
 
+def _weight(n):
+    return (0.5 - 0.25j) + np.sin(0.3 * np.asarray(n))
+
+
+def _leaves(lattice) -> list:
+    """One leaf of each kind and each diagonal-function type."""
+    wave = Wave((Term(0.75 - 0.5j, ALPHA, 0.375), Term(1.25, 0.3, 0.1, k=-1, s=2, cos=True)))
+    return [
+        fl.Toeplitz({2: 1.0 + 1.0j, 0: 0.5, -1: -2.0j}, lattice=lattice),
+        fl.Shift(weight=0.5 - 2.0j, lattice=lattice),
+        fl.Shift(weight=_weight, lattice=lattice),
+        fl.Band(2, ((1, _weight), (0, 1.5 + 0.5j), (-2, wave)), lattice=lattice),
+        fl.Band(1, ((0, wave), (-1, 2.0)), lattice=lattice),
+        fl.Band(1, ((0, _weight),), lattice=lattice),
+        fl.AlmostMathieu(0.7, ALPHA, 0.2, lattice=lattice),
+    ]
+
+
+def _formula(op, k, rows):
+    """A[r, r + k] from each leaf's own entry formula."""
+    if isinstance(op, fl.Toeplitz):
+        return np.full(np.shape(rows), dict(op.coeffs)[-k])
+    if isinstance(op, fl.Shift):
+        if callable(op.weight):
+            return np.asarray(op.weight(np.asarray(rows) - 1), dtype=complex)
+        return np.full(np.shape(rows), complex(op.weight))
+    if isinstance(op, fl.AlmostMathieu):
+        if k:
+            return np.full(np.shape(rows), 1.0 + 0j)
+        return 2.0 * op.coupling * np.cos(2.0 * np.pi * (op.freq * rows + op.phase)) + 0j
+    fn = dict(op.diagonals)[k]
+    if callable(fn):
+        return np.asarray(fn(rows), dtype=complex)
+    return np.full(np.shape(rows), complex(fn))
+
+
+class TestLeafDiagonals:
+    """Every leaf's diagonal map gives its formula's entries bit for bit, in
+    the offset order of its coefficients, and its offset 0 sums in closed
+    form to the sum of those entries."""
+
+    ROWS = {fl.N0: np.arange(0, 5001, dtype=np.int64),
+            fl.Z: np.arange(-5000, 5001, dtype=np.int64)}
+
+    @pytest.mark.parametrize("lattice", [fl.N0, fl.Z])
+    def test_entries_and_offsets(self, lattice):
+        rows = self.ROWS[lattice]
+        for op in _leaves(lattice):
+            if isinstance(op, fl.Toeplitz):
+                assert op.offsets == tuple(-k for k, _ in op.coeffs)
+            elif isinstance(op, fl.Band):
+                assert op.offsets == tuple(off for off, _ in op.diagonals)
+            else:
+                assert op.offsets == ((-1,) if isinstance(op, fl.Shift) else (-1, 0, 1))
+            for k in op.offsets:
+                assert _bits(op.diagonal(k, rows)) == _bits(_formula(op, k, rows)), (op, k)
+
+    def test_as_band_keeps_the_entries(self):
+        am = fl.AlmostMathieu(0.7, ALPHA, 0.2)
+        band = am.as_band()
+        assert band.offsets == am.offsets
+        for k in am.offsets:
+            assert _bits(band.diagonal(k, self.ROWS[fl.Z])) == _bits(am.diagonal(k, self.ROWS[fl.Z]))
+
+    def test_diagonal_sum_is_the_sum_of_the_entries(self):
+        rng = np.random.default_rng(14)
+        for case in range(40):
+            lattice = (fl.N0, fl.Z)[case % 2]
+            # small indices keep the rounding of each numeric entry under 1e-12
+            proj = _random_projection(rng, lattice, int(rng.integers(1, 200)))
+            for op in _leaves(lattice):
+                got = diagonal_sum(op, proj)
+                entries = diagonal_entries(op, proj)
+                fn = op.diags.get(0)
+                if callable(fn) and not isinstance(fn, Wave):
+                    assert got is None
+                    continue
+                tol = 1e-12 * proj.rank * float(np.max(np.abs(entries)))
+                assert abs(got - entries.sum()) <= tol, (case, op)
+
+
 class TestRunSums:
     def test_against_numeric_sums(self):
         rng = np.random.default_rng(12)
