@@ -26,7 +26,7 @@ from .spectral import (
 )
 from .specio import SpecValidationError, load_spec_file
 from .szego import MissingReferenceError, NotSelfAdjointError, monomial, szego_pair_test
-from .szego import default_f_family, hat_family, moments_reference
+from .szego import hat_family, moments_reference, polynomial_family
 from .tensor import tensor_bound_check
 from .traces import canonical_trace, represent_nc, trace_convergence_report
 
@@ -71,9 +71,9 @@ def _check_phi(phi: float):
 
 
 def parse_f_family(text: str):
-    """'poly:K' and/or 'hat:COUNT:LO:HI', comma separated.  The monomials
-    of poly:K hold (K + 1)(K + 2)/2 coefficients, checked against physical
-    memory before any is built."""
+    """'poly:K' and/or 'hat:COUNT:LO:HI', comma separated, with LO < HI
+    finite.  The monomials of poly:K hold (K + 1)(K + 2)/2 coefficients,
+    checked against physical memory before any is built."""
     fam = []
     for part in text.split(","):
         part = part.strip()
@@ -88,6 +88,8 @@ def parse_f_family(text: str):
                 fam.extend(monomial(k) for k in range(degree + 1))
             elif fields[0] == "hat":
                 count, lo, hi = int(fields[1]), float(fields[2]), float(fields[3])
+                if not 0 < hi - lo < math.inf:
+                    raise ConfigError(f"hat bounds must be finite with LO < HI, got {part!r}")
                 fam.extend(hat_family(lo, hi, count))
             else:
                 raise ValueError
@@ -147,17 +149,15 @@ def cmd_folner(args) -> int:
     return 0
 
 
-def _moment_order(ncpolys, fam) -> int:
-    """The polynomial degree of the f family (default: monomials to degree
-    6), the order to which an ncpoly spec's reference holds moments.
-    ConfigError where ncpoly specs meet a family with no polynomial: their
-    moments-only reference integrates polynomials only."""
-    polys = [f for f in (fam or default_f_family()) if f.kind == "poly"]
-    if ncpolys and not polys:
-        labels = ", ".join(map(repr, ncpolys))
-        raise ConfigError(f"the f family has no polynomial for {labels}, whose "
-                          "moments-only reference integrates polynomials only")
-    return max((len(f.params) - 1 for f in polys), default=0)
+def _trace_references(ops, ncpolys) -> dict:
+    """Reference traces by label: tau(a) of ncpoly specs, a_0 of Toeplitz ones."""
+    refs = {}
+    for label, op in ops:
+        if label in ncpolys:
+            refs[label] = canonical_trace(ncpolys[label])
+        elif isinstance(op, Toeplitz):
+            refs[label] = dict(op.coeffs).get(0, 0j)
+    return refs
 
 
 def cmd_szego(args) -> int:
@@ -169,25 +169,22 @@ def cmd_szego(args) -> int:
     ops, ncpolys = _load_operators(args.op, phi=args.phi)
     seq = _sequence_for(ops, parse_n_list(args.n))
     fam = parse_f_family(args.f) if args.f else None
-    order = _moment_order(ncpolys, fam)
+    order = polynomial_family(fam)[1] if ncpolys else None
 
-    refs, trace_refs = {}, {}
+    refs = {}
     for label, op in ops:
         if label in ncpolys:
             refs[label] = moments_reference(ncpolys[label], order=order)
-            trace_refs[label] = canonical_trace(ncpolys[label])
         elif isinstance(op, Toeplitz):
             refs[label] = reference_pushforward(op, grid_size=args.nodes)
-            trace_refs[label] = dict(op.coeffs).get(0, 0j)
         else:
             raise MissingReferenceError(
                 f"no reference measure available for {label!r} "
                 "(toeplitz and ncpoly specs only)"
             )
 
-    report = szego_pair_test(
-        ops, seq, refs, f_family=fam, trace_refs=trace_refs, sa_tol=args.herm_tol
-    )
+    report = szego_pair_test(ops, seq, refs, f_family=fam,
+                             trace_refs=_trace_references(ops, ncpolys), sa_tol=args.herm_tol)
     if args.plot_out:
         _emit(report.plot_csv(), args.plot_out)
     _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
@@ -198,13 +195,7 @@ def cmd_trace(args) -> int:
     _check_phi(args.phi)
     ops, ncpolys = _load_operators(args.op, phi=args.phi)
     seq = _sequence_for(ops, parse_n_list(args.n))
-    refs = {}
-    for label, op in ops:
-        if label in ncpolys:
-            refs[label] = canonical_trace(ncpolys[label])
-        elif isinstance(op, Toeplitz):
-            refs[label] = dict(op.coeffs).get(0, 0j)
-    report = trace_convergence_report(ops, seq, refs=refs)
+    report = trace_convergence_report(ops, seq, refs=_trace_references(ops, ncpolys))
     _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
     return 0
 

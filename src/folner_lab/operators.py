@@ -239,10 +239,13 @@ class Toeplitz(OperatorSpec):
                     )
 
     def symbol_values(self, theta: np.ndarray) -> np.ndarray:
-        """Evaluate g(theta) = sum_k a_k e^{ik theta}."""
+        """Evaluate g(theta) = sum_k a_k e^{ik theta}, with one complex
+        temporary the size of theta."""
         vals = np.zeros(np.shape(theta), dtype=complex)
+        term = np.empty_like(vals)
         for k, a in self.coeffs:
-            vals += a * np.exp(1j * k * np.asarray(theta))
+            np.multiply(1j * k, theta, out=term)
+            vals += np.multiply(a, np.exp(term, out=term), out=term)
         return vals
 
 

@@ -14,8 +14,6 @@ from .operators import (
     AlmostMathieu,
     Band,
     Dense,
-    LatticeMismatchError,
-    NyquistError,
     OperatorSpec,
     Poly,
     Shift,

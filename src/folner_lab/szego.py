@@ -15,7 +15,6 @@ from .diagnostics import FolnerReport, fit_decay_slope, folner_profile
 from .spectral import (
     EmpiricalMeasure,
     ReferenceMeasure,
-    TestFunction,
     check_solve_footprint,
     compression_eigenvalues,
     compression_moments,
@@ -23,12 +22,14 @@ from .spectral import (
     integrate,
     kolmogorov_distance,
     monomial,
+    power_traces,
 )
 from .traces import (
     NCPolynomial,
     TraceReport,
     canonical_trace,
     nc_adjoint,
+    nc_multiply,
     trace_convergence_report,
 )
 
@@ -61,8 +62,26 @@ def default_f_family(support=None, degree: int = 6, hats: int = 17):
     return fam
 
 
+def polynomial_family(f_family=None):
+    """(polynomials, top degree) of f_family, by default `default_f_family()`:
+    the moment order of a moments-only reference, which integrates
+    polynomials only, so that a family with none is a ConfigError."""
+    fam = default_f_family() if f_family is None else f_family
+    polys = [f for f in fam if f.kind == "poly"]
+    if not polys:
+        raise ConfigError("the f family has no polynomial, which a moments-only reference needs")
+    return polys, max(len(f.params) - 1 for f in polys)
+
+
+def _tau_inner(x: NCPolynomial, y: NCPolynomial) -> complex:
+    # tau(x* y): the monomials u^m v^k are orthonormal for tau
+    return sum((x.coefficient(*mk).conjugate() * y.coefficient(*mk)
+                for mk in x.terms if mk in y.terms), 0j)
+
+
 def moments_reference(a: NCPolynomial, order: int = 6) -> ReferenceMeasure:
-    """Moment list tau(a^0..a^order) of a self-adjoint rotation-algebra element.
+    """Moment list tau(a^0..a^order) of a self-adjoint rotation-algebra
+    element, from `power_traces` under tau's inner product.
 
     Both checks are relative to the size of what they test, since round-off
     grows with it: a = a* to 1e-12 of max(1, |a|_1), |a|_1 the sum of the
@@ -74,12 +93,9 @@ def moments_reference(a: NCPolynomial, order: int = 6) -> ReferenceMeasure:
     for m, k in set(a.monomials()) | set(star.monomials()):
         if abs(a.coefficient(m, k) - star.coefficient(m, k)) > 1e-12 * max(1.0, norm):
             raise NotSelfAdjointError("moment reference requires a = a*")
-    moments = []
-    power, scale = a._coerce(1), 1.0
-    for k in range(order + 1):
-        if k:
-            power, scale = power * a, scale * norm
-        t = canonical_trace(power)
+    moments, scale = [1.0], 1.0
+    for k, t in enumerate(power_traces(a, order, nc_multiply, _tau_inner, canonical_trace), 1):
+        scale *= norm
         if not cmath.isfinite(t):
             raise ConfigError(f"the moment of order {k} of the reference overflows")
         if abs(t.imag) > 1e-10 * max(1.0, scale):
@@ -154,11 +170,7 @@ def szego_pair_test(ops, seq, refs, f_family=None, p_list=(2,), trace_refs=None,
     last_n = seq.n_list[-1]
     for label, op in ops:
         if refs[label].xs is None:
-            fam = default_f_family() if f_family is None else f_family
-            fam = families[label] = [f for f in fam if f.kind == "poly"]
-            if not fam:
-                raise ValueError(f"no polynomial f for {label!r}, whose reference has moments only")
-            order = max((len(f.params) - 1 for f in fam), default=0)
+            families[label], order = polynomial_family(f_family)
             for n, proj in seq:
                 measures[(label, n)] = ReferenceMeasure(
                     moments=compression_moments(op, proj, order, herm_tol=sa_tol))

@@ -378,6 +378,19 @@ class TestOneLineFailures:
         code, out, err = run(capsys, "trace", "--op", poly, "--n", "1000")
         assert code == 0 and err == ""
 
+    def test_pushforward_too_large_for_memory(self, capsys, monkeypatch):
+        # 1000 nodes peak at 43 bytes each; the reference is refused before
+        # its arrays are built, the window's own storage is far smaller
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 43 * 1000 - 1)
+        code, out, err = run(capsys, "szego", "--op", self.HOPPING, "--n", "4", "--nodes", "1000")
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error: the pushforward reference of 1000 nodes")
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 43 * 1000)
+        code, out, err = run(capsys, "szego", "--op", self.HOPPING, "--n", "4", "--nodes", "1000")
+        assert code == 0 and err == ""
+
     def test_f_family_too_large_for_memory(self, capsys, monkeypatch):
         # poly:100000 holds 100001 * 100002 / 2 coefficients, 37 GiB: refused
         # at once, before any monomial is built
@@ -412,6 +425,9 @@ class TestOneLineFailures:
         pytest.param(["trace", "--op", HARPER, "--n", "4", "--phi", "inf"], id="trace-phi-inf"),
         pytest.param(["folner", "--op", HOPPING, "--n", "4", "--p", "2,2"], id="p-repeated"),
         pytest.param(["folner", "--op", HOPPING, "--n", "4", "--p", "x"], id="p-unparsable"),
+        pytest.param(["szego", "--op", HOPPING, "--n", "4", "--f", "hat:2:-inf:inf"],
+                     id="hat-infinite"),
+        pytest.param(["szego", "--op", HOPPING, "--n", "4", "--f", "hat:3:1:-1"], id="hat-reversed"),
     ])
     def test_bad_numeric_option(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -420,8 +436,7 @@ class TestOneLineFailures:
         assert len(lines) == 1 and lines[0].startswith("config error:")
 
     @pytest.mark.parametrize("argv, message", [
-        pytest.param(["--f", "hat:2:-1:1"], "the f family has no polynomial for 'harper'",
-                     id="hats-only"),
+        pytest.param(["--f", "hat:2:-1:1"], "the f family has no polynomial", id="hats-only"),
     ])
     def test_moments_reference_family(self, capsys, monkeypatch, argv, message):
         # refused before any numerics: no compression moment is taken

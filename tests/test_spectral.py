@@ -207,6 +207,25 @@ class TestPushforward:
         with pytest.raises(fl.spectral.ComplexSymbolError):
             fl.reference_pushforward(fl.Toeplitz({1: 1.0}))
 
+    def test_peak_within_its_memory_check(self, monkeypatch):
+        # the memory check counts 43 bytes a node: the traced peak of a
+        # five-term symbol at 2^16 nodes stays within it
+        import tracemalloc
+
+        sym = fl.Toeplitz({0: 0.5, 1: 1.0, -1: 1.0, 2: 0.25j, -2: -0.25j}, selfadjoint=True)
+        nodes = 1 << 16
+        need = []
+        monkeypatch.setattr(fl.spectral, "check_footprint", lambda n, what: need.append(n))
+        fl.reference_pushforward(sym, grid_size=64)
+        tracemalloc.start()
+        try:
+            fl.reference_pushforward(sym, grid_size=nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert need == [43 * 64, 43 * nodes]
+        assert peak <= 43 * nodes
+
 
 class TestKolmogorov:
     def test_identical(self):
@@ -320,13 +339,16 @@ class TestKolmogorovAgainstMergedGrid:
                 assert fl.kolmogorov_distance(meas, ref) == merged_grid_kolmogorov(meas, ref)
 
     def test_cdf_dipping_by_round_off(self):
-        # a reference CDF may step down by up to 1e-15; the merged grid is used then
-        ref = fl.ReferenceMeasure(xs=np.array([0.0, 1.0, 2.0, 3.0]),
-                                  Fs=np.array([0.5, 0.5 - 1e-16, 0.75, 1.0]))
-        assert not ref.nondecreasing
+        # a reference CDF may step down by up to 1e-15; it is stored as its
+        # running maximum, and a pushforward CDF, which never dips, as it is
+        fs = np.array([0.5, 0.5 - 1e-16, 0.75, 1.0])
+        ref = fl.ReferenceMeasure(xs=np.array([0.0, 1.0, 2.0, 3.0]), Fs=fs)
+        assert np.all(np.diff(ref.Fs) >= 0)
+        assert np.max(np.abs(ref.Fs - fs)) <= 1e-15
         meas = fl.EmpiricalMeasure(np.array([0.5]), 1)
         assert fl.kolmogorov_distance(meas, ref) == merged_grid_kolmogorov(meas, ref)
-        assert fl.reference_pushforward(HOPPING, grid_size=64).nondecreasing
+        assert np.array_equal(fl.reference_pushforward(HOPPING, grid_size=64).Fs,
+                              np.arange(1, 65) / 64)
 
 
 def test_reference_measure_validation():
@@ -549,6 +571,36 @@ class TestCompressionMoments:
             got = fl.spectral.compression_moments(h, proj, 6)
             assert eig_calls == []
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), case
+
+    def test_bit_identical_to_the_inline_schedule(self):
+        # `power_traces` keeps the order of the loop it replaced, so each
+        # moment of the random cases above is the same float, bit for bit
+        from test_properties import _random_poly, _random_projection
+
+        def inline(op, proj, order):
+            h, _ = fl.spectral._hermitian_compression(op, proj, 1e-10)
+            moments, low, high = [1.0], None, h
+            for k in range(1, order + 1):
+                if k == 1:
+                    tr = np.sum(h[0]) if 0 in h else 0.0
+                elif k % 2:
+                    low = high
+                    high = fl.operators._times(low, h)
+                    tr = sum(np.vdot(v, high[j]) for j, v in low.items() if j in high)
+                else:
+                    tr = sum(np.vdot(v, v) for v in high.values())
+                moments.append(float(np.real(tr)) / proj.rank)
+            return np.array(moments)
+
+        rng = np.random.default_rng(909)
+        for case in range(200):
+            lattice = (fl.N0, fl.Z)[case % 2]
+            a = _random_poly(rng, lattice)
+            h = fl.op_sum(a, fl.op_adjoint(a))
+            proj = _random_projection(rng, lattice)
+            order = case % 8
+            got = fl.spectral.compression_moments(h, proj, order)
+            assert got.tobytes() == inline(h, proj, order).tobytes(), case
 
     @pytest.mark.parametrize("order", [0, 1, 2, 5])
     def test_orders(self, order):

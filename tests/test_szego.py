@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,37 @@ CORPUS = Path(__file__).parent / "corpus"
 
 ALPHA = (math.sqrt(5.0) - 1.0) / 2.0
 HOPPING = fl.Toeplitz({1: 1.0, -1: 1.0}, selfadjoint=True)
+
+
+def _exact_moments(a, order):
+    """tau(a^0..a^order) of an NCPolynomial with rational coefficients, at
+    50 digits.  The full powers a^k are formed by the normal-ordering rule
+    v^n u^m = e^(2 pi i alpha n m) u^m v^n with exact integer ledgers {r: c}
+    of a common multiple of a's coefficients, keeping only the monomials
+    that can still return to u^0 v^0 by `order`; each tau(a^k) is its
+    ledger at u^0 v^0, exponentiated with mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    coeffs = {mk: Fraction(a.coefficient(*mk).real) for mk in a.monomials()}
+    assert all(a.coefficient(*mk) == c for mk, c in coeffs.items())
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    steps = [(m, n, int(c * den)) for (m, n), c in coeffs.items()]
+    reach = max(abs(m) + abs(n) for m, n, _ in steps)
+    power, moments = {(0, 0): {0: 1}}, [1.0]
+    with mpmath.workdps(50):
+        turn = 2 * mpmath.pi * mpmath.mpf(a.alpha)
+        for k in range(1, order + 1):
+            nxt = {}
+            for (m, n), ledger in power.items():
+                for dm, dn, c in steps:
+                    if abs(m + dm) + abs(n + dn) > reach * (order - k):
+                        continue
+                    dst = nxt.setdefault((m + dm, n + dn), {})
+                    for r, x in ledger.items():
+                        dst[r + n * dm] = dst.get(r + n * dm, 0) + c * x
+            power = nxt
+            tau = mpmath.fsum(x * mpmath.expj(turn * r) for r, x in power.get((0, 0), {}).items())
+            moments.append(complex(tau / mpmath.mpf(den) ** k))
+    return moments
 
 
 class TestMomentsReference:
@@ -65,19 +97,34 @@ class TestMomentsReference:
             fl.moments_reference(1e200 * (u + fl.nc_adjoint(u)), order=4)
 
     def test_forms_only_the_powers_it_traces(self, monkeypatch):
-        # tau(a^0..a^order) needs the products a^1..a^order and no further one
+        # tau(a^0..a^order) needs the half powers a^1..a^ceil(order/2) only;
+        # every product, through `*` or `nc_multiply`, is counted
         _, h = load_spec_file(CORPUS / "valid" / "harper.json")
-        products = []
-        mul = fl.NCPolynomial.__mul__
+        mul = fl.traces.nc_multiply
+        for order in (0, 1, 2, 5, 6, 9):
+            products = []
 
-        def counted(self, other):
-            products.append(other)
-            return mul(self, other)
+            def counted(x, y):
+                products.append(y)
+                return mul(x, y)
 
-        monkeypatch.setattr(fl.NCPolynomial, "__mul__", counted)
-        ref = fl.moments_reference(h, order=6)
-        assert len(products) <= 6
-        assert list(ref.moments) == [fl.canonical_trace(h.power(k)).real for k in range(7)]
+            monkeypatch.setattr(fl.traces, "nc_multiply", counted)
+            monkeypatch.setattr(fl.szego, "nc_multiply", counted)
+            ref = fl.moments_reference(h, order=order)
+            monkeypatch.undo()
+            assert len(products) <= math.ceil(order / 2), order
+            for k, m in enumerate(ref.moments):
+                want = fl.canonical_trace(h.power(k)).real
+                assert abs(m - want) <= 1e-12 * max(1.0, abs(want)), (order, k)
+
+    def test_harper_moments_against_a_50_digit_oracle(self):
+        # tau(a^k) for k <= 30 to 1e-13 of max(1, |tau(a^k)|); the full
+        # powers a^k it replaces drift to 4.5e-13 at k = 30
+        _, h = load_spec_file(CORPUS / "valid" / "harper.json")
+        want = _exact_moments(h, 30)
+        got = fl.moments_reference(h, order=30).moments
+        for k in range(31):
+            assert abs(got[k] - want[k]) <= 1e-13 * max(1.0, abs(want[k])), k
 
 
 class TestFamilies:
@@ -172,7 +219,7 @@ class TestSzegoPair:
         h = fl.almost_mathieu_element(ALPHA, 0.5)
         seq = fl.finite_section_sequence(fl.Z, [64])
         refs = {"h": fl.moments_reference(h, order=2)}
-        with pytest.raises(ValueError, match="no polynomial f for 'h'"):
+        with pytest.raises(ConfigError, match="the f family has no polynomial"):
             fl.szego_pair_test([("h", fl.represent_nc(h))], seq, refs,
                                f_family=[fl.hat(-1.0, 0.0, 1.0)])
 
