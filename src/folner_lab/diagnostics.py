@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import report_csv, report_json
-from .operators import OperatorSpec, _check_lattice, dense_entries, exact_entries
+from ._util import check_footprint, report_csv, report_json
+from .operators import OperatorSpec, _check_lattice, exact_entries
 from .operators import intersect_runs, pad_runs, run_indices, subtract_runs, widen_runs
 
 INF = math.inf
@@ -55,63 +55,144 @@ def _proj_norm(rank: int, p) -> float:
     raise ValueError(f"ratio exponent must be 1 or 2, got {p!r}")
 
 
-def _corner_blocks(op: OperatorSpec, proj):
-    """Blocks B1 = (1-P) A P and B2 = P A (1-P), cut down to the rows and
-    columns that hold entries, all of them near the boundary of P.
+# Bytes per entry of one window's corner blocks while they are built and
+# reduced: the int64 index differences, their sort order and sorted copy,
+# the two complex blocks and the temporaries of the wrap test and the
+# Frobenius norms.  tracemalloc read a peak of 50 on one 300 x 300 window.
+_ENTRY_BYTES = 64
 
-    With respect to the in/out index splitting, [P, A] = B2 - B1 placed on
-    the two anti-diagonal blocks, so every Schatten norm of the commutator
-    is recovered from (B1, B2) alone.
+# Bytes of the stacks of one chunk of same-shape windows, counted at
+# `_ENTRY_BYTES` an entry; a window larger than this is a chunk alone.  On
+# 400 windows of 144 x 13 entries (a bandwidth-12 band), a grid took 0.36 to
+# 0.45 s with 256 KiB chunks, 0.14 to 0.18 s with 1 to 128 MiB, and peaked
+# 6 MiB with 4 MiB chunks (one BLAS thread).
+_STACK_BYTES = 1 << 22
 
-    Both index sets come from P's runs, with no array of P's size: `out` is
-    the pad of the runs minus P (the margins of each padded run, the short
-    gaps inside one, and a dense support), and `near` is the part of P
-    within reach of `out`, the reach being the widest offset (a dense leaf
-    reaches across its support).  A polynomial is evaluated on the pad of
-    `near` only, which holds every index of `out` that `near` couples to,
-    so a window costs O(runs * bandwidth^2), plus the square of a dense
-    support, whatever its rank.
-    """
+# Never an offset, nor the negative of one: a banded offset lies within the
+# bandwidth that widens a pad inside int64, and a dense one within the
+# dense support.
+_NO_OFFSET = np.iinfo(np.int64).min
+
+
+def _index_sets(op: OperatorSpec, proj):
+    """The runs (out, near) of one window: `out` is the pad of P's runs
+    minus P (the margins of each padded run, the short gaps inside one, and
+    a dense support), and `near` the part of P within reach of `out`, the
+    reach being the widest offset (a dense leaf reaches across its support).
+    Built from P's runs, with no array of P's size."""
     _check_lattice(op, proj)
     runs = proj.runs
     out = subtract_runs(pad_runs(op, runs), runs)
     reach = max(map(abs, op.offsets), default=0)
-    near = intersect_runs(runs, widen_runs(out, reach))
-    out, near = run_indices(out), run_indices(near)
-    src = exact_entries(op, near)
-    return dense_entries(src, out, near), dense_entries(src, near, out)
+    return out, intersect_runs(runs, widen_runs(out, reach))
 
 
-def _window_norms(op: OperatorSpec, proj) -> dict:
-    """The Schatten norms of one window's commutator: the corner blocks are
-    built once and each goes through one SVD.  Returns {"comm": {p: norm},
-    "off": {p: norm}} for p in {1, 2} (the commutator and its off-corner
-    part (1 - P) A P) and "gap", the commutator's operator norm."""
-    b1, b2 = _corner_blocks(op, proj)
-    sv1, sv2 = _singular_values(b1), _singular_values(b2)
-    hs1, hs2 = float(np.linalg.norm(b1)), float(np.linalg.norm(b2))
-    return {
-        "comm": {1: float(sv1.sum()) + float(sv2.sum()), 2: math.hypot(hs1, hs2)},
-        "off": {1: float(sv1.sum()), 2: hs1},
-        "gap": max(float(sv1[0]), float(sv2[0])),
-    }
+def _stacked_blocks(src, out: np.ndarray, near: np.ndarray):
+    """Corner blocks B1 = (1-P) A P, shape (G, m, q), and B2 = P A (1-P),
+    shape (G, q, m), of G windows with out indices `out` (G, m) and near
+    indices `near` (G, q), from the entries `src` (see `exact_entries`).
+
+    The differences near - out are sorted once: the entries of B1 at a
+    difference k lie on offset k of their out row, those of B2 on offset -k
+    of their near row, so each offset that occurs is one slice of the sort
+    and one `diagonal` call.  A difference that wraps in int64 matches no
+    offset."""
+    g, m = out.shape
+    q = near.shape[1]
+    o, n = out[:, :, None], near[:, None, :]
+    diff = n - o
+    diff[((n ^ o) & (n ^ diff)) < 0] = _NO_OFFSET
+    diff = diff.ravel()
+    order = np.argsort(diff, kind="stable")
+    diff = diff[order]
+    ks = np.array(src.offsets, dtype=np.int64)
+
+    def slices(sign):
+        # (k, positions of the difference sign * k) for each k that occurs
+        los = np.searchsorted(diff, sign * ks, "left").tolist()
+        his = np.searchsorted(diff, sign * ks, "right").tolist()
+        return ((k, order[lo:hi]) for k, lo, hi in zip(src.offsets, los, his) if lo < hi)
+
+    b1 = np.zeros(g * m * q, dtype=complex)
+    for k, pos in slices(1):
+        b1[pos] = src.diagonal(k, out.ravel()[pos // q])
+    b2 = np.zeros(g * m * q, dtype=complex)
+    for k, pos in slices(-1):
+        oi = pos // q  # flat positions in out and in near
+        ni = oi // m * q + pos % q
+        b2[ni * m + oi % m] = src.diagonal(k, near.ravel()[ni])
+    return b1.reshape(g, m, q), b2.reshape(g, q, m)
+
+
+def _stacked_norms(block: np.ndarray):
+    """(sum, largest) of the singular values and Frobenius norm of each
+    block of a stack, as lists; an empty block has singular values [0]."""
+    g = block.shape[0]
+    if not block.size:
+        return [0.0] * g, [0.0] * g, [0.0] * g
+    sv = np.linalg.svd(block, compute_uv=False)
+    hs = np.linalg.norm(block, axis=(1, 2))
+    return sv.sum(axis=1).tolist(), sv[:, 0].tolist(), hs.tolist()
+
+
+def _grid_norms(op: OperatorSpec, projs) -> list:
+    """The Schatten norms of the commutator [P, A] for each window P of
+    `projs`, as dicts {"comm": {p: norm}, "off": {p: norm}, "gap": norm}
+    for p in {1, 2}: the commutator, its off-corner part (1 - P) A P, and
+    the commutator's operator norm.
+
+    With respect to the in/out index splitting, [P, A] = B2 - B1 placed on
+    the two anti-diagonal blocks, so every Schatten norm of the commutator
+    comes from the corner blocks B1 = (1-P) A P and B2 = P A (1-P), cut
+    down to the `out` and `near` indices of `_index_sets`.  The entries are
+    evaluated once, on the union of every window's `near`: its pad holds
+    the pad of each window's `near`, which holds every index of that
+    window's `out` that its `near` couples to, and a padded run evaluates
+    exactly as if alone (see `Section`).  Windows with
+    blocks of one shape are stacked, in chunks of at most `_STACK_BYTES`,
+    and each chunk takes one SVD per block.  A window costs
+    O(runs * bandwidth^2), plus the square of a dense support, whatever its
+    rank.
+    """
+    sets = [_index_sets(op, proj) for proj in projs]
+    union = widen_runs(sorted(r for _, near in sets for r in near), 0)
+    src = exact_entries(op, run_indices(union))
+    outs = [run_indices(out) for out, _ in sets]
+    nears = [run_indices(near) for _, near in sets]
+    shapes = {}
+    for w, (out, near) in enumerate(zip(outs, nears)):
+        shapes.setdefault((out.size, near.size), []).append(w)
+    m, q = max(shapes, key=lambda shape: shape[0] * shape[1])
+    check_footprint(_ENTRY_BYTES * m * q, f"the corner blocks of a window ({m} x {q} entries)")
+    norms = [None] * len(sets)
+    for (m, q), members in shapes.items():
+        step = max(1, _STACK_BYTES // (_ENTRY_BYTES * max(1, m * q)))
+        for at in range(0, len(members), step):
+            chunk = members[at:at + step]
+            b1, b2 = _stacked_blocks(src, np.stack([outs[w] for w in chunk]),
+                                     np.stack([nears[w] for w in chunk]))
+            for w, tr1, top1, hs1, tr2, top2, hs2 in zip(
+                    chunk, *_stacked_norms(b1), *_stacked_norms(b2)):
+                norms[w] = {"comm": {1: tr1 + tr2, 2: math.hypot(hs1, hs2)},
+                            "off": {1: tr1, 2: hs1}, "gap": max(top1, top2)}
+    return norms
 
 
 def folner_ratio(op: OperatorSpec, proj, p: int = 2) -> float:
     """||[P, A]||_p / ||P||_p on the padded window."""
     _proj_norm(1, p)
-    return _window_norms(op, proj)["comm"][p] / _proj_norm(proj.rank, p)
+    return _grid_norms(op, [proj])[0]["comm"][p] / _proj_norm(proj.rank, p)
 
 
 def off_corner_ratio(op: OperatorSpec, proj, p: int = 2) -> float:
     """||(1 - P) A P||_p / ||P||_p on the padded window."""
     _proj_norm(1, p)
-    return _window_norms(op, proj)["off"][p] / _proj_norm(proj.rank, p)
+    return _grid_norms(op, [proj])[0]["off"][p] / _proj_norm(proj.rank, p)
 
 
 def qd_gap(op: OperatorSpec, proj) -> float:
     """Operator norm of the padded commutator (quasidiagonality defect)."""
-    return _window_norms(op, proj)["gap"]
+    return _grid_norms(op, [proj])[0]["gap"]
 
 
 @dataclass
@@ -150,8 +231,8 @@ def fit_decay_slope(d_list, ratios):
 def folner_profile(ops, seq, p_list=(1, 2)) -> FolnerReport:
     """Evaluate the full (operator, n, p) ratio grid for a projection sequence.
 
-    `ops` is a list of (label, OperatorSpec) pairs; each grid point reads
-    one `_window_norms`.
+    `ops` is a list of (label, OperatorSpec) pairs; each operator's windows
+    take one `_grid_norms`.
     """
     ops = list(ops)
     if not ops or not seq.projections:
@@ -161,8 +242,7 @@ def folner_profile(ops, seq, p_list=(1, 2)) -> FolnerReport:
 
     rows = []
     for label, op in ops:
-        for n, proj in seq:
-            norms = _window_norms(op, proj)
+        for (n, proj), norms in zip(seq, _grid_norms(op, seq.projections)):
             for p in p_list:
                 den = _proj_norm(proj.rank, p)
                 rows.append(

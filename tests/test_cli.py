@@ -410,9 +410,22 @@ class TestOneLineFailures:
         # poly:3 holds 1 + 2 + 3 + 4 = 10 coefficients of 8 bytes
         monkeypatch.setattr(fl._util, "_physical_memory", lambda: 79)
         with pytest.raises(ConfigError, match="poly:3"):
-            parse_f_family("hat:2:-1:1,poly:3")
+            parse_f_family("poly:3,hat:2:-1:1")
         monkeypatch.setattr(fl._util, "_physical_memory", lambda: 80)
         assert [f.name for f in parse_f_family("poly:3")] == ["x^0", "x^1", "x^2", "x^3"]
+
+    def test_f_family_hat_footprint_threshold(self, monkeypatch):
+        # hat:2 counts 310 bytes a hat, checked before any hat is built
+        def unreachable(*args):
+            raise AssertionError("hats built")
+
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 619)
+        monkeypatch.setattr(fl.cli, "hat_family", unreachable)
+        with pytest.raises(ConfigError, match="hat:2:-1:1"):
+            parse_f_family("hat:2:-1:1,poly:0")
+        monkeypatch.undo()
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 620)
+        assert len(parse_f_family("hat:2:-1:1")) == 2
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["szego", "--op", HOPPING, "--n", "4", "--nodes", "0"], id="nodes-0"),
@@ -428,6 +441,12 @@ class TestOneLineFailures:
         pytest.param(["szego", "--op", HOPPING, "--n", "4", "--f", "hat:2:-inf:inf"],
                      id="hat-infinite"),
         pytest.param(["szego", "--op", HOPPING, "--n", "4", "--f", "hat:3:1:-1"], id="hat-reversed"),
+        pytest.param(["szego", "--op", HOPPING, "--n", "4", "--f", "hat:2:-1:1:junk"],
+                     id="hat-five-fields"),
+        pytest.param(["szego", "--op", HOPPING, "--n", "4", "--f", "hat:2:-1"], id="hat-three-fields"),
+        pytest.param(["szego", "--op", HOPPING, "--n", "4", "--f", "hat:0:0:1"], id="hat-count-0"),
+        pytest.param(["szego", "--op", HOPPING, "--n", "4", "--f", "hat:-1:0:1"], id="hat-count-neg"),
+        pytest.param(["szego", "--op", HOPPING, "--n", "4", "--f", "poly:2,poly:-3"], id="poly-neg"),
     ])
     def test_bad_numeric_option(self, capsys, argv):
         code, out, err = run(capsys, *argv)

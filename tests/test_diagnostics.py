@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import folner_lab as fl
+from folner_lab.cli import main
 from folner_lab.diagnostics import fit_decay_slope
 
 ALPHA = (math.sqrt(5.0) - 1.0) / 2.0
@@ -182,6 +184,106 @@ class TestBoundaryCost:
             scale = big.rank / small.rank if g["p"] == 1 else math.sqrt(big.rank / small.rank)
             assert g["ratio"] * scale == pytest.approx(w["ratio"], rel=1e-12)
             assert g["qd_gap"] == w["qd_gap"]
+
+
+class TestGridPass:
+    """One pass per operator grid: windows with blocks of one shape share a
+    stack and its SVDs, and the stacks are chunked and checked against
+    physical memory."""
+
+    def _svd_spy(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        return calls
+
+    def test_two_svds_per_block_shape(self, monkeypatch):
+        # hopping's 62 windows n = 2^1 .. 2^62 all have 1 x 1 blocks,
+        # {5, 7} and {10, 12} share 3 x 2 blocks, and {20} has 2 x 1
+        hop = fl.Toeplitz({1: 1.0, -1: 1.0}, selfadjoint=True)
+        projs = [*(fl.finite_section(fl.N0, 2**k) for k in range(1, 63)),
+                 fl.IndexSet(fl.N0, (5, 7)), fl.IndexSet(fl.N0, (10, 12)),
+                 fl.IndexSet(fl.N0, (20,))]
+        seq = fl.ProjectionSequence(fl.N0, tuple(range(len(projs))), tuple(projs))
+        calls = self._svd_spy(monkeypatch)
+        rows = fl.folner_profile([("hop", hop)], seq, p_list=(1, 2)).rows
+        assert len(rows) == 2 * len(projs)
+        assert sorted(calls) == sorted([(62, 1, 1)] * 2 + [(2, 3, 2), (2, 2, 3), (1, 2, 1), (1, 1, 2)])
+        (top,) = [r for r in rows if r["n"] == 61 and r["p"] == 2]
+        assert top["ratio"] == pytest.approx(math.sqrt(2.0) / math.sqrt(2**62 + 1), rel=1e-15)
+
+    def _dense_spec(self, tmp_path, support):
+        rng = np.random.default_rng(support)
+        m = rng.uniform(-1, 1, (support, support))
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps({"kind": "dense", "matrix": m.tolist()}), encoding="utf-8")
+        return str(path)
+
+    def test_dense_grid_refused_before_its_stacks(self, tmp_path, capsys, monkeypatch):
+        # support 40: the n = 19 window has 20 x 20 blocks at 64 bytes an entry
+        def unreachable(*args):
+            raise AssertionError("stacks built")
+
+        spec = self._dense_spec(tmp_path, 40)
+        monkeypatch.setattr(fl.diagnostics, "_stacked_blocks", unreachable)
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 64 * 400 - 1)
+        assert main(["folner", "--op", spec, "--n", "1,2,19"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error: the corner blocks of a window (20 x 20 entries)")
+
+    @pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
+    def test_dense_grid_in_chunks(self, monkeypatch):
+        # every two-index set inside a support-6 dense leaf has 4 x 2 blocks;
+        # a budget of three windows a stack cuts the 15 of them into 5 chunks
+        rng = np.random.default_rng(6)
+        op = fl.Dense(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        projs = tuple(fl.IndexSet(fl.N0, (a, b)) for a in range(6) for b in range(a + 1, 6))
+        seq = fl.ProjectionSequence(fl.N0, tuple(range(len(projs))), projs)
+        whole = fl.folner_profile([("a", op)], seq).rows
+
+        chunks = []
+        stacked = fl.diagnostics._stacked_blocks
+
+        def spy(src, out, near):
+            chunks.append((out.shape, near.shape))
+            return stacked(src, out, near)
+
+        monkeypatch.setattr(fl.diagnostics, "_stacked_blocks", spy)
+        monkeypatch.setattr(fl.diagnostics, "_STACK_BYTES", 3 * 8 * fl.diagnostics._ENTRY_BYTES)
+        rows = fl.folner_profile([("a", op)], seq).rows
+        assert chunks == [((3, 4), (3, 2))] * 5
+        for got, want in zip(rows, whole):
+            for col in ("ratio", "off_corner", "qd_gap"):
+                assert got[col] == pytest.approx(want[col], rel=1e-14)
+
+    def test_index_differences_do_not_wrap(self):
+        # a leaf hopping by 2 inside a pad of bandwidth 1: on {-2^63 + 1,
+        # 2^63 - 2} the difference between near -2^63 + 1 and out 2^63 - 1
+        # wraps in int64 to 2, one of its offsets, yet the two never couple;
+        # the window [0, 5] in the same grid couples -1 -> 1 and 4 -> 6
+        class FarHop(fl.operators.OperatorSpec):
+            lattice = fl.Z
+            bandwidth = 1
+
+            def __init__(self):
+                self._set_diags({2: 1.0})
+
+        far = fl.IndexSet(fl.Z, (-2**63 + 1, 2**63 - 2))
+        seq = fl.ProjectionSequence(fl.Z, (1, 2), (far, fl.Window(fl.Z, 0, 5)))
+        rows = fl.folner_profile([("a", FarHop())], seq, p_list=(1, 2)).rows
+        want = {(1, 1): (0.0, 0.0, 0.0), (1, 2): (0.0, 0.0, 0.0),
+                (2, 1): (2 / 6, 1 / 6, 1.0), (2, 2): (math.sqrt(2 / 6), math.sqrt(1 / 6), 1.0)}
+        for row in rows:
+            assert (row["ratio"], row["off_corner"], row["qd_gap"]) == pytest.approx(
+                want[row["n"], row["p"]], abs=1e-15)
 
 
 def test_fit_decay_slope_skips_zeros():

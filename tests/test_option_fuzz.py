@@ -18,10 +18,10 @@ FUZZ = settings(derandomize=True, max_examples=300, deadline=None, database=None
 numbers = (st.integers().map(str)
            | st.floats().map(repr)
            | st.sampled_from(["inf", "-inf", "nan", "1e308", "-1e308", "5e-324", "", " 3 ", "x"]))
-# COUNT stays small: a hat has no memory check, and three million of them
-# take seconds to build
+# any COUNT: under the patched 1 MiB of memory, a COUNT past 3382 hats is
+# refused by the memory check before any hat is built
 f_items = (st.builds("poly:{}".format, numbers)
-           | st.builds("hat:{}:{}:{}".format, st.integers(-3, 40), numbers, numbers)
+           | st.builds("hat:{}:{}:{}".format, st.integers() | numbers, numbers, numbers)
            | st.builds("hat:{}".format, numbers)
            | st.text(max_size=12))
 f_texts = st.text() | st.lists(f_items, max_size=4).map(",".join)
@@ -46,9 +46,11 @@ def _returns_or_refuses(parse, text):
 @example(text="hat:2:-1e308:1e308")
 @example(text="hat:2:nan:1")
 @example(text="poly:100000000000000000000")
+@example(text="hat:100000000000:0:1")
+@example(text="hat:3382:0:1,hat:3383:0:1")
 def test_f_family(monkeypatch, text):
-    # the memory reading is patched small, so that a large poly:K is
-    # refused by its check and never built
+    # the memory reading is patched small, so that a large poly:K or
+    # hat:COUNT is refused by its check and never built
     monkeypatch.setattr(fl._util, "_physical_memory", lambda: 1 << 20)
     _returns_or_refuses(parse_f_family, text)
 

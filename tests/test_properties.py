@@ -230,15 +230,14 @@ def _as_bits(x: complex) -> str:
     return repr((x.real, x.imag))
 
 
-def test_runs_path_matches_dense_oracle():
-    # folner_profile rows from the runs of P against the commutator blocks
-    # cut from the dense padded matrix, for every leaf kind and for trees
-    rng = np.random.default_rng(8080)
-    for case in range(300):
-        lattice = fl.N0 if rng.random() < 0.5 else fl.Z
-        op = _random_leaf(rng, lattice) if case % 3 == 0 else _random_poly(rng, lattice)
-        proj = _boundary_projection(rng, lattice, op.bandwidth)
-        idx = proj.index_array()
+def _check_profile_against_dense_oracle(op, projs):
+    """folner_profile over the grid `projs`, row by row against the
+    commutator blocks cut from each window's dense padded matrix."""
+    seq = fl.ProjectionSequence(projs[0].lattice, tuple(range(1, len(projs) + 1)), tuple(projs))
+    rows = fl.folner_profile([("a", op)], seq, p_list=(1, 2)).rows
+    assert len(rows) == 2 * len(projs)
+    for row in rows:
+        idx = projs[row["n"] - 1].index_array()
         pad_matrix, _ = dense_oracle.padded_matrix(op, idx)
         tol = 1e-12 * max(1.0, float(np.max(np.abs(pad_matrix), initial=0.0)))
 
@@ -249,11 +248,69 @@ def test_runs_path_matches_dense_oracle():
         r = idx.size
         want = {1: ((sv1.sum() + sv2.sum()) / r, sv1.sum() / r),
                 2: (math.hypot(hs1, hs2) / math.sqrt(r), hs1 / math.sqrt(r))}
-        seq = fl.ProjectionSequence(lattice, (1,), (proj,))
-        for row in fl.folner_profile([("a", op)], seq, p_list=(1, 2)).rows:
-            assert abs(row["ratio"] - want[row["p"]][0]) <= tol
-            assert abs(row["off_corner"] - want[row["p"]][1]) <= tol
-            assert abs(row["qd_gap"] - max(sv1.max(), sv2.max())) <= tol
+        assert abs(row["ratio"] - want[row["p"]][0]) <= tol
+        assert abs(row["off_corner"] - want[row["p"]][1]) <= tol
+        assert abs(row["qd_gap"] - max(sv1.max(), sv2.max())) <= tol
+
+
+def test_runs_path_matches_dense_oracle():
+    # folner_profile rows from the runs of P against the commutator blocks
+    # cut from the dense padded matrix, for every leaf kind and for trees
+    rng = np.random.default_rng(8080)
+    for case in range(300):
+        lattice = fl.N0 if rng.random() < 0.5 else fl.Z
+        op = _random_leaf(rng, lattice) if case % 3 == 0 else _random_poly(rng, lattice)
+        _check_profile_against_dense_oracle(op, [_boundary_projection(rng, lattice, op.bandwidth)])
+
+
+def _grid_operator(rng, lattice):
+    """A band, a weighted shift, a dense leaf of support up to 40, or a
+    random polynomial."""
+    def c():
+        return complex(rng.standard_normal(), rng.standard_normal())
+
+    kind = rng.integers(4)
+    if kind == 0:
+        bw = int(rng.integers(0, 4))
+        offs = rng.choice(np.arange(-bw, bw + 1), size=int(rng.integers(1, 2 * bw + 2)),
+                          replace=False)
+        diags = [(int(k), c() if rng.random() < 0.5 else
+                  (lambda n, a=c(), f=float(rng.uniform(0.1, 2.0)): a * np.cos(f * np.asarray(n))))
+                 for k in offs]
+        return fl.Band(bw, tuple(diags), lattice=lattice)
+    if kind == 1:
+        a, b = c(), c()
+        return fl.Shift(weight=lambda i: a + b * np.sin(np.asarray(i)), lattice=lattice)
+    if kind == 2:
+        s = int(rng.integers(1, 41))
+        return fl.Dense(rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s)),
+                        lattice=lattice)
+    return _random_poly(rng, lattice)
+
+
+def _grid_projection(rng, lattice):
+    """A window or a gapped index set within a few dozen indices of 0, so
+    that the pads of a grid's windows often overlap and join."""
+    lo = int(rng.integers(-30, 30))
+    if lattice == fl.N0:
+        lo = abs(lo)
+    if rng.random() < 0.5:
+        return fl.Window(lattice, lo, lo + int(rng.integers(0, 20)))
+    span = np.arange(lo, lo + int(rng.integers(2, 40)))
+    keep = np.sort(rng.choice(span, size=int(rng.integers(1, span.size)), replace=False))
+    return fl.IndexSet(lattice, tuple(int(i) for i in keep))
+
+
+@pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
+def test_grid_pass_matches_dense_oracle_per_window():
+    # one folner_profile over a grid of windows and gapped sets with blocks
+    # of several shapes and pads that join, row by row against each window
+    rng = np.random.default_rng(1515)
+    for _ in range(120):
+        lattice = fl.N0 if rng.random() < 0.5 else fl.Z
+        op = _grid_operator(rng, lattice)
+        projs = [_grid_projection(rng, lattice) for _ in range(int(rng.integers(2, 9)))]
+        _check_profile_against_dense_oracle(op, projs)
 
 
 def test_nested_trace_grid_is_per_window_estimate_bit_for_bit():
