@@ -6,7 +6,6 @@ from .diagnostics import (
     FolnerReport,
     folner_profile,
     folner_ratio,
-    off_corner_ratio,
     qd_gap,
     schatten_norm,
 )
@@ -24,9 +23,7 @@ from .operators import (
     Toeplitz,
     Wave,
     Z,
-    compress,
     identity,
-    op_adjoint,
     op_prod,
     op_scale,
     op_sum,
@@ -48,12 +45,9 @@ from .spectral import (
     TestFunction,
     compression_eigenvalues,
     compression_moments,
-    counting,
-    eigenvalues_hermitian,
     empirical_measure,
     hat,
     integrate,
-    is_selfadjoint,
     kolmogorov_distance,
     monomial,
     reference_pushforward,

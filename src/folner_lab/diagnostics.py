@@ -184,12 +184,6 @@ def folner_ratio(op: OperatorSpec, proj, p: int = 2) -> float:
     return _grid_norms(op, [proj])[0]["comm"][p] / _proj_norm(proj.rank, p)
 
 
-def off_corner_ratio(op: OperatorSpec, proj, p: int = 2) -> float:
-    """||(1 - P) A P||_p / ||P||_p on the padded window."""
-    _proj_norm(1, p)
-    return _grid_norms(op, [proj])[0]["off"][p] / _proj_norm(proj.rank, p)
-
-
 def qd_gap(op: OperatorSpec, proj) -> float:
     """Operator norm of the padded commutator (quasidiagonality defect)."""
     return _grid_norms(op, [proj])[0]["gap"]

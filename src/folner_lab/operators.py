@@ -326,9 +326,6 @@ class AlmostMathieu(OperatorSpec):
         pot = Wave((Term(2.0 * self.coupling, self.freq, self.phase, cos=True),))
         self._set_diags({-1: 1.0, 0: pot, 1: 1.0})
 
-    def as_band(self) -> Band:
-        return Band(1, tuple(self.diags.items()))
-
 
 # polynomial expression nodes ------------------------------------------------
 
@@ -617,19 +614,37 @@ def _match(rows: np.ndarray, cols: np.ndarray, k: int):
     return ri, ci[ri]
 
 
-def dense_entries(src, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Matrix of the entries of src (see `exact_entries`) on sorted rows x cols.
-
-    Each offset costs one search of the shorter index array in the longer.
-    """
-    out = np.zeros((rows.size, cols.size), dtype=complex)
+def _positions(src, idx: np.ndarray) -> dict:
+    """Diagonal storage of the compression of src (see `exact_entries`) to
+    the sorted indices idx, by position: out[j][p] = A[idx[p], idx[p + j]],
+    zero where p + j leaves [0, idx.size).  On a window position offsets are
+    index offsets; on a gapped index set an index offset k lands on
+    position offsets between 0 and k.  An offset of |j| >= idx.size may be
+    kept, all zero."""
+    out = {}
     for k in src.offsets:
-        if rows.size <= cols.size:
-            ri, ci = _match(rows, cols, k)
-        else:
-            ci, ri = _match(cols, rows, -k)
-        out[ri, ci] = src.diagonal(k, rows[ri])
+        ri, ci = _match(idx, idx, k)
+        vals = src.diagonal(k, idx[ri])
+        jumps = ci - ri
+        window = (jumps == k).all()  # every index offset k is position offset k
+        for j in (k,) if window else np.unique(jumps).tolist():
+            at = slice(None) if window else jumps == j
+            if j not in out:
+                out[j] = np.zeros(idx.size, dtype=complex)
+            out[j][ri[at]] = vals[at]
     return out
+
+
+def _scatter(diags: dict, d: int) -> np.ndarray:
+    """The d x d matrix of diagonal storage by position (see `_positions`),
+    real when every diagonal is."""
+    m = np.zeros((d, d), dtype=np.result_type(float, *diags.values()))
+    flat = m.reshape(-1)
+    for j, v in diags.items():
+        lo, hi = max(0, -j), d - max(0, j)
+        if lo < hi:  # m[p, p + j] for p in [lo, hi): one stride-(d + 1) run of flat
+            flat[lo * (d + 1) + j::d + 1][:hi - lo] = v[lo:hi]
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -644,19 +659,13 @@ def _check_lattice(op: OperatorSpec, proj):
         )
 
 
-def compress(op: OperatorSpec, proj) -> np.ndarray:
-    """Finite section P T P as a rank(P) x rank(P) matrix on the range of P."""
-    _check_lattice(op, proj)
-    idx = proj.index_array()
-    return dense_entries(exact_entries(op, idx), idx, idx)
-
-
 def padded_compression(op: OperatorSpec, proj):
     """Return (A, inside): entries of op on the padded index set and the
     boolean marker of the projection's indices inside it.
 
     The padded set captures every nonzero entry of A P and P A, so
     commutators and off-corner blocks cut from A by `inside` are exact.
+    A is scattered from the padded set's storage by position (`_positions`).
     A section too large for physical memory raises ConfigError before it
     is allocated.
     """
@@ -665,7 +674,7 @@ def padded_compression(op: OperatorSpec, proj):
     pad = pad_indices(op, idx)
     check_footprint(_SECTION_ARRAYS * 16 * pad.size**2,
                     f"a padded section of order {pad.size}")
-    return dense_entries(exact_entries(op, pad), pad, pad), np.isin(pad, idx)
+    return _scatter(_positions(exact_entries(op, pad), pad), pad.size), np.isin(pad, idx)
 
 
 def diagonal_entries(op: OperatorSpec, proj) -> np.ndarray:
@@ -697,12 +706,3 @@ def diagonal_sum(op: OperatorSpec, proj):
     if callable(fn):
         return None
     return complex(fn) * proj.rank
-
-
-def op_adjoint(op: OperatorSpec) -> OperatorSpec:
-    """Spec of the adjoint operator."""
-    node = _as_node(op)
-    if isinstance(node, AdjE):
-        child = node.child
-        return child if isinstance(child, OperatorSpec) else Poly(child)
-    return Poly(AdjE(node))

@@ -5,7 +5,6 @@ disjoint, inclusive (lo, hi) pairs, one per maximal contiguous stretch.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,10 +41,6 @@ class Window:
     def runs(self) -> tuple:
         return ((self.lo, self.hi),)
 
-    @property
-    def hs_norm(self) -> float:
-        return math.sqrt(self.rank)
-
     def index_array(self) -> np.ndarray:
         check_footprint(8 * self.rank, f"the index array of a window of rank {self.rank}")
         return np.arange(self.lo, self.hi + 1, dtype=np.int64)
@@ -78,10 +73,6 @@ class IndexSet:
     def rank(self) -> int:
         return len(self.indices)
 
-    @property
-    def hs_norm(self) -> float:
-        return math.sqrt(self.rank)
-
     def index_array(self) -> np.ndarray:
         return np.asarray(self.indices, dtype=np.int64)
 
@@ -103,7 +94,6 @@ class ProjectionSequence:
     n_list: tuple
     projections: tuple
     increasing: bool = False
-    exhaustive: bool = False
 
     def __post_init__(self):
         if not self.projections:
@@ -113,16 +103,12 @@ class ProjectionSequence:
                 if subtract_runs(p.runs, q.runs):
                     raise ValueError("sequence flagged increasing but index sets are not nested")
 
-    @property
-    def proper(self) -> bool:
-        return self.increasing and self.exhaustive
-
     def __iter__(self):
         return iter(zip(self.n_list, self.projections))
 
 
 def finite_section_sequence(lattice: str, n_list) -> ProjectionSequence:
-    """Canonical increasing, exhaustive sequence of finite-section windows."""
+    """Canonical increasing sequence of finite-section windows."""
     ns = tuple(int(n) for n in n_list)
     if not ns:
         raise ValueError("empty n list")
@@ -131,4 +117,4 @@ def finite_section_sequence(lattice: str, n_list) -> ProjectionSequence:
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n list must be strictly increasing")
     projs = tuple(finite_section(lattice, n) for n in ns)
-    return ProjectionSequence(lattice, ns, projs, increasing=True, exhaustive=True)
+    return ProjectionSequence(lattice, ns, projs, increasing=True)

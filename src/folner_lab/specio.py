@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from contextlib import contextmanager
 
 import numpy as np
@@ -28,6 +29,10 @@ from .traces import NCPolynomial
 # Deepest JSON nesting a spec file may have: a polynomial nested this deep
 # is evaluated well inside the interpreter's recursion limit.
 MAX_NESTING = 100
+
+# The one spelling of a Toeplitz offset key, as the schema's propertyNames
+# give it: no sign but a minus, no leading zero, no space or underscore.
+_OFFSET_KEY = re.compile("0|-?[1-9][0-9]*")
 
 
 class SpecValidationError(ValueError):
@@ -70,6 +75,13 @@ def _integer(x, where: str, name: str) -> int:
     if not _is_number(x) or (isinstance(x, float) and not x.is_integer()):
         raise SpecValidationError(f"{where}: {name} must be an integer, got {x!r}")
     return int(x)
+
+
+def _offset_key(key: str, where: str) -> int:
+    """A Toeplitz coeffs key, in the one spelling of `_OFFSET_KEY`."""
+    if not _OFFSET_KEY.fullmatch(key):
+        raise SpecValidationError(f"{where}: coeffs key {key!r} is not an integer offset")
+    return int(key)
 
 
 def _as_complex(pair, where: str) -> complex:
@@ -117,13 +129,14 @@ def operator_from_json(doc, where: str = "operator") -> OperatorSpec:
             m = np.array([[_as_complex(x, where) for x in row] for row in rows])
             return Dense(m)
         if kind == "toeplitz":
-            sa = bool(doc.get("selfadjoint", False))
+            sa = doc.get("selfadjoint", False)
+            if not isinstance(sa, bool):  # the schemas type it `boolean`
+                raise SpecValidationError(f"{where}: selfadjoint must be a boolean, got {sa!r}")
             if "coeffs" in doc:
                 if not isinstance(doc["coeffs"], dict):
                     raise SpecValidationError(f"{where}: coeffs must map offsets to values")
-                coeffs = {
-                    int(k): _as_complex(v, where) for k, v in doc["coeffs"].items()
-                }
+                coeffs = {_offset_key(k, where): _as_complex(v, where)
+                          for k, v in doc["coeffs"].items()}
                 return Toeplitz(coeffs, selfadjoint=sa)
             if "samples" in doc:
                 vals = [_as_complex(x, where) for x in doc["samples"]]

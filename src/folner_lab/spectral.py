@@ -4,7 +4,6 @@ is read once, in checked diagonal storage (`_hermitian_compression`), and
 then solved as a tridiagonal or a dense matrix, or raised to powers."""
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -15,7 +14,8 @@ from .operators import (
     OperatorSpec,
     Toeplitz,
     _check_lattice,
-    _match,
+    _positions,
+    _scatter,
     _shifted,
     _times,
     exact_entries,
@@ -67,50 +67,12 @@ def _dense_eigenvalues(h: np.ndarray, scale: float, check_residual: bool) -> np.
     return vals
 
 
-def eigenvalues_hermitian(m: np.ndarray, herm_tol: float = 1e-10,
-                          check_residual: bool = False) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix.
-
-    The input is symmetrized as (M + M^dagger)/2 before solving; deviations
-    beyond herm_tol (relative to the sup of |entries|) are an error.  A matrix
-    whose imaginary part is exactly zero is solved in real arithmetic.  With
-    check_residual, every eigenpair is verified against the contract
-    ||M v - lam v|| <= 1e-9 * max|M| * sqrt(d).
-    """
-    m = np.asarray(m, dtype=complex)
-    if not m.imag.any():
-        m = m.real  # same scale and defect, with no complex temporaries
-    scale = max(float(np.max(np.abs(m))), 1.0)
-    _check_hermitian(float(np.max(np.abs(m - m.conj().T))), scale, herm_tol)
-    return _dense_eigenvalues(0.5 * (m + m.conj().T), scale, check_residual)
-
-
-def _positions(src, idx: np.ndarray) -> dict:
-    """Diagonal storage of the compression of src (see `exact_entries`) to
-    the sorted indices idx, by position: out[j][p] = A[idx[p], idx[p + j]],
-    zero where p + j leaves [0, idx.size).  On a window position offsets are
-    index offsets; on a gapped index set an index offset k lands on
-    position offsets between 0 and k.  An offset of |j| >= idx.size may be
-    kept, all zero."""
-    out = {}
-    for k in src.offsets:
-        ri, ci = _match(idx, idx, k)
-        vals = src.diagonal(k, idx[ri])
-        jumps = ci - ri
-        for j in (k,) if (jumps == k).all() else np.unique(jumps).tolist():
-            at = jumps == j
-            if j not in out:
-                out[j] = np.zeros(idx.size, dtype=complex)
-            out[j][ri[at]] = vals[at]
-    return out
-
-
 def _hermitian_part(op: OperatorSpec, proj):
     """(H, scale, defect) for the compression M of op to the range of proj,
     held in diagonal storage by position (see `_positions`), in float64 when
     every entry is exactly real: H = (M + M^dagger)/2, scale = max(1, max
-    |entry|) and defect = max |M - M^dagger|, each bit for bit as
-    `eigenvalues_hermitian` computes them on the dense matrix."""
+    |entry of M|) and defect = max |M - M^dagger|, each bit for bit as on
+    the dense matrix M."""
     _check_lattice(op, proj)
     idx = proj.index_array()
     diags = _positions(exact_entries(op, idx), idx)
@@ -126,23 +88,17 @@ def _hermitian_part(op: OperatorSpec, proj):
 
 
 def _hermitian_compression(op: OperatorSpec, proj, herm_tol: float):
-    """(H, scale) of `_hermitian_part`, after the Hermiticity check of
-    `eigenvalues_hermitian` on the same scale and defect."""
+    """(H, scale) of `_hermitian_part`, after the Hermiticity check:
+    NonHermitianError where defect > herm_tol * scale."""
     h, scale, dev = _hermitian_part(op, proj)
     _check_hermitian(dev, scale, herm_tol)
     return h, scale
 
 
-def is_selfadjoint(op: OperatorSpec, proj, tol: float = 1e-12) -> bool:
-    """Whether max |M - M^dagger| <= tol for M the compression of op to the
-    range of proj, read from its diagonal storage."""
-    return _hermitian_part(op, proj)[2] <= tol
-
-
 def _tridiagonal_eigenvalues(a, e, scale: float, check_residual: bool):
     """Ascending eigenvalues of the real symmetric tridiagonal matrix with
-    diagonal a and off-diagonal e, under the residual contract of
-    `eigenvalues_hermitian` with the given scale."""
+    diagonal a and off-diagonal e; with check_residual, every eigenpair is
+    verified against ||T v - lam v|| <= 1e-9 * scale * sqrt(d)."""
     import scipy.linalg  # 0.26 s and 27 MB, paid only by large windows
 
     if not check_residual:
@@ -174,8 +130,11 @@ def check_solve_footprint(d: int, tridiagonal: bool, check_residual: bool):
 
 def compression_eigenvalues(op: OperatorSpec, proj, herm_tol: float = 1e-10,
                             check_residual: bool = False) -> np.ndarray:
-    """Ascending eigenvalues of the compression of op to the range of proj,
-    under the checks and contract of `eigenvalues_hermitian`.
+    """Ascending eigenvalues of H = (M + M^dagger)/2 for M the compression
+    of op to the range of proj.  NonHermitianError where max |M - M^dagger|
+    exceeds herm_tol * max(1, max |entry of M|); with check_residual, every
+    eigenpair is verified against ||H v - lam v|| <= 1e-9 * that scale *
+    sqrt(d), and ResidualError raised where it is not.
 
     The compression is built and checked once, in diagonal storage by
     position (`_hermitian_compression`).  A window of order at least
@@ -194,11 +153,7 @@ def compression_eigenvalues(op: OperatorSpec, proj, herm_tol: float = 1e-10,
         zero = np.zeros(d)
         return _tridiagonal_eigenvalues(h.get(0, zero), h.get(1, zero)[:-1], scale,
                                         check_residual)
-    m = np.zeros((d, d), dtype=float if real else complex)
-    for j, v in h.items():  # an offset of |j| >= d has no positions
-        p = np.arange(max(0, -j), d - max(0, j))
-        m[p, p + j] = v[p]
-    return _dense_eigenvalues(m, scale, check_residual)
+    return _dense_eigenvalues(_scatter(h, d), scale, check_residual)
 
 
 def power_traces(h, order: int, times, inner, trace) -> list:
@@ -218,11 +173,12 @@ def compression_moments(op: OperatorSpec, proj, order: int,
     """tr(H^k) / rank for k = 0..order, H = (M + M^dagger)/2 for M the
     compression of op to the range of proj, with no eigensolve.
 
-    H comes from `_hermitian_compression`, checked as `eigenvalues_hermitian`
-    checks a dense matrix.  The moments come from `power_traces` under the
-    Frobenius inner product, each further power one `_times`, so the cost
-    is O(d * order^2 * bw^2) for index bandwidth bw.  The storage is checked
-    against physical memory before it is built.
+    H comes from `_hermitian_compression`: NonHermitianError where
+    max |M - M^dagger| exceeds herm_tol * max(1, max |entry of M|).  The
+    moments come from `power_traces` under the Frobenius inner product,
+    each further power one `_times`, so the cost is O(d * order^2 * bw^2)
+    for index bandwidth bw.  The storage is checked against physical memory
+    before it is built.
     """
     d = proj.rank
     width = min(max((abs(k) for k in op.offsets), default=0), d - 1)
@@ -301,9 +257,6 @@ class EmpiricalMeasure:
     def cdf(self, x) -> np.ndarray:
         return np.searchsorted(self.atoms, np.asarray(x, dtype=float), side="right") / self.dim
 
-    def to_json(self) -> str:
-        return json.dumps({"atoms": self.atoms.tolist(), "dim": self.dim})
-
 
 @dataclass(frozen=True)
 class ReferenceMeasure:
@@ -337,29 +290,10 @@ class ReferenceMeasure:
         out = np.where(pos > 0, self.Fs[np.minimum(pos, self.xs.size) - 1], 0.0)
         return out
 
-    def to_json(self) -> str:
-        payload = {}
-        if self.xs is not None:
-            payload["cdf_grid"] = {"x": self.xs.tolist(), "F": self.Fs.tolist()}
-        if self.moments is not None:
-            payload["moments"] = list(self.moments)
-        return json.dumps(payload)
-
 
 def empirical_measure(op: OperatorSpec, proj, herm_tol: float = 1e-10) -> EmpiricalMeasure:
     """mu_T^n from the eigenvalues of the compression; errors on non-Hermitian input."""
     return EmpiricalMeasure(compression_eigenvalues(op, proj, herm_tol=herm_tol), proj.rank)
-
-
-def counting(meas: EmpiricalMeasure, interval):
-    """Eigenvalue count (multiplicities counted) on [a, b), and its fraction."""
-    a, b = interval
-    if b < a:
-        raise ValueError("interval must satisfy a <= b")
-    lo = np.searchsorted(meas.atoms, a, side="left")
-    hi = np.searchsorted(meas.atoms, b, side="left")
-    count = int(hi - lo)
-    return count, count / meas.dim
 
 
 def integrate(meas, f: TestFunction) -> float:

@@ -3,7 +3,6 @@ compressions: the off-corner ratio of A (x) B against P (x) Q is controlled
 by the factor ratios weighted with the factor operator norms."""
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -23,21 +22,6 @@ class TensorBoundRecord:
     ratio_b: float
     norm_a: float        # operator norm of the padded left compression
     norm_b: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "lhs": self.lhs,
-                "middle": self.middle,
-                "rhs": self.rhs,
-                "slack": self.slack,
-                "ratio_a": self.ratio_a,
-                "ratio_b": self.ratio_b,
-                "norm_a": self.norm_a,
-                "norm_b": self.norm_b,
-            },
-            sort_keys=True,
-        )
 
 
 def _hs2(m: np.ndarray) -> float:

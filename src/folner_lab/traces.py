@@ -11,7 +11,6 @@ from __future__ import annotations
 import bisect
 import cmath
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -106,13 +105,6 @@ class NCPolynomial:
 
     def monomials(self):
         return sorted(self.terms)
-
-    def to_json(self) -> str:
-        terms = [
-            {"m": m, "k": k, "coeff": [self.coefficient(m, k).real, self.coefficient(m, k).imag]}
-            for m, k in self.monomials()
-        ]
-        return json.dumps({"alpha": self.alpha, "terms": terms})
 
 
 def nc_one(alpha: float) -> NCPolynomial:

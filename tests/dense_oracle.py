@@ -3,13 +3,51 @@
 Entries come straight from each leaf's formula as full matrices, polynomials
 are multiplied as dense matrices on a padded window, and commutator blocks
 are cut out of the padded matrix.  Cubic in the window size; tests only.
+
+`compress`, `op_adjoint` and `eigenvalues_hermitian` are the reference forms
+of a compression, an adjoint spec and a checked dense Hermitian eigensolve
+that tests compare the production paths against.
 """
 import numpy as np
 
 from folner_lab.operators import (
     N0, AdjE, AlmostMathieu, Band, Dense, OperatorSpec, Poly, ProdE, ScaleE, Shift, SumE,
-    Toeplitz,
+    Toeplitz, _as_node, _check_lattice, _positions, _scatter, exact_entries,
 )
+from folner_lab.spectral import _check_hermitian, _dense_eigenvalues
+
+
+def compress(op, proj) -> np.ndarray:
+    """Finite section P T P as a rank(P) x rank(P) matrix on the range of P,
+    scattered from the production storage by position."""
+    _check_lattice(op, proj)
+    idx = proj.index_array()
+    return _scatter(_positions(exact_entries(op, idx), idx), idx.size)
+
+
+def op_adjoint(op) -> OperatorSpec:
+    """Spec of the adjoint operator."""
+    node = _as_node(op)
+    if isinstance(node, AdjE):
+        child = node.child
+        return child if isinstance(child, OperatorSpec) else Poly(child)
+    return Poly(AdjE(node))
+
+
+def eigenvalues_hermitian(m, herm_tol: float = 1e-10, check_residual: bool = False):
+    """Ascending eigenvalues of (M + M^dagger)/2 for a dense matrix M.
+
+    NonHermitianError where max |M - M^dagger| exceeds herm_tol * max(1,
+    max |M|); a matrix whose imaginary part is exactly zero is solved in
+    real arithmetic; with check_residual, every eigenpair is verified
+    against ||M v - lam v|| <= 1e-9 * max(1, max |M|) * sqrt(d).
+    """
+    m = np.asarray(m, dtype=complex)
+    if not m.imag.any():
+        m = m.real
+    scale = max(float(np.max(np.abs(m))), 1.0)
+    _check_hermitian(float(np.max(np.abs(m - m.conj().T))), scale, herm_tol)
+    return _dense_eigenvalues(0.5 * (m + m.conj().T), scale, check_residual)
 
 
 def _match(rows, cols, k):
@@ -34,7 +72,7 @@ def leaf_entries(op, rows, cols) -> np.ndarray:
         ri, ci = _match(rows, cols, 1)
         out[ri, ci] = op.weight(cols[ci]) if callable(op.weight) else op.weight
     elif isinstance(op, AlmostMathieu):
-        return leaf_entries(op.as_band(), rows, cols)
+        return leaf_entries(Band(1, tuple(op.diags.items())), rows, cols)
     elif isinstance(op, Band):
         for off, fn in op.diagonals:
             ri, ci = _match(rows, cols, -off)  # entry (i, j) nonzero when j - i == off

@@ -233,13 +233,14 @@ class TestTensorCommand:
         # the n = 10 sections (order 12) are built; the n = 100000 section
         # (order 100002, 640 GB for four complex copies) is refused unbuilt
         sizes = []
-        dense_entries = fl.operators.dense_entries
+        scatter = fl.operators._scatter
 
-        def spy(src, rows, cols):
-            sizes.append((rows.size, cols.size))
-            return dense_entries(src, rows, cols)
+        def spy(diags, d):
+            m = scatter(diags, d)
+            sizes.append(m.shape)
+            return m
 
-        monkeypatch.setattr(fl.operators, "dense_entries", spy)
+        monkeypatch.setattr(fl.operators, "_scatter", spy)
         monkeypatch.setattr(fl._util, "_physical_memory", lambda: 64 << 30)
         code, out, err = run(
             capsys,

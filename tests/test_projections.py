@@ -7,7 +7,7 @@ import folner_lab as fl
 def test_finite_section_ranks_n0():
     seq = fl.finite_section_sequence(fl.N0, [1, 2, 3])
     assert [p.rank for _, p in seq] == [2, 3, 4]
-    assert seq.increasing and seq.exhaustive and seq.proper
+    assert seq.increasing
 
 
 def test_finite_section_ranks_z():
@@ -36,15 +36,6 @@ def test_empty_n_list_rejected():
 def test_non_increasing_rejected():
     with pytest.raises(ValueError):
         fl.finite_section_sequence(fl.N0, [2, 2])
-
-
-def test_hs_norm_squared_is_rank():
-    specs = [
-        fl.Window(fl.N0, 0, 9),
-        fl.IndexSet(fl.Z, (-4, 0, 7)),
-    ]
-    for p in specs:
-        assert p.hs_norm**2 == pytest.approx(p.rank, abs=1e-12)
 
 
 def test_rank_zero_rejected():
@@ -91,4 +82,4 @@ def test_increasing_flag_checked():
     nested = (fl.IndexSet(fl.Z, (-3, 2)), fl.IndexSet(fl.Z, (-3, 0, 2, 7)),
               fl.Window(fl.Z, -3, 7))
     seq = fl.ProjectionSequence(fl.Z, (1, 2, 3), nested, increasing=True)
-    assert seq.increasing and not seq.proper
+    assert seq.increasing

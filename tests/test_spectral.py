@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from dense_oracle import compress, eigenvalues_hermitian, op_adjoint
 import folner_lab as fl
 
 
@@ -19,29 +20,36 @@ def arcsine_cdf(x):
     return 1.0 - np.arccos(x / 2.0) / np.pi
 
 
+def dense_solve(m, **kwargs):
+    """The production solve of the matrix m: the compression of Dense(m) to
+    its whole support."""
+    m = np.asarray(m)
+    return fl.compression_eigenvalues(fl.Dense(m), fl.Window(fl.N0, 0, m.shape[0] - 1), **kwargs)
+
+
 class TestEigenvalues:
     def test_diagonal(self):
-        assert np.array_equal(fl.eigenvalues_hermitian(np.diag([3.0, 1.0, 2.0])), [1.0, 2.0, 3.0])
+        assert np.array_equal(dense_solve(np.diag([3.0, 1.0, 2.0])), [1.0, 2.0, 3.0])
 
     def test_two_by_two(self):
-        vals = fl.eigenvalues_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        vals = dense_solve(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert np.allclose(vals, [-1.0, 1.0], atol=1e-14)
 
     @pytest.mark.parametrize("n", [5, 30, 99])
     def test_tridiagonal_chebyshev_oracle(self, n):
-        m = fl.compress(fl.Toeplitz({1: 1.0, -1: 1.0}), fl.finite_section(fl.N0, n))
-        vals = fl.eigenvalues_hermitian(m)
+        m = compress(fl.Toeplitz({1: 1.0, -1: 1.0}), fl.finite_section(fl.N0, n))
+        vals = dense_solve(m)
         assert np.max(np.abs(vals - tridiagonal_eigs(n))) < 1e-9
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(fl.NonHermitianError):
-            fl.eigenvalues_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            dense_solve(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_residual_contract_path(self):
         rng = np.random.default_rng(1)
         m = rng.standard_normal((40, 40))
         m = m + m.T
-        vals = fl.eigenvalues_hermitian(m, check_residual=True)
+        vals = dense_solve(m, check_residual=True)
         assert np.all(np.diff(vals) >= 0)
 
 
@@ -55,14 +63,14 @@ class TestSolverDtype:
         m = (a + a.T).astype(complex)
         expected = np.linalg.eigvalsh(m)
         eig_calls.clear()
-        vals = fl.eigenvalues_hermitian(m, check_residual=check_residual)
+        vals = dense_solve(m, check_residual=check_residual)
         solver = "eigh" if check_residual else "eigvalsh"
         assert eig_calls == [(solver, 60, np.dtype(np.float64))]
         assert np.max(np.abs(vals - expected)) <= 1e-12 * np.max(np.abs(m))
 
     def test_tiny_imaginary_entry_stays_complex(self, eig_calls):
         m = np.array([[1.0, 1.0 + 1e-17j, 0.0], [1.0 - 1e-17j, 2.0, 0.5], [0.0, 0.5, 3.0]])
-        vals = fl.eigenvalues_hermitian(m)
+        vals = dense_solve(m)
         assert eig_calls == [("eigvalsh", 3, np.dtype(np.complex128))]
         assert np.allclose(vals, np.linalg.eigvalsh(m.real), atol=1e-14)
 
@@ -70,13 +78,13 @@ class TestSolverDtype:
     def test_solves_the_symmetrized_matrix(self, phase):
         # a defect inside herm_tol: the solve sees (M + M^dagger)/2, not one triangle
         m = np.array([[0.0, phase], [np.conj(phase) * (1.0 + 2e-11), 0.0]])
-        vals = fl.eigenvalues_hermitian(m)
+        vals = dense_solve(m)
         assert np.allclose(vals, [-(1.0 + 1e-11), 1.0 + 1e-11], rtol=0.0, atol=1e-15)
 
     def test_real_solve_keeps_hermiticity_check(self, eig_calls):
         m = np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]], dtype=complex)
         with pytest.raises(fl.NonHermitianError):
-            fl.eigenvalues_hermitian(m)
+            dense_solve(m)
         assert eig_calls == []
 
     def test_real_defect_equals_complex_defect(self, eig_calls):
@@ -87,9 +95,9 @@ class TestSolverDtype:
         m[3, 7] = 4.0
         mc = m.astype(complex)
         dev = float(np.max(np.abs(mc - mc.conj().T)))
-        fl.eigenvalues_hermitian(m, herm_tol=dev / 4.0)
+        dense_solve(m, herm_tol=dev / 4.0)
         with pytest.raises(fl.NonHermitianError, match=re.escape(f"{dev:.3e}")):
-            fl.eigenvalues_hermitian(m, herm_tol=np.nextafter(dev, 0.0) / 4.0)
+            dense_solve(m, herm_tol=np.nextafter(dev, 0.0) / 4.0)
         assert [c[0] for c in eig_calls] == ["eigvalsh"]
 
 
@@ -117,36 +125,10 @@ class TestEmpiricalMeasure:
         am = fl.AlmostMathieu(0.7, (math.sqrt(5) - 1) / 2)
         proj = fl.finite_section(fl.Z, 20)
         meas = fl.empirical_measure(am, proj)
-        bound = fl.schatten_norm(fl.compress(am, proj), math.inf) + 1e-10
+        bound = fl.schatten_norm(compress(am, proj), math.inf) + 1e-10
         assert meas.atoms.size == proj.rank
         assert np.all(np.abs(meas.atoms) <= bound)
         assert meas.cdf(meas.atoms[-1]) == pytest.approx(1.0)
-
-
-class TestCounting:
-    def test_point_mass(self):
-        meas = fl.EmpiricalMeasure(np.zeros(4), 4)
-        assert fl.counting(meas, (-1.0, 1.0)) == (4, 1.0)
-
-    def test_half_open_convention(self):
-        meas = fl.EmpiricalMeasure(np.array([-1.0, 0.0, 1.0]), 3)
-        count, frac = fl.counting(meas, (0.0, 1.0))
-        assert count == 1 and frac == pytest.approx(1.0 / 3.0)
-
-    def test_partition_counts_sum_to_dim(self):
-        meas = fl.EmpiricalMeasure(np.array([-1.0, -1.0, 0.0, 0.5, 2.0]), 5)
-        cuts = [-2.0, -1.0, 0.0, 1.0, 3.0]
-        total = sum(fl.counting(meas, (a, b))[0] for a, b in zip(cuts, cuts[1:]))
-        assert total == 5
-
-    def test_chebyshev_count(self):
-        n = 99
-        meas = fl.empirical_measure(
-            fl.Toeplitz({1: 1.0, -1: 1.0}, selfadjoint=True), fl.Window(fl.N0, 0, n)
-        )
-        oracle = tridiagonal_eigs(n)
-        want = int(np.sum((oracle >= 0.0) & (oracle < 2.0)))
-        assert fl.counting(meas, (0.0, 2.0))[0] == want
 
 
 class TestIntegrate:
@@ -370,7 +352,7 @@ def _tridiagonal_cases():
     ops = {
         "toeplitz": fl.Toeplitz({0: a0, 1: a1, -1: a1}, selfadjoint=True),
         "shift_poly": fl.op_sum(fl.Shift(lambda n: weight[n]),
-                                fl.op_adjoint(fl.Shift(lambda n: weight[n])),
+                                op_adjoint(fl.Shift(lambda n: weight[n])),
                                 fl.op_scale(0.5, fl.identity(fl.N0))),
         "almost_mathieu": fl.AlmostMathieu(float(rng.uniform(0.2, 2.0)),
                                            (math.sqrt(5.0) - 1.0) / 2.0,
@@ -380,7 +362,7 @@ def _tridiagonal_cases():
                             (1, lambda n: off[n + 200]))),
         "band_poly": fl.op_sum(fl.Band(1, ((0, lambda n: diag[n + 200]),
                                            (1, lambda n: up[n + 200]))),
-                               fl.op_adjoint(fl.Band(1, ((1, lambda n: up[n + 200]),)))),
+                               op_adjoint(fl.Band(1, ((1, lambda n: up[n + 200]),)))),
         "harper": fl.represent_nc(fl.almost_mathieu_element((math.sqrt(5.0) - 1.0) / 2.0, 0.5),
                                   phi=float(rng.uniform())),
     }
@@ -425,7 +407,7 @@ class TestTridiagonalPath:
     @pytest.mark.parametrize("op,proj", _tridiagonal_cases())
     def test_matches_dense_eigvalsh(self, monkeypatch, eig_calls, op, proj, check_residual):
         monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 2)
-        m = fl.compress(op, proj)
+        m = compress(op, proj)
         expected = np.linalg.eigvalsh(m)
         eig_calls.clear()
         vals = fl.compression_eigenvalues(op, proj, check_residual=check_residual)
@@ -449,14 +431,14 @@ class TestTridiagonalPath:
         monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 2)
         vals = fl.compression_eigenvalues(op, proj)
         assert [c[:2] for c in eig_calls] == [("eigvalsh", proj.rank)]
-        assert vals.tobytes() == fl.eigenvalues_hermitian(fl.compress(op, proj)).tobytes()
+        assert vals.tobytes() == eigenvalues_hermitian(compress(op, proj)).tobytes()
 
     def test_tridiagonal_by_position(self, monkeypatch, eig_calls):
         # index offsets +-2 on the even indices couple neighbouring positions
         monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 2)
         op = fl.Toeplitz({0: 0.5, 2: 1.0, -2: 1.0}, selfadjoint=True)
         proj = fl.IndexSet(fl.N0, tuple(range(0, 80, 2)))
-        expected = np.linalg.eigvalsh(fl.compress(op, proj))
+        expected = np.linalg.eigvalsh(compress(op, proj))
         eig_calls.clear()
         vals = fl.compression_eigenvalues(op, proj)
         assert eig_calls == [("eigvalsh_tridiagonal", 40, np.dtype(np.float64))]
@@ -502,22 +484,23 @@ class TestTridiagonalPath:
         op = fl.Band(1, ((-1, lambda n: lo[n + 99]), (0, lambda n: diag[n + 100]),
                          (1, lambda n: up[n + 100])))
         proj = fl.finite_section(fl.Z, 80)
-        m = fl.compress(op, proj)
+        m = compress(op, proj)
         dev = float(np.max(np.abs(m - m.conj().T)))
         assert dev > 0.0
         fl.compression_eigenvalues(op, proj, herm_tol=dev / 4.0)
-        fl.eigenvalues_hermitian(m, herm_tol=dev / 4.0)
+        eigenvalues_hermitian(m, herm_tol=dev / 4.0)
         below = np.nextafter(dev, 0.0) / 4.0
         with pytest.raises(fl.NonHermitianError, match=re.escape(f"{dev:.3e}")):
             fl.compression_eigenvalues(op, proj, herm_tol=below)
         with pytest.raises(fl.NonHermitianError, match=re.escape(f"{dev:.3e}")):
-            fl.eigenvalues_hermitian(m, herm_tol=below)
+            eigenvalues_hermitian(m, herm_tol=below)
         assert [c[0] for c in eig_calls] == ["eigvalsh_tridiagonal", "eigvalsh"]
 
 
 def test_is_selfadjoint_matches_dense_verdict(monkeypatch):
-    # the storage defect against the dense max |M - M^dagger| <= tol, with
-    # tol on either side of the dense defect; no dense compression is formed
+    # the defect of `_hermitian_part`, read from diagonal storage, against the
+    # dense max |M - M^dagger| <= tol, with tol on either side of the dense
+    # defect; no dense compression is formed
     from test_properties import _random_poly, _random_projection
 
     rng = np.random.default_rng(515)
@@ -526,25 +509,27 @@ def test_is_selfadjoint_matches_dense_verdict(monkeypatch):
         lattice = (fl.N0, fl.Z)[case % 2]
         a = _random_poly(rng, lattice)
         proj = _random_projection(rng, lattice)
-        for op in (a, fl.op_sum(a, fl.op_adjoint(a))):
-            m = fl.compress(op, proj)
+        for op in (a, fl.op_sum(a, op_adjoint(a))):
+            m = compress(op, proj)
             cases.append((case, op, proj, float(np.max(np.abs(m - m.conj().T)))))
 
     def no_dense(*args):
-        raise AssertionError("is_selfadjoint formed a dense matrix")
+        raise AssertionError("the defect was read from a dense matrix")
 
-    monkeypatch.setattr(fl.operators, "dense_entries", no_dense)
+    for mod in (fl.operators, fl.spectral):
+        monkeypatch.setattr(mod, "_scatter", no_dense)
     verdicts = set()
     for case, op, proj, dev in cases:
+        defect = fl.spectral._hermitian_part(op, proj)[2]
         for tol in (0.0, 1e-12, dev, float(np.nextafter(dev, 0.0))):
-            got = fl.is_selfadjoint(op, proj, tol=tol)
+            got = defect <= tol
             assert got == (dev <= tol), case
             verdicts.add(got)
     assert verdicts == {True, False}
 
 
 def _eigenvalue_moments(op, proj, order):
-    vals = np.linalg.eigvalsh(fl.compress(op, proj))
+    vals = np.linalg.eigvalsh(compress(op, proj))
     return np.array([np.mean(vals**k) for k in range(order + 1)])
 
 
@@ -561,9 +546,9 @@ class TestCompressionMoments:
         for case in range(200):
             lattice = (fl.N0, fl.Z)[case % 2]
             a = _random_poly(rng, lattice)
-            h = fl.op_sum(a, fl.op_adjoint(a))
+            h = fl.op_sum(a, op_adjoint(a))
             proj = _random_projection(rng, lattice)
-            radius = float(np.max(np.abs(np.linalg.eigvalsh(fl.compress(h, proj)))))
+            radius = float(np.max(np.abs(np.linalg.eigvalsh(compress(h, proj)))))
             if radius > 0.0:
                 h = fl.op_scale(1.0 / radius, h)
             want = _eigenvalue_moments(h, proj, 6)
@@ -596,7 +581,7 @@ class TestCompressionMoments:
         for case in range(200):
             lattice = (fl.N0, fl.Z)[case % 2]
             a = _random_poly(rng, lattice)
-            h = fl.op_sum(a, fl.op_adjoint(a))
+            h = fl.op_sum(a, op_adjoint(a))
             proj = _random_projection(rng, lattice)
             order = case % 8
             got = fl.spectral.compression_moments(h, proj, order)
@@ -628,16 +613,16 @@ class TestCompressionMoments:
             up[157] = lo[157] = -4.0
         op = fl.Band(2, ((-2, lambda n: lo[n + 148]), (0, lambda n: diag[n + 150]),
                          (2, lambda n: up[n + 150])))
-        m = fl.compress(op, proj)
+        m = compress(op, proj)
         dev = float(np.max(np.abs(m - m.conj().T)))
         assert dev > 0.0
         fl.spectral.compression_moments(op, proj, 3, herm_tol=dev / 4.0)
-        fl.eigenvalues_hermitian(m, herm_tol=dev / 4.0)
+        eigenvalues_hermitian(m, herm_tol=dev / 4.0)
         below = np.nextafter(dev, 0.0) / 4.0
         with pytest.raises(fl.NonHermitianError, match=re.escape(f"{dev:.3e}")):
             fl.spectral.compression_moments(op, proj, 3, herm_tol=below)
         with pytest.raises(fl.NonHermitianError, match=re.escape(f"{dev:.3e}")):
-            fl.eigenvalues_hermitian(m, herm_tol=below)
+            eigenvalues_hermitian(m, herm_tol=below)
 
     def test_storage_checked_before_it_is_built(self, monkeypatch):
         # order 6 keeps H, H^2 and H^3: (2 * 3 + 1) powers of 3 diagonals

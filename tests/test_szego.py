@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dense_oracle import compress
 import folner_lab as fl
 from folner_lab.cli import ConfigError, main
 from folner_lab.specio import load_spec_file
@@ -249,7 +250,7 @@ class TestSzegoPair:
         degree = 6 if family is None else 4
         want = {}
         for n, proj in seq:
-            vals = np.linalg.eigvalsh(fl.compress(op, proj))
+            vals = np.linalg.eigvalsh(compress(op, proj))
             want.update({(n, f"x^{k}"): np.mean(vals**k) for k in range(degree + 1)})
         eig_calls.clear()
         refs = {"h": fl.moments_reference(h, order=6)}

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -106,11 +105,3 @@ class TestGuards:
             fl.tensor_bound_check(s, p, s, p)
         monkeypatch.setattr(fl._util, "_physical_memory", lambda: need)
         assert fl.tensor_bound_check(s, p, s, p).rhs == pytest.approx(2.0 / 101.0, abs=1e-12)
-
-    def test_json_record(self):
-        s = fl.Shift()
-        rec = fl.tensor_bound_check(s, fl.finite_section(fl.N0, 3), s, fl.finite_section(fl.N0, 3))
-        payload = json.loads(rec.to_json())
-        assert set(payload) == {
-            "lhs", "middle", "rhs", "slack", "ratio_a", "ratio_b", "norm_a", "norm_b",
-        }

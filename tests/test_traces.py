@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dense_oracle import compress
 import folner_lab as fl
 
 ALPHA = (math.sqrt(5.0) - 1.0) / 2.0
@@ -128,7 +129,7 @@ class TestAdjointConvention:
 class TestRepresentation:
     def test_u_is_two_sided_shift(self):
         op = fl.represent_nc(fl.nc_u(ALPHA))
-        m = fl.compress(op, fl.Window(fl.Z, -2, 2))
+        m = compress(op, fl.Window(fl.Z, -2, 2))
         assert np.array_equal(m, np.eye(5, k=-1))
         assert fl.trace_estimate(op, fl.finite_section(fl.Z, 100)) == 0.0
 
@@ -136,7 +137,7 @@ class TestRepresentation:
         phi = 0.25
         op = fl.represent_nc(fl.nc_v(ALPHA), phi=phi)
         idx = np.arange(-3, 4)
-        m = fl.compress(op, fl.Window(fl.Z, -3, 3))
+        m = compress(op, fl.Window(fl.Z, -3, 3))
         want = np.diag(np.exp(2j * np.pi * (ALPHA * idx + phi)))
         assert np.max(np.abs(m - want)) < 1e-14
 
@@ -144,8 +145,8 @@ class TestRepresentation:
         u = fl.represent_nc(fl.nc_u(ALPHA))
         v = fl.represent_nc(fl.nc_v(ALPHA))
         proj = fl.Window(fl.Z, -4, 4)
-        vu = fl.compress(fl.op_prod(v, u), proj)
-        uv = fl.compress(fl.op_prod(u, v), proj)
+        vu = compress(fl.op_prod(v, u), proj)
+        uv = compress(fl.op_prod(u, v), proj)
         assert np.max(np.abs(vu - cmath.exp(2j * math.pi * ALPHA) * uv)) < 1e-13
 
     def test_monomial_diagonal_faithfulness(self):
@@ -153,7 +154,7 @@ class TestRepresentation:
         idx = np.arange(-5, 6)
         for m, k in [(0, 0), (0, 2), (1, 1), (-2, 0)]:
             op = fl.represent_nc(fl.nc_monomial(ALPHA, m, k), phi=0.1)
-            diag = np.diag(fl.compress(op, fl.Window(fl.Z, -5, 5)))
+            diag = np.diag(compress(op, fl.Window(fl.Z, -5, 5)))
             if m != 0:
                 want = np.zeros(idx.size)
             else:

@@ -167,13 +167,6 @@ class TestLeafDiagonals:
             for k in op.offsets:
                 assert _bits(op.diagonal(k, rows)) == _bits(_formula(op, k, rows)), (op, k)
 
-    def test_as_band_keeps_the_entries(self):
-        am = fl.AlmostMathieu(0.7, ALPHA, 0.2)
-        band = am.as_band()
-        assert band.offsets == am.offsets
-        for k in am.offsets:
-            assert _bits(band.diagonal(k, self.ROWS[fl.Z])) == _bits(am.diagonal(k, self.ROWS[fl.Z]))
-
     def test_diagonal_sum_is_the_sum_of_the_entries(self):
         rng = np.random.default_rng(14)
         for case in range(40):
