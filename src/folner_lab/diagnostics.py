@@ -198,9 +198,12 @@ class FolnerReport:
 
     COLUMNS = ("label", "n", "d_n", "p", "ratio", "off_corner", "qd_gap")
 
-    def to_json(self) -> str:
+    def payload(self) -> dict:
         slopes = {f"{lab}|p={p}": s for (lab, p), s in sorted(self.slopes.items())}
-        return report_json({"rows": self.rows, "slopes": slopes})
+        return {"rows": self.rows, "slopes": slopes}
+
+    def to_json(self) -> str:
+        return report_json(self.payload())
 
     def to_csv(self) -> str:
         return report_csv(self.rows, self.COLUMNS)

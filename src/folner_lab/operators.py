@@ -677,11 +677,9 @@ def padded_compression(op: OperatorSpec, proj):
     return _scatter(_positions(exact_entries(op, pad), pad), pad.size), np.isin(pad, idx)
 
 
-def diagonal_entries(op: OperatorSpec, proj) -> np.ndarray:
-    """Diagonal of the compression: offset 0 of the exact entries on the
-    projection's indices."""
-    _check_lattice(op, proj)
-    idx = proj.index_array()
+def diagonal_entries(op: OperatorSpec, idx: np.ndarray) -> np.ndarray:
+    """Diagonal of the compression to the sorted indices idx: offset 0 of
+    the exact entries on them.  The caller checks the lattice."""
     src = exact_entries(op, idx, keep={0})
     if 0 not in src.offsets:
         return np.zeros(idx.size, dtype=complex)
@@ -692,8 +690,8 @@ def diagonal_sum(op: OperatorSpec, proj):
     """Tr(A P), the sum of the compression's diagonal, in closed form over
     the projection's runs, O(runs x terms), where op is a leaf whose offset-0
     diagonal is a constant or a `Wave`; None for other specs (`Poly`,
-    `Dense`) and for other callables.  Raises on lattice mismatches as
-    `diagonal_entries` does, and ConfigError where an index leaves int64."""
+    `Dense`) and for other callables.  LatticeMismatchError on a lattice
+    mismatch, whatever the spec, and ConfigError where an index leaves int64."""
     _check_lattice(op, proj)
     if op.diags is None:
         return None

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import check_footprint
-from .operators import _INT64, N0, Z, _LATTICES, index_runs, subtract_runs
+from .operators import _INT64, N0, Z, _LATTICES, index_runs
 
 
 class RankZeroError(ValueError):
@@ -93,15 +93,10 @@ class ProjectionSequence:
     lattice: str
     n_list: tuple
     projections: tuple
-    increasing: bool = False
 
     def __post_init__(self):
         if not self.projections:
             raise ValueError("empty projection sequence")
-        if self.increasing:
-            for p, q in zip(self.projections, self.projections[1:]):
-                if subtract_runs(p.runs, q.runs):
-                    raise ValueError("sequence flagged increasing but index sets are not nested")
 
     def __iter__(self):
         return iter(zip(self.n_list, self.projections))
@@ -117,4 +112,4 @@ def finite_section_sequence(lattice: str, n_list) -> ProjectionSequence:
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n list must be strictly increasing")
     projs = tuple(finite_section(lattice, n) for n in ns)
-    return ProjectionSequence(lattice, ns, projs, increasing=True)
+    return ProjectionSequence(lattice, ns, projs)

@@ -5,7 +5,6 @@ ratios and trace estimates."""
 from __future__ import annotations
 
 import cmath
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,9 +124,9 @@ class SzegoReport:
             "summary": self.summary,
         }
         if self.folner is not None:
-            payload["folner"] = json.loads(self.folner.to_json())
+            payload["folner"] = self.folner.payload()
         if self.trace is not None:
-            payload["trace"] = json.loads(self.trace.to_json())
+            payload["trace"] = self.trace.payload()
         return report_json(payload)
 
     def to_csv(self) -> str:
@@ -150,24 +149,25 @@ def szego_pair_test(ops, seq, refs, f_family=None, p_list=(2,), trace_refs=None,
 
     `ops` is a list of (label, spec), `refs` maps label to ReferenceMeasure.
     Against a reference carrying a CDF grid, each window is solved once (the
-    largest under the eigenpair residual contract) and hat integrals and
-    Kolmogorov distances are reported too.  Against a moments-only reference
-    only polynomial f are reported, from the moments tr((PAP)^k)/rank of
-    each compression's diagonal storage, with no eigensolve.  Each f's
-    reference integral is taken once per operator.
+    one of largest rank under the eigenpair residual contract, its spectrum
+    spanning the default hats) and hat integrals and Kolmogorov distances
+    are reported too.  Against a moments-only reference only polynomial f
+    are reported, from the moments tr((PAP)^k)/rank of each compression's
+    diagonal storage, with no eigensolve.  Each f's reference integral is
+    taken once per operator.
     """
     ops = list(ops)
     for label, _ in ops:
         if label not in refs:
             raise MissingReferenceError(f"no reference measure for {label!r}")
 
+    top_n, top = max(seq, key=lambda item: item[1].rank)
     if any(refs[label].xs is not None for label, _ in ops):
         # even the cheapest solve of the residual-checked largest window must
         # fit in memory, or the run stops before its first solve
-        check_solve_footprint(seq.projections[-1].rank, tridiagonal=True, check_residual=True)
+        check_solve_footprint(top.rank, tridiagonal=True, check_residual=True)
     report = SzegoReport()
     measures, families = {}, {}
-    last_n = seq.n_list[-1]
     for label, op in ops:
         if refs[label].xs is None:
             families[label], order = polynomial_family(f_family)
@@ -177,10 +177,10 @@ def szego_pair_test(ops, seq, refs, f_family=None, p_list=(2,), trace_refs=None,
             continue
         for n, proj in seq:
             vals = compression_eigenvalues(op, proj, herm_tol=sa_tol,
-                                           check_residual=n == last_n)
+                                           check_residual=n == top_n)
             measures[(label, n)] = EmpiricalMeasure(vals, proj.rank)
-        top = measures[(label, last_n)].atoms
-        families[label] = default_f_family((top[0], top[-1])) if f_family is None else f_family
+        atoms = measures[(label, top_n)].atoms
+        families[label] = default_f_family((atoms[0], atoms[-1])) if f_family is None else f_family
 
     for label, op in ops:
         ref, fam = refs[label], families[label]

@@ -8,17 +8,15 @@ a numeric coefficient is requested, so long products do not drift.
 """
 from __future__ import annotations
 
-import bisect
 import cmath
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import report_csv, report_json
+from ._util import check_footprint, report_csv, report_json
 from .operators import Band, OperatorSpec, Term, Wave, diagonal_entries, diagonal_sum
-from .projections import ProjectionSequence
+from .operators import run_indices, widen_runs
 
 
 class AlphaMismatchError(ValueError):
@@ -181,13 +179,30 @@ def represent_nc(a: NCPolynomial, phi: float = 0.0) -> OperatorSpec:
 # numeric trace estimates
 
 
+def _estimates(op: OperatorSpec, projs) -> list:
+    """Tr(A P) / Tr(P) for each window P of `projs`, nested or not.  Where
+    `diagonal_sum` has a closed form it is taken once per window; otherwise
+    the diagonal is evaluated once, on the union of the windows' runs, and
+    each window sums its own slices of it: the values of its own diagonal in
+    order, so the same sums, bit for bit, as on the window alone."""
+    sums = [diagonal_sum(op, proj) for proj in projs]
+    if sums[0] is None:
+        union = widen_runs(sorted(r for proj in projs for r in proj.runs), 0)
+        size = sum(hi - lo + 1 for lo, hi in union)
+        check_footprint(8 * size, f"the index array of {size} window indices")
+        idx = run_indices(union)
+        diag = diagonal_entries(op, idx)
+        for w, proj in enumerate(projs):
+            at = np.searchsorted(idx, [lo for lo, _ in proj.runs]).tolist()
+            parts = [diag[a:a + hi - lo + 1] for a, (lo, hi) in zip(at, proj.runs)]
+            sums[w] = (parts[0] if len(parts) == 1 else np.concatenate(parts)).sum()
+    return [complex(total / proj.rank) for total, proj in zip(sums, projs)]
+
+
 def trace_estimate(op: OperatorSpec, proj) -> complex:
     """Tr(A P) / Tr(P): the normalized diagonal sum of the compression, in
     closed form over the projection's runs where `diagonal_sum` has one."""
-    total = diagonal_sum(op, proj)
-    if total is None:
-        total = diagonal_entries(op, proj).sum()
-    return complex(total / proj.rank)
+    return _estimates(op, [proj])[0]
 
 
 @dataclass
@@ -197,55 +212,29 @@ class TraceReport:
     COLUMNS = ("label", "n", "d_n", "estimate_re", "estimate_im", "reference_re",
                "reference_im", "abs_error")
 
+    def payload(self) -> dict:
+        return {"rows": self.rows}
+
     def to_json(self) -> str:
-        return report_json({"rows": self.rows})
+        return report_json(self.payload())
 
     def to_csv(self) -> str:
         return report_csv(self.rows, self.COLUMNS)
 
 
-def _window_slices(big_runs, runs) -> list:
-    """Slices of the index array of big_runs that hold each run of runs,
-    every one of which lies inside a run of big_runs."""
-    starts = [lo for lo, _ in big_runs]
-    pos = list(itertools.accumulate((hi - lo + 1 for lo, hi in big_runs), initial=0))
-    out = []
-    for lo, hi in runs:
-        j = bisect.bisect_right(starts, lo) - 1
-        out.append(slice(pos[j] + lo - starts[j], pos[j] + hi - starts[j] + 1))
-    return out
-
-
-def _estimates(op: OperatorSpec, seq: ProjectionSequence) -> list:
-    """`trace_estimate` at every window of seq.  Where the diagonal has no
-    closed-form sum and seq is nested, the diagonal is evaluated once, on
-    the largest window, and each window sums its own slices of it: the same
-    values in the same order, so the same sums, bit for bit."""
-    if not seq.increasing or diagonal_sum(op, seq.projections[0]) is not None:
-        return [trace_estimate(op, proj) for proj in seq.projections]
-    big = seq.projections[-1]
-    diag = diagonal_entries(op, big)
-    ests = []
-    for proj in seq.projections:
-        parts = [diag[s] for s in _window_slices(big.runs, proj.runs)]
-        mine = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        ests.append(complex(mine.sum() / proj.rank))
-    return ests
-
-
-def trace_convergence_report(ops, seq: ProjectionSequence, refs=None) -> TraceReport:
+def trace_convergence_report(ops, seq, refs=None) -> TraceReport:
     """Grid of trace estimates, with absolute errors where a reference is known.
 
     `ops` is a list of (label, spec); `refs` maps label to a complex
     reference trace.  A constant or `Wave` diagonal is summed in closed form
-    over each window's runs; otherwise, on a nested sequence, each
-    operator's diagonal is evaluated once, on the largest window, and only
-    one operator's diagonal is held at a time.
+    over each window's runs; otherwise each operator's diagonal is evaluated
+    once per grid, on the union of its windows, and only one operator's
+    diagonal is held at a time.
     """
     refs = refs or {}
     rows = []
     for label, op in ops:
-        for (n, proj), est in zip(seq, _estimates(op, seq)):
+        for (n, proj), est in zip(seq, _estimates(op, seq.projections)):
             row = {
                 "label": label,
                 "n": n,

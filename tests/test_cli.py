@@ -316,13 +316,16 @@ class TestOneLineFailures:
     HARPER = str(CORPUS / "valid" / "harper.json")
     AM = str(CORPUS / "valid" / "almost_mathieu.json")
     NORMAL_POLY = str(CORPUS / "valid" / "normal_poly.json")
+    DENSE_PAULI = str(CORPUS / "valid" / "dense_pauli.json")
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["trace", "--op", NORMAL_POLY, "--n", "dyadic:40:40"], id="trace-2^40"),
+        pytest.param(["trace", "--op", DENSE_PAULI, "--n", "dyadic:61:61"], id="trace-dense-2^61"),
     ])
     def test_oversized_index_array(self, capsys, argv):
-        # 8 TiB of indices for a polynomial's diagonal: refused against this
-        # machine's real memory before the array is built
+        # 8 TiB of indices for a polynomial's diagonal, 16 EiB for a dense
+        # leaf's: refused against this machine's real memory before the array
+        # is built
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         lines = err.splitlines()

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and each of its
+module-level functions and classes is used or exported."""
 import ast
 from pathlib import Path
 
@@ -32,3 +33,35 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_definitions(sources: dict) -> list:
+    """(module, name) of each module-level function or class that no module
+    of `sources` (module name -> source) reads, by name or as an attribute,
+    or imports; the package's __init__ exports what it imports."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, node.name) for node in tree.body if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return sorted(d for d in defined if d[1] not in used)
+
+
+def test_detects_a_dead_definition():
+    sources = {
+        "a": "def read():\n    pass\n\n\nclass Kept:\n    pass\n\n\ndef dead():\n    read()\n",
+        "b": "from . import a\nfrom .a import Kept\n\nprint(a.read)\n",
+    }
+    assert dead_definitions(sources) == [("a", "dead")]
+
+
+def test_every_definition_is_used_or_exported():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert dead_definitions(sources) == []

@@ -7,7 +7,6 @@ import folner_lab as fl
 def test_finite_section_ranks_n0():
     seq = fl.finite_section_sequence(fl.N0, [1, 2, 3])
     assert [p.rank for _, p in seq] == [2, 3, 4]
-    assert seq.increasing
 
 
 def test_finite_section_ranks_z():
@@ -61,25 +60,3 @@ def test_n0_window_nonnegative():
     with pytest.raises(ValueError):
         fl.Window(fl.N0, -1, 3)
 
-
-def test_increasing_flag_checked():
-    with pytest.raises(ValueError):
-        fl.ProjectionSequence(
-            fl.N0,
-            (1, 2),
-            (fl.Window(fl.N0, 0, 1), fl.Window(fl.N0, 1, 2)),
-            increasing=True,
-        )
-    rejected = [
-        # an index past the later set's end
-        (fl.IndexSet(fl.Z, (-3, 0, 6)), fl.IndexSet(fl.Z, (-3, -1, 0, 2, 5))),
-        # an index missing from the middle of the later set
-        (fl.IndexSet(fl.Z, (-3, 1)), fl.IndexSet(fl.Z, (-3, -2, 0, 2, 5))),
-    ]
-    for pair in rejected:
-        with pytest.raises(ValueError, match="not nested"):
-            fl.ProjectionSequence(fl.Z, (1, 2), pair, increasing=True)
-    nested = (fl.IndexSet(fl.Z, (-3, 2)), fl.IndexSet(fl.Z, (-3, 0, 2, 7)),
-              fl.Window(fl.Z, -3, 7))
-    seq = fl.ProjectionSequence(fl.Z, (1, 2, 3), nested, increasing=True)
-    assert seq.increasing

@@ -78,6 +78,7 @@ NUMBER_CASES = [
     ("coeffs-key-leading-zero", _with(TOEPLITZ, coeffs={"1": 1.0, "01": 5.0})),
     ("coeffs-key-negative-zero", _with(TOEPLITZ, coeffs={"-0": 1.0})),
     ("coeffs-key-float", _with(TOEPLITZ, coeffs={"1.0": 1.0})),
+    ("coeffs-key-newline", _with(TOEPLITZ, coeffs={"1\n": 1.0})),
 ]
 
 

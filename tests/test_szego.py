@@ -336,6 +336,26 @@ class TestSzegoPair:
         row = next(r for r in rep.rows if r["label"] == "t" and r["n"] == 16)
         assert row["error"] == pytest.approx(2.0 / 17.0, abs=1e-12)
 
+    def test_largest_window_takes_the_residual_check_wherever_it_stands(
+            self, monkeypatch, eig_calls):
+        # a sequence need not end on its largest window: the window of
+        # largest rank is the one checked up front, solved with eigenvectors
+        # and spanning the default hats
+        monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 5)
+        ranks = []
+        monkeypatch.setattr(fl.szego, "check_solve_footprint",
+                            lambda rank, **kwargs: ranks.append(rank))
+        big, small = fl.finite_section(fl.N0, 64), fl.finite_section(fl.N0, 4)
+        refs = {"t": fl.reference_pushforward(HOPPING)}
+        seq = fl.ProjectionSequence(fl.N0, (1, 2), (big, small))
+        rep = fl.szego_pair_test([("t", HOPPING)], seq, refs)
+        real = np.dtype(np.float64)
+        assert ranks == [65]
+        assert eig_calls == [("eigh_tridiagonal", 65, real), ("eigvalsh_tridiagonal", 5, real)]
+        alone = fl.szego_pair_test([("t", HOPPING)], fl.ProjectionSequence(fl.N0, (1,), (big,)),
+                                   refs)
+        assert {r["f"] for r in rep.rows} == {r["f"] for r in alone.rows}
+
 
 HOPPING_SPEC = str(CORPUS / "valid" / "hopping.json")
 

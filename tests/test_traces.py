@@ -237,6 +237,29 @@ class TestConvergenceReport:
         for a, b in zip(errs, errs[1:]):
             assert b <= 1.1 * a  # nonincreasing within 10% jitter
 
+    def test_one_poly_evaluation_per_operator_on_a_non_nested_sequence(self, monkeypatch):
+        # windows that do not nest share one diagonal: each operator is
+        # evaluated once, on the union of the windows' runs
+        s = fl.Toeplitz({1: 1.0, -1: 0.5j})
+        ops = [("a", fl.op_prod(s, s)), ("b", fl.op_sum(s, fl.op_scale(2.0, fl.identity())))]
+        projs = (fl.finite_section(fl.N0, 32), fl.Window(fl.N0, 40, 50), fl.finite_section(fl.N0, 2))
+        want = {(label, n): np.trace(compress(op, proj)) / proj.rank
+                for label, op in ops for n, proj in zip((1, 2, 3), projs)}
+        calls = []
+        exact = fl.operators.exact_entries
+
+        def spy(op, idx, keep=None):
+            calls.append(idx.size)
+            return exact(op, idx, keep)
+
+        monkeypatch.setattr(fl.operators, "exact_entries", spy)
+        seq = fl.ProjectionSequence(fl.N0, (1, 2, 3), projs)
+        rows = fl.trace_convergence_report(ops, seq).rows
+        assert calls == [44, 44]
+        for row in rows:
+            est = complex(row["estimate_re"], row["estimate_im"])
+            assert est == pytest.approx(want[(row["label"], row["n"])], abs=1e-14)
+
     def test_csv_has_version_stamp(self):
         seq = fl.finite_section_sequence(fl.N0, [2])
         rep = fl.trace_convergence_report([("one", fl.identity(fl.N0))], seq)
