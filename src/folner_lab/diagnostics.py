@@ -19,32 +19,17 @@ from .operators import intersect_runs, pad_runs, run_indices, subtract_runs, wid
 INF = math.inf
 
 
-def _trim(m: np.ndarray) -> np.ndarray:
-    """Drop all-zero rows and columns; singular values are unchanged."""
-    rows = np.any(m != 0, axis=1)
-    cols = np.any(m != 0, axis=0)
-    if not rows.any():
-        return np.zeros((1, 1), dtype=m.dtype)
-    return m[np.ix_(rows, cols)]
-
-
-def _singular_values(m: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(_trim(m), compute_uv=False)
-
-
 def schatten_norm(m: np.ndarray, p) -> float:
-    """Schatten p-norm for p in {1, 2, inf}.
-
-    p=2 is the entrywise Hilbert-Schmidt sum; p=1 and p=inf go through
-    singular values of the (zero-trimmed) matrix.
+    """Schatten p-norm for p in {1, 2, inf}, straight from numpy: p=2 is the
+    entrywise Hilbert-Schmidt sum, p=1 the nuclear norm and p=inf the
+    largest singular value.  An empty matrix has norm 0.0.
     """
     m = np.asarray(m)
     if p == 2:
         return float(np.linalg.norm(m))
-    if p in (1, INF, "inf"):
-        sv = _singular_values(m)
-        return float(sv.sum() if p == 1 else sv[0])
-    raise ValueError(f"unsupported Schatten exponent {p!r}")
+    if p not in (1, INF, "inf"):
+        raise ValueError(f"unsupported Schatten exponent {p!r}")
+    return float(np.linalg.norm(m, "nuc" if p == 1 else 2)) if m.size else 0.0
 
 
 def _proj_norm(rank: int, p) -> float:

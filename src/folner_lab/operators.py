@@ -25,10 +25,11 @@ Z = "z"
 _LATTICES = (N0, Z)
 
 # Complex arrays of a padded section's size counted against physical memory
-# before the section is built: the section, its zero-trimmed copy and the
-# workspace of the SVD that takes its operator norm.  hopping (x) hopping at
-# n = 2000 (order 2002, 61 MiB a section) peaked 188 MiB, 3.1 sections,
-# above its start (one BLAS thread); 4 leaves a section of headroom.
+# before the section is built: the section and one copy at a time (its PAP
+# block, or the matrix the operator-norm SVD works on).  hopping (x) hopping
+# at n = 2000 (order 2002, 61 MiB a section) peaked 126 MiB of RSS, 2.1
+# sections, and 122 MiB under tracemalloc above its start (one BLAS thread);
+# 4 leaves two sections of headroom.
 _SECTION_ARRAYS = 4
 
 
@@ -473,10 +474,15 @@ def _storage(node, pad: np.ndarray, keep=None) -> dict:
             for k, v in _storage(child, pad, keep).items():
                 out[k] = out[k] + v if k in out else v
         return out
-    if isinstance(node, AdjE):  # A*[i, i + k] = conj(A[i + k, i])
+    if isinstance(node, AdjE):
         child = _storage(node.child, pad, None if keep is None else {-k for k in keep})
-        return {-k: np.conj(_shifted(v, -k)) for k, v in child.items()}
+        return _adjoint(child)
     return {k: node.scalar * v for k, v in _storage(node.child, pad, keep).items()}
+
+
+def _adjoint(diags: dict) -> dict:
+    """Diagonal storage of the adjoint: A*[i, i + k] = conj(A[i + k, i])."""
+    return {-k: np.conj(_shifted(v, -k)) for k, v in diags.items()}
 
 
 def _shifted(v: np.ndarray, a: int) -> np.ndarray:

@@ -13,10 +13,10 @@ from ._util import check_footprint
 from .operators import (
     OperatorSpec,
     Toeplitz,
+    _adjoint,
     _check_lattice,
     _positions,
     _scatter,
-    _shifted,
     _times,
     exact_entries,
 )
@@ -79,7 +79,7 @@ def _hermitian_part(op: OperatorSpec, proj):
     if not any(v.imag.any() for v in diags.values()):
         diags = {j: v.real for j, v in diags.items()}
     scale = max([1.0, *(float(np.max(np.abs(v))) for v in diags.values())])
-    adj = {-j: np.conj(_shifted(v, -j)) for j, v in diags.items()}
+    adj = _adjoint(diags)
     keys = sorted(set(diags) | set(adj))
     # |M[p, q] - conj(M[q, p])| is symmetric in (p, q): offsets j >= 0 see it all
     dev = max([0.0, *(float(np.max(np.abs(diags.get(j, 0.0) - adj.get(j, 0.0))))

@@ -115,7 +115,6 @@ class SzegoReport:
     trace: TraceReport | None = None
 
     COLUMNS = ("label", "n", "d_n", "f", "empirical", "reference", "error")
-    KS_COLUMNS = ("label", "n", "d_n", "kolmogorov")
 
     def to_json(self) -> str:
         payload = {
@@ -153,79 +152,55 @@ def szego_pair_test(ops, seq, refs, f_family=None, p_list=(2,), trace_refs=None,
     spanning the default hats) and hat integrals and Kolmogorov distances
     are reported too.  Against a moments-only reference only polynomial f
     are reported, from the moments tr((PAP)^k)/rank of each compression's
-    diagonal storage, with no eigensolve.  Each f's reference integral is
-    taken once per operator.
+    diagonal storage, with no eigensolve.  Each operator takes one pass:
+    its measures, one reference integral per f, its rows and its summary,
+    read at the window of largest rank wherever it stands in the sequence.
     """
     ops = list(ops)
     for label, _ in ops:
         if label not in refs:
             raise MissingReferenceError(f"no reference measure for {label!r}")
 
-    top_n, top = max(seq, key=lambda item: item[1].rank)
+    projs = seq.projections
+    top = max(range(len(projs)), key=lambda w: projs[w].rank)
     if any(refs[label].xs is not None for label, _ in ops):
         # even the cheapest solve of the residual-checked largest window must
         # fit in memory, or the run stops before its first solve
-        check_solve_footprint(top.rank, tridiagonal=True, check_residual=True)
+        check_solve_footprint(projs[top].rank, tridiagonal=True, check_residual=True)
     report = SzegoReport()
-    measures, families = {}, {}
     for label, op in ops:
-        if refs[label].xs is None:
-            families[label], order = polynomial_family(f_family)
-            for n, proj in seq:
-                measures[(label, n)] = ReferenceMeasure(
-                    moments=compression_moments(op, proj, order, herm_tol=sa_tol))
-            continue
-        for n, proj in seq:
-            vals = compression_eigenvalues(op, proj, herm_tol=sa_tol,
-                                           check_residual=n == top_n)
-            measures[(label, n)] = EmpiricalMeasure(vals, proj.rank)
-        atoms = measures[(label, top_n)].atoms
-        families[label] = default_f_family((atoms[0], atoms[-1])) if f_family is None else f_family
-
-    for label, op in ops:
-        ref, fam = refs[label], families[label]
+        ref = refs[label]
+        if ref.xs is None:
+            fam, order = polynomial_family(f_family)
+            measures = [ReferenceMeasure(moments=compression_moments(
+                op, proj, order, herm_tol=sa_tol)) for proj in projs]
+        else:
+            measures = [EmpiricalMeasure(compression_eigenvalues(
+                op, proj, herm_tol=sa_tol, check_residual=w == top), proj.rank)
+                for w, proj in enumerate(projs)]
+            atoms = measures[top].atoms
+            fam = default_f_family((atoms[0], atoms[-1])) if f_family is None else f_family
         ref_values = [integrate(ref, f) for f in fam]
-        for n, proj in seq:
-            meas = measures[(label, n)]
+        worst = []  # each window's largest error
+        for (n, proj), meas in zip(seq, measures):
+            errors = []
             for f, rv in zip(fam, ref_values):
                 emp = integrate(meas, f)
-                report.rows.append(
-                    {
-                        "label": label,
-                        "n": n,
-                        "d_n": proj.rank,
-                        "f": f.name,
-                        "empirical": emp,
-                        "reference": rv,
-                        "error": abs(emp - rv),
-                    }
-                )
+                errors.append(abs(emp - rv))
+                report.rows.append({"label": label, "n": n, "d_n": proj.rank, "f": f.name,
+                                    "empirical": emp, "reference": rv, "error": errors[-1]})
+            worst.append(max(errors))
             if ref.xs is not None:
-                report.kolmogorov_rows.append(
-                    {
-                        "label": label,
-                        "n": n,
-                        "d_n": proj.rank,
-                        "kolmogorov": kolmogorov_distance(meas, ref),
-                    }
-                )
+                report.kolmogorov_rows.append({"label": label, "n": n, "d_n": proj.rank,
+                                               "kolmogorov": kolmogorov_distance(meas, ref)})
+        report.summary[label] = {
+            "largest_n": seq.n_list[top],
+            "max_error_at_largest_n": worst[top],
+            "error_decay_slope": fit_decay_slope([proj.rank for proj in projs], worst),
+        }
 
     report.rows.sort(key=lambda r: (r["label"], r["n"], r["f"]))
     report.kolmogorov_rows.sort(key=lambda r: (r["label"], r["n"]))
-
-    for label, _ in ops:
-        mine = [r for r in report.rows if r["label"] == label]
-        ns = sorted({r["n"] for r in mine})
-        max_err = {n: max(r["error"] for r in mine if r["n"] == n) for n in ns}
-        d_of = {r["n"]: r["d_n"] for r in mine}
-        report.summary[label] = {
-            "largest_n": ns[-1],
-            "max_error_at_largest_n": max_err[ns[-1]],
-            "error_decay_slope": fit_decay_slope(
-                [d_of[n] for n in ns], [max_err[n] for n in ns]
-            ),
-        }
-
     report.folner = folner_profile(ops, seq, p_list=p_list)
     report.trace = trace_convergence_report(ops, seq, refs=trace_refs)
     return report

@@ -35,6 +35,18 @@ class TestSchattenNorm:
             ) + 1e-10
             assert fl.schatten_norm(m, 1) == pytest.approx(sv.sum(), rel=1e-12)
 
+    @pytest.mark.parametrize("shape, zero", [((4, 3), np.s_[1, :]), ((3, 4), np.s_[:, 2]),
+                                             ((3, 3), np.s_[:, :]), ((0, 3), np.s_[:, :])],
+                             ids=["zero-row", "zero-column", "all-zero", "0x3"])
+    def test_degenerate_matrices_against_svd(self, shape, zero):
+        rng = np.random.default_rng(7)
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m[zero] = 0.0
+        sv = np.linalg.svd(m, compute_uv=False)  # SVD oracle
+        want = {1: sv.sum(), 2: math.sqrt(np.sum(sv**2)), math.inf: sv.max(initial=0.0)}
+        for p, norm in want.items():
+            assert fl.schatten_norm(m, p) == pytest.approx(norm, rel=1e-12, abs=0.0)
+
     def test_bad_exponent(self):
         with pytest.raises(ValueError):
             fl.schatten_norm(np.eye(2), 3)

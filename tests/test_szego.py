@@ -356,6 +356,18 @@ class TestSzegoPair:
                                    refs)
         assert {r["f"] for r in rep.rows} == {r["f"] for r in alone.rows}
 
+    def test_summary_reads_the_window_of_largest_rank(self):
+        # labels say nothing about ranks: the summary is that of the rank-65
+        # window, labelled 1, not of the rank-5 window under the larger label
+        big, small = fl.finite_section(fl.N0, 64), fl.finite_section(fl.N0, 4)
+        refs = {"t": fl.reference_pushforward(HOPPING)}
+        seq = fl.ProjectionSequence(fl.N0, (1, 2), (big, small))
+        rep = fl.szego_pair_test([("t", HOPPING)], seq, refs)
+        errors = {n: max(r["error"] for r in rep.rows if r["n"] == n) for n in (1, 2)}
+        assert errors[1] < errors[2]
+        assert rep.summary["t"]["largest_n"] == 1
+        assert rep.summary["t"]["max_error_at_largest_n"] == errors[1]
+
 
 HOPPING_SPEC = str(CORPUS / "valid" / "hopping.json")
 
