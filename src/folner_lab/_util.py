@@ -14,6 +14,11 @@ class ConfigError(ValueError):
     """Bad command-line configuration, or a run too large for this machine."""
 
 
+class SpecError(ValueError):
+    """A spec the run cannot use, invalid or outside what a command covers:
+    the command line's exit code 3."""
+
+
 def _physical_memory():
     """Bytes of physical memory, or None where the platform does not say."""
     try:

@@ -9,23 +9,19 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from ._util import VERSION, ConfigError, check_footprint, report_csv, report_json
+from ._util import VERSION, ConfigError, SpecError, check_footprint, report_csv, report_json
 from .diagnostics import folner_profile
-from .operators import LatticeMismatchError, N0, Shift, Toeplitz
-from .projections import RankZeroError, finite_section, finite_section_sequence
-from .spectral import (
-    ComplexSymbolError,
-    NonHermitianError,
-    ResidualError,
-    reference_pushforward,
-)
+from .operators import N0, Shift, Toeplitz
+from .projections import finite_section, finite_section_sequence
+from .spectral import ResidualError, reference_pushforward
 from .specio import SpecValidationError, load_spec_file
-from .szego import MissingReferenceError, NotSelfAdjointError, monomial, szego_pair_test
+from .szego import MissingReferenceError, monomial, szego_pair_test
 from .szego import hat_family, moments_reference, polynomial_family
 from .tensor import tensor_bound_check
 from .traces import canonical_trace, represent_nc, trace_convergence_report
@@ -112,9 +108,15 @@ def parse_f_family(text: str):
 
 def _emit(text: str, out: str):
     if out in (None, "-"):
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        try:
+            sys.stdout.write(text)
+            if not text.endswith("\n"):
+                sys.stdout.write("\n")
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            # what is still buffered goes to devnull at exit, not to the closed pipe
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ConfigError(f"cannot write stdout: {exc.strerror or exc}") from exc
     else:
         try:
             Path(out).write_text(text, encoding="utf-8")
@@ -139,6 +141,11 @@ def _load_operators(paths, phi: float = 0.0):
 
 
 def _sequence_for(ops, n_list):
+    """The finite-section sequence of `ops`, whose labels key the reports."""
+    labels = [label for label, _ in ops]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ConfigError(f"two operators are labelled {label!r}, the stem of their files")
     lattices = {op.lattice for _, op in ops}
     if len(lattices) != 1:
         raise SpecValidationError("all operators in one run must share a lattice")
@@ -349,15 +356,7 @@ def main(argv=None) -> int:
     except (ConfigError, MemoryError) as exc:
         print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
-    except (
-        SpecValidationError,
-        RankZeroError,
-        LatticeMismatchError,
-        MissingReferenceError,
-        NotSelfAdjointError,
-        NonHermitianError,
-        ComplexSymbolError,
-    ) as exc:
+    except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 3
     except (ResidualError, np.linalg.LinAlgError, FloatingPointError) as exc:

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import ConfigError, check_footprint
+from ._util import ConfigError, SpecError, check_footprint
 
 N0 = "n0"
 Z = "z"
@@ -33,7 +33,7 @@ _LATTICES = (N0, Z)
 _SECTION_ARRAYS = 4
 
 
-class LatticeMismatchError(ValueError):
+class LatticeMismatchError(SpecError):
     """Operator and projection (or polynomial operands) live on different lattices."""
 
 
@@ -530,6 +530,8 @@ def index_runs(idx) -> tuple:
 def run_indices(runs) -> np.ndarray:
     """The sorted index array of runs."""
     parts = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in runs]
+    if len(parts) == 1:
+        return parts[0]
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 

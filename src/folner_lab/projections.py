@@ -1,7 +1,8 @@
 """Non-zero finite-rank coordinate projections and candidate sequences.
 
-A window or an index set also gives its indices as `runs`: sorted,
-disjoint, inclusive (lo, hi) pairs, one per maximal contiguous stretch.
+A projection is its `runs`: sorted, disjoint, inclusive (lo, hi) pairs,
+one per maximal contiguous stretch of its indices.  A window has one run;
+an index set has as many as its indices have stretches.
 """
 from __future__ import annotations
 
@@ -9,72 +10,55 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import check_footprint
-from .operators import _INT64, N0, Z, _LATTICES, index_runs
+from ._util import SpecError, check_footprint
+from .operators import _INT64, N0, Z, _LATTICES, index_runs, run_indices
 
 
-class RankZeroError(ValueError):
+class RankZeroError(SpecError):
     """A projection spec must have rank at least one."""
 
 
 @dataclass(frozen=True)
-class Window:
-    """Orthogonal projection onto span{e_lo, ..., e_hi} (inclusive)."""
+class Projection:
+    """Orthogonal projection onto span{e_i : i in one of the runs}."""
 
     lattice: str
-    lo: int
-    hi: int
+    runs: tuple
+    rank: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lattice not in _LATTICES:
             raise ValueError(f"unknown lattice {self.lattice!r}")
-        if self.hi < self.lo:
-            raise RankZeroError(f"empty window [{self.lo}, {self.hi}]")
-        if self.lattice == N0 and self.lo < 0:
-            raise ValueError("window on n0 cannot contain negative indices")
-
-    @property
-    def rank(self) -> int:
-        return self.hi - self.lo + 1
-
-    @property
-    def runs(self) -> tuple:
-        return ((self.lo, self.hi),)
+        if self.lattice == N0 and self.runs[0][0] < 0:
+            raise ValueError("a projection on n0 cannot contain negative indices")
+        object.__setattr__(self, "rank", sum(hi - lo + 1 for lo, hi in self.runs))
 
     def index_array(self) -> np.ndarray:
         check_footprint(8 * self.rank, f"the index array of a window of rank {self.rank}")
-        return np.arange(self.lo, self.hi + 1, dtype=np.int64)
+        return run_indices(self.runs)
 
 
-@dataclass(frozen=True)
-class IndexSet:
+class Window(Projection):
+    """Orthogonal projection onto span{e_lo, ..., e_hi} (inclusive)."""
+
+    def __init__(self, lattice: str, lo: int, hi: int):
+        if hi < lo:
+            raise RankZeroError(f"empty window [{lo}, {hi}]")
+        super().__init__(lattice, ((lo, hi),))
+
+
+class IndexSet(Projection):
     """Projection onto an explicit strictly increasing finite index set."""
 
-    lattice: str
-    indices: tuple
-    runs: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.lattice not in _LATTICES:
-            raise ValueError(f"unknown lattice {self.lattice!r}")
-        idx = tuple(int(i) for i in self.indices)
+    def __init__(self, lattice: str, indices):
+        idx = tuple(int(i) for i in indices)
         if not idx:
             raise RankZeroError("empty index set")
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise ValueError("index set must be strictly increasing")
-        if self.lattice == N0 and idx[0] < 0:
-            raise ValueError("index set on n0 cannot contain negative indices")
         if idx[0] < _INT64.min or idx[-1] > _INT64.max:
             raise ValueError("index set indices must fit in 64 bits")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "runs", index_runs(idx))
-
-    @property
-    def rank(self) -> int:
-        return len(self.indices)
-
-    def index_array(self) -> np.ndarray:
-        return np.asarray(self.indices, dtype=np.int64)
+        super().__init__(lattice, index_runs(idx))
 
 
 def finite_section(lattice: str, n: int) -> Window:

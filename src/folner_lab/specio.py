@@ -11,6 +11,7 @@ import numpy as np
 
 from . import operators as ops
 from . import projections as prj
+from ._util import SpecError
 from .operators import (
     AlmostMathieu,
     Band,
@@ -35,7 +36,7 @@ MAX_NESTING = 100
 _OFFSET_KEY = re.compile("0|-?[1-9][0-9]*")
 
 
-class SpecValidationError(ValueError):
+class SpecValidationError(SpecError):
     """A spec file or document failed structural validation."""
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_footprint
+from ._util import SpecError, check_footprint
 from .operators import (
     OperatorSpec,
     Toeplitz,
@@ -32,7 +32,7 @@ TRIDIAGONAL_MIN_DIM = 1000
 _RESIDUAL_BLOCK_BYTES = 1 << 23
 
 
-class NonHermitianError(ValueError):
+class NonHermitianError(SpecError):
     """Matrix deviates from Hermiticity beyond the allowed tolerance."""
 
 
@@ -40,7 +40,7 @@ class ResidualError(ArithmeticError):
     """Eigenpair residual exceeded the backward-stability contract."""
 
 
-class ComplexSymbolError(ValueError):
+class ComplexSymbolError(SpecError):
     """Pushforward reference measures need a real-valued symbol."""
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import ConfigError, report_csv, report_json
+from ._util import ConfigError, SpecError, report_csv, report_json
 from .diagnostics import FolnerReport, fit_decay_slope, folner_profile
 from .spectral import (
     EmpiricalMeasure,
@@ -33,15 +33,15 @@ from .traces import (
 )
 
 
-class MissingReferenceError(ValueError):
+class MissingReferenceError(SpecError):
     """Every operator under test needs a declared reference measure."""
 
 
-class NotSelfAdjointError(ValueError):
+class NotSelfAdjointError(SpecError):
     """Szego-pair tests are defined for self-adjoint elements only."""
 
 
-def hat_family(lo: float, hi: float, count: int = 17):
+def hat_family(lo: float, hi: float, count: int):
     """Piecewise-linear hats on a uniform grid over [lo, hi]."""
     if hi <= lo:
         hi = lo + 1.0
@@ -52,12 +52,12 @@ def hat_family(lo: float, hi: float, count: int = 17):
     return [hat(nodes[i], nodes[i + 1], nodes[i + 2]) for i in range(count)]
 
 
-def default_f_family(support=None, degree: int = 6, hats: int = 17):
-    """Monomials up to `degree`, plus hats spanning the empirical support
+def default_f_family(support=None):
+    """Monomials up to degree 6, plus 17 hats spanning the empirical support
     when one is given."""
-    fam = [monomial(k) for k in range(degree + 1)]
+    fam = [monomial(k) for k in range(7)]
     if support is not None:
-        fam += hat_family(support[0], support[1], hats)
+        fam += hat_family(support[0], support[1], 17)
     return fam
 
 
@@ -110,6 +110,7 @@ class SzegoReport:
 
     rows: list = field(default_factory=list)
     kolmogorov_rows: list = field(default_factory=list)
+    plot_rows: list = field(default_factory=list)  # each window's largest error
     summary: dict = field(default_factory=dict)
     folner: FolnerReport | None = None
     trace: TraceReport | None = None
@@ -133,16 +134,10 @@ class SzegoReport:
 
     def plot_csv(self) -> str:
         """n vs max f-error per operator, log-log ready."""
-        rows = []
-        for label in sorted({r["label"] for r in self.rows}):
-            for n in sorted({r["n"] for r in self.rows if r["label"] == label}):
-                errs = [r["error"] for r in self.rows if r["label"] == label and r["n"] == n]
-                d_n = next(r["d_n"] for r in self.rows if r["label"] == label and r["n"] == n)
-                rows.append({"label": label, "n": n, "d_n": d_n, "max_error": max(errs)})
-        return report_csv(rows, ("label", "n", "d_n", "max_error"))
+        return report_csv(self.plot_rows, ("label", "n", "d_n", "max_error"))
 
 
-def szego_pair_test(ops, seq, refs, f_family=None, p_list=(2,), trace_refs=None,
+def szego_pair_test(ops, seq, refs, f_family=None, trace_refs=None,
                     sa_tol: float = 1e-10) -> SzegoReport:
     """Quantify weak convergence of empirical spectral measures to references.
 
@@ -190,6 +185,8 @@ def szego_pair_test(ops, seq, refs, f_family=None, p_list=(2,), trace_refs=None,
                 report.rows.append({"label": label, "n": n, "d_n": proj.rank, "f": f.name,
                                     "empirical": emp, "reference": rv, "error": errors[-1]})
             worst.append(max(errors))
+            report.plot_rows.append({"label": label, "n": n, "d_n": proj.rank,
+                                     "max_error": worst[-1]})
             if ref.xs is not None:
                 report.kolmogorov_rows.append({"label": label, "n": n, "d_n": proj.rank,
                                                "kolmogorov": kolmogorov_distance(meas, ref)})
@@ -201,6 +198,7 @@ def szego_pair_test(ops, seq, refs, f_family=None, p_list=(2,), trace_refs=None,
 
     report.rows.sort(key=lambda r: (r["label"], r["n"], r["f"]))
     report.kolmogorov_rows.sort(key=lambda r: (r["label"], r["n"]))
-    report.folner = folner_profile(ops, seq, p_list=p_list)
+    report.plot_rows.sort(key=lambda r: (r["label"], r["n"]))
+    report.folner = folner_profile(ops, seq, p_list=(2,))
     report.trace = trace_convergence_report(ops, seq, refs=trace_refs)
     return report

@@ -508,6 +508,37 @@ class TestOneLineFailures:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: cannot write")
 
+    @pytest.mark.parametrize("command", ["folner", "szego", "trace"])
+    def test_two_operators_with_one_label(self, capsys, tmp_path, command):
+        # a label is the file's stem and the reports key by it: a shift spec
+        # saved as hopping.json would be merged into hopping's rows
+        other = tmp_path / "hopping.json"
+        other.write_text((CORPUS / "valid" / "shift.json").read_text())
+        code, out, err = run(capsys, command, "--op", self.HOPPING, "--op", str(other),
+                             "--n", "2,4")
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "config error: two operators are labelled 'hopping', the stem of their files"]
+
+    @pytest.mark.parametrize("n", [pytest.param("1,2", id="2-rows"),
+                                   pytest.param("dyadic:0:62", id="126-rows")])
+    def test_closed_stdout(self, n):
+        # a pipe whose read end is closed before the child starts: the first
+        # write or the flush fails, whatever the size of the output
+        read, write = os.pipe()
+        os.close(read)
+        env = {**os.environ, "PYTHONPATH": str(Path(fl.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": "1"}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "folner_lab.cli", "folner", "--op", self.HOPPING,
+                 "--n", n], stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: cannot write stdout: ")
+
     def test_negative_dyadic_exponent(self, capsys):
         code, out, err = run(capsys, "folner", "--op", self.HOPPING, "--n", "dyadic:-1:2")
         assert code == 2 and out == ""

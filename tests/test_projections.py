@@ -1,7 +1,9 @@
 
+import numpy as np
 import pytest
 
 import folner_lab as fl
+from folner_lab.projections import Projection
 
 
 def test_finite_section_ranks_n0():
@@ -24,7 +26,18 @@ def test_runs():
     assert fl.Window(fl.Z, -3, 4).runs == ((-3, 4),)
     p = fl.IndexSet(fl.Z, (-4, -3, -1, 2, 3, 4))
     assert p.runs == ((-4, -3), (-1, -1), (2, 4))
-    assert p == fl.IndexSet(fl.Z, (-4, -3, -1, 2, 3, 4)) and "runs" not in repr(p)
+    # a projection is its runs: they are what it shows and what it compares
+    assert p == fl.IndexSet(fl.Z, (-4, -3, -1, 2, 3, 4))
+    assert repr(p) == "IndexSet(lattice='z', runs=((-4, -3), (-1, -1), (2, 4)))"
+
+
+def test_window_and_index_set_of_the_same_indices():
+    w, s = fl.Window(fl.Z, -2, 3), fl.IndexSet(fl.Z, range(-2, 4))
+    assert w.runs == s.runs and w.rank == s.rank == 6
+    assert w.index_array().tolist() == s.index_array().tolist() == list(range(-2, 4))
+    assert w.index_array().dtype == s.index_array().dtype == np.int64
+    # both are projections, still told apart by class
+    assert isinstance(w, Projection) and isinstance(s, Projection) and w != s
 
 
 def test_empty_n_list_rejected():
@@ -57,6 +70,12 @@ def test_index_set_fits_int64():
 
 
 def test_n0_window_nonnegative():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="on n0 cannot contain negative indices"):
         fl.Window(fl.N0, -1, 3)
+
+
+def test_n0_index_set_nonnegative():
+    with pytest.raises(ValueError, match="on n0 cannot contain negative indices"):
+        fl.IndexSet(fl.N0, (-2, 0, 5))
+    fl.IndexSet(fl.Z, (-2, 0, 5))
 

@@ -307,6 +307,19 @@ class TestSzegoPair:
         assert "max_error" in rep.plot_csv()
         assert '"summary"' in rep.to_json()
 
+    def test_plot_rows_are_each_windows_largest_error(self):
+        # two operators given out of label order: one plot row per (label, n),
+        # sorted, each the largest error of that window's rows
+        seq = fl.finite_section_sequence(fl.N0, [3, 9, 33])
+        refs = {label: fl.reference_pushforward(HOPPING) for label in ("b", "a")}
+        rep = fl.szego_pair_test([("b", HOPPING), ("a", HOPPING)], seq, refs)
+        want = [{"label": label, "n": n, "d_n": n + 1,
+                 "max_error": max(r["error"] for r in rep.rows
+                                  if (r["label"], r["n"]) == (label, n))}
+                for label in ("a", "b") for n in (3, 9, 33)]
+        assert rep.plot_rows == want
+        assert rep.plot_csv() == fl._util.report_csv(want, ("label", "n", "d_n", "max_error"))
+
     def test_necessity_coupling(self):
         # golden-threshold regression: the same windows that make the
         # spectral errors small also make the commutator ratios small,
