@@ -1,7 +1,9 @@
 """Eigenvalues and moments of Hermitian compressions, empirical spectral
 measures, reference measures, and distances between them.  A compression
 is read once, in checked diagonal storage (`_hermitian_compression`), and
-then solved as a tridiagonal or a dense matrix, or raised to powers."""
+then raised to powers or solved: folded into real halves, or one real
+matrix, where it is persymmetric (`_fold`), and as tridiagonal or dense
+matrices."""
 from __future__ import annotations
 
 import math
@@ -22,14 +24,17 @@ from .operators import (
 )
 
 # Windows of at least this order whose compression is real and tridiagonal
-# are solved from their diagonals by scipy's tridiagonal LAPACK routines.
+# are solved from their diagonals by scipy's tridiagonal LAPACK routines,
+# as two tridiagonal halves where the compression is persymmetric.
 # Below it a dense solve costs less than importing scipy.linalg (0.26 s):
 # at d = 1025 a dense eigh with the residual check takes 0.36 s, the import
 # and a stemr solve 0.34 s (one BLAS thread).
 TRIDIAGONAL_MIN_DIM = 1000
 
-# Bytes of each temporary of the blocked tridiagonal residual check.
+# Bytes of each temporary of the blocked residual check from storage.
 _RESIDUAL_BLOCK_BYTES = 1 << 23
+
+_ROOT2, _ROOT_HALF = math.sqrt(2.0), math.sqrt(0.5)
 
 
 class NonHermitianError(SpecError):
@@ -95,33 +100,138 @@ def _hermitian_compression(op: OperatorSpec, proj, herm_tol: float):
     return h, scale
 
 
-def _tridiagonal_eigenvalues(a, e, scale: float, check_residual: bool):
-    """Ascending eigenvalues of the real symmetric tridiagonal matrix with
-    diagonal a and off-diagonal e; with check_residual, every eigenpair is
-    verified against ||T v - lam v|| <= 1e-9 * scale * sqrt(d)."""
+def _eigh(m: np.ndarray, vectors: bool):
+    """(eigenvalues, eigenvectors or None) of the dense symmetric matrix m."""
+    return np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
+
+
+def _eigh_tridiagonal(a, e, vectors: bool):
+    """(eigenvalues, eigenvectors or None) of the real symmetric tridiagonal
+    matrix with diagonal a and off-diagonal e: LAPACK sterf, or stemr with
+    eigenvectors."""
     import scipy.linalg  # 0.26 s and 27 MB, paid only by large windows
 
-    if not check_residual:
-        return scipy.linalg.eigvalsh_tridiagonal(a, e, lapack_driver="sterf")
-    vals, vecs = scipy.linalg.eigh_tridiagonal(a, e, lapack_driver="stemr")
-    step = max(1, _RESIDUAL_BLOCK_BYTES // (8 * a.size))
-    worst = []
-    for j in range(0, a.size, step):
-        v = vecs[:, j:j + step]
-        r = a[:, None] * v - v * vals[None, j:j + step]
-        r[:-1] += e[:, None] * v[1:]
-        r[1:] += e[:, None] * v[:-1]
-        worst.append(np.linalg.norm(r, axis=0).max())
-    _check_residual(float(np.max(worst)), scale, a.size)
-    return vals
+    if not vectors:
+        return scipy.linalg.eigvalsh_tridiagonal(a, e, lapack_driver="sterf"), None
+    return scipy.linalg.eigh_tridiagonal(a, e, lapack_driver="stemr")
 
 
-def check_solve_footprint(d: int, tridiagonal: bool, check_residual: bool):
-    """ConfigError, before anything is allocated, when the d x d arrays of
-    a solve exceed physical memory: the float64 eigenvectors on the
-    tridiagonal path; on the dense path, counted as complex, the matrix,
-    LAPACK's working copy and, with check_residual, the eigenvectors."""
-    if tridiagonal:
+def _stored(j: int, d: int) -> slice:
+    """The positions p of diagonal j of a storage of order d with p + j in
+    [0, d): the entries of the matrix that diagonal holds."""
+    lo = max(0, -j)
+    return slice(lo, max(lo, d - max(0, j)))
+
+
+def _palindromic(h: dict, d: int) -> bool:
+    """Whether every diagonal of the storage h of a Hermitian H of order d
+    reads the same backwards, exactly: then J H J = H^T = conj(H) for the
+    exchange matrix J, and H is persymmetric."""
+    return all(np.array_equal(w, w[::-1]) for w in (v[_stored(j, d)] for j, v in h.items()))
+
+
+def _fold(h: dict, d: int) -> list:
+    """(part, real symmetric matrix) of each solve of the persymmetric H of
+    storage h and order d = 2m + r.  On the orthonormal basis of symmetric
+    vectors (e_i + e_(d-1-i))/sqrt(2) for i < m, then e_m when d is odd,
+    then antisymmetric vectors (e_i - e_(d-1-i))/sqrt(2), H is
+    [[S, iK], [-iK^T, T]] with S, T and K real, of orders m + r, m and
+    (m + r) x m.  With H = R + iI, J R J = R and J I J = -I, so that
+    S = B + C and T = B - C on the leading blocks of R, K = B - C on those
+    of I, for B = H[i, k] and C = H[i, d - 1 - k], i, k < m; only the
+    couplings of e_m to the others carry a factor sqrt(2), and an exact
+    spectrum stays exact.  Real H gives the halves S ("sym") and T
+    ("anti"), complex H the one matrix [[S, K], [K^T, T]] = D* [[S, iK],
+    [-iK^T, T]] D of order d for D = diag(1, -i) ("complex")."""
+    m, top = d // 2, d - d // 2
+    b = _scatter({j: v[:top] for j, v in h.items()}, top)  # H[:top, :top]
+    c = np.zeros((m, m), dtype=b.dtype)
+    for j, v in h.items():  # H[i, i + j] lands on C[i, d - 1 - i - j]
+        rows = np.arange(max(0, top - j), min(m, d - j))
+        c[rows, d - 1 - j - rows] = v[rows]
+    s = b.real.copy()
+    s[:m, :m] += c.real
+    t = b.real[:m, :m] - c.real
+    if d % 2:
+        s[m, :m] *= _ROOT2
+        s[:m, m] *= _ROOT2
+    if np.iscomplexobj(b):
+        k = b.imag[:, :m].copy()
+        k[:m] -= c.imag
+        if d % 2:
+            k[m] *= _ROOT2
+        return [("complex", np.block([[s, k], [k.T, t]]))]
+    return [("sym", s), ("anti", t)] if m else [("sym", s)]
+
+
+def _tridiagonal_halves(a: np.ndarray, e: np.ndarray) -> list:
+    """(part, (diagonal, off-diagonal)) of S and T (see `_fold`) for the real
+    persymmetric tridiagonal H of diagonal a and off-diagonal e."""
+    d = a.size
+    m, top = d // 2, d - d // 2
+    sa, ta, se = a[:top].copy(), a[:m].copy(), e[:top - 1].copy()
+    if d % 2:
+        se[m - 1] *= _ROOT2
+    else:
+        sa[m - 1] += e[m - 1]
+        ta[m - 1] -= e[m - 1]
+    return [("sym", (sa, se)), ("anti", (ta, e[:m - 1]))]
+
+
+def _unfold(w: np.ndarray, d: int, part: str) -> np.ndarray:
+    """Columns w of the coordinates of one solve (see `_fold`) as vectors
+    of order d: the solve of all of H ("whole"), of S or T ("sym", "anti"),
+    or of complex H, whose coordinates (x, y) are x + (-i)y on the basis of
+    `_fold`."""
+    if part == "whole":
+        return w
+    m, top = d // 2, d - d // 2
+    sym = 0.0 if part == "anti" else w[:m]
+    anti = {"sym": 0.0, "anti": w, "complex": -1j * w[top:]}[part]
+    v = np.zeros((d, w.shape[1]), dtype=complex if part == "complex" else float)
+    v[:m] = (sym + anti) * _ROOT_HALF
+    v[top:] = ((sym - anti) * _ROOT_HALF)[::-1]
+    if d % 2 and part != "anti":
+        v[m] = w[m]
+    return v
+
+
+def _check_storage_residual(h: dict, d: int, scale: float, vals, vecs, part: str):
+    """ResidualError unless ||H v - lam v|| <= 1e-9 * scale * sqrt(d) for
+    every eigenpair of one solve, H v formed from the storage h of order d
+    in column blocks, each block of vectors unfolded (`_unfold`) alone."""
+    step = max(1, _RESIDUAL_BLOCK_BYTES // (16 * d))
+    worst = 0.0
+    for j0 in range(0, vals.size, step):
+        v = _unfold(vecs[:, j0:j0 + step], d, part)
+        r = v * -vals[None, j0:j0 + step]
+        for j, hj in h.items():
+            at = _stored(j, d)
+            r[at] += hj[at, None] * v[at.start + j:at.stop + j]
+        worst = max(worst, float(np.linalg.norm(r, axis=0).max()))
+    _check_residual(worst, scale, d)
+
+
+def check_solve_footprint(d: int, tridiagonal: bool, check_residual: bool, fold=None):
+    """ConfigError, before anything is allocated, when the arrays of the
+    solve of a window of dimension d = 2m + r exceed physical memory.
+    Unfolded, a tridiagonal solve keeps its float64 eigenvectors, and a
+    dense one, counted as complex, the matrix, LAPACK's working copy and,
+    with check_residual, the eigenvectors.  fold="halves" (real
+    persymmetric H, see `_fold`) counts float64 arrays of order m + r: the
+    eigenvectors of both halves when tridiagonal; else the blocks B and C
+    and the halves while folding, then the halves, LAPACK's working copy
+    and, with check_residual, both halves' eigenvectors.  fold="complex"
+    counts float64 arrays of order d: the folded matrix, LAPACK's working
+    copy and, with check_residual, the eigenvectors."""
+    top = d - d // 2
+    if fold == "halves" and tridiagonal:
+        need = 16 * top * top if check_residual else 0
+    elif fold == "halves":
+        need = 8 * top * top * (5 if check_residual else 4)
+    elif fold == "complex":
+        need = 8 * d * d * (3 if check_residual else 2)
+    elif tridiagonal:
         need = 8 * d * d if check_residual else 0
     else:
         need = 16 * d * d * (3 if check_residual else 2)
@@ -137,23 +247,40 @@ def compression_eigenvalues(op: OperatorSpec, proj, herm_tol: float = 1e-10,
     sqrt(d), and ResidualError raised where it is not.
 
     The compression is built and checked once, in diagonal storage by
-    position (`_hermitian_compression`).  A window of order at least
-    TRIDIAGONAL_MIN_DIM whose storage is exactly real and tridiagonal is
-    solved from its diagonals (LAPACK sterf, or stemr with eigenvectors
-    under check_residual); every other one is scattered into a dense matrix.
-    A solve too large for physical memory raises ConfigError before its
-    d x d arrays are allocated.
+    position (`_hermitian_compression`).  Where every stored diagonal of H
+    is a palindrome, H is persymmetric and is folded (`_fold`): real H
+    splits into two real halves of orders ceil(d/2) and floor(d/2), complex
+    H becomes one real symmetric matrix of order d.  The halves of a window
+    of order at least TRIDIAGONAL_MIN_DIM whose storage is exactly real and
+    tridiagonal are tridiagonal too, and are solved from their diagonals
+    (LAPACK sterf, or stemr with eigenvectors under check_residual); other
+    folded matrices are solved densely in real arithmetic.  Unfolded, a
+    real tridiagonal window of that order is solved from its diagonals and
+    every other one is scattered into a dense matrix.  The residuals of a
+    solve from diagonals or of a folded one are formed from the storage of
+    H itself, in column blocks.  A solve too large for physical memory
+    raises ConfigError before its d x d arrays are allocated.
     """
     h, scale = _hermitian_compression(op, proj, herm_tol)
     d = proj.rank
     real = not any(np.iscomplexobj(v) for v in h.values())
     tridiagonal = d >= TRIDIAGONAL_MIN_DIM and real and set(h) <= {-1, 0, 1}
-    check_solve_footprint(d, tridiagonal, check_residual)
+    fold = ("halves" if real else "complex") if _palindromic(h, d) else None
+    check_solve_footprint(d, tridiagonal, check_residual, fold)
     if tridiagonal:
         zero = np.zeros(d)
-        return _tridiagonal_eigenvalues(h.get(0, zero), h.get(1, zero)[:-1], scale,
-                                        check_residual)
-    return _dense_eigenvalues(_scatter(h, d), scale, check_residual)
+        whole = h.get(0, zero), h.get(1, zero)[:-1]
+        pieces = _tridiagonal_halves(*whole) if fold else [("whole", whole)]
+        solves = [(part, _eigh_tridiagonal(*ae, check_residual)) for part, ae in pieces]
+    elif fold:
+        solves = [(part, _eigh(m, check_residual)) for part, m in _fold(h, d)]
+    else:
+        return _dense_eigenvalues(_scatter(h, d), scale, check_residual)
+    if check_residual:
+        for part, (vals, vecs) in solves:
+            _check_storage_residual(h, d, scale, vals, vecs, part)
+    vals = [ev for _, (ev, _) in solves]
+    return vals[0] if len(vals) == 1 else np.sort(np.concatenate(vals))
 
 
 def power_traces(h, order: int, times, inner, trace) -> list:

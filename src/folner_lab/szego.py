@@ -159,9 +159,11 @@ def szego_pair_test(ops, seq, refs, f_family=None, trace_refs=None,
     projs = seq.projections
     top = max(range(len(projs)), key=lambda w: projs[w].rank)
     if any(refs[label].xs is not None for label, _ in ops):
-        # even the cheapest solve of the residual-checked largest window must
-        # fit in memory, or the run stops before its first solve
-        check_solve_footprint(projs[top].rank, tridiagonal=True, check_residual=True)
+        # even the cheapest solve of the residual-checked largest window, the
+        # tridiagonal halves of a persymmetric one, must fit in memory, or
+        # the run stops before its first solve
+        check_solve_footprint(projs[top].rank, tridiagonal=True, check_residual=True,
+                              fold="halves")
     report = SzegoReport()
     for label, op in ops:
         ref = refs[label]

@@ -399,59 +399,108 @@ def _dense_cases():
             for name, op in ops.items()]
 
 
+def persymmetric(m):
+    """J m J = conj(m) for the exchange matrix J, read off the dense matrix:
+    the compressions the production path folds."""
+    return np.array_equal(m[::-1, ::-1], m.conj())
+
+
+def halves(rank):
+    """The orders of the two halves of a folded real compression."""
+    return [rank - rank // 2, rank // 2]
+
+
+# a real bandwidth-1 operator on n0 whose compressions are never persymmetric
+RAMP = fl.op_sum(HOPPING, fl.Band(0, ((0, lambda n: 0.01 * n),), lattice=fl.N0))
+
+
 class TestTridiagonalPath:
     """Real bandwidth-1 compressions at or above TRIDIAGONAL_MIN_DIM are solved
-    from their diagonals; the threshold is lowered so small windows take it."""
+    from their diagonals, as two tridiagonal halves where persymmetric; the
+    threshold is lowered so small windows take it."""
 
     @pytest.mark.parametrize("check_residual", [False, True])
     @pytest.mark.parametrize("op,proj", _tridiagonal_cases())
     def test_matches_dense_eigvalsh(self, monkeypatch, eig_calls, op, proj, check_residual):
+        # toeplitz-window is persymmetric and solved as two halves; the other
+        # cases are not and take one solve
         monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 2)
         m = compress(op, proj)
         expected = np.linalg.eigvalsh(m)
         eig_calls.clear()
         vals = fl.compression_eigenvalues(op, proj, check_residual=check_residual)
         solver = "eigh_tridiagonal" if check_residual else "eigvalsh_tridiagonal"
-        assert eig_calls == [(solver, proj.rank, np.dtype(np.float64))]
+        orders = halves(proj.rank) if persymmetric(m) else [proj.rank]
+        assert eig_calls == [(solver, d, np.dtype(np.float64)) for d in orders]
         tol = 1e-12 * max(1.0, float(np.max(np.abs(m))))
         assert np.max(np.abs(vals - expected)) <= tol
 
     def test_crossover_pinned(self, eig_calls):
-        # below the threshold the dense solve runs, at it the tridiagonal one
-        hop = fl.Toeplitz({1: 1.0, -1: 1.0}, selfadjoint=True)
+        # below the threshold the dense solves run, at it the tridiagonal
+        # ones: two halves of the persymmetric hopping, one solve of the ramp
         d = fl.spectral.TRIDIAGONAL_MIN_DIM
-        for rank in (d - 1, d):
-            vals = fl.compression_eigenvalues(hop, fl.Window(fl.N0, 0, rank - 1))
-            assert np.max(np.abs(vals - tridiagonal_eigs(rank - 1))) < 1e-12
         real = np.dtype(np.float64)
-        assert eig_calls == [("eigvalsh", d - 1, real), ("eigvalsh_tridiagonal", d, real)]
+        for op, below, at in ((HOPPING, halves(d - 1), halves(d)), (RAMP, [d - 1], [d])):
+            projs = [fl.Window(fl.N0, 0, rank - 1) for rank in (d - 1, d)]
+            sections = [compress(op, proj) for proj in projs]
+            expected = [np.linalg.eigvalsh(m) for m in sections]
+            eig_calls.clear()
+            for proj, m, want in zip(projs, sections, expected):
+                vals = fl.compression_eigenvalues(op, proj)
+                assert np.max(np.abs(vals - want)) <= 1e-12 * max(1.0, np.max(np.abs(m)))
+            assert eig_calls == ([("eigvalsh", n, real) for n in below]
+                                 + [("eigvalsh_tridiagonal", n, real) for n in at])
 
     @pytest.mark.parametrize("op,proj", _dense_cases())
     def test_other_compressions_stay_dense(self, monkeypatch, eig_calls, op, proj):
+        # unfolded: one dense solve, bit for bit the dense oracle's; folded:
+        # two real halves, or one real matrix of order d for a complex H
         monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 2)
+        m = compress(op, proj)
         vals = fl.compression_eigenvalues(op, proj)
-        assert [c[:2] for c in eig_calls] == [("eigvalsh", proj.rank)]
-        assert vals.tobytes() == eigenvalues_hermitian(compress(op, proj)).tobytes()
+        if not persymmetric(m):
+            assert [c[:2] for c in eig_calls] == [("eigvalsh", proj.rank)]
+            assert vals.tobytes() == eigenvalues_hermitian(m).tobytes()
+            return
+        orders = halves(proj.rank) if not m.imag.any() else [proj.rank]
+        assert eig_calls == [("eigvalsh", d, np.dtype(np.float64)) for d in orders]
+        assert np.max(np.abs(vals - np.linalg.eigvalsh(m))) <= 1e-12 * max(1.0, np.max(np.abs(m)))
+
+    def test_dense_cases_cover_every_routing(self):
+        kinds = set()
+        for case in _dense_cases():
+            m = compress(*case.values)
+            kinds.add("unfolded" if not persymmetric(m) else
+                      "complex" if m.imag.any() else "halves")
+        assert kinds == {"unfolded", "complex", "halves"}
 
     def test_tridiagonal_by_position(self, monkeypatch, eig_calls):
-        # index offsets +-2 on the even indices couple neighbouring positions
+        # index offsets +-2 on the even indices couple neighbouring positions;
+        # the even indices alone are their own mirror and fold into halves,
+        # an isolated last index breaks the mirror and takes one solve
         monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 2)
         op = fl.Toeplitz({0: 0.5, 2: 1.0, -2: 1.0}, selfadjoint=True)
-        proj = fl.IndexSet(fl.N0, tuple(range(0, 80, 2)))
-        expected = np.linalg.eigvalsh(compress(op, proj))
-        eig_calls.clear()
-        vals = fl.compression_eigenvalues(op, proj)
-        assert eig_calls == [("eigvalsh_tridiagonal", 40, np.dtype(np.float64))]
-        assert np.max(np.abs(vals - expected)) <= 1e-12
+        for tail, orders in (((), [20, 20]), ((81,), [41])):
+            proj = fl.IndexSet(fl.N0, tuple(range(0, 80, 2)) + tail)
+            expected = np.linalg.eigvalsh(compress(op, proj))
+            eig_calls.clear()
+            vals = fl.compression_eigenvalues(op, proj)
+            assert eig_calls == [("eigvalsh_tridiagonal", d, np.dtype(np.float64))
+                                 for d in orders]
+            assert np.max(np.abs(vals - expected)) <= 1e-12
 
     @pytest.mark.parametrize("check_residual", [False, True])
-    @pytest.mark.parametrize("op,rank,solver", [
-        pytest.param(HOPPING, 7, "eigvalsh", id="below"),
-        pytest.param(HOPPING, 8, "eigvalsh_tridiagonal", id="at"),
-        pytest.param(fl.op_prod(HOPPING, HOPPING), 9, "eigvalsh", id="poly-bandwidth-2-above"),
+    @pytest.mark.parametrize("op,rank,solvers", [
+        pytest.param(HOPPING, 7, ["eigvalsh"] * 2, id="below"),
+        pytest.param(HOPPING, 8, ["eigvalsh_tridiagonal"] * 2, id="at"),
+        pytest.param(RAMP, 7, ["eigvalsh"], id="unfolded-below"),
+        pytest.param(RAMP, 8, ["eigvalsh_tridiagonal"], id="unfolded-at"),
+        pytest.param(fl.op_prod(HOPPING, HOPPING), 9, ["eigvalsh"], id="poly-bandwidth-2-above"),
+        pytest.param(fl.Toeplitz({0: 0.3, 1: 0.5 + 0.5j, -1: 0.5 - 0.5j}, selfadjoint=True), 9,
+                     ["eigvalsh"], id="complex-above"),
     ])
     def test_one_storage_and_one_check_per_call(self, monkeypatch, eig_calls, op, rank,
-                                                solver, check_residual):
+                                                solvers, check_residual):
         monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 8)
         calls = []
         for name in ("exact_entries", "_check_hermitian"):
@@ -464,8 +513,9 @@ class TestTridiagonalPath:
                                    check_residual=check_residual)
         assert sorted(calls) == ["_check_hermitian", "exact_entries"]
         if check_residual:
-            solver = {"eigvalsh": "eigh", "eigvalsh_tridiagonal": "eigh_tridiagonal"}[solver]
-        assert [c[0] for c in eig_calls] == [solver]
+            solvers = [{"eigvalsh": "eigh", "eigvalsh_tridiagonal": "eigh_tridiagonal"}[s]
+                       for s in solvers]
+        assert [c[0] for c in eig_calls] == solvers
 
     @pytest.mark.parametrize("peak", ["diagonal", "offdiagonal"])
     def test_defect_bit_identical_to_dense(self, monkeypatch, eig_calls, peak):
@@ -495,6 +545,214 @@ class TestTridiagonalPath:
         with pytest.raises(fl.NonHermitianError, match=re.escape(f"{dev:.3e}")):
             eigenvalues_hermitian(m, herm_tol=below)
         assert [c[0] for c in eig_calls] == ["eigvalsh_tridiagonal", "eigvalsh"]
+
+
+def _mirrored_positions(rng, lattice, d):
+    """d indices of the lattice whose gaps read the same backwards, so that
+    a Toeplitz compression to them is persymmetric by position."""
+    gaps = rng.integers(1, 4, d - 1)
+    gaps = np.where(np.arange(d - 1) < (d - 1) // 2, gaps, gaps[::-1])
+    start = 0 if lattice == fl.N0 else int(rng.integers(-3 * d, 0))
+    return fl.IndexSet(lattice, tuple(start + np.concatenate([[0], np.cumsum(gaps)])))
+
+
+def _fold_cases():
+    """(label, op, proj, check_residual) of seeded persymmetric
+    compressions: Toeplitz symbols of bandwidth 0-3, real and complex, on
+    windows of n0 and z and on gapped index sets mirrored by position, at
+    orders 1-7 and odd and even up to 2049, real tridiagonal and wider
+    ones past TRIDIAGONAL_MIN_DIM; almost-Mathieu on windows of z centred
+    at 0, where its potential is even."""
+    rng = np.random.default_rng(41)
+    alpha = (math.sqrt(5.0) - 1.0) / 2.0
+    cases = []
+    small = [(d, bw, cx) for d in (1, 2, 3, 4, 5, 6, 7, 16, 17, 64, 65, 200, 201)
+             for bw in range(4) for cx in (False, True)]
+    large = [(2048, 1, False), (2049, 1, False), (1024, 2, False), (1025, 3, False),
+             (512, 1, True), (513, 2, True)]
+    for case, (d, bw, cx) in enumerate(small + large):
+        coeffs = {0: float(rng.uniform(-1.0, 1.0))}
+        for k in range(1, bw + 1):
+            a = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0) if cx else 0.0)
+            coeffs[k], coeffs[-k] = a, a.conjugate()
+        kind = ("n0", "z", "gapped-n0", "gapped-z")[case % 4] if (d, bw, cx) in small else "n0"
+        lattice = fl.Z if kind.endswith("z") else fl.N0
+        if kind.startswith("gapped"):
+            proj = _mirrored_positions(rng, lattice, d)
+        else:
+            lo = 0 if lattice == fl.N0 else int(rng.integers(-d, 1))
+            proj = fl.Window(lattice, lo, lo + d - 1)
+        cases.append((f"toeplitz d={d} bw={bw} {'complex' if cx else 'real'} {kind}",
+                      fl.Toeplitz(coeffs, lattice=lattice), proj, case % 2 == 1))
+    for n in (0, 4, 500, 501):
+        cases.append((f"almost-mathieu n={n}", fl.AlmostMathieu(float(rng.uniform(0.2, 2.0)), alpha),
+                      fl.finite_section(fl.Z, n), n % 2 == 0))
+    return cases
+
+
+def _unfolded_cases():
+    """(label, op, proj) of compressions that are not persymmetric: Harper,
+    almost-Mathieu, and persymmetric ones with one entry changed, each on
+    a small window, and the tridiagonal ones on one past
+    TRIDIAGONAL_MIN_DIM too."""
+    rng = np.random.default_rng(43)
+    alpha = (math.sqrt(5.0) - 1.0) / 2.0
+    bump = fl.Band(0, ((0, lambda n: 0.5 * (n == 3)),), lattice=fl.N0)
+    ops = {
+        "harper": fl.represent_nc(fl.almost_mathieu_element(alpha, 0.5),
+                                  phi=float(rng.uniform())),
+        "almost-mathieu": fl.AlmostMathieu(float(rng.uniform(0.2, 2.0)), alpha,
+                                           float(rng.uniform())),
+        "hopping-one-entry-changed": fl.op_sum(HOPPING, bump),
+        "complex-one-entry-changed": fl.op_sum(
+            fl.Toeplitz({0: 0.3, 1: 0.5 + 0.5j, -1: 0.5 - 0.5j, 2: 0.25j, -2: -0.25j},
+                        selfadjoint=True), bump),
+    }
+    return [(f"{name} d={d}", op, fl.Window(op.lattice, 0, d - 1))
+            for name, op in ops.items() for d in (40, 1001) if d < 1000 or "complex" not in name]
+
+
+class TestPersymmetricFold:
+    """Compressions whose stored diagonals are all palindromes are solved
+    folded (`spectral._fold`); every other one as before the fold."""
+
+    def test_matches_dense_eigvalsh(self, eig_calls):
+        # every eigenvalue within 1e-12 of the scale, and with check_residual
+        # every eigenpair within the residual contract, from real solves
+        real = np.dtype(np.float64)
+        cases = _fold_cases()
+        for label, op, proj, check_residual in cases:
+            m = compress(op, proj)
+            assert persymmetric(m), label
+            expected = np.linalg.eigvalsh(m)
+            eig_calls.clear()
+            vals = fl.compression_eigenvalues(op, proj, check_residual=check_residual)
+            d = proj.rank
+            orders = [d] if m.imag.any() else [n for n in halves(d) if n]
+            assert [(c[1], c[2]) for c in eig_calls] == [(n, real) for n in orders], label
+            tol = 1e-12 * max(1.0, float(np.max(np.abs(m))))
+            assert np.max(np.abs(vals - expected)) <= tol, label
+        assert {(p.rank % 2, check) for _, _, p, check in cases if p.rank > 2000} == \
+            {(0, False), (1, True)}
+
+    @pytest.mark.parametrize("check_residual", [False, True])
+    @pytest.mark.parametrize("label,op,proj", _unfolded_cases(),
+                             ids=[c[0] for c in _unfolded_cases()])
+    def test_unfolded_bit_identical(self, label, op, proj, check_residual):
+        # the solve before the fold: sterf or stemr on the diagonals of a
+        # real tridiagonal window of order >= TRIDIAGONAL_MIN_DIM, else the
+        # dense solve of the whole compression
+        import scipy.linalg
+
+        m = compress(op, proj)
+        assert not persymmetric(m)
+        if proj.rank >= fl.spectral.TRIDIAGONAL_MIN_DIM and not m.imag.any() \
+                and not np.triu(m, 2).any():
+            a, e = np.diag(m).real.copy(), np.diag(m, 1).real.copy()
+            if check_residual:
+                want = scipy.linalg.eigh_tridiagonal(a, e, lapack_driver="stemr")[0]
+            else:
+                want = scipy.linalg.eigvalsh_tridiagonal(a, e, lapack_driver="sterf")
+        else:
+            want = eigenvalues_hermitian(m, check_residual=check_residual)
+        vals = fl.compression_eigenvalues(op, proj, check_residual=check_residual)
+        assert vals.tobytes() == want.tobytes()
+
+    def test_exact_spectra_stay_exact(self):
+        # the fold adds and subtracts stored entries and scales only the
+        # couplings to the middle index of an odd order
+        for n in range(1, 8):
+            for lattice in (fl.N0, fl.Z):
+                proj = fl.finite_section(lattice, n)
+                ones = fl.compression_eigenvalues(fl.identity(lattice), proj)
+                assert np.array_equal(ones, np.ones(proj.rank))
+                zeros = fl.compression_eigenvalues(fl.Dense(np.zeros((3, 3)), lattice=lattice),
+                                                   proj)
+                assert np.array_equal(zeros, np.zeros(proj.rank))
+        # H = [[0, 1], [1, 0]] folds into the halves [1] and [-1]
+        assert np.array_equal(dense_solve(np.array([[0.0, 1.0], [1.0, 0.0]])), [-1.0, 1.0])
+
+
+class TestFoldResidual:
+    """A wrong eigenvector of any folded solve breaches the residual
+    contract, which is computed against the storage of the compression
+    itself, with each vector unfolded."""
+
+    def _spy(self, monkeypatch):
+        """The storage and order each residual check reads, and the
+        residuals it finds."""
+        seen = {"resid": []}
+        check_storage, check = fl.spectral._check_storage_residual, fl.spectral._check_residual
+
+        def spy_storage(h, d, *args):
+            seen["storage"], seen["d"] = h, d
+            return check_storage(h, d, *args)
+
+        def spy(resid, *args):
+            seen["resid"].append(resid)
+            return check(resid, *args)
+
+        monkeypatch.setattr(fl.spectral, "_check_storage_residual", spy_storage)
+        monkeypatch.setattr(fl.spectral, "_check_residual", spy)
+        return seen
+
+    def _assert_against_storage(self, seen, op, proj, lam, u, delta):
+        # the residual of the perturbed pair is delta ||(M - lam) u|| for
+        # the compression M, u the unfolded coordinate vector perturbed
+        h, _ = fl.spectral._hermitian_compression(op, proj, 1e-10)
+        assert seen["d"] == proj.rank
+        assert set(seen["storage"]) == set(h)
+        assert all(np.array_equal(seen["storage"][j], v) for j, v in h.items())
+        m = compress(op, proj)
+        want = delta * np.linalg.norm(m @ u - lam * u)
+        assert seen["resid"][-1] == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("d", [16, 17])
+    @pytest.mark.parametrize("half", [0, 1], ids=["symmetric", "antisymmetric"])
+    def test_perturbed_tridiagonal_half(self, monkeypatch, d, half):
+        import scipy.linalg
+
+        monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 5)
+        op = fl.Toeplitz({0: 0.3, 1: 0.7, -1: 0.7}, selfadjoint=True)
+        proj = fl.Window(fl.N0, 0, d - 1)
+        orig, calls, delta = scipy.linalg.eigh_tridiagonal, [], 1e-3
+
+        def perturbed(*args, **kwargs):
+            vals, vecs = orig(*args, **kwargs)
+            if len(calls) == half:
+                vecs[0, 3] += delta
+            calls.append(vals[3])
+            return vals, vecs
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", perturbed)
+        seen = self._spy(monkeypatch)
+        with pytest.raises(fl.ResidualError):
+            fl.compression_eigenvalues(op, proj, check_residual=True)
+        assert len(calls) == 2
+        u = np.zeros(d)
+        u[0], u[-1] = math.sqrt(0.5), (-1) ** half * math.sqrt(0.5)
+        self._assert_against_storage(seen, op, proj, calls[half], u, delta)
+
+    @pytest.mark.parametrize("d", [16, 17])
+    def test_perturbed_complex_fold(self, monkeypatch, d):
+        op = fl.Toeplitz({0: 0.3, 1: 0.5 + 0.5j, -1: 0.5 - 0.5j, 2: 0.25j, -2: -0.25j},
+                         selfadjoint=True)
+        proj = fl.Window(fl.N0, 0, d - 1)
+        eigh, lams, delta = np.linalg.eigh, [], 1e-3
+
+        def perturbed(m, *args, **kwargs):
+            vals, vecs = eigh(m, *args, **kwargs)
+            vecs[0, 5] += delta
+            lams.append(vals[5])
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        seen = self._spy(monkeypatch)
+        with pytest.raises(fl.ResidualError):
+            fl.compression_eigenvalues(op, proj, check_residual=True)
+        u = np.zeros(d)
+        u[0] = u[-1] = math.sqrt(0.5)
+        self._assert_against_storage(seen, op, proj, lams[0], u, delta)
 
 
 def test_is_selfadjoint_matches_dense_verdict(monkeypatch):

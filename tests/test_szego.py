@@ -17,6 +17,8 @@ CORPUS = Path(__file__).parent / "corpus"
 
 ALPHA = (math.sqrt(5.0) - 1.0) / 2.0
 HOPPING = fl.Toeplitz({1: 1.0, -1: 1.0}, selfadjoint=True)
+# a real bandwidth-1 operator on n0 whose compressions are never persymmetric
+RAMP = fl.op_sum(HOPPING, fl.Band(0, ((0, lambda n: 0.01 * n),), lattice=fl.N0))
 
 
 def _exact_moments(a, order):
@@ -225,16 +227,22 @@ class TestSzegoPair:
                                f_family=[fl.hat(-1.0, 0.0, 1.0)])
 
     def test_one_eigensolve_per_window(self, eig_calls):
-        # eigenvalues only below the largest window; there one solve with
-        # eigenvectors serves both the measure and the residual contract
+        # eigenvalues only below the largest window; there one eigensolve
+        # with eigenvectors serves both the measure and the residual contract:
+        # two real halves of the persymmetric hopping, one real matrix of
+        # order d for the persymmetric complex symbol, one solve of the ramp
         cplx = fl.Toeplitz({0: 0.3, 1: 0.5 + 0.5j, -1: 0.5 - 0.5j}, selfadjoint=True)
         seq = fl.finite_section_sequence(fl.N0, [4, 8, 16])
-        refs = {"t": fl.reference_pushforward(HOPPING), "c": fl.reference_pushforward(cplx)}
-        rep = fl.szego_pair_test([("t", HOPPING), ("c", cplx)], seq, refs,
+        refs = {"t": fl.reference_pushforward(HOPPING), "c": fl.reference_pushforward(cplx),
+                "r": fl.reference_pushforward(HOPPING)}
+        rep = fl.szego_pair_test([("t", HOPPING), ("c", cplx), ("r", RAMP)], seq, refs,
                                  f_family=[fl.monomial(2)])
-        real, cx = np.dtype(np.float64), np.dtype(np.complex128)
-        assert eig_calls == [("eigvalsh", 5, real), ("eigvalsh", 9, real), ("eigh", 17, real),
-                             ("eigvalsh", 5, cx), ("eigvalsh", 9, cx), ("eigh", 17, cx)]
+        real = np.dtype(np.float64)
+        assert eig_calls == [("eigvalsh", 3, real), ("eigvalsh", 2, real),
+                             ("eigvalsh", 5, real), ("eigvalsh", 4, real),
+                             ("eigh", 9, real), ("eigh", 8, real),
+                             ("eigvalsh", 5, real), ("eigvalsh", 9, real), ("eigh", 17, real),
+                             ("eigvalsh", 5, real), ("eigvalsh", 9, real), ("eigh", 17, real)]
         row = next(r for r in rep.rows if r["label"] == "t" and r["n"] == 16)
         assert row["error"] == pytest.approx(2.0 / 17.0, abs=1e-12)
 
@@ -334,18 +342,23 @@ class TestSzegoPair:
 
     def test_one_eigensolve_per_window_tridiagonal(self, monkeypatch, eig_calls):
         # the same contract above the tridiagonal threshold: eigenvalues only
-        # below the largest window, one solve with eigenvectors there, and no
-        # dense solve at all
+        # below the largest window, eigenvectors there, and no dense solve at
+        # all; the persymmetric symbols take two tridiagonal halves, the ramp
+        # one solve
         monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 5)
         real_sym = fl.Toeplitz({0: 0.3, 1: 0.7, -1: 0.7}, selfadjoint=True)
         seq = fl.finite_section_sequence(fl.N0, [4, 8, 16])
-        refs = {"t": fl.reference_pushforward(HOPPING), "r": fl.reference_pushforward(real_sym)}
-        rep = fl.szego_pair_test([("t", HOPPING), ("r", real_sym)], seq, refs,
+        refs = {"t": fl.reference_pushforward(HOPPING), "r": fl.reference_pushforward(real_sym),
+                "u": fl.reference_pushforward(HOPPING)}
+        rep = fl.szego_pair_test([("t", HOPPING), ("r", real_sym), ("u", RAMP)], seq, refs,
                                  f_family=[fl.monomial(2)])
         real = np.dtype(np.float64)
-        per_op = [("eigvalsh_tridiagonal", 5, real), ("eigvalsh_tridiagonal", 9, real),
-                  ("eigh_tridiagonal", 17, real)]
-        assert eig_calls == per_op + per_op
+        per_op = [("eigvalsh_tridiagonal", 3, real), ("eigvalsh_tridiagonal", 2, real),
+                  ("eigvalsh_tridiagonal", 5, real), ("eigvalsh_tridiagonal", 4, real),
+                  ("eigh_tridiagonal", 9, real), ("eigh_tridiagonal", 8, real)]
+        unfolded = [("eigvalsh_tridiagonal", 5, real), ("eigvalsh_tridiagonal", 9, real),
+                    ("eigh_tridiagonal", 17, real)]
+        assert eig_calls == per_op + per_op + unfolded
         row = next(r for r in rep.rows if r["label"] == "t" and r["n"] == 16)
         assert row["error"] == pytest.approx(2.0 / 17.0, abs=1e-12)
 
@@ -364,7 +377,8 @@ class TestSzegoPair:
         rep = fl.szego_pair_test([("t", HOPPING)], seq, refs)
         real = np.dtype(np.float64)
         assert ranks == [65]
-        assert eig_calls == [("eigh_tridiagonal", 65, real), ("eigvalsh_tridiagonal", 5, real)]
+        assert eig_calls == [("eigh_tridiagonal", 33, real), ("eigh_tridiagonal", 32, real),
+                             ("eigvalsh_tridiagonal", 3, real), ("eigvalsh_tridiagonal", 2, real)]
         alone = fl.szego_pair_test([("t", HOPPING)], fl.ProjectionSequence(fl.N0, (1,), (big,)),
                                    refs)
         assert {r["f"] for r in rep.rows} == {r["f"] for r in alone.rows}
@@ -419,23 +433,36 @@ class TestMemoryFootprint:
         assert eig_calls == []
 
     def test_refused_before_the_first_solve(self, monkeypatch, capsys, eig_calls):
-        # the largest window's eigenvectors (8 d^2 bytes at d = 4001) do not
-        # fit; the smaller window is never solved
-        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 100 << 20)
+        # the eigenvectors of the largest window's tridiagonal halves (16
+        # (d - d // 2)^2 bytes, 64.1 MB at d = 4001) do not fit; the smaller
+        # window is never solved
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 60 << 20)
         assert main(["szego", "--op", HOPPING_SPEC, "--n", "100,4000"]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert eig_calls == []
 
+    def test_window_the_fold_can_solve_runs(self, monkeypatch, capsys, eig_calls):
+        # at d = 1001 the eigenvectors of the whole tridiagonal (8.0 MB) do
+        # not fit in 6 MiB, those of its two halves (4.0 MB) do
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 6 << 20)
+        assert main(["szego", "--op", HOPPING_SPEC, "--n", "1000", "--f", "poly:2"]) == 0
+        assert capsys.readouterr().err == ""
+        real = np.dtype(np.float64)
+        assert eig_calls == [("eigh_tridiagonal", 501, real), ("eigh_tridiagonal", 500, real)]
+        with pytest.raises(ConfigError, match="dimension 1001"):
+            fl.spectral.check_solve_footprint(1001, tridiagonal=True, check_residual=True)
+
     def test_dense_estimate(self, monkeypatch, eig_calls):
-        # a complex compression stays dense: matrix, symmetrization and
-        # eigenvectors, 48 d^2 bytes, are 3.17 MB at d = 257
-        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 3 << 20)
+        # a persymmetric complex compression folds into one real matrix of
+        # order d: it, LAPACK's working copy and the eigenvectors, 24 d^2
+        # bytes, are 1.59 MB at d = 257
         cplx = fl.Toeplitz({0: 0.3, 1: 0.5 + 0.5j, -1: 0.5 - 0.5j}, selfadjoint=True)
         seq = fl.finite_section_sequence(fl.N0, [32, 256])
         refs = {"c": fl.reference_pushforward(cplx)}
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 3 << 19)
         with pytest.raises(ConfigError, match="dimension 257"):
             fl.szego_pair_test([("c", cplx)], seq, refs, f_family=[fl.monomial(2)])
-        assert eig_calls == [("eigvalsh", 33, np.dtype(np.complex128))]
+        assert eig_calls == [("eigvalsh", 33, np.dtype(np.float64))]
 
 
 def test_harper_moments_storage_checked_before_it_is_built(monkeypatch, capsys, eig_calls):
