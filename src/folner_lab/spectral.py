@@ -23,18 +23,28 @@ from .operators import (
     exact_entries,
 )
 
-# Windows of at least this order whose compression is real and tridiagonal
-# are solved from their diagonals by scipy's tridiagonal LAPACK routines,
-# as two tridiagonal halves where the compression is persymmetric.
-# Below it a dense solve costs less than importing scipy.linalg (0.26 s):
-# at d = 1025 a dense eigh with the residual check takes 0.36 s, the import
-# and a stemr solve 0.34 s (one BLAS thread).
+# Windows of at least this order whose compression is tridiagonal, real or
+# complex, are solved for eigenvalues only by scipy's LAPACK sterf, as two
+# tridiagonal halves where the compression is persymmetric.  Below it a
+# dense solve costs less than importing scipy.linalg (0.26-0.36 s): at
+# d = 1025, certified, the import and the sterf solve take 0.28-0.32 s and
+# the solve alone 0.03-0.05 s, a dense eigh with the residual check
+# 0.29-0.30 s unfolded and 0.12-0.13 s as two folded halves (hopping and a
+# ramp on it, one BLAS thread, 2 shared vCPUs).
 TRIDIAGONAL_MIN_DIM = 1000
 
-# Bytes of each temporary of the blocked residual check from storage.
+# Bytes of each temporary of the blocked residual check from storage, and
+# the number of such temporaries alive at once.
 _RESIDUAL_BLOCK_BYTES = 1 << 23
+_RESIDUAL_BLOCKS = 4
+
+# Bytes a position of a tridiagonal solve (see `check_solve_footprint`):
+# tracemalloc put the peak of a certified solve at 97-235 bytes a position
+# on bandwidth-1 Toeplitz, Band, Poly and almost-Mathieu windows.
+_TRIDIAGONAL_BYTES = 256
 
 _ROOT2, _ROOT_HALF = math.sqrt(2.0), math.sqrt(0.5)
+_TINY = np.finfo(float).tiny
 
 
 class NonHermitianError(SpecError):
@@ -42,7 +52,10 @@ class NonHermitianError(SpecError):
 
 
 class ResidualError(ArithmeticError):
-    """Eigenpair residual exceeded the backward-stability contract."""
+    """A solve broke the backward-stability contract, 1e-9 * scale * sqrt(d):
+    an eigenpair residual of a dense solve, or a Sturm count of a
+    tridiagonal one (`_check_sturm`), left an eigenvalue farther than that
+    from the compression's."""
 
 
 class ComplexSymbolError(SpecError):
@@ -58,18 +71,6 @@ def _check_residual(resid: float, scale: float, d: int):
     bound = 1e-9 * scale * math.sqrt(d)
     if resid > bound:
         raise ResidualError(f"residual {resid:.3e} breaches contract {bound:.3e}")
-
-
-def _dense_eigenvalues(h: np.ndarray, scale: float, check_residual: bool) -> np.ndarray:
-    """Ascending eigenvalues of the dense Hermitian matrix h, whose checks
-    took `scale` as max(1, max |entry|); with check_residual, every eigenpair
-    is verified against ||h v - lam v|| <= 1e-9 * scale * sqrt(d)."""
-    if not check_residual:
-        return np.linalg.eigvalsh(h)
-    vals, vecs = np.linalg.eigh(h)
-    resid = np.linalg.norm(h @ vecs - vecs * vals[None, :], axis=0)
-    _check_residual(float(resid.max()), scale, h.shape[0])
-    return vals
 
 
 def _hermitian_part(op: OperatorSpec, proj):
@@ -101,19 +102,16 @@ def _hermitian_compression(op: OperatorSpec, proj, herm_tol: float):
 
 
 def _eigh(m: np.ndarray, vectors: bool):
-    """(eigenvalues, eigenvectors or None) of the dense symmetric matrix m."""
+    """(eigenvalues, eigenvectors or None) of the dense Hermitian matrix m."""
     return np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
 
 
-def _eigh_tridiagonal(a, e, vectors: bool):
-    """(eigenvalues, eigenvectors or None) of the real symmetric tridiagonal
-    matrix with diagonal a and off-diagonal e: LAPACK sterf, or stemr with
-    eigenvectors."""
+def _sterf(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the real symmetric tridiagonal matrix with
+    diagonal a and off-diagonal e: LAPACK sterf, no eigenvectors."""
     import scipy.linalg  # 0.26 s and 27 MB, paid only by large windows
 
-    if not vectors:
-        return scipy.linalg.eigvalsh_tridiagonal(a, e, lapack_driver="sterf"), None
-    return scipy.linalg.eigh_tridiagonal(a, e, lapack_driver="stemr")
+    return scipy.linalg.eigvalsh_tridiagonal(a, e, lapack_driver="sterf")
 
 
 def _stored(j: int, d: int) -> slice:
@@ -149,9 +147,9 @@ def _fold(h: dict, d: int) -> list:
     for j, v in h.items():  # H[i, i + j] lands on C[i, d - 1 - i - j]
         rows = np.arange(max(0, top - j), min(m, d - j))
         c[rows, d - 1 - j - rows] = v[rows]
-    s = b.real.copy()
-    s[:m, :m] += c.real
     t = b.real[:m, :m] - c.real
+    s = b.real.copy() if np.iscomplexobj(b) else b  # real S is formed in B
+    s[:m, :m] += c.real
     if d % 2:
         s[m, :m] *= _ROOT2
         s[:m, m] *= _ROOT2
@@ -165,7 +163,7 @@ def _fold(h: dict, d: int) -> list:
 
 
 def _tridiagonal_halves(a: np.ndarray, e: np.ndarray) -> list:
-    """(part, (diagonal, off-diagonal)) of S and T (see `_fold`) for the real
+    """(diagonal, off-diagonal) of S and T (see `_fold`) for the real
     persymmetric tridiagonal H of diagonal a and off-diagonal e."""
     d = a.size
     m, top = d // 2, d - d // 2
@@ -175,7 +173,7 @@ def _tridiagonal_halves(a: np.ndarray, e: np.ndarray) -> list:
     else:
         sa[m - 1] += e[m - 1]
         ta[m - 1] -= e[m - 1]
-    return [("sym", (sa, se)), ("anti", (ta, e[:m - 1]))]
+    return [(sa, se), (ta, e[:m - 1])]
 
 
 def _unfold(w: np.ndarray, d: int, part: str) -> np.ndarray:
@@ -212,70 +210,151 @@ def _check_storage_residual(h: dict, d: int, scale: float, vals, vecs, part: str
     _check_residual(worst, scale, d)
 
 
+def _sturm_counts(a: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """#{eigenvalues of T below x} for each shift of x, T the real symmetric
+    tridiagonal matrix with diagonal a and squared off-diagonal e2, by
+    Sylvester's inertia: the negative pivots of the LDL^T factorisation
+    q_i = a_i - x - e2_(i-1) / q_(i-1) of T - x.  One pass over the rows,
+    each vectorised over the shifts.  As in LAPACK's bisection, a pivot of
+    modulus below pivmin is replaced by one of modulus pivmin, so that no
+    pivot is zero and every quotient is finite; here by +pivmin, so that an
+    eigenvalue equal to a shift, which leaves a zero pivot, is not counted
+    below it."""
+    pivmin = _TINY * max(1.0, float(e2.max(initial=0.0)))
+    q, t = np.ones_like(x), np.empty_like(x)
+    small = np.empty(x.shape, dtype=bool)
+    count = np.zeros(x.shape, dtype=np.intp)
+    for ai, ei in zip(a.tolist(), [0.0, *e2.tolist()]):
+        np.divide(ei, q, out=t)
+        np.subtract(ai, x, out=q)
+        q -= t
+        np.less(np.abs(q, out=t), pivmin, out=small)
+        np.copyto(q, pivmin, where=small)
+        count += np.less(q, 0.0, out=small)
+    return count
+
+
+def _check_sturm(a: np.ndarray, e: np.ndarray, vals: np.ndarray, scale: float):
+    """ResidualError unless the ascending vals are, index by index, within
+    tol = 1e-9 * scale * sqrt(d) of the eigenvalues mu of the tridiagonal
+    T of diagonal a and off-diagonal e: #{mu < vals_i - tol} <= i and
+    #{mu < vals_i + tol} >= i + 1 for every i, which is mu_i in
+    [vals_i - tol, vals_i + tol).
+
+    The counts run on T scaled by a power of two near 1 / scale, which is
+    exact and keeps every pivot and quotient finite.  A count in floating
+    point is the exact count of a matrix within a few ulps of T: each pivot
+    carries three roundings, which are moved onto e2_(i-1) as a relative
+    change of a few eps, with the sign of every pivot unchanged (Kahan
+    1966; Demmel, Dhillon & Ren, ETNA 3, 1995), and pivmin moves a
+    diagonal entry by at most 2 pivmin.  By Weyl's inequality that matrix's
+    eigenvalues lie within about 6 eps * scale, 1.3e-15 * scale, of mu,
+    under a millionth of tol.  A NaN eigenvalue gives NaN pivots, which
+    count as no eigenvalue below it, and fails."""
+    d = a.size
+    tol = 1e-9 * scale * math.sqrt(d)
+    s = math.ldexp(1.0, -math.frexp(scale)[1])
+    counts = _sturm_counts(a * s, np.square(e * s), np.concatenate([vals - tol, vals + tol]) * s)
+    i = np.arange(d)
+    bad = np.flatnonzero((counts[:d] > i) | (counts[d:] <= i))
+    if bad.size:
+        k = int(bad[0])
+        raise ResidualError(
+            f"eigenvalue {k} of {d}, {vals[k]:.6g}, breaches contract {tol:.3e}: Sturm counts "
+            f"{counts[k]} below it - tol and {counts[d + k]} below it + tol, "
+            f"want <= {k} and >= {k + 1}")
+
+
 def check_solve_footprint(d: int, tridiagonal: bool, check_residual: bool, fold=None):
     """ConfigError, before anything is allocated, when the arrays of the
     solve of a window of dimension d = 2m + r exceed physical memory.
-    Unfolded, a tridiagonal solve keeps its float64 eigenvectors, and a
-    dense one, counted as complex, the matrix, LAPACK's working copy and,
-    with check_residual, the eigenvectors.  fold="halves" (real
-    persymmetric H, see `_fold`) counts float64 arrays of order m + r: the
-    eigenvectors of both halves when tridiagonal; else the blocks B and C
-    and the halves while folding, then the halves, LAPACK's working copy
-    and, with check_residual, both halves' eigenvectors.  fold="complex"
-    counts float64 arrays of order d: the folded matrix, LAPACK's working
-    copy and, with check_residual, the eigenvectors."""
+    A tridiagonal solve counts _TRIDIAGONAL_BYTES a position: H's three
+    stored diagonals, its gauge, the halves and their eigenvalues and, with
+    check_residual, the certificate's shifts, pivots and counts
+    (`_check_sturm`).  A dense solve counts its largest arrays alive at
+    once.  Unfolded, complex d x d arrays: the matrix, LAPACK's working
+    copy and, with check_residual, the eigenvectors.  fold="halves" (real
+    persymmetric H, see `_fold`), four float64 arrays of order m + r: the
+    blocks B and C and the half T while folding, S formed in B, or S, T
+    and LAPACK's working copy while solving, and H's storage; with
+    check_residual five: S, T, LAPACK's working copy and both halves'
+    eigenvectors.  fold="complex", four float64 arrays of order d: the
+    complex blocks B and C, S, T and K, the rows np.block joins and the
+    folded matrix while folding, which outnumber the matrix, LAPACK's
+    working copy and the eigenvectors of the solve.  With check_residual a
+    dense solve also counts
+    _RESIDUAL_BLOCKS temporaries of one block of the residual from storage
+    (`_check_storage_residual`), complex and of at most
+    _RESIDUAL_BLOCK_BYTES each."""
+    if tridiagonal:
+        check_footprint(_TRIDIAGONAL_BYTES * d, f"the eigensolve of a window of dimension {d}")
+        return
     top = d - d // 2
-    if fold == "halves" and tridiagonal:
-        need = 16 * top * top if check_residual else 0
-    elif fold == "halves":
+    if fold == "halves":
         need = 8 * top * top * (5 if check_residual else 4)
     elif fold == "complex":
-        need = 8 * d * d * (3 if check_residual else 2)
-    elif tridiagonal:
-        need = 8 * d * d if check_residual else 0
+        need = 8 * d * d * 4
     else:
         need = 16 * d * d * (3 if check_residual else 2)
+    if check_residual:
+        need += _RESIDUAL_BLOCKS * min(_RESIDUAL_BLOCK_BYTES, 16 * d * d)
     check_footprint(need, f"the eigensolve of a window of dimension {d}")
+
+
+def _tridiagonal_eigenvalues(h: dict, d: int, scale: float, check_residual: bool):
+    """Ascending eigenvalues of the Hermitian tridiagonal H of storage h and
+    order d, from the real T = D* H D of diagonal a = Re h_0 and
+    off-diagonal |h_1| for a diagonal unitary D, which is never formed:
+    sterf on T, or on its two halves where a and |h_1| are palindromes
+    (`_tridiagonal_halves`); with check_residual, certified on T by Sturm
+    counts (`_check_sturm`)."""
+    check_solve_footprint(d, tridiagonal=True, check_residual=check_residual)
+    zero = np.zeros(d)
+    a, e = h.get(0, zero).real, np.abs(h.get(1, zero)[:-1])
+    vals = [_sterf(*ae) for ae in (_tridiagonal_halves(a, e) if _palindromic({0: a, 1: e}, d)
+                                   else [(a, e)])]
+    vals = vals[0] if len(vals) == 1 else np.sort(np.concatenate(vals))
+    if check_residual:
+        _check_sturm(a, e, vals, scale)
+    return vals
 
 
 def compression_eigenvalues(op: OperatorSpec, proj, herm_tol: float = 1e-10,
                             check_residual: bool = False) -> np.ndarray:
     """Ascending eigenvalues of H = (M + M^dagger)/2 for M the compression
     of op to the range of proj.  NonHermitianError where max |M - M^dagger|
-    exceeds herm_tol * max(1, max |entry of M|); with check_residual, every
-    eigenpair is verified against ||H v - lam v|| <= 1e-9 * that scale *
-    sqrt(d), and ResidualError raised where it is not.
+    exceeds herm_tol * max(1, max |entry of M|).  With check_residual,
+    each eigenvalue lam_i is held to tol = 1e-9 * that scale * sqrt(d), and
+    ResidualError raised where it is not: a dense solve checks every
+    eigenpair against ||H v - lam v|| <= tol, a tridiagonal one every
+    index, |lam_i - mu_i| <= tol for the i-th eigenvalue mu_i of H, by
+    Sturm counts, which a duplicated or a missing eigenvalue fails too.
 
     The compression is built and checked once, in diagonal storage by
-    position (`_hermitian_compression`).  Where every stored diagonal of H
-    is a palindrome, H is persymmetric and is folded (`_fold`): real H
-    splits into two real halves of orders ceil(d/2) and floor(d/2), complex
-    H becomes one real symmetric matrix of order d.  The halves of a window
-    of order at least TRIDIAGONAL_MIN_DIM whose storage is exactly real and
-    tridiagonal are tridiagonal too, and are solved from their diagonals
-    (LAPACK sterf, or stemr with eigenvectors under check_residual); other
-    folded matrices are solved densely in real arithmetic.  Unfolded, a
-    real tridiagonal window of that order is solved from its diagonals and
-    every other one is scattered into a dense matrix.  The residuals of a
-    solve from diagonals or of a folded one are formed from the storage of
-    H itself, in column blocks.  A solve too large for physical memory
-    raises ConfigError before its d x d arrays are allocated.
+    position (`_hermitian_compression`).  A window of order at least
+    TRIDIAGONAL_MIN_DIM whose H is tridiagonal, real or complex, is
+    solved for eigenvalues only (`_tridiagonal_eigenvalues`): LAPACK sterf
+    on the real T of diagonal Re h_0 and off-diagonal |h_1|, which is
+    unitarily similar to H, as two halves where T is persymmetric, and
+    certified by Sturm counts on T, in O(d) memory.  Otherwise, where
+    every stored diagonal of H is a palindrome, H is persymmetric and is
+    folded (`_fold`): real H splits into two real halves of orders
+    ceil(d/2) and floor(d/2), complex H becomes one real symmetric matrix
+    of order d, each solved densely in real arithmetic; every other H is
+    scattered into one dense matrix.  The residuals of a dense solve are
+    formed from the storage of H itself, in column blocks.  A solve too
+    large for physical memory raises ConfigError before its arrays are
+    allocated.
     """
     h, scale = _hermitian_compression(op, proj, herm_tol)
     d = proj.rank
+    if d >= TRIDIAGONAL_MIN_DIM and set(h) <= {-1, 0, 1}:
+        return _tridiagonal_eigenvalues(h, d, scale, check_residual)
     real = not any(np.iscomplexobj(v) for v in h.values())
-    tridiagonal = d >= TRIDIAGONAL_MIN_DIM and real and set(h) <= {-1, 0, 1}
     fold = ("halves" if real else "complex") if _palindromic(h, d) else None
-    check_solve_footprint(d, tridiagonal, check_residual, fold)
-    if tridiagonal:
-        zero = np.zeros(d)
-        whole = h.get(0, zero), h.get(1, zero)[:-1]
-        pieces = _tridiagonal_halves(*whole) if fold else [("whole", whole)]
-        solves = [(part, _eigh_tridiagonal(*ae, check_residual)) for part, ae in pieces]
-    elif fold:
-        solves = [(part, _eigh(m, check_residual)) for part, m in _fold(h, d)]
-    else:
-        return _dense_eigenvalues(_scatter(h, d), scale, check_residual)
+    check_solve_footprint(d, tridiagonal=False, check_residual=check_residual, fold=fold)
+    solves = [(part, _eigh(m, check_residual))
+              for part, m in (_fold(h, d) if fold else [("whole", _scatter(h, d))])]
     if check_residual:
         for part, (vals, vecs) in solves:
             _check_storage_residual(h, d, scale, vals, vecs, part)

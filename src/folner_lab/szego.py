@@ -143,11 +143,12 @@ def szego_pair_test(ops, seq, refs, f_family=None, trace_refs=None,
 
     `ops` is a list of (label, spec), `refs` maps label to ReferenceMeasure.
     Against a reference carrying a CDF grid, each window is solved once (the
-    one of largest rank under the eigenpair residual contract, its spectrum
-    spanning the default hats) and hat integrals and Kolmogorov distances
-    are reported too.  Against a moments-only reference only polynomial f
-    are reported, from the moments tr((PAP)^k)/rank of each compression's
-    diagonal storage, with no eigensolve.  Each operator takes one pass:
+    one of largest rank under the backward-stability contract of
+    `compression_eigenvalues`, its spectrum spanning the default hats) and
+    hat integrals and Kolmogorov distances are reported too.  Against a
+    moments-only reference only polynomial f are reported, from the moments
+    tr((PAP)^k)/rank of each compression's diagonal storage, with no
+    eigensolve.  Each operator takes one pass:
     its measures, one reference integral per f, its rows and its summary,
     read at the window of largest rank wherever it stands in the sequence.
     """
@@ -159,11 +160,10 @@ def szego_pair_test(ops, seq, refs, f_family=None, trace_refs=None,
     projs = seq.projections
     top = max(range(len(projs)), key=lambda w: projs[w].rank)
     if any(refs[label].xs is not None for label, _ in ops):
-        # even the cheapest solve of the residual-checked largest window, the
-        # tridiagonal halves of a persymmetric one, must fit in memory, or
-        # the run stops before its first solve
-        check_solve_footprint(projs[top].rank, tridiagonal=True, check_residual=True,
-                              fold="halves")
+        # even the cheapest solve of the certified largest window, a
+        # tridiagonal one, must fit in memory, or the run stops before its
+        # first solve
+        check_solve_footprint(projs[top].rank, tridiagonal=True, check_residual=True)
     report = SzegoReport()
     for label, op in ops:
         ref = refs[label]

@@ -7,13 +7,13 @@ import pytest
 @pytest.fixture
 def eig_calls(monkeypatch):
     """(solver, dimension, dtype) of every np.linalg.eigvalsh / eigh and every
-    scipy.linalg.eigvalsh_tridiagonal / eigh_tridiagonal call; a tridiagonal
-    solver reports its diagonal's length and dtype."""
+    scipy.linalg.eigvalsh_tridiagonal call; the tridiagonal solver reports
+    its diagonal's length and dtype."""
     import scipy.linalg
 
     calls = []
     for mod, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"),
-                      (scipy.linalg, "eigvalsh_tridiagonal"), (scipy.linalg, "eigh_tridiagonal")):
+                      (scipy.linalg, "eigvalsh_tridiagonal")):
         orig = getattr(mod, name)
 
         def spy(h, *args, _name=name, _orig=orig, **kwargs):
@@ -22,6 +22,32 @@ def eig_calls(monkeypatch):
 
         monkeypatch.setattr(mod, name, spy)
     return calls
+
+
+@pytest.fixture
+def wrong_sterf(monkeypatch):
+    """wrong_sterf(kind) patches scipy.linalg.eigvalsh_tridiagonal so that
+    its first call returns a wrong spectrum: its eigenvalue of index 3
+    moved up by 1e-3 ("shift"), replaced by its upper neighbour
+    ("duplicate") or by NaN ("nan")."""
+    import scipy.linalg
+
+    orig = scipy.linalg.eigvalsh_tridiagonal
+
+    def patch(kind):
+        calls = []
+
+        def wrong(*args, **kwargs):
+            vals = orig(*args, **kwargs)
+            if not calls:
+                vals[3] = {"shift": vals[3] + 1e-3, "duplicate": vals[4], "nan": np.nan}[kind]
+            calls.append(vals.size)
+            return vals
+
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", wrong)
+        return calls
+
+    return patch
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -14,7 +14,7 @@ from folner_lab.operators import (
     N0, AdjE, AlmostMathieu, Band, Dense, OperatorSpec, Poly, ProdE, ScaleE, Shift, SumE,
     Toeplitz, _as_node, _check_lattice, _positions, _scatter, exact_entries,
 )
-from folner_lab.spectral import _check_hermitian, _dense_eigenvalues
+from folner_lab.spectral import _check_hermitian, _check_residual
 
 
 def compress(op, proj) -> np.ndarray:
@@ -40,14 +40,21 @@ def eigenvalues_hermitian(m, herm_tol: float = 1e-10, check_residual: bool = Fal
     NonHermitianError where max |M - M^dagger| exceeds herm_tol * max(1,
     max |M|); a matrix whose imaginary part is exactly zero is solved in
     real arithmetic; with check_residual, every eigenpair is verified
-    against ||M v - lam v|| <= 1e-9 * max(1, max |M|) * sqrt(d).
+    against ||M v - lam v|| <= 1e-9 * max(1, max |M|) * sqrt(d), with M v
+    formed densely.
     """
     m = np.asarray(m, dtype=complex)
     if not m.imag.any():
         m = m.real
     scale = max(float(np.max(np.abs(m))), 1.0)
     _check_hermitian(float(np.max(np.abs(m - m.conj().T))), scale, herm_tol)
-    return _dense_eigenvalues(0.5 * (m + m.conj().T), scale, check_residual)
+    h = 0.5 * (m + m.conj().T)
+    if not check_residual:
+        return np.linalg.eigvalsh(h)
+    vals, vecs = np.linalg.eigh(h)
+    resid = np.linalg.norm(h @ vecs - vecs * vals[None, :], axis=0)
+    _check_residual(float(resid.max()), scale, h.shape[0])
+    return vals
 
 
 def _match(rows, cols, k):

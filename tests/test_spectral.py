@@ -1,11 +1,13 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dense_oracle import compress, eigenvalues_hermitian, op_adjoint
 import folner_lab as fl
+from folner_lab.specio import load_spec_file
 
 
 def tridiagonal_eigs(n):
@@ -379,13 +381,14 @@ def _tridiagonal_cases():
 
 
 def _dense_cases():
-    """Compressions that are not real and tridiagonal by position, each on a
-    window and on a gapped index set; the set holds 0..3, so an index offset
-    of 2 stays a position offset of 2 there."""
+    """Compressions that are not tridiagonal by position, each on a window
+    and on a gapped index set; the set holds 0..3, so an index offset of 2
+    stays a position offset of 2 there."""
     rng = np.random.default_rng(29)
     x = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
     ops = {
-        "complex": fl.Toeplitz({0: 0.3, 1: 0.5 + 0.5j, -1: 0.5 - 0.5j}, selfadjoint=True),
+        "complex": fl.Toeplitz({0: 0.3, 1: 0.5 + 0.5j, -1: 0.5 - 0.5j, 2: 0.25j, -2: -0.25j},
+                               selfadjoint=True),
         "bandwidth-2": fl.Toeplitz({0: 1.0, 2: 0.5, -2: 0.5}, selfadjoint=True),
         "poly-bandwidth-2": fl.op_prod(fl.Toeplitz({1: 1.0, -1: 1.0}),
                                        fl.Toeplitz({1: 1.0, -1: 1.0})),
@@ -423,15 +426,15 @@ class TestTridiagonalPath:
     @pytest.mark.parametrize("op,proj", _tridiagonal_cases())
     def test_matches_dense_eigvalsh(self, monkeypatch, eig_calls, op, proj, check_residual):
         # toeplitz-window is persymmetric and solved as two halves; the other
-        # cases are not and take one solve
+        # cases are not and take one solve; eigenvalues only, with
+        # check_residual or without
         monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 2)
         m = compress(op, proj)
         expected = np.linalg.eigvalsh(m)
         eig_calls.clear()
         vals = fl.compression_eigenvalues(op, proj, check_residual=check_residual)
-        solver = "eigh_tridiagonal" if check_residual else "eigvalsh_tridiagonal"
         orders = halves(proj.rank) if persymmetric(m) else [proj.rank]
-        assert eig_calls == [(solver, d, np.dtype(np.float64)) for d in orders]
+        assert eig_calls == [("eigvalsh_tridiagonal", d, np.dtype(np.float64)) for d in orders]
         tol = 1e-12 * max(1.0, float(np.max(np.abs(m))))
         assert np.max(np.abs(vals - expected)) <= tol
 
@@ -497,7 +500,10 @@ class TestTridiagonalPath:
         pytest.param(RAMP, 8, ["eigvalsh_tridiagonal"], id="unfolded-at"),
         pytest.param(fl.op_prod(HOPPING, HOPPING), 9, ["eigvalsh"], id="poly-bandwidth-2-above"),
         pytest.param(fl.Toeplitz({0: 0.3, 1: 0.5 + 0.5j, -1: 0.5 - 0.5j}, selfadjoint=True), 9,
-                     ["eigvalsh"], id="complex-above"),
+                     ["eigvalsh_tridiagonal"] * 2, id="complex-above"),
+        pytest.param(fl.Toeplitz({0: 0.3, 1: 0.5 + 0.5j, -1: 0.5 - 0.5j, 2: 0.25j, -2: -0.25j},
+                                 selfadjoint=True), 9,
+                     ["eigvalsh"], id="complex-bandwidth-2-above"),
     ])
     def test_one_storage_and_one_check_per_call(self, monkeypatch, eig_calls, op, rank,
                                                 solvers, check_residual):
@@ -513,8 +519,7 @@ class TestTridiagonalPath:
                                    check_residual=check_residual)
         assert sorted(calls) == ["_check_hermitian", "exact_entries"]
         if check_residual:
-            solvers = [{"eigvalsh": "eigh", "eigvalsh_tridiagonal": "eigh_tridiagonal"}[s]
-                       for s in solvers]
+            solvers = [{"eigvalsh": "eigh"}.get(s, s) for s in solvers]
         assert [c[0] for c in eig_calls] == solvers
 
     @pytest.mark.parametrize("peak", ["diagonal", "offdiagonal"])
@@ -639,9 +644,9 @@ class TestPersymmetricFold:
     @pytest.mark.parametrize("label,op,proj", _unfolded_cases(),
                              ids=[c[0] for c in _unfolded_cases()])
     def test_unfolded_bit_identical(self, label, op, proj, check_residual):
-        # the solve before the fold: sterf or stemr on the diagonals of a
-        # real tridiagonal window of order >= TRIDIAGONAL_MIN_DIM, else the
-        # dense solve of the whole compression
+        # the solve before the fold: sterf on the diagonals of a real
+        # tridiagonal window of order >= TRIDIAGONAL_MIN_DIM, else the dense
+        # solve of the whole compression
         import scipy.linalg
 
         m = compress(op, proj)
@@ -649,10 +654,7 @@ class TestPersymmetricFold:
         if proj.rank >= fl.spectral.TRIDIAGONAL_MIN_DIM and not m.imag.any() \
                 and not np.triu(m, 2).any():
             a, e = np.diag(m).real.copy(), np.diag(m, 1).real.copy()
-            if check_residual:
-                want = scipy.linalg.eigh_tridiagonal(a, e, lapack_driver="stemr")[0]
-            else:
-                want = scipy.linalg.eigvalsh_tridiagonal(a, e, lapack_driver="sterf")
+            want = scipy.linalg.eigvalsh_tridiagonal(a, e, lapack_driver="sterf")
         else:
             want = eigenvalues_hermitian(m, check_residual=check_residual)
         vals = fl.compression_eigenvalues(op, proj, check_residual=check_residual)
@@ -674,9 +676,10 @@ class TestPersymmetricFold:
 
 
 class TestFoldResidual:
-    """A wrong eigenvector of any folded solve breaches the residual
-    contract, which is computed against the storage of the compression
-    itself, with each vector unfolded."""
+    """A wrong eigenvalue of any folded tridiagonal solve, or a wrong
+    eigenvector of any folded dense one, breaches the contract, which is
+    checked against the compression itself: by Sturm counts on its whole
+    tridiagonal, or against its storage with each vector unfolded."""
 
     def _spy(self, monkeypatch):
         """The storage and order each residual check reads, and the
@@ -710,28 +713,35 @@ class TestFoldResidual:
     @pytest.mark.parametrize("d", [16, 17])
     @pytest.mark.parametrize("half", [0, 1], ids=["symmetric", "antisymmetric"])
     def test_perturbed_tridiagonal_half(self, monkeypatch, d, half):
+        # one eigenvalue of one sterf half moved by 1e-3: the Sturm
+        # certificate on the whole, unfolded tridiagonal catches it
         import scipy.linalg
 
         monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 5)
         op = fl.Toeplitz({0: 0.3, 1: 0.7, -1: 0.7}, selfadjoint=True)
         proj = fl.Window(fl.N0, 0, d - 1)
-        orig, calls, delta = scipy.linalg.eigh_tridiagonal, [], 1e-3
+        orig, calls, seen = scipy.linalg.eigvalsh_tridiagonal, [], {}
 
         def perturbed(*args, **kwargs):
-            vals, vecs = orig(*args, **kwargs)
+            vals = orig(*args, **kwargs)
             if len(calls) == half:
-                vecs[0, 3] += delta
-            calls.append(vals[3])
-            return vals, vecs
+                vals[3] += 1e-3
+            calls.append(vals.size)
+            return vals
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", perturbed)
-        seen = self._spy(monkeypatch)
-        with pytest.raises(fl.ResidualError):
+        def spy(a, e, *args):
+            seen["a"], seen["e"] = a.copy(), e.copy()
+            return check(a, e, *args)
+
+        check = fl.spectral._check_sturm
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", perturbed)
+        monkeypatch.setattr(fl.spectral, "_check_sturm", spy)
+        with pytest.raises(fl.ResidualError, match=f"of {d},"):
             fl.compression_eigenvalues(op, proj, check_residual=True)
-        assert len(calls) == 2
-        u = np.zeros(d)
-        u[0], u[-1] = math.sqrt(0.5), (-1) ** half * math.sqrt(0.5)
-        self._assert_against_storage(seen, op, proj, calls[half], u, delta)
+        assert calls == halves(d)
+        m = compress(op, proj)
+        assert np.array_equal(seen["a"], np.diag(m).real)
+        assert np.array_equal(seen["e"], np.abs(np.diag(m, 1)))
 
     @pytest.mark.parametrize("d", [16, 17])
     def test_perturbed_complex_fold(self, monkeypatch, d):
@@ -753,6 +763,145 @@ class TestFoldResidual:
         u = np.zeros(d)
         u[0] = u[-1] = math.sqrt(0.5)
         self._assert_against_storage(seen, op, proj, lams[0], u, delta)
+
+
+# complex bandwidth-1 operators: symbol_sampled's Toeplitz symbol, whose
+# off-diagonals carry FFT round-off of about 1e-16i and which is
+# persymmetric, and a band with round-off and with whole phases on its
+# off-diagonal and a ramp on its diagonal, which is not
+SYMBOL_SAMPLED = load_spec_file(
+    str(Path(__file__).parent / "corpus" / "valid" / "symbol_sampled.json"))[1]
+_PHASES = np.exp(1j * np.linspace(0.0, 40.0, 3000))
+
+
+def _complex_band(imag):
+    off = lambda n: 1.0 + imag(n)  # noqa: E731
+    return fl.Band(1, ((-1, lambda n: np.conj(off(n - 1))), (0, lambda n: 0.01 * n),
+                       (1, off)), lattice=fl.N0)
+
+
+COMPLEX_BANDS = {
+    "symbol-sampled": SYMBOL_SAMPLED,
+    "round-off-ramp": _complex_band(lambda n: 1e-16j * np.cos(n)),
+    "phases-ramp": _complex_band(lambda n: _PHASES[n] - 1.0),
+}
+
+
+class TestSturmCertificate:
+    """A tridiagonal window is solved for eigenvalues only, and with
+    check_residual each eigenvalue is certified, index by index, by Sturm
+    counts on the whole compression."""
+
+    @pytest.mark.parametrize("kind", ["shift", "duplicate", "nan"])
+    @pytest.mark.parametrize("op", [HOPPING, RAMP, COMPLEX_BANDS["phases-ramp"]],
+                             ids=["folded", "unfolded", "complex"])
+    def test_wrong_sterf_spectrum_raises(self, monkeypatch, wrong_sterf, op, kind):
+        monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 8)
+        proj = fl.Window(fl.N0, 0, 63)
+        calls = wrong_sterf(kind)
+        with pytest.raises(fl.ResidualError, match=r"^eigenvalue \d+ of 64, .* breaches contract"):
+            fl.compression_eigenvalues(op, proj, check_residual=True)
+        assert calls == (halves(64) if op is HOPPING else [64])
+
+    def test_counts_match_dense_eigvalsh(self):
+        # generic irreducible tridiagonals, at their diagonal entries and
+        # between neighbouring eigenvalues
+        rng = np.random.default_rng(61)
+        for d in (1, 2, 7, 60):
+            a, e = rng.uniform(-1.0, 1.0, d), rng.uniform(-1.0, 1.0, d - 1)
+            mu = np.linalg.eigvalsh(np.diag(a) + np.diag(e, 1) + np.diag(e, -1))
+            x = np.concatenate([a, (mu[1:] + mu[:-1]) / 2.0, [mu[0] - 1.0, mu[-1] + 1.0]])
+            counts = fl.spectral._sturm_counts(a, e * e, x)
+            assert np.array_equal(counts, np.sum(mu[None, :] < x[:, None], axis=1)), d
+
+    def test_exact_ties(self):
+        # shifts equal to exact eigenvalues and diagonal entries leave zero
+        # pivots; an eigenvalue at the shift is not counted below it.  The
+        # reducible matrix, with zero off-diagonals, has the blocks [1],
+        # [[2, 1], [1, 2]], [0], [[3, 2], [2, 3]] and [-1]; hopping of odd
+        # order has the eigenvalue 0 on its zero diagonal
+        a = np.array([1.0, 2.0, 2.0, 0.0, 3.0, 3.0, -1.0])
+        e = np.array([0.0, 1.0, 0.0, 0.0, 2.0, 0.0])
+        lam = np.array([-1.0, 0.0, 1.0, 1.0, 1.0, 3.0, 5.0])
+        m = np.diag(a) + np.diag(e, 1) + np.diag(e, -1)
+        assert np.max(np.abs(np.linalg.eigvalsh(m) - lam)) <= 1e-14
+        x = np.array([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        want = np.sum(lam[None, :] < x[:, None], axis=1)
+        assert np.array_equal(fl.spectral._sturm_counts(a, e * e, x), want)
+        for d in (1, 7, 63):
+            hop = fl.spectral._sturm_counts(np.zeros(d), np.ones(d - 1), np.zeros(1))
+            assert hop.tolist() == [d // 2]
+
+    @pytest.mark.parametrize("name", sorted(COMPLEX_BANDS))
+    def test_complex_windows_match_dense(self, eig_calls, name):
+        # on both sides of TRIDIAGONAL_MIN_DIM: dense below, the real
+        # gauge's sterf at and above it, certified in the largest window
+        op, low = COMPLEX_BANDS[name], fl.spectral.TRIDIAGONAL_MIN_DIM
+        folds = name == "symbol-sampled"
+        for d, check in ((low - 1, False), (low, False), (low + 1, True)):
+            proj = fl.Window(op.lattice, 0, d - 1)
+            m = compress(op, proj)
+            assert m.imag.any() and persymmetric(m) == folds
+            want = eigenvalues_hermitian(m)
+            eig_calls.clear()
+            vals = fl.compression_eigenvalues(op, proj, check_residual=check)
+            scale = max(1.0, float(np.max(np.abs(m))))
+            assert np.max(np.abs(vals - want)) <= 1e-12 * scale, (name, d)
+            solvers = [c[0] for c in eig_calls]
+            if d < low:
+                assert solvers == ["eigvalsh"]
+            else:
+                assert solvers == ["eigvalsh_tridiagonal"] * (2 if folds else 1)
+
+
+def _footprint_cases():
+    """(label, op) of every solve path on windows of n0: tridiagonal halves
+    and whole, real and complex, dense halves, the complex fold, and
+    unfolded dense real and complex matrices."""
+    ramp = fl.Band(0, ((0, lambda n: 0.01 * n),), lattice=fl.N0)
+    cx1 = fl.Toeplitz({0: 0.3, 1: 0.5 + 0.5j, -1: 0.5 - 0.5j}, selfadjoint=True)
+    r3 = fl.Toeplitz({0: 0.3, 1: 0.5, -1: 0.5, 3: 0.2, -3: 0.2}, selfadjoint=True)
+    c3 = fl.Toeplitz({0: 0.3, 1: 0.5 + 0.5j, -1: 0.5 - 0.5j, 3: 0.2j, -3: -0.2j},
+                     selfadjoint=True)
+    return [("tridiagonal-halves", HOPPING), ("tridiagonal-whole", RAMP),
+            ("complex-tridiagonal-halves", cx1),
+            ("complex-tridiagonal-whole", fl.op_sum(cx1, ramp)),
+            ("dense-halves", r3), ("complex-fold", c3),
+            ("dense-real", fl.op_sum(r3, ramp)), ("dense-complex", fl.op_sum(c3, ramp))]
+
+
+@pytest.mark.parametrize("d", [400, 2049])
+def test_solve_peaks_within_its_footprint(monkeypatch, d):
+    # tracemalloc's peak of each whole call, storage included, is at most
+    # what check_solve_footprint counted for it; windows of order >= 400
+    # take the tridiagonal path.  The unfolded complex matrix runs at 400
+    # only: its complex eigh at 2049 takes 4-16 s on two vCPUs, and the
+    # unfolded count, complex d x d arrays, is the real matrix's too
+    import tracemalloc
+
+    import scipy.linalg  # noqa: F401  (imported before the peaks are taken)
+
+    counted = []
+    check = fl.spectral.check_footprint
+    monkeypatch.setattr(fl.spectral, "check_footprint",
+                        lambda nbytes, what: counted.append(nbytes) or check(nbytes, what))
+    monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 400)
+    for label, op in _footprint_cases():
+        if d > 400 and label == "dense-complex":
+            continue
+        for check_residual in (False, True):
+            # every path once at a small order first, so that no lazy set-up
+            # lands in a peak
+            fl.compression_eigenvalues(op, fl.Window(fl.N0, 0, 399), check_residual=check_residual)
+            counted.clear()
+            tracemalloc.start()
+            try:
+                fl.compression_eigenvalues(op, fl.Window(fl.N0, 0, d - 1),
+                                           check_residual=check_residual)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(counted) == 1 and peak <= counted[0], (label, check_residual, peak)
 
 
 def test_is_selfadjoint_matches_dense_verdict(monkeypatch):

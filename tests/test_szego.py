@@ -341,10 +341,10 @@ class TestSzegoPair:
         assert ratio[512] < 0.07 and err[512] < 0.005
 
     def test_one_eigensolve_per_window_tridiagonal(self, monkeypatch, eig_calls):
-        # the same contract above the tridiagonal threshold: eigenvalues only
-        # below the largest window, eigenvectors there, and no dense solve at
-        # all; the persymmetric symbols take two tridiagonal halves, the ramp
-        # one solve
+        # above the tridiagonal threshold every window is solved for
+        # eigenvalues only, the largest one certified by Sturm counts, and no
+        # dense solve runs at all; the persymmetric symbols take two
+        # tridiagonal halves, the ramp one solve
         monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 5)
         real_sym = fl.Toeplitz({0: 0.3, 1: 0.7, -1: 0.7}, selfadjoint=True)
         seq = fl.finite_section_sequence(fl.N0, [4, 8, 16])
@@ -355,9 +355,9 @@ class TestSzegoPair:
         real = np.dtype(np.float64)
         per_op = [("eigvalsh_tridiagonal", 3, real), ("eigvalsh_tridiagonal", 2, real),
                   ("eigvalsh_tridiagonal", 5, real), ("eigvalsh_tridiagonal", 4, real),
-                  ("eigh_tridiagonal", 9, real), ("eigh_tridiagonal", 8, real)]
+                  ("eigvalsh_tridiagonal", 9, real), ("eigvalsh_tridiagonal", 8, real)]
         unfolded = [("eigvalsh_tridiagonal", 5, real), ("eigvalsh_tridiagonal", 9, real),
-                    ("eigh_tridiagonal", 17, real)]
+                    ("eigvalsh_tridiagonal", 17, real)]
         assert eig_calls == per_op + per_op + unfolded
         row = next(r for r in rep.rows if r["label"] == "t" and r["n"] == 16)
         assert row["error"] == pytest.approx(2.0 / 17.0, abs=1e-12)
@@ -365,8 +365,8 @@ class TestSzegoPair:
     def test_largest_window_takes_the_residual_check_wherever_it_stands(
             self, monkeypatch, eig_calls):
         # a sequence need not end on its largest window: the window of
-        # largest rank is the one checked up front, solved with eigenvectors
-        # and spanning the default hats
+        # largest rank is the one checked up front, certified and spanning
+        # the default hats
         monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 5)
         ranks = []
         monkeypatch.setattr(fl.szego, "check_solve_footprint",
@@ -377,8 +377,7 @@ class TestSzegoPair:
         rep = fl.szego_pair_test([("t", HOPPING)], seq, refs)
         real = np.dtype(np.float64)
         assert ranks == [65]
-        assert eig_calls == [("eigh_tridiagonal", 33, real), ("eigh_tridiagonal", 32, real),
-                             ("eigvalsh_tridiagonal", 3, real), ("eigvalsh_tridiagonal", 2, real)]
+        assert eig_calls == [("eigvalsh_tridiagonal", n, real) for n in (33, 32, 3, 2)]
         alone = fl.szego_pair_test([("t", HOPPING)], fl.ProjectionSequence(fl.N0, (1,), (big,)),
                                    refs)
         assert {r["f"] for r in rep.rows} == {r["f"] for r in alone.rows}
@@ -399,70 +398,91 @@ class TestSzegoPair:
 HOPPING_SPEC = str(CORPUS / "valid" / "hopping.json")
 
 
-def test_perturbed_tridiagonal_vectors_exit_1(monkeypatch, capsys):
-    import scipy.linalg
-
-    orig = scipy.linalg.eigh_tridiagonal
-
-    def perturbed(*args, **kwargs):
-        vals, vecs = orig(*args, **kwargs)
-        vecs[0] += 1e-6
-        return vals, vecs
-
+@pytest.mark.parametrize("kind", ["shift", "duplicate", "nan"])
+def test_perturbed_sterf_exit_1(monkeypatch, capsys, wrong_sterf, kind):
+    # a wrong eigenvalue of the largest window fails its Sturm certificate
     monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 5)
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", perturbed)
-    code = main(["szego", "--op", HOPPING_SPEC, "--n", "8,16"])
-    err = capsys.readouterr().err.splitlines()
-    assert code == 1
-    assert len(err) == 1 and err[0].startswith("numerical failure: residual")
+    wrong_sterf(kind)
+    code = main(["szego", "--op", HOPPING_SPEC, "--n", "16"])
+    out = capsys.readouterr()
+    err = out.err.splitlines()
+    assert code == 1 and out.out == ""
+    assert len(err) == 1 and err[0].startswith("numerical failure: eigenvalue ")
 
 
 class TestMemoryFootprint:
-    """A solve whose d x d arrays exceed physical memory is refused before
-    anything is allocated; the memory reading is patched, never exhausted."""
+    """A solve whose arrays exceed physical memory is refused before
+    anything is allocated; the memory reading is patched, never exhausted,
+    and no refused solve is ever started."""
 
     def test_oversized_window_is_config_error(self, monkeypatch, capsys, eig_calls):
+        # even the O(d) arrays of the tridiagonal solve, 256 bytes a
+        # position, exceed 64 GiB at d = 10^9 + 1
         monkeypatch.setattr(fl._util, "_physical_memory", lambda: 64 << 30)
-        code = main(["szego", "--op", HOPPING_SPEC, "--n", "200000"])
+        code = main(["szego", "--op", HOPPING_SPEC, "--n", "1000000000"])
         out = capsys.readouterr()
         assert code == 2
         assert out.out == ""
         err = out.err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
-        assert "200001" in err[0]
+        assert "1000000001" in err[0]
+        assert eig_calls == []
+
+    def test_oversized_dense_window_is_config_error(self, monkeypatch, capsys, tmp_path,
+                                                     eig_calls):
+        # a bandwidth-3 symbol passes the tridiagonal pre-check at d = 200001,
+        # and its dense halves with eigenvectors, 40 (d - d // 2)^2 bytes, and
+        # four residual blocks of 8 MiB, 400 GB in all, are refused once its
+        # storage is read
+        spec = tmp_path / "band3.json"
+        spec.write_text('{"kind": "toeplitz", "coeffs": {"0": 0.5, "1": 1.0, "-1": 1.0, '
+                        '"3": 0.25, "-3": 0.25}, "selfadjoint": true}')
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 64 << 30)
+        code = main(["szego", "--op", str(spec), "--n", "200000"])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        err = out.err.splitlines()
+        need = 40 * 100001**2 + 4 * (8 << 20)
+        assert err == ["config error: the eigensolve of a window of dimension 200001 needs "
+                       f"about {need / 2**30:.1f} GiB, more than the 64.0 GiB of physical memory"]
         assert eig_calls == []
 
     def test_refused_before_the_first_solve(self, monkeypatch, capsys, eig_calls):
-        # the eigenvectors of the largest window's tridiagonal halves (16
-        # (d - d // 2)^2 bytes, 64.1 MB at d = 4001) do not fit; the smaller
-        # window is never solved
-        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 60 << 20)
+        # the tridiagonal solve of the largest window (256 bytes a position)
+        # does not fit; the smaller window is never solved
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 256 * 4001 - 1)
         assert main(["szego", "--op", HOPPING_SPEC, "--n", "100,4000"]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert eig_calls == []
 
     def test_window_the_fold_can_solve_runs(self, monkeypatch, capsys, eig_calls):
-        # at d = 1001 the eigenvectors of the whole tridiagonal (8.0 MB) do
-        # not fit in 6 MiB, those of its two halves (4.0 MB) do
+        # at d = 1001 the tridiagonal halves and their certificate (256 KB)
+        # fit in 6 MiB, where the dense halves with eigenvectors (10.0 MB)
+        # would not
         monkeypatch.setattr(fl._util, "_physical_memory", lambda: 6 << 20)
         assert main(["szego", "--op", HOPPING_SPEC, "--n", "1000", "--f", "poly:2"]) == 0
         assert capsys.readouterr().err == ""
         real = np.dtype(np.float64)
-        assert eig_calls == [("eigh_tridiagonal", 501, real), ("eigh_tridiagonal", 500, real)]
+        assert eig_calls == [("eigvalsh_tridiagonal", 501, real),
+                             ("eigvalsh_tridiagonal", 500, real)]
         with pytest.raises(ConfigError, match="dimension 1001"):
-            fl.spectral.check_solve_footprint(1001, tridiagonal=True, check_residual=True)
+            fl.spectral.check_solve_footprint(1001, tridiagonal=False, check_residual=True,
+                                              fold="halves")
 
     def test_dense_estimate(self, monkeypatch, eig_calls):
         # a persymmetric complex compression folds into one real matrix of
-        # order d: it, LAPACK's working copy and the eigenvectors, 24 d^2
-        # bytes, are 1.59 MB at d = 257
+        # order d: four such arrays while folding and four complex blocks
+        # of the residual, 96 d^2 bytes, are 6.34 MB at d = 257
         cplx = fl.Toeplitz({0: 0.3, 1: 0.5 + 0.5j, -1: 0.5 - 0.5j}, selfadjoint=True)
         seq = fl.finite_section_sequence(fl.N0, [32, 256])
         refs = {"c": fl.reference_pushforward(cplx)}
-        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 3 << 19)
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 96 * 257 * 257 - 1)
         with pytest.raises(ConfigError, match="dimension 257"):
             fl.szego_pair_test([("c", cplx)], seq, refs, f_family=[fl.monomial(2)])
         assert eig_calls == [("eigvalsh", 33, np.dtype(np.float64))]
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 96 * 257 * 257)
+        fl.szego_pair_test([("c", cplx)], seq, refs, f_family=[fl.monomial(2)])
 
 
 def test_harper_moments_storage_checked_before_it_is_built(monkeypatch, capsys, eig_calls):
