@@ -32,6 +32,9 @@ _LATTICES = (N0, Z)
 # 4 leaves two sections of headroom.
 _SECTION_ARRAYS = 4
 
+# Nodes of theta a Toeplitz symbol is evaluated on at once (`symbol_values`).
+_SYMBOL_CHUNK = 4096
+
 
 class LatticeMismatchError(SpecError):
     """Operator and projection (or polynomial operands) live on different lattices."""
@@ -240,13 +243,29 @@ class Toeplitz(OperatorSpec):
                     )
 
     def symbol_values(self, theta: np.ndarray) -> np.ndarray:
-        """Evaluate g(theta) = sum_k a_k e^{ik theta}, with one complex
-        temporary the size of theta."""
+        """Evaluate g(theta) = sum_k a_k e^{ik theta} at the nodes of the 1-d
+        theta, term by term in the order of k, a chunk of nodes at a time.
+        e^{-ik theta} is the conjugate of e^{ik theta} bit for bit (k theta
+        is negated exactly, sin is odd and cos even), so each exponential is
+        taken once per |k| and kept for the term of opposite sign: at most
+        bandwidth + 2 complex temporaries of a chunk."""
         vals = np.zeros(np.shape(theta), dtype=complex)
-        term = np.empty_like(vals)
-        for k, a in self.coeffs:
-            np.multiply(1j * k, theta, out=term)
-            vals += np.multiply(a, np.exp(term, out=term), out=term)
+        keys = {k for k, _ in self.coeffs}
+        for lo in range(0, vals.size, _SYMBOL_CHUNK):
+            at, out = theta[lo:lo + _SYMBOL_CHUNK], vals[lo:lo + _SYMBOL_CHUNK]
+            term, kept = np.empty_like(out), {}
+            for k, a in self.coeffs:
+                power = kept.pop(-k, None)
+                if power is None:
+                    power = np.multiply(1j * k, at)
+                    np.exp(power, out=power)
+                    if k and -k in keys:
+                        kept[k] = power
+                else:
+                    np.conjugate(power, out=power)
+                # a_k first: numpy may round a scalar times an array apart
+                # from an array times a scalar
+                out += np.multiply(a, power, out=term)
         return vals
 
 

@@ -7,12 +7,13 @@ matrices."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._util import SpecError, check_footprint
 from .operators import (
+    _SYMBOL_CHUNK,
     OperatorSpec,
     Toeplitz,
     _adjoint,
@@ -33,9 +34,11 @@ from .operators import (
 # ramp on it, one BLAS thread, 2 shared vCPUs).
 TRIDIAGONAL_MIN_DIM = 1000
 
-# Bytes of each temporary of the blocked residual check from storage, and
-# the number of such temporaries alive at once.
-_RESIDUAL_BLOCK_BYTES = 1 << 23
+# Bytes of each temporary of the blocked residual check from storage, about
+# a quarter of a core's L2 cache, and the number of such temporaries alive
+# at once: the unfolded vectors, their residuals, one diagonal's product
+# and the squared moduli.
+_RESIDUAL_BLOCK_BYTES = 1 << 18
 _RESIDUAL_BLOCKS = 4
 
 # Bytes a position of a tridiagonal solve (see `check_solve_footprint`):
@@ -69,7 +72,7 @@ def _check_hermitian(dev: float, scale: float, herm_tol: float):
 
 def _check_residual(resid: float, scale: float, d: int):
     bound = 1e-9 * scale * math.sqrt(d)
-    if resid > bound:
+    if not resid <= bound:  # a NaN residual fails too
         raise ResidualError(f"residual {resid:.3e} breaches contract {bound:.3e}")
 
 
@@ -140,25 +143,43 @@ def _fold(h: dict, d: int) -> list:
     couplings of e_m to the others carry a factor sqrt(2), and an exact
     spectrum stays exact.  Real H gives the halves S ("sym") and T
     ("anti"), complex H the one matrix [[S, K], [K^T, T]] = D* [[S, iK],
-    [-iK^T, T]] D of order d for D = diag(1, -i) ("complex")."""
+    [-iK^T, T]] D of order d for D = diag(1, -i) ("complex").  That
+    matrix is formed in place, with no other array of its size: B and C
+    are scattered into the blocks of S, K, T and K^T, and S = B + C waits
+    in K^T's block until T = B - C has read B."""
     m, top = d // 2, d - d // 2
-    b = _scatter({j: v[:top] for j, v in h.items()}, top)  # H[:top, :top]
-    c = np.zeros((m, m), dtype=b.dtype)
+    if any(np.iscomplexobj(v) for v in h.values()):
+        f = np.zeros((d, d))
+        s, k, kt, t = f[:top, :top], f[:top, top:], f[top:, :top], f[top:, top:]
+        for j, v in h.items():
+            p = np.arange(top)[_stored(j, top)]  # H[p, p + j] in B
+            s[p, p + j] = v.real[p]
+            p = p[p + j < m]
+            k[p, p + j] = v.imag[p]
+            # H[i, i + j] lands on C[i, d - 1 - i - j], held in T's and K^T's blocks
+            rows = np.arange(max(0, top - j), min(m, d - j))
+            t[rows, d - 1 - j - rows] = v.real[rows]
+            kt[rows, d - 1 - j - rows] = v.imag[rows]
+        k[:m] -= kt[:, :m]
+        np.add(s[:m, :m], t, out=kt[:, :m])
+        np.subtract(s[:m, :m], t, out=t)
+        s[:m, :m] = kt[:, :m]
+        if d % 2:
+            s[m, :m] *= _ROOT2
+            s[:m, m] *= _ROOT2
+            k[m] *= _ROOT2
+        kt[...] = k.T
+        return [("complex", f)]
+    s = _scatter({j: v[:top] for j, v in h.items()}, top)  # B = H[:top, :top]
+    c = np.zeros((m, m))
     for j, v in h.items():  # H[i, i + j] lands on C[i, d - 1 - i - j]
         rows = np.arange(max(0, top - j), min(m, d - j))
         c[rows, d - 1 - j - rows] = v[rows]
-    t = b.real[:m, :m] - c.real
-    s = b.real.copy() if np.iscomplexobj(b) else b  # real S is formed in B
-    s[:m, :m] += c.real
+    t = s[:m, :m] - c
+    s[:m, :m] += c  # S is formed in B
     if d % 2:
         s[m, :m] *= _ROOT2
         s[:m, m] *= _ROOT2
-    if np.iscomplexobj(b):
-        k = b.imag[:, :m].copy()
-        k[:m] -= c.imag
-        if d % 2:
-            k[m] *= _ROOT2
-        return [("complex", np.block([[s, k], [k.T, t]]))]
     return [("sym", s), ("anti", t)] if m else [("sym", s)]
 
 
@@ -176,38 +197,61 @@ def _tridiagonal_halves(a: np.ndarray, e: np.ndarray) -> list:
     return [(sa, se), (ta, e[:m - 1])]
 
 
-def _unfold(w: np.ndarray, d: int, part: str) -> np.ndarray:
+def _unfold(w: np.ndarray, d: int, part: str, out: np.ndarray) -> np.ndarray:
     """Columns w of the coordinates of one solve (see `_fold`) as vectors
-    of order d: the solve of all of H ("whole"), of S or T ("sym", "anti"),
-    or of complex H, whose coordinates (x, y) are x + (-i)y on the basis of
-    `_fold`."""
+    of order d, written into out: the solve of all of H ("whole"), of S or
+    T ("sym", "anti"), or of complex H, whose coordinates (x, y) are
+    x + (-i)y on the basis of `_fold`."""
     if part == "whole":
-        return w
+        out[...] = w
+        return out
     m, top = d // 2, d - d // 2
-    sym = 0.0 if part == "anti" else w[:m]
-    anti = {"sym": 0.0, "anti": w, "complex": -1j * w[top:]}[part]
-    v = np.zeros((d, w.shape[1]), dtype=complex if part == "complex" else float)
-    v[:m] = (sym + anti) * _ROOT_HALF
-    v[top:] = ((sym - anti) * _ROOT_HALF)[::-1]
-    if d % 2 and part != "anti":
-        v[m] = w[m]
-    return v
+    lead, tail = out[:m], out[top:]
+    if part == "complex":  # tail is conj(lead) backwards
+        np.multiply(w[:m], _ROOT_HALF, out=lead.real)
+        np.multiply(w[top:], -_ROOT_HALF, out=lead.imag)
+        np.conjugate(lead[::-1], out=tail)
+    else:  # tail is +-lead backwards
+        np.multiply(w[:m], _ROOT_HALF, out=lead)
+        np.multiply(lead[::-1], 1.0 if part == "sym" else -1.0, out=tail)
+    if d % 2:
+        out[m] = 0.0 if part == "anti" else w[m]
+    return out
+
+
+def _residual_columns(d: int, pairs: int) -> int:
+    """Columns of one block of the residual of `pairs` eigenpairs of order d:
+    as many as _RESIDUAL_BLOCK_BYTES of complex entries hold, at least one."""
+    return max(1, min(pairs, _RESIDUAL_BLOCK_BYTES // (16 * d)))
 
 
 def _check_storage_residual(h: dict, d: int, scale: float, vals, vecs, part: str):
     """ResidualError unless ||H v - lam v|| <= 1e-9 * scale * sqrt(d) for
     every eigenpair of one solve, H v formed from the storage h of order d
-    in column blocks, each block of vectors unfolded (`_unfold`) alone."""
-    step = max(1, _RESIDUAL_BLOCK_BYTES // (16 * d))
-    worst = 0.0
+    in column blocks (`_residual_columns`), each block of vectors unfolded
+    (`_unfold`) alone, into _RESIDUAL_BLOCKS buffers that every block and
+    diagonal reuses."""
+    step = _residual_columns(d, vals.size)
+    dtype = np.result_type(vecs, *h.values())
+    v, r, prod = (np.empty((d, step), dtype) for _ in range(3))
+    sq = np.empty((d, step))
+    worst = []
     for j0 in range(0, vals.size, step):
-        v = _unfold(vecs[:, j0:j0 + step], d, part)
-        r = v * -vals[None, j0:j0 + step]
+        n = min(step, vals.size - j0)
+        vb, rb, pb, sb = v[:, :n], r[:, :n], prod[:, :n], sq[:, :n]
+        _unfold(vecs[:, j0:j0 + n], d, part, out=vb)
+        np.multiply(vb, -vals[None, j0:j0 + n], out=rb)
         for j, hj in h.items():
             at = _stored(j, d)
-            r[at] += hj[at, None] * v[at.start + j:at.stop + j]
-        worst = max(worst, float(np.linalg.norm(r, axis=0).max()))
-    _check_residual(worst, scale, d)
+            np.multiply(hj[at, None], vb[at.start + j:at.stop + j], out=pb[at])
+            rb[at] += pb[at]
+        if np.iscomplexobj(rb):  # |r|^2 = Re(conj(r) r), as np.linalg.norm forms it
+            np.multiply(rb.real, rb.real, out=sb)
+            sb += np.multiply(rb.imag, rb.imag, out=pb.real)
+        else:
+            np.multiply(rb, rb, out=sb)
+        worst.append(np.add.reduce(sb, axis=0).max())
+    _check_residual(math.sqrt(np.max(worst, initial=0.0)), scale, d)
 
 
 def _sturm_counts(a: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -215,22 +259,43 @@ def _sturm_counts(a: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
     tridiagonal matrix with diagonal a and squared off-diagonal e2, by
     Sylvester's inertia: the negative pivots of the LDL^T factorisation
     q_i = a_i - x - e2_(i-1) / q_(i-1) of T - x.  One pass over the rows,
-    each vectorised over the shifts.  As in LAPACK's bisection, a pivot of
-    modulus below pivmin is replaced by one of modulus pivmin, so that no
-    pivot is zero and every quotient is finite; here by +pivmin, so that an
-    eigenvalue equal to a shift, which leaves a zero pivot, is not counted
-    below it."""
+    each vectorised over the shifts in five ufunc calls.
+
+    LAPACK's bisection replaces a pivot of modulus below pivmin by one of
+    modulus pivmin, so that every quotient is finite.  Here IEEE arithmetic
+    carries a zero or tiny pivot instead, as LAPACK's dlaneg does (Demmel &
+    Li, IEEE Trans. Comput. 43, 1994; Marques, Riedy & Voemel, SIAM J. Sci.
+    Comput. 28, 2006).  A zero pivot is +0, never -0 (a + 0.0 holds no -0,
+    and a difference is -0 only as -0 - +0), so it is not counted, and
+    e2_i / +0 = +inf makes the next pivot -inf, which is: the pair counts
+    one negative pivot, as with +pivmin in its place, wherever e2_i / pivmin
+    exceeds |a_(i+1) - x|, and the pivot after the pair differs from the
+    substitution's by about e2_(i+1) pivmin / e2_i, below an ulp of
+    a_(i+2) - x unless that is itself near pivmin.  Only where the
+    factorisation decouples, at the last row and at a row whose e2_i is
+    zero, does no next pivot carry the sign; there a pivot below pivmin in
+    modulus is still replaced by +pivmin, which also keeps 0 / 0 from
+    arising, and an eigenvalue equal to a shift is not counted below it.
+    So the counts are those of the substitution (the reference
+    tests/dense_oracle.py::sturm_counts) wherever the operands keep clear
+    of the underflow threshold.  Near it, at a shift within a few pivmin of
+    a run of diagonal entries or with e2 subnormal, the two may differ by
+    eigenvalues within a few pivmin, or an ulp of T's scale, of the shift:
+    far inside the tolerance of `_check_sturm`, whose scaling keeps T's
+    entries near 1."""
     pivmin = _TINY * max(1.0, float(e2.max(initial=0.0)))
     q, t = np.ones_like(x), np.empty_like(x)
-    small = np.empty(x.shape, dtype=bool)
+    neg = np.empty(x.shape, dtype=bool)
     count = np.zeros(x.shape, dtype=np.intp)
-    for ai, ei in zip(a.tolist(), [0.0, *e2.tolist()]):
-        np.divide(ei, q, out=t)
-        np.subtract(ai, x, out=q)
-        q -= t
-        np.less(np.abs(q, out=t), pivmin, out=small)
-        np.copyto(q, pivmin, where=small)
-        count += np.less(q, 0.0, out=small)
+    ends = (np.append(e2, 0.0) == 0.0).tolist()  # the rows where the factorisation decouples
+    with np.errstate(divide="ignore", over="ignore"):
+        for ai, ei, end in zip((a + 0.0).tolist(), [0.0, *e2.tolist()], ends):
+            np.divide(ei, q, out=t)
+            np.subtract(ai, x, out=q)
+            q -= t
+            if end:
+                np.copyto(q, pivmin, where=np.abs(q) < pivmin)
+            count += np.less(q, 0.0, out=neg)
     return count
 
 
@@ -242,15 +307,16 @@ def _check_sturm(a: np.ndarray, e: np.ndarray, vals: np.ndarray, scale: float):
     [vals_i - tol, vals_i + tol).
 
     The counts run on T scaled by a power of two near 1 / scale, which is
-    exact and keeps every pivot and quotient finite.  A count in floating
-    point is the exact count of a matrix within a few ulps of T: each pivot
-    carries three roundings, which are moved onto e2_(i-1) as a relative
-    change of a few eps, with the sign of every pivot unchanged (Kahan
-    1966; Demmel, Dhillon & Ren, ETNA 3, 1995), and pivmin moves a
-    diagonal entry by at most 2 pivmin.  By Weyl's inequality that matrix's
-    eigenvalues lie within about 6 eps * scale, 1.3e-15 * scale, of mu,
-    under a millionth of tol.  A NaN eigenvalue gives NaN pivots, which
-    count as no eigenvalue below it, and fails."""
+    exact and keeps e2 and every shift far from overflow.  A count in
+    floating point is the exact count of a matrix within a few ulps of T:
+    each pivot carries three roundings, which are moved onto e2_(i-1) as a
+    relative change of a few eps, with the sign of every pivot unchanged
+    (Kahan 1966; Demmel, Dhillon & Ren, ETNA 3, 1995), and a zero or tiny
+    pivot moves a diagonal entry by a few pivmin at most (`_sturm_counts`).
+    By Weyl's inequality that matrix's eigenvalues lie within about
+    6 eps * scale, 1.3e-15 * scale, of mu, under a millionth of tol.  A NaN
+    eigenvalue gives NaN pivots, which count as no eigenvalue below it, and
+    fails."""
     d = a.size
     tol = 1e-9 * scale * math.sqrt(d)
     s = math.ldexp(1.0, -math.frexp(scale)[1])
@@ -278,26 +344,22 @@ def check_solve_footprint(d: int, tridiagonal: bool, check_residual: bool, fold=
     blocks B and C and the half T while folding, S formed in B, or S, T
     and LAPACK's working copy while solving, and H's storage; with
     check_residual five: S, T, LAPACK's working copy and both halves'
-    eigenvectors.  fold="complex", four float64 arrays of order d: the
-    complex blocks B and C, S, T and K, the rows np.block joins and the
-    folded matrix while folding, which outnumber the matrix, LAPACK's
-    working copy and the eigenvectors of the solve.  With check_residual a
-    dense solve also counts
-    _RESIDUAL_BLOCKS temporaries of one block of the residual from storage
-    (`_check_storage_residual`), complex and of at most
-    _RESIDUAL_BLOCK_BYTES each."""
+    eigenvectors.  fold="complex", float64 arrays of order d: the folded
+    matrix, formed in place, LAPACK's working copy and, with
+    check_residual, the eigenvectors.  With check_residual a dense solve
+    also counts _RESIDUAL_BLOCKS temporaries of one block of the residual
+    from storage (`_check_storage_residual`), complex, of d rows and
+    _RESIDUAL_BLOCK_BYTES // (16 d) columns, at least one and at most d."""
     if tridiagonal:
         check_footprint(_TRIDIAGONAL_BYTES * d, f"the eigensolve of a window of dimension {d}")
         return
     top = d - d // 2
     if fold == "halves":
         need = 8 * top * top * (5 if check_residual else 4)
-    elif fold == "complex":
-        need = 8 * d * d * 4
     else:
-        need = 16 * d * d * (3 if check_residual else 2)
+        need = (8 if fold == "complex" else 16) * d * d * (3 if check_residual else 2)
     if check_residual:
-        need += _RESIDUAL_BLOCKS * min(_RESIDUAL_BLOCK_BYTES, 16 * d * d)
+        need += _RESIDUAL_BLOCKS * 16 * d * _residual_columns(d, d)
     check_footprint(need, f"the eigensolve of a window of dimension {d}")
 
 
@@ -466,11 +528,14 @@ class EmpiricalMeasure:
 
 @dataclass(frozen=True)
 class ReferenceMeasure:
-    """Limit spectral measure, as a sampled CDF grid and/or a moment list."""
+    """Limit spectral measure, as a sampled CDF grid and/or a moment list.
+    A grid also keeps the mass of each node, diff(Fs, prepend=0), which
+    every integral reads."""
 
     xs: np.ndarray | None = None
     Fs: np.ndarray | None = None
     moments: tuple | None = None
+    masses: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.xs is not None:
@@ -484,7 +549,12 @@ class ReferenceMeasure:
                 raise ValueError("CDF values must lie in [0, 1]")
             object.__setattr__(self, "xs", xs)
             # steps down of round-off are lifted: every stored CDF is nondecreasing
-            object.__setattr__(self, "Fs", np.maximum.accumulate(fs))
+            fs = np.maximum.accumulate(fs)
+            masses = np.empty_like(fs)  # diff(fs, prepend=0), with no joined copy of fs
+            masses[0] = fs[0]
+            np.subtract(fs[1:], fs[:-1], out=masses[1:])
+            object.__setattr__(self, "Fs", fs)
+            object.__setattr__(self, "masses", masses)
         if self.moments is not None:
             object.__setattr__(self, "moments", tuple(float(m) for m in self.moments))
         if self.xs is None and self.moments is None:
@@ -506,8 +576,10 @@ def integrate(meas, f: TestFunction) -> float:
     """Integral of a declared test function against a measure.
 
     Empirical: plain atom average.  Reference with a CDF grid:
-    Riemann-Stieltjes sum over the grid.  Moments-only references support
-    polynomial f up to the stored moment order.
+    Riemann-Stieltjes sum over the grid, a hat evaluated only on the nodes
+    of its support [left, right] and zero elsewhere, bit for bit the sum of
+    f at every node.  Moments-only references support polynomial f up to
+    the stored moment order.
     """
     if not isinstance(f, TestFunction):
         raise ValueError("integrand must come from the test-function family")
@@ -515,8 +587,15 @@ def integrate(meas, f: TestFunction) -> float:
         return float(np.mean(f(meas.atoms)))
     if isinstance(meas, ReferenceMeasure):
         if meas.xs is not None:
-            w = np.diff(meas.Fs, prepend=0.0)
-            return float(np.sum(f(meas.xs) * w))
+            xs = meas.xs
+            if f.kind == "hat":
+                lo, hi = np.searchsorted(xs, f.params[0]), np.searchsorted(xs, f.params[2], "right")
+                vals = np.zeros(xs.size)
+                vals[lo:hi] = f(xs[lo:hi])
+            else:
+                vals = f(xs)
+            vals *= meas.masses
+            return float(np.sum(vals))
         if f.kind != "poly":
             raise ValueError("moments-only reference measures integrate polynomials only")
         coeffs = f.params
@@ -534,13 +613,18 @@ def reference_pushforward(symbol: Toeplitz, grid_size: int = 1 << 16) -> Referen
     F(x) is the fraction of uniformly sampled angles with g(theta) <= x,
     computed by sampling and sorting.
     """
-    # 43 bytes a node: the angles, the values and one complex temporary
-    # peak at 42.0 (2^16 nodes) and 41.0 (2^20) measured with tracemalloc
-    check_footprint(43 * grid_size, f"the pushforward reference of {grid_size} nodes")
+    # 33 bytes a node: the sorted values, the CDF given and kept, and the
+    # masses peak at 32.0 (2^16 and 2^20 nodes, tracemalloc), above the
+    # angles and values of the evaluation (24), which also holds bandwidth
+    # + 2 complex temporaries of a chunk of nodes (`Toeplitz.symbol_values`),
+    # counted with one more for the small objects around them
+    check_footprint(33 * grid_size + 16 * (symbol.bandwidth + 3) * min(grid_size, _SYMBOL_CHUNK),
+                    f"the pushforward reference of {grid_size} nodes")
     vals = symbol.symbol_values(2.0 * np.pi * np.arange(grid_size) / grid_size)
     if np.max(np.abs(vals.imag)) > 1e-10:
         raise ComplexSymbolError("pushforward requires a real-valued symbol")
     xs = np.sort(vals.real)
+    del vals  # freed before the measure's grid, CDF and masses are formed
     fs = np.arange(1, grid_size + 1, dtype=float) / grid_size
     return ReferenceMeasure(xs=xs, Fs=fs)
 

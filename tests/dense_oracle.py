@@ -6,7 +6,8 @@ are cut out of the padded matrix.  Cubic in the window size; tests only.
 
 `compress`, `op_adjoint` and `eigenvalues_hermitian` are the reference forms
 of a compression, an adjoint spec and a checked dense Hermitian eigensolve
-that tests compare the production paths against.
+that tests compare the production paths against; `sturm_counts` is the
+reference form of the Sturm counts that certify a tridiagonal spectrum.
 """
 import numpy as np
 
@@ -55,6 +56,27 @@ def eigenvalues_hermitian(m, herm_tol: float = 1e-10, check_residual: bool = Fal
     resid = np.linalg.norm(h @ vecs - vecs * vals[None, :], axis=0)
     _check_residual(float(resid.max()), scale, h.shape[0])
     return vals
+
+
+def sturm_counts(a, e2, x) -> np.ndarray:
+    """#{eigenvalues of T below x} for each shift of x, T the real symmetric
+    tridiagonal matrix with diagonal a and squared off-diagonal e2, from the
+    negative pivots q_i = a_i - x - e2_(i-1) / q_(i-1) of LDL^T = T - x,
+    every pivot of modulus below pivmin replaced by +pivmin as in LAPACK's
+    bisection, so that no pivot is zero and every quotient is finite, and an
+    eigenvalue equal to a shift is not counted below it."""
+    pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
+    q, t = np.ones_like(x), np.empty_like(x)
+    small = np.empty(x.shape, dtype=bool)
+    count = np.zeros(x.shape, dtype=np.intp)
+    for ai, ei in zip(a.tolist(), [0.0, *e2.tolist()]):
+        np.divide(ei, q, out=t)
+        np.subtract(ai, x, out=q)
+        q -= t
+        np.less(np.abs(q, out=t), pivmin, out=small)
+        np.copyto(q, pivmin, where=small)
+        count += np.less(q, 0.0, out=small)
+    return count
 
 
 def _match(rows, cols, k):

@@ -383,15 +383,17 @@ class TestOneLineFailures:
         assert code == 0 and err == ""
 
     def test_pushforward_too_large_for_memory(self, capsys, monkeypatch):
-        # 1000 nodes peak at 43 bytes each; the reference is refused before
-        # its arrays are built, the window's own storage is far smaller
-        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 43 * 1000 - 1)
+        # 1000 nodes are counted at 33 bytes each, and hopping's evaluation
+        # at four complex temporaries of 1000 nodes; the reference is refused
+        # before its arrays are built, the window's own storage is far smaller
+        need = 33 * 1000 + 16 * 4 * 1000
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: need - 1)
         code, out, err = run(capsys, "szego", "--op", self.HOPPING, "--n", "4", "--nodes", "1000")
         assert code == 2 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("config error: the pushforward reference of 1000 nodes")
-        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 43 * 1000)
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: need)
         code, out, err = run(capsys, "szego", "--op", self.HOPPING, "--n", "4", "--nodes", "1000")
         assert code == 0 and err == ""
 

@@ -36,6 +36,36 @@ class TestToeplitzSections:
         with pytest.raises(ValueError):
             fl.Toeplitz({1: 1.0, -1: 2.0}, selfadjoint=True)
 
+    def test_symbol_values_bit_identical_to_the_term_by_term_sum(self):
+        # each exponential taken once per |k|, its conjugate serving -k, and
+        # a chunk of nodes at a time: the same bits as every term on every
+        # node, summed in the order of k
+        def term_by_term(t, theta):
+            # a_k * e^{ik theta}, scalar first: numpy's loops for a scalar
+            # times an array and an array times a scalar may round apart
+            vals = np.zeros(theta.shape, dtype=complex)
+            term = np.empty_like(vals)
+            for k, a in t.coeffs:
+                np.multiply(1j * k, theta, out=term)
+                vals += np.multiply(a, np.exp(term, out=term), out=term)
+            return vals
+
+        rng = np.random.default_rng(29)
+        for case in range(40):
+            coeffs = {k: complex(*rng.standard_normal(2))
+                      for k in range(-4, 5) if rng.random() < 0.7}
+            if rng.random() < 0.5:
+                coeffs = {k: v for k, v in coeffs.items() if k > 0}
+                coeffs.update({-k: v.conjugate() for k, v in coeffs.items()})
+                coeffs[0] = float(rng.standard_normal())
+            t = fl.Toeplitz(coeffs)
+            for nodes in (1, 4095, 4097, 1 << 16):
+                theta = 2.0 * np.pi * np.arange(nodes) / nodes
+                got, want = t.symbol_values(theta), term_by_term(t, theta)
+                assert got.tobytes() == want.tobytes(), (case, nodes)
+            theta = rng.uniform(-50.0, 50.0, 5000)
+            assert t.symbol_values(theta).tobytes() == term_by_term(t, theta).tobytes(), case
+
     def test_constant_diagonals(self):
         rng = np.random.default_rng(7)
         coeffs = {k: complex(rng.standard_normal(), rng.standard_normal()) for k in range(-3, 4)}

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dense_oracle import compress, eigenvalues_hermitian, op_adjoint
+from dense_oracle import compress, eigenvalues_hermitian, op_adjoint, sturm_counts
 import folner_lab as fl
 from folner_lab.specio import load_spec_file
 
@@ -173,6 +173,55 @@ class TestIntegrate:
             fl.integrate(ref, fl.monomial(3))
 
 
+class TestIntegrateOnSupport:
+    """Against a CDF grid a hat is evaluated only on the nodes of its
+    support, and every integral reads the masses kept with the grid: bit
+    for bit the Riemann-Stieltjes sum of f at every node."""
+
+    @staticmethod
+    def _refs():
+        rng = np.random.default_rng(67)
+        xs = np.sort(np.round(rng.uniform(-1.0, 1.0, 300), 2))  # repeated nodes
+        fs = np.cumsum(rng.uniform(0.0, 1.0, 300))
+        fs /= fs[-1]
+        fs[40] = fs[39] - 1e-16  # a dip of round-off, lifted by the measure
+        band = fl.Toeplitz({0: 0.5, 1: 1.0, -1: 1.0, 3: 0.25, -3: 0.25}, selfadjoint=True)
+        return [fl.reference_pushforward(fl.Toeplitz({1: 1.0, -1: 1.0})),
+                fl.reference_pushforward(band, grid_size=4099),
+                fl.ReferenceMeasure(xs=xs, Fs=fs),
+                fl.ReferenceMeasure(xs=np.array([0.25]), Fs=np.array([1.0]))]
+
+    @staticmethod
+    def _family(xs):
+        lo, hi = float(xs[0]), float(xs[-1])
+        at = [float(xs[i]) for i in (0, xs.size // 7, xs.size // 3, xs.size // 2, -1)]
+        mid = 0.5 * (lo + hi)
+        hats = [
+            (at[1], at[2], at[3]),  # inside, on grid nodes
+            (at[1] + 1e-3, mid, at[3] - 1e-3),  # inside, between nodes
+            (lo - 1.0, lo, mid), (mid, hi, hi + 1.0),  # straddling an end
+            (lo - 1.0, mid, hi + 1.0),  # covering the grid
+            (lo - 3.0, lo - 2.0, lo - 1.0), (hi + 1.0, hi + 2.0, hi + 3.0),  # outside
+            (lo - 2.0, lo - 1.0, lo), (hi, hi + 1.0, hi + 2.0),  # touching an end
+            (at[1], at[1], at[3]), (at[1], at[3], at[3]),  # center = left, = right
+            (at[2], at[2], at[2]), (mid, mid, mid),  # a point
+            (lo, lo, lo), (hi, hi, hi),
+        ]
+        return [fl.monomial(k) for k in range(9)] + [fl.hat(*sorted(h)) for h in hats]
+
+    def test_bit_identical_to_the_full_grid_sum(self):
+        for ref in self._refs():
+            for f in self._family(ref.xs):
+                want = float(np.sum(f(ref.xs) * np.diff(ref.Fs, prepend=0.0)))
+                assert fl.integrate(ref, f).hex() == want.hex(), (ref.xs.size, f)
+
+    def test_masses_are_the_steps_of_the_stored_cdf(self):
+        for ref in self._refs():
+            assert ref.masses.tobytes() == np.diff(ref.Fs, prepend=0.0).tobytes()
+            assert np.all(ref.masses >= 0.0)
+        assert fl.ReferenceMeasure(moments=(1.0, 0.0)).masses is None
+
+
 class TestPushforward:
     def test_constant_symbol_step(self):
         ref = fl.reference_pushforward(fl.Toeplitz({0: 5.0}), grid_size=64)
@@ -192,8 +241,9 @@ class TestPushforward:
             fl.reference_pushforward(fl.Toeplitz({1: 1.0}))
 
     def test_peak_within_its_memory_check(self, monkeypatch):
-        # the memory check counts 43 bytes a node: the traced peak of a
-        # five-term symbol at 2^16 nodes stays within it
+        # the memory check counts 33 bytes a node and five complex
+        # temporaries of a chunk of nodes for a bandwidth-2 symbol: the
+        # traced peak of a five-term symbol at 2^16 nodes stays within it
         import tracemalloc
 
         sym = fl.Toeplitz({0: 0.5, 1: 1.0, -1: 1.0, 2: 0.25j, -2: -0.25j}, selfadjoint=True)
@@ -207,8 +257,9 @@ class TestPushforward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert need == [43 * 64, 43 * nodes]
-        assert peak <= 43 * nodes
+        chunk = fl.operators._SYMBOL_CHUNK
+        assert need == [33 * 64 + 16 * 5 * 64, 33 * nodes + 16 * 5 * chunk]
+        assert peak <= need[1]
 
 
 class TestKolmogorov:
@@ -764,6 +815,59 @@ class TestFoldResidual:
         u[0] = u[-1] = math.sqrt(0.5)
         self._assert_against_storage(seen, op, proj, lams[0], u, delta)
 
+    @pytest.mark.parametrize("kind", ["vector", "nan"])
+    @pytest.mark.parametrize("label", ["complex-fold", "dense-halves", "dense-real"])
+    def test_wrong_pair_in_the_last_block(self, monkeypatch, label, kind):
+        # at d = 513 a residual block holds 2^18 // (16 * 513) = 31 pairs:
+        # the last eigenvector of the first solve, in its last block, moved
+        # or made NaN, breaches the contract
+        op = dict(_footprint_cases())[label]
+        d = 513
+        proj = fl.Window(fl.N0, 0, d - 1)
+        eigh, lams, delta = np.linalg.eigh, [], 1e-3
+
+        def perturbed(m, *args, **kwargs):
+            vals, vecs = eigh(m, *args, **kwargs)
+            if not lams:
+                step = fl.spectral._residual_columns(d, vals.size)
+                assert step == 31 and vals.size % step, vals.size
+                vecs[0, -1] = np.nan if kind == "nan" else vecs[0, -1] + delta
+            lams.append(vals[-1])
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        seen = self._spy(monkeypatch)
+        with pytest.raises(fl.ResidualError, match="nan" if kind == "nan" else "residual"):
+            fl.compression_eigenvalues(op, proj, check_residual=True)
+        if kind == "vector":
+            u = np.zeros(d)
+            if label == "dense-real":
+                u[0] = 1.0
+            else:
+                u[0] = u[-1] = math.sqrt(0.5)
+            self._assert_against_storage(seen, op, proj, lams[0], u, delta)
+
+    def test_every_block_is_read(self, monkeypatch):
+        # the worst residual of a solve of several blocks is the largest of
+        # the per-pair residuals, each formed densely, wherever it stands
+        op = dict(_footprint_cases())["complex-fold"]
+        d = 200
+        proj = fl.Window(fl.N0, 0, d - 1)
+        monkeypatch.setattr(fl.spectral, "_RESIDUAL_BLOCK_BYTES", 16 * d * 7)
+        h, scale = fl.spectral._hermitian_compression(op, proj, 1e-10)
+        (part, folded), = fl.spectral._fold(h, d)
+        vals, vecs = np.linalg.eigh(folded)
+        m = compress(op, proj)
+        for col in (0, 6, 7, 100, d - 1):
+            wrong = vecs.copy()
+            wrong[:, col] = np.roll(wrong[:, col], 1)
+            u = fl.spectral._unfold(wrong, d, part, out=np.empty((d, d), complex))
+            want = float(np.max(np.linalg.norm(m @ u - u * vals[None, :], axis=0)))
+            seen = self._spy(monkeypatch)
+            with pytest.raises(fl.ResidualError):
+                fl.spectral._check_storage_residual(h, d, scale, vals, wrong, part)
+            assert seen["resid"][-1] == pytest.approx(want, rel=1e-9), col
+
 
 # complex bandwidth-1 operators: symbol_sampled's Toeplitz symbol, whose
 # off-diagonals carry FFT round-off of about 1e-16i and which is
@@ -852,6 +956,94 @@ class TestSturmCertificate:
                 assert solvers == ["eigvalsh"]
             else:
                 assert solvers == ["eigvalsh_tridiagonal"] * (2 if folds else 1)
+
+
+def _sturm_case(rng, near_underflow=False):
+    """(a, e, x): a random tridiagonal of blocks joined by zero or random
+    off-diagonals, and shifts at its diagonal entries, an ulp from them, at
+    the blocks' exact eigenvalues ([p], [[p, q], [q, p]] and zero-diagonal
+    hopping of odd order, which has 0), at computed eigenvalues and between
+    them.  The whole is scaled by a power of two from 2^-1000 to 2^500, and
+    shifts a subnormal step from zero, far below pivmin, are added after
+    the scaling where no two neighbouring diagonal entries are zero, so
+    that they leave isolated subnormal pivots.  near_underflow takes the
+    scale 2^-515, where the squared off-diagonals are subnormal, and the
+    subnormal shifts and shifts of pivmin / 2 and pivmin wherever they
+    fall, next to runs of zero diagonal entries too."""
+    a, e, exact = [], [], []
+    for _ in range(int(rng.integers(1, 6))):
+        kind = int(rng.integers(4))
+        if kind == 0:
+            p = float(rng.integers(-3, 4))
+            block, off, lam = [p], [], [p]
+        elif kind == 1:
+            p, q = float(rng.integers(-3, 4)), float(rng.integers(1, 4))
+            block, off, lam = [p, p], [q], [p - q, p + q]
+        elif kind == 2:
+            n = int(rng.choice([1, 3, 5, 7]))
+            block, off, lam = [0.0] * n, [1.0] * (n - 1), [0.0]
+        else:
+            n = int(rng.integers(1, 9))
+            block, off, lam = rng.uniform(-2, 2, n).tolist(), rng.uniform(-2, 2, n - 1).tolist(), []
+        if a:
+            e.append(0.0 if rng.random() < 0.6 else float(rng.uniform(-2, 2)))
+        a += block
+        e += off
+        exact += lam
+    a, e = np.array(a), np.array(e)
+    mu = np.linalg.eigvalsh(np.diag(a) + np.diag(e, 1) + np.diag(e, -1))
+    x = np.concatenate([a, np.nextafter(a, np.inf), np.nextafter(a, -np.inf), exact, mu,
+                        (mu[1:] + mu[:-1]) / 2.0, [-0.0, 0.0]])
+    scales = [-515] if near_underflow else [-1000, -300, -40, 0, 40, 300, 500]
+    s = math.ldexp(1.0, int(rng.choice(scales)))
+    tiny = np.finfo(float).tiny
+    subnormal = [5e-324, -5e-324, 1e-310, -1e-310]
+    if near_underflow:
+        subnormal += [tiny / 2, -tiny / 2, tiny, -tiny]
+    elif np.any((a[1:] == 0.0) & (a[:-1] == 0.0)):
+        subnormal = []
+    return a * s, e * s, np.concatenate([x * s, subnormal])
+
+
+def test_sturm_counts_match_the_pivmin_oracle():
+    # the production loop carries zero and tiny pivots through IEEE
+    # infinities and clamps only where the factorisation decouples; clear
+    # of the underflow threshold its counts equal those of the pivmin
+    # substitution, on random tridiagonals with zero off-diagonals, ties at
+    # diagonal entries and exact eigenvalues, isolated subnormal pivots and
+    # scales from 2^-1000 to 2^500, and no 0 / 0 is met on the way
+    rng = np.random.default_rng(71)
+    for case in range(1500):
+        a, e, x = _sturm_case(rng)
+        with np.errstate(invalid="raise"):
+            got = fl.spectral._sturm_counts(a, e * e, x)
+        assert np.array_equal(got, sturm_counts(a, e * e, x)), case
+    # NaN shifts count no eigenvalue below them, as in the oracle
+    a, e = np.zeros(5), np.ones(4)
+    x = np.array([np.nan, 0.0, np.nan])
+    assert fl.spectral._sturm_counts(a, e, x).tolist() == [0, 2, 0] == \
+        sturm_counts(a, e, x).tolist()
+
+
+@pytest.mark.parametrize("near_underflow", [False, True])
+def test_sturm_counts_bracketed_by_the_spectrum(near_underflow):
+    # at every shift, near the underflow threshold too, the count is that of
+    # T at a shift moved by at most an ulp of T's scale and a few pivmin:
+    # #{mu < x - delta} <= count <= #{mu < x + delta} for the computed
+    # eigenvalues mu of the T that the squared off-diagonals e2 describe
+    # (at 2^-1000 they underflow to zero)
+    rng = np.random.default_rng(73)
+    for case in range(600):
+        a, e, x = _sturm_case(rng, near_underflow)
+        e2 = e * e
+        root = np.sqrt(e2)
+        mu = np.linalg.eigvalsh(np.diag(a) + np.diag(root, 1) + np.diag(root, -1))
+        delta = (1e-13 * np.max(np.abs(np.concatenate([a, e, [0.0]])))
+                 + 4 * np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0))))
+        got = fl.spectral._sturm_counts(a, e2, x)
+        low = np.sum(mu[None, :] < x[:, None] - delta, axis=1)
+        high = np.sum(mu[None, :] < x[:, None] + delta, axis=1)
+        assert np.all((low <= got) & (got <= high)), case
 
 
 def _footprint_cases():

@@ -432,8 +432,9 @@ class TestMemoryFootprint:
                                                      eig_calls):
         # a bandwidth-3 symbol passes the tridiagonal pre-check at d = 200001,
         # and its dense halves with eigenvectors, 40 (d - d // 2)^2 bytes, and
-        # four residual blocks of 8 MiB, 400 GB in all, are refused once its
-        # storage is read
+        # four residual blocks of one complex column (16 d bytes, more than
+        # the 2^18 bytes a block holds at smaller d), 400 GB in all, are
+        # refused once its storage is read
         spec = tmp_path / "band3.json"
         spec.write_text('{"kind": "toeplitz", "coeffs": {"0": 0.5, "1": 1.0, "-1": 1.0, '
                         '"3": 0.25, "-3": 0.25}, "selfadjoint": true}')
@@ -443,7 +444,7 @@ class TestMemoryFootprint:
         assert code == 2
         assert out.out == ""
         err = out.err.splitlines()
-        need = 40 * 100001**2 + 4 * (8 << 20)
+        need = 40 * 100001**2 + 4 * 16 * 200001
         assert err == ["config error: the eigensolve of a window of dimension 200001 needs "
                        f"about {need / 2**30:.1f} GiB, more than the 64.0 GiB of physical memory"]
         assert eig_calls == []
@@ -472,16 +473,18 @@ class TestMemoryFootprint:
 
     def test_dense_estimate(self, monkeypatch, eig_calls):
         # a persymmetric complex compression folds into one real matrix of
-        # order d: four such arrays while folding and four complex blocks
-        # of the residual, 96 d^2 bytes, are 6.34 MB at d = 257
+        # order d, formed in place: it, LAPACK's working copy and the
+        # eigenvectors, 24 d^2 bytes, and four complex blocks of the residual
+        # of 2^18 // (16 d) = 63 columns are 2.62 MB at d = 257
         cplx = fl.Toeplitz({0: 0.3, 1: 0.5 + 0.5j, -1: 0.5 - 0.5j}, selfadjoint=True)
         seq = fl.finite_section_sequence(fl.N0, [32, 256])
         refs = {"c": fl.reference_pushforward(cplx)}
-        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 96 * 257 * 257 - 1)
+        need = 24 * 257 * 257 + 4 * 16 * 257 * 63
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: need - 1)
         with pytest.raises(ConfigError, match="dimension 257"):
             fl.szego_pair_test([("c", cplx)], seq, refs, f_family=[fl.monomial(2)])
         assert eig_calls == [("eigvalsh", 33, np.dtype(np.float64))]
-        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 96 * 257 * 257)
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: need)
         fl.szego_pair_test([("c", cplx)], seq, refs, f_family=[fl.monomial(2)])
 
 
