@@ -3,16 +3,26 @@
 An operator spec is a symbolic description of a bounded operator on
 l2(N0) or l2(Z), and its structure is data fixed at construction.  A banded
 leaf holds one map from each offset to its diagonal function (a constant, a
-trigonometric `Wave` or another callable), which gives its entries and the
-closed-form traces of constant and `Wave` diagonals; a `Dense` leaf holds its
-matrix.  A polynomial combination takes its lattice, bandwidth, offsets and
-support from one walk of its expression tree, and is evaluated in diagonal
-storage on a padded index window, exactly and in O(d * bandwidth).
+trigonometric `Wave` or another callable), which gives its entries; a
+`Dense` leaf holds its matrix.  A polynomial combination takes its lattice,
+bandwidth, offsets and support from one walk of its expression tree, and is
+evaluated in diagonal storage on a padded index window, exactly and in
+O(d * bandwidth).
+
+Entries are numeric; traces are symbolic.  Every spec without a callable
+diagonal is also an `Element`, its `symbol`: the one algebra of banded
+operators with trigonometric diagonals, with one product, one adjoint and
+one closed-form `run_sum`, whose rotation-algebra case is
+`traces.NCPolynomial`.  `diagonal_sum` reads a trace from it, evaluating
+numerically only the few indices where a compression's diagonal is not the
+symbol's.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from operator import add, mul, neg
 from typing import Callable
 
 import numpy as np
@@ -45,7 +55,7 @@ class NyquistError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# trigonometric diagonal functions
+# trigonometric diagonal functions and their symbolic algebra
 
 
 def _turns(num: int, den: int) -> float:
@@ -57,6 +67,23 @@ def _turns(num: int, den: int) -> float:
 def _sinpi(num: int, den: int) -> float:
     """sin(pi num/den), its argument reduced exactly into [-1, 1)."""
     return math.sin(2.0 * math.pi * _turns(num, 2 * den))
+
+
+def _unit(num: int, den: int) -> complex:
+    """e^{2 pi i num/den}, its argument reduced exactly into [-pi, pi)."""
+    angle = 2.0 * math.pi * _turns(num, den)
+    return complex(math.cos(angle), math.sin(angle))
+
+
+# `_unit` for coefficients: the phases of a power's terms repeat, as
+# multiples of alpha, where those of run sums do not
+_phase = lru_cache(maxsize=1 << 12)(_unit)
+
+
+def _units(x: float, den: int) -> int:
+    """x * den, for a float x whose denominator divides den."""
+    num, d = x.as_integer_ratio()
+    return num * (den // d)
 
 
 class Term(tuple):
@@ -85,42 +112,12 @@ class Term(tuple):
             v = c * v
         return v + 0j if cos else v
 
-    def run_sum(self, lo: int, hi: int) -> complex:
-        """The sum of the term over n = lo..hi in closed form.
-
-        The term is c e^{2 pi i (F n + P)} (or c times its real part) for the
-        binary fractions F = k f and P = k (f s + phase).  F is reduced
-        modulo 1 to G = g / fd in [-1/2, 1/2), which changes no entry, and
-        sum_n e^{2 pi i G n} = e^{i pi G (lo + hi)} sin(pi G d) / sin(pi G)
-        for the d = hi - lo + 1 entries.  Every phase is reduced in integers,
-        so the sum is as accurate at indices near 2^63 as near 0.
-        """
-        c, f, phase, k, s, cos = self
-        fn, fd = f.as_integer_ratio()
-        pn, pd = phase.as_integer_ratio()
-        g = k * fn % fd
-        if 2 * g >= fd:
-            g -= fd
-        m = max(fd, pd)
-        turns = _turns(k * (fn * s * (2 * m // fd) + pn * (2 * m // pd))
-                       + g * (lo + hi) * (m // fd), 2 * m)
-        d = hi - lo + 1
-        # below |G d| = 2^-30 the ratio of sines is d to within 2^-60
-        width = d if abs(g) * d * 2**30 <= fd else _sinpi(g * d, fd) / _sinpi(g, fd)
-        angle = 2.0 * math.pi * turns
-        if cos:
-            return complex(c * (math.cos(angle) * width))
-        return c * complex(math.cos(angle), math.sin(angle)) * width
-
 
 class Wave(tuple):
     """Trigonometric diagonal function, the tuple of its one or more `Term`s:
-    n -> their sum.
-
-    Each term evaluates with the formula of the spec it came from, so its
-    entries are those of that formula bit for bit; `run_sum` sums a
-    contiguous run of entries in closed form, in O(terms) whatever its length.
-    """
+    n -> their sum.  Each term evaluates with the formula of the spec it came
+    from, so its entries are those of that formula bit for bit; its sums are
+    taken symbolically, by `Element`."""
 
     __slots__ = ()
 
@@ -134,8 +131,119 @@ class Wave(tuple):
             out += term(n)
         return out
 
+
+class Element:
+    """A banded operator on l2(Z) with trigonometric diagonals, held
+    symbolically: `terms` maps an offset a and an integer vector ks to a
+    ledger {p: c}, and row n's entry on offset a sums c e^{2 pi i (ks . freqs
+    n + p / den)}.  The frequencies are distinct floats, and every frequency
+    and phase is a multiple of 1/den, a power of two, so phases are integers
+    p modulo den, reduced exactly.  Terms are keyed by ks, not by ks . freqs
+    modulo 1, so v^k stays apart from 1 at alpha = 0 or 1/2.  Over one
+    frequency this is the rotation algebra, u^m v^k on offset -m with
+    ks = (k,); over several, the crossed product by the shift of the
+    characters n -> e^{2 pi i f n}.  Elements combine over one frequency set
+    and den, as those of one spec do."""
+
+    __slots__ = ("freqs", "den", "units", "terms")
+
+    def __init__(self, freqs=(), den: int = 1):
+        """The zero element over freqs and den."""
+        self.freqs, self.den, self.terms = tuple(freqs), den, {}
+        self.units = tuple(_units(f, den) for f in self.freqs)
+
+    def _new(self, terms) -> "Element":
+        """The element over these frequencies summing the terms (key, p, c)."""
+        out = object.__new__(type(self))
+        out.freqs, out.den, out.units, out.terms = self.freqs, self.den, self.units, {}
+        for key, p, c in terms:
+            led = out.terms.setdefault(key, {})
+            p %= self.den
+            led[p] = led.get(p, 0) + c
+        for key, led in list(out.terms.items()):
+            if 0 in led.values():  # cancelled terms leave
+                out.terms[key] = led = {p: c for p, c in led.items() if c != 0}
+                if not led:
+                    del out.terms[key]
+        return out
+
+    def _items(self):
+        return ((key, p, c) for key, led in self.terms.items() for p, c in led.items())
+
+    def _coerce(self, other) -> "Element":
+        if isinstance(other, Element):
+            return other
+        return self._new([((0, (0,) * len(self.freqs)), 0, complex(other))])
+
+    def _dot(self, ks) -> int:
+        """den times the frequency ks . freqs."""
+        return sum(map(mul, ks, self.units))
+
+    def __add__(self, other):
+        return self._new([*self._items(), *self._coerce(other)._items()])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __rmul__(self, scalar):
+        return self * scalar
+
+    def __mul__(self, other):
+        """The one product: (A B)[n, n + a + b] = A[n, n + a] B[n + a, n + a + b],
+        so a term of B, read on row n + a, gains the phase a (ks . freqs)."""
+        if not isinstance(other, Element):
+            return self._new((key, p, c * other) for key, p, c in self._items())
+        right = [(b, ks, self._dot(ks), list(led.items()))
+                 for (b, ks), led in self._coerce(other).terms.items()]
+        # each key of the product is formed once per pair of ledgers
+        return self._new((key, p1 + a * g + p2, c1 * c2)
+                         for (a, ks1), led1 in self.terms.items() for b, ks2, g, led2 in right
+                         for key in [(a + b, tuple(map(add, ks1, ks2)))]
+                         for p1, c1 in led1.items() for p2, c2 in led2)
+
+    def adjoint(self) -> "Element":
+        """A*[n, n - a] = conj(A[n - a, n]): offset -a, ks -> -ks and
+        p -> a (ks . freqs) - p."""
+        return self._new(((-a, tuple(map(neg, ks))), a * self._dot(ks) - p, c.conjugate())
+                         for (a, ks), p, c in self._items())
+
+    def _coefficient(self, key, turn: int = 0) -> complex:
+        """sum_p c e^{2 pi i (p + turn) / den} over the ledger of key."""
+        return sum((c * _phase(p + turn, self.den) for p, c in self.terms.get(key, {}).items()),
+                   0j)
+
+    def inner(self, other) -> complex:
+        """tau(x* y) for x = self, tau the coefficient of ks = 0 on offset 0:
+        x* y pairs each offset and ks of x with the same of y, their phases
+        cancelling, so it sums conj(X) Y over their coefficients."""
+        return sum((self._coefficient(key).conjugate() * other._coefficient(key)
+                    for key in self.terms if key in other.terms), 0j)
+
     def run_sum(self, lo: int, hi: int) -> complex:
-        return sum((term.run_sum(lo, hi) for term in self), 0j)
+        """The sum of the offset-0 diagonal over n = lo..hi in closed form,
+        O(terms): for G = ks . freqs, reduced modulo 1 to g / den in
+        [-1/2, 1/2), sum_n e^{2 pi i G n} = e^{i pi G (lo + hi)} sin(pi G d) /
+        sin(pi G) over the d = hi - lo + 1 entries, every phase reduced in
+        integers, so as accurate near 2^63 as near 0.  A term adds
+        c (e^{i theta} width), so a cosine's halves sum to c (cos theta
+        width) bit for bit."""
+        den, d, total, widths = self.den, hi - lo + 1, 0j, {}
+        for (a, ks), led in self.terms.items():
+            if a:
+                continue
+            g = self._dot(ks) % den
+            if 2 * g >= den:
+                g -= den
+            width = widths.get(-g)  # even in g: a cosine's halves share one
+            if width is None:
+                # below |G d| = 2^-30 the ratio of sines is d to within 2^-60
+                width = widths[g] = (d if abs(g) * d * 2**30 <= den
+                                     else _sinpi(g * d, den) / _sinpi(g, den))
+            for p, c in led.items():
+                total += c * (_unit(2 * p + g * (lo + hi), 2 * den) * width)
+        return total
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +258,8 @@ class OperatorSpec:
     once, the map from each offset, in `offsets` order, to its diagonal
     function: a constant, a `Wave` or another callable on integer arrays.
     A `Dense` leaf instead keeps its entries in [0, support) x [0, support),
-    and it and `Poly` have no `diags`.
+    and it and `Poly` have no `diags`.  Every spec but one with a callable
+    diagonal also has a `symbol`, its `Element` on l2(Z).
     """
 
     lattice: str
@@ -167,6 +276,35 @@ class OperatorSpec:
         if callable(fn):
             return np.asarray(fn(rows), dtype=complex)
         return np.full(np.shape(rows), complex(fn))
+
+    @cached_property
+    def symbol(self):
+        """The spec as an `Element` on l2(Z), formed once, over the
+        frequencies of all its waves, a `Dense` leaf as zero; None where a
+        diagonal is another callable."""
+        poly = isinstance(self, Poly)
+        fns = [fn for leaf in (self.leaves if poly else (self,)) if leaf.diags
+               for fn in leaf.diags.values()]
+        if any(callable(fn) and not isinstance(fn, Wave) for fn in fns):
+            return None
+        terms = [term for fn in fns if isinstance(fn, Wave) for term in fn]
+        den = max((x.as_integer_ratio()[1] for _, f, phase, *_ in terms for x in (f, phase)),
+                  default=1)
+        zero = Element(dict.fromkeys(term[1] for term in terms), den)
+        return _symbol(self.expr if poly else self, zero)
+
+    @cached_property
+    def edge(self) -> tuple:
+        """(lo, diagonal) of the indices lo, lo + 1, ... where the diagonal
+        of a compression is not its `symbol`'s, evaluated once: below
+        support + bandwidth on n0 for a `Poly`, where truncated products
+        differ from the l2(Z) formula, and within bandwidth of a `Dense`
+        support."""
+        bw = self.bandwidth if isinstance(self, Poly) else 0
+        lo = 0 if self.lattice == N0 else -bw
+        if not (self.support or (bw and self.lattice == N0)):
+            return lo, np.zeros(0, dtype=complex)
+        return lo, diagonal_entries(self, np.arange(lo, self.support + bw, dtype=np.int64))
 
     def __add__(self, other):
         return op_sum(self, other)
@@ -247,19 +385,23 @@ class Toeplitz(OperatorSpec):
         theta, term by term in the order of k, a chunk of nodes at a time.
         e^{-ik theta} is the conjugate of e^{ik theta} bit for bit (k theta
         is negated exactly, sin is odd and cos even), so each exponential is
-        taken once per |k| and kept for the term of opposite sign: at most
-        bandwidth + 2 complex temporaries of a chunk."""
+        taken once per |k| and kept for the term of opposite sign, and a_0
+        is added as it is: at most bandwidth + 2 complex temporaries of a
+        chunk."""
         vals = np.zeros(np.shape(theta), dtype=complex)
         keys = {k for k, _ in self.coeffs}
         for lo in range(0, vals.size, _SYMBOL_CHUNK):
             at, out = theta[lo:lo + _SYMBOL_CHUNK], vals[lo:lo + _SYMBOL_CHUNK]
             term, kept = np.empty_like(out), {}
             for k, a in self.coeffs:
+                if not k:  # a_0 e^0 is a_0
+                    out += a
+                    continue
                 power = kept.pop(-k, None)
                 if power is None:
                     power = np.multiply(1j * k, at)
                     np.exp(power, out=power)
-                    if k and -k in keys:
+                    if -k in keys:
                         kept[k] = power
                 else:
                     np.conjugate(power, out=power)
@@ -374,13 +516,16 @@ class ScaleE:
 @dataclass(frozen=True)
 class Poly(OperatorSpec):
     """*-polynomial combination of operator specs sharing one lattice; its
-    `offsets` are those of the diagonals its diagonal storage keeps."""
+    `offsets` are those of the diagonals its diagonal storage keeps, its
+    `leaves` the leaf specs of its expression."""
 
     expr: object
     lattice: str = field(init=False)
 
     def __post_init__(self):
-        lats, bandwidth, offsets, support = _structure(self.expr)
+        leaves, bandwidth, offsets, support = _structure(self.expr)
+        lats = {leaf.lattice for leaf in leaves}
+        object.__setattr__(self, "leaves", tuple(leaves))
         if len(lats) != 1:
             raise LatticeMismatchError(f"poly spec mixes lattices {sorted(map(str, lats))}")
         object.__setattr__(self, "lattice", lats.pop())
@@ -390,26 +535,54 @@ class Poly(OperatorSpec):
 
 
 def _structure(node) -> tuple:
-    """(lattices, bandwidth, offsets, support) of an expression node, in one
+    """(leaves, bandwidth, offsets, support) of an expression node, in one
     walk; the offsets are the keys of `_storage(node, pad)`, whatever the pad."""
     if isinstance(node, OperatorSpec):
-        return {node.lattice}, node.bandwidth, set(node.offsets), node.support
+        return [node], node.bandwidth, set(node.offsets), node.support
     if isinstance(node, (AdjE, ScaleE)):
-        lats, bandwidth, offsets, support = _structure(node.child)
+        leaves, bandwidth, offsets, support = _structure(node.child)
         if isinstance(node, AdjE):
             offsets = {-k for k in offsets}
-        return lats, bandwidth, offsets, support
+        return leaves, bandwidth, offsets, support
     if not isinstance(node, (SumE, ProdE)):
         raise TypeError(f"not a polynomial node: {node!r}")
     parts = [_structure(child) for child in node.parts]
-    lats, widths, offsets, supports = zip(*parts) if parts else ((),) * 4
-    lats, support = set().union(*lats), max(supports, default=0)
+    leaves, widths, offsets, supports = zip(*parts) if parts else ((),) * 4
+    leaves, support = [leaf for part in leaves for leaf in part], max(supports, default=0)
     if isinstance(node, SumE):
-        return lats, max(widths, default=0), set().union(*offsets), support
+        return leaves, max(widths, default=0), set().union(*offsets), support
     product = {0}
     for part in offsets:
         product = {a + b for a in product for b in part}
-    return lats, sum(widths), product, support
+    return leaves, sum(widths), product, support
+
+
+def _symbol(node, zero: Element) -> Element:
+    """The `Element` of an expression node free of callables, over the
+    frequencies and den of zero."""
+    if isinstance(node, OperatorSpec):
+        return zero._new(((k, ks), p, c) for k, fn in (node.diags or {}).items()
+                         for ks, p, c in _diagonal_terms(fn, zero))
+    if isinstance(node, AdjE):
+        return _symbol(node.child, zero).adjoint()
+    if isinstance(node, ScaleE):
+        return node.scalar * _symbol(node.child, zero)
+    parts = [_symbol(child, zero) for child in node.parts]
+    return sum(parts, zero) if isinstance(node, SumE) else math.prod(parts[1:], start=parts[0])
+
+
+def _diagonal_terms(fn, zero: Element):
+    """The terms (ks, p, c) of a constant or `Wave` diagonal over the basis
+    of zero, c cos(theta) as (c/2) e^{i theta} + (c/2) e^{-i theta}."""
+    if not isinstance(fn, Wave):
+        yield (0,) * len(zero.freqs), 0, complex(fn)
+        return
+    for c, f, phase, k, s, cos in fn:
+        ks = tuple(k if g == f else 0 for g in zero.freqs)
+        p = k * (_units(f, zero.den) * s + _units(phase, zero.den))
+        yield ks, p, c / 2 if cos else c
+        if cos:
+            yield tuple(map(neg, ks)), -p, c / 2
 
 
 def _as_node(op):
@@ -462,18 +635,12 @@ class Section:
         return self.diags[k][np.searchsorted(self.pad, rows)]
 
 
-def _storage(node, pad: np.ndarray, keep=None) -> dict:
-    """Diagonal storage of an expression node on pad (see `Section`); with
-    `keep`, a set of offsets, only those diagonals.  Sums, adjoints and
-    scalars pass `keep` down; a product folds its factors in full, one at a
-    time, and forms only the kept diagonals of its last product, in
-    `_times`'s order, so each kept diagonal is bit-identical to its full
-    evaluation."""
+def _storage(node, pad: np.ndarray) -> dict:
+    """Diagonal storage of an expression node on pad (see `Section`); a
+    product folds its factors one at a time."""
     if isinstance(node, OperatorSpec):
         out = {}
         for k in node.offsets:
-            if keep is not None and k not in keep:
-                continue
             # positions p whose column pad[p] + k lies in the run of pad[p]
             a = min(abs(k), pad.size)
             p = np.flatnonzero(pad[a:] - pad[: pad.size - a] == abs(k)) + max(0, -k)
@@ -481,22 +648,19 @@ def _storage(node, pad: np.ndarray, keep=None) -> dict:
             v[p] = node.diagonal(k, pad[p])
         return out
     if isinstance(node, ProdE):
-        out = _storage(node.parts[0], pad, keep if len(node.parts) == 1 else None)
-        for i, child in enumerate(node.parts[1:], 2):
-            last = keep is not None and i == len(node.parts)
-            part = _storage(child, pad, {k - a for k in keep for a in out} if last else None)
-            out = _times(out, part, keep if last else None)
+        out = _storage(node.parts[0], pad)
+        for child in node.parts[1:]:
+            out = _times(out, _storage(child, pad))
         return out
     if isinstance(node, SumE):
         out = {}
         for child in node.parts:
-            for k, v in _storage(child, pad, keep).items():
+            for k, v in _storage(child, pad).items():
                 out[k] = out[k] + v if k in out else v
         return out
     if isinstance(node, AdjE):
-        child = _storage(node.child, pad, None if keep is None else {-k for k in keep})
-        return _adjoint(child)
-    return {k: node.scalar * v for k, v in _storage(node.child, pad, keep).items()}
+        return _adjoint(_storage(node.child, pad))
+    return {k: node.scalar * v for k, v in _storage(node.child, pad).items()}
 
 
 def _adjoint(diags: dict) -> dict:
@@ -516,14 +680,11 @@ def _shifted(v: np.ndarray, a: int) -> np.ndarray:
     return w
 
 
-def _times(x: dict, y: dict, keep=None) -> dict:
-    # (AB)[i, i + a + b] collects A[i, i + a] B[i + a, i + a + b]; with
-    # `keep`, only the offsets a + b in it
+def _times(x: dict, y: dict) -> dict:
+    # (AB)[i, i + a + b] collects A[i, i + a] B[i + a, i + a + b]
     out = {}
     for a, u in x.items():
         for b, v in y.items():
-            if keep is not None and a + b not in keep:
-                continue
             t = u * _shifted(v, a)
             out[a + b] = out[a + b] + t if a + b in out else t
     return out
@@ -618,19 +779,18 @@ def pad_indices(op: OperatorSpec, idx: np.ndarray) -> np.ndarray:
     return run_indices(pad_runs(op, index_runs(idx)))
 
 
-def exact_entries(op: OperatorSpec, idx: np.ndarray, keep=None):
+def exact_entries(op: OperatorSpec, idx: np.ndarray):
     """The exact entries of op on idx x pad and pad x idx, for
     pad = pad_indices(op, idx), as `offsets` and `diagonal(k, rows)`: a leaf
     answers itself, a polynomial is evaluated once in diagonal storage,
     after its 16 bytes an offset and padded index are checked against
-    physical memory.  With `keep`, a set of offsets, a polynomial forms only
-    those diagonals (see `_storage`)."""
+    physical memory."""
     if not isinstance(op, Poly):
         return op
     pad = pad_indices(op, idx)
     check_footprint(16 * pad.size * len(op.offsets),
                     f"the diagonal storage of a polynomial on {pad.size} padded indices")
-    return Section(pad, _storage(op.expr, pad, keep))
+    return Section(pad, _storage(op.expr, pad))
 
 
 def _match(rows: np.ndarray, cols: np.ndarray, k: int):
@@ -707,27 +867,33 @@ def padded_compression(op: OperatorSpec, proj):
 def diagonal_entries(op: OperatorSpec, idx: np.ndarray) -> np.ndarray:
     """Diagonal of the compression to the sorted indices idx: offset 0 of
     the exact entries on them.  The caller checks the lattice."""
-    src = exact_entries(op, idx, keep={0})
+    src = exact_entries(op, idx)
     if 0 not in src.offsets:
         return np.zeros(idx.size, dtype=complex)
     return src.diagonal(0, idx)
 
 
 def diagonal_sum(op: OperatorSpec, proj):
-    """Tr(A P), the sum of the compression's diagonal, in closed form over
-    the projection's runs, O(runs x terms), where op is a leaf whose offset-0
-    diagonal is a constant or a `Wave`; None for other specs (`Poly`,
-    `Dense`) and for other callables.  LatticeMismatchError on a lattice
-    mismatch, whatever the spec, and ConfigError where an index leaves int64."""
+    """Tr(A P), the sum of the compression's diagonal over the projection's
+    runs: from op's `symbol`, in closed form on each run, O(runs x terms),
+    but on op's `edge`, from its numeric diagonal.  None where a diagonal
+    that the trace reads is another callable: any of a `Poly`'s, offset 0
+    of a leaf's.  LatticeMismatchError on a lattice mismatch, whatever the
+    spec, ConfigError where an index leaves int64, and FloatingPointError
+    where the sum is not finite."""
     _check_lattice(op, proj)
-    if op.diags is None:
+    sym = op.symbol
+    if sym is None and op.diags is not None:  # a leaf's trace reads its offset 0 alone
+        sym = Band(0, ((0, op.diags.get(0, 0.0)),)).symbol
+    if sym is None:
         return None
-    fn = op.diags.get(0, 0j)
     _check_int64(proj.runs, "indices")
-    if isinstance(fn, Wave):
-        # summed exactly: a gapped set may have thousands of runs
-        sums = [fn.run_sum(lo, hi) for lo, hi in proj.runs]
+    lo, diag = op.edge
+    edge = [(lo, lo + diag.size - 1)] if diag.size else []
+    # summed exactly: a gapped set may have thousands of runs
+    sums = [sym.run_sum(a, b) for a, b in (subtract_runs(proj.runs, edge) if edge else proj.runs)]
+    sums += [complex(diag[a - lo:b - lo + 1].sum()) for a, b in intersect_runs(proj.runs, edge)]
+    try:
         return complex(math.fsum(z.real for z in sums), math.fsum(z.imag for z in sums))
-    if callable(fn):
-        return None
-    return complex(fn) * proj.rank
+    except (OverflowError, ValueError) as exc:  # an exact sum past the float range, or inf - inf
+        raise FloatingPointError(f"the trace over {proj.rank} indices is not finite: {exc}") from exc

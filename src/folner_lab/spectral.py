@@ -347,17 +347,21 @@ def check_solve_footprint(d: int, tridiagonal: bool, check_residual: bool, fold=
     eigenvectors.  fold="complex", float64 arrays of order d: the folded
     matrix, formed in place, LAPACK's working copy and, with
     check_residual, the eigenvectors.  With check_residual a dense solve
-    also counts _RESIDUAL_BLOCKS temporaries of one block of the residual
-    from storage (`_check_storage_residual`), complex, of d rows and
+    computes eigenvectors, by LAPACK syevd or heevd, whose workspace of
+    about 2 n^2 entries for a solve of order n (n^2 complex and 2 n^2 real
+    ones for heevd) is allocated outside tracemalloc's view: two more
+    arrays of the solve's order and type, one half at a time.  It also
+    counts _RESIDUAL_BLOCKS temporaries of one block of the residual from
+    storage (`_check_storage_residual`), complex, of d rows and
     _RESIDUAL_BLOCK_BYTES // (16 d) columns, at least one and at most d."""
     if tridiagonal:
         check_footprint(_TRIDIAGONAL_BYTES * d, f"the eigensolve of a window of dimension {d}")
         return
-    top = d - d // 2
     if fold == "halves":
-        need = 8 * top * top * (5 if check_residual else 4)
+        order, size, arrays = d - d // 2, 8, (7 if check_residual else 4)
     else:
-        need = (8 if fold == "complex" else 16) * d * d * (3 if check_residual else 2)
+        order, size, arrays = d, (8 if fold == "complex" else 16), (5 if check_residual else 2)
+    need = size * order * order * arrays
     if check_residual:
         need += _RESIDUAL_BLOCKS * 16 * d * _residual_columns(d, d)
     check_footprint(need, f"the eigensolve of a window of dimension {d}")

@@ -72,15 +72,9 @@ def polynomial_family(f_family=None):
     return polys, max(len(f.params) - 1 for f in polys)
 
 
-def _tau_inner(x: NCPolynomial, y: NCPolynomial) -> complex:
-    # tau(x* y): the monomials u^m v^k are orthonormal for tau
-    return sum((x.coefficient(*mk).conjugate() * y.coefficient(*mk)
-                for mk in x.terms if mk in y.terms), 0j)
-
-
 def moments_reference(a: NCPolynomial, order: int = 6) -> ReferenceMeasure:
     """Moment list tau(a^0..a^order) of a self-adjoint rotation-algebra
-    element, from `power_traces` under tau's inner product.
+    element, from `power_traces` under tau's inner product tau(x* y).
 
     Both checks are relative to the size of what they test, since round-off
     grows with it: a = a* to 1e-12 of max(1, |a|_1), |a|_1 the sum of the
@@ -93,7 +87,8 @@ def moments_reference(a: NCPolynomial, order: int = 6) -> ReferenceMeasure:
         if abs(a.coefficient(m, k) - star.coefficient(m, k)) > 1e-12 * max(1.0, norm):
             raise NotSelfAdjointError("moment reference requires a = a*")
     moments, scale = [1.0], 1.0
-    for k, t in enumerate(power_traces(a, order, nc_multiply, _tau_inner, canonical_trace), 1):
+    for k, t in enumerate(power_traces(a, order, nc_multiply, NCPolynomial.inner,
+                                       canonical_trace), 1):
         scale *= norm
         if not cmath.isfinite(t):
             raise ConfigError(f"the moment of order {k} of the reference overflows")

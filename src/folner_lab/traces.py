@@ -1,108 +1,65 @@
-"""Compression trace estimates and the canonical symbolic trace on the
-rotation algebra.
+"""Compression trace estimates, and the rotation algebra as the
+one-frequency case of the symbolic algebra `operators.Element`.
 
 Noncommutative polynomials in unitaries u, v with v u = e^{2 pi i alpha} u v
-are kept in normal order (u-powers left of v-powers).  Commutation phases
-are stored as exact integer multiples of alpha and only exponentiated when
-a numeric coefficient is requested, so long products do not drift.
+are elements over the one frequency alpha: u^m v^k sits on offset -m with
+key (k,), in the covariant representation on l2(Z).  Commutation phases
+are exact binary fractions, reduced in integers, and only exponentiated
+when a numeric coefficient is requested, so long products do not drift.
+Traces of compressions come from the symbol of a spec (`diagonal_sum`),
+or, for a diagonal that is a Python callable, numerically.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._util import check_footprint, report_csv, report_json
-from .operators import Band, OperatorSpec, Term, Wave, diagonal_entries, diagonal_sum
-from .operators import run_indices, widen_runs
+from .operators import Band, Element, OperatorSpec, Term, Wave
+from .operators import diagonal_entries, diagonal_sum, run_indices, widen_runs
 
 
 class AlphaMismatchError(ValueError):
     """Rotation-algebra elements with different frequencies cannot be combined."""
 
 
-def _merge_phase(dst: dict, r: int, c: complex):
-    new = dst.get(r, 0j) + c
-    if new == 0:
-        dst.pop(r, None)
-    else:
-        dst[r] = new
+class NCPolynomial(Element):
+    """Normal-ordered polynomial sum_{m,k} c_{m,k} u^m v^k, built from a map
+    from (m, k) to a phase ledger {r: c} meaning the coefficient
+    sum_r c e^{2 pi i alpha r}; as an `Element`, u^m v^k is the key
+    (-m, (k,)) of `terms`."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class NCPolynomial:
-    """Normal-ordered polynomial sum_{m,k} c_{m,k} u^m v^k.
+    def __init__(self, alpha: float, terms=None):
+        super().__init__((alpha,), alpha.as_integer_ratio()[1])
+        # u^m v^k is e^{2 pi i alpha k (n - m)} on offset -m
+        self.terms = self._new(((-int(m), (int(k),)), self.units[0] * (int(r) - int(k) * int(m)),
+                                complex(c)) for (m, k), ledger in (terms or {}).items()
+                               for r, c in ledger.items()).terms
 
-    terms maps (m, k) to a phase ledger {r: c} meaning the coefficient
-    sum_r c * e^{2 pi i alpha r}.
-    """
-
-    alpha: float
-    terms: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {}
-        for (m, k), ledger in self.terms.items():
-            lg = {int(r): complex(c) for r, c in ledger.items() if c != 0}
-            if lg:
-                clean[(int(m), int(k))] = lg
-        object.__setattr__(self, "terms", clean)
-
-    # -- ring structure -----------------------------------------------------
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = {mk: dict(lg) for mk, lg in self.terms.items()}
-        for mk, lg in other.terms.items():
-            dst = out.setdefault(mk, {})
-            for r, c in lg.items():
-                _merge_phase(dst, r, c)
-        return NCPolynomial(self.alpha, out)
-
-    def __radd__(self, other):
-        return self + other
-
-    def __sub__(self, other):
-        return self + (-1) * self._coerce(other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return NCPolynomial(
-                self.alpha,
-                {mk: {r: c * other for r, c in lg.items()} for mk, lg in self.terms.items()},
-            )
-        return nc_multiply(self, other)
-
-    def __rmul__(self, scalar):
-        return self * scalar
+    @property
+    def alpha(self) -> float:
+        return self.freqs[0]
 
     def _coerce(self, other):
-        if isinstance(other, NCPolynomial):
-            if other.alpha != self.alpha:
-                raise AlphaMismatchError("frequency mismatch")
-            return other
-        return NCPolynomial(self.alpha, {(0, 0): {0: complex(other)}})
+        if isinstance(other, Element) and other.freqs != self.freqs:
+            raise AlphaMismatchError("frequency mismatch")
+        return super()._coerce(other)
 
     def power(self, k: int) -> "NCPolynomial":
         if k < 0:
             raise ValueError("negative powers of general elements are not defined")
-        acc = nc_one(self.alpha)
-        for _ in range(k):
-            acc = nc_multiply(acc, self)
-        return acc
-
-    # -- evaluation ---------------------------------------------------------
+        return math.prod([self] * k, start=nc_one(self.alpha))
 
     def coefficient(self, m: int, k: int) -> complex:
-        ledger = self.terms.get((m, k), {})
-        return sum(
-            (c * cmath.exp(2j * math.pi * self.alpha * r) for r, c in ledger.items()), 0j
-        )
+        """c_{m,k}, the coefficient of u^m v^k."""
+        return self._coefficient((-m, (k,)), turn=self.units[0] * k * m)
 
     def monomials(self):
-        return sorted(self.terms)
+        return sorted((-a, ks[0]) for a, ks in self.terms)
 
 
 def nc_one(alpha: float) -> NCPolynomial:
@@ -122,30 +79,13 @@ def nc_v(alpha: float) -> NCPolynomial:
 
 
 def nc_multiply(a: NCPolynomial, b: NCPolynomial) -> NCPolynomial:
-    """Normal-ordered product via v^k u^p = e^{2 pi i alpha k p} u^p v^k."""
-    if not isinstance(b, NCPolynomial):
-        return a * b
-    if a.alpha != b.alpha:
-        raise AlphaMismatchError("frequency mismatch")
-    out = {}
-    for (m1, k1), lg1 in a.terms.items():
-        for (m2, k2), lg2 in b.terms.items():
-            mk = (m1 + m2, k1 + k2)
-            dst = out.setdefault(mk, {})
-            for r1, c1 in lg1.items():
-                for r2, c2 in lg2.items():
-                    _merge_phase(dst, r1 + r2 + k1 * m2, c1 * c2)
-    return NCPolynomial(a.alpha, out)
+    """The product a b, with v^k u^p = e^{2 pi i alpha k p} u^p v^k."""
+    return a * b
 
 
 def nc_adjoint(a: NCPolynomial) -> NCPolynomial:
-    """Involution: (c e^{2 pi i alpha r} u^m v^k)* = conj(c) e^{2 pi i alpha (mk - r)} u^{-m} v^{-k}."""
-    out = {}
-    for (m, k), lg in a.terms.items():
-        dst = out.setdefault((-m, -k), {})
-        for r, c in lg.items():
-            _merge_phase(dst, m * k - r, c.conjugate())
-    return NCPolynomial(a.alpha, out)
+    """The involution: (c u^m v^k)* = conj(c) v^{-k} u^{-m}."""
+    return a.adjoint()
 
 
 def canonical_trace(a: NCPolynomial) -> complex:
@@ -176,15 +116,16 @@ def represent_nc(a: NCPolynomial, phi: float = 0.0) -> OperatorSpec:
 
 
 # ---------------------------------------------------------------------------
-# numeric trace estimates
+# trace estimates
 
 
 def _estimates(op: OperatorSpec, projs) -> list:
-    """Tr(A P) / Tr(P) for each window P of `projs`, nested or not.  Where
-    `diagonal_sum` has a closed form it is taken once per window; otherwise
-    the diagonal is evaluated once, on the union of the windows' runs, and
-    each window sums its own slices of it: the values of its own diagonal in
-    order, so the same sums, bit for bit, as on the window alone."""
+    """Tr(A P) / Tr(P) for each window P of `projs`, nested or not: the
+    symbolic `diagonal_sum` of each window, where op's trace has a symbol.
+    A diagonal that is a Python callable is evaluated once, on the union of
+    the windows' runs, and each window sums its own slices of it: the values
+    of its own diagonal in order, so the same sums, bit for bit, as on the
+    window alone."""
     sums = [diagonal_sum(op, proj) for proj in projs]
     if sums[0] is None:
         union = widen_runs(sorted(r for proj in projs for r in proj.runs), 0)
@@ -226,10 +167,10 @@ def trace_convergence_report(ops, seq, refs=None) -> TraceReport:
     """Grid of trace estimates, with absolute errors where a reference is known.
 
     `ops` is a list of (label, spec); `refs` maps label to a complex
-    reference trace.  A constant or `Wave` diagonal is summed in closed form
-    over each window's runs; otherwise each operator's diagonal is evaluated
-    once per grid, on the union of its windows, and only one operator's
-    diagonal is held at a time.
+    reference trace.  Each window's runs are summed in closed form from the
+    operator's symbol (`diagonal_sum`); a diagonal that is a Python callable
+    is evaluated once per grid, on the union of its windows, and only one
+    operator's diagonal is held at a time.
     """
     refs = refs or {}
     rows = []

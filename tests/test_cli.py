@@ -322,14 +322,15 @@ class TestOneLineFailures:
         pytest.param(["trace", "--op", NORMAL_POLY, "--n", "dyadic:40:40"], id="trace-2^40"),
         pytest.param(["trace", "--op", DENSE_PAULI, "--n", "dyadic:61:61"], id="trace-dense-2^61"),
     ])
-    def test_oversized_index_array(self, capsys, argv):
-        # 8 TiB of indices for a polynomial's diagonal, 16 EiB for a dense
-        # leaf's: refused against this machine's real memory before the array
-        # is built
+    def test_poly_and_dense_traces_at_huge_rank(self, capsys, argv):
+        # S*S - I is zero on l2(N0), and the Pauli matrix has a zero
+        # diagonal: a polynomial's trace is summed in closed form, a dense
+        # leaf's over its support, with no index array of the window
         code, out, err = run(capsys, *argv)
-        assert code == 2 and out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("config error: the index array")
+        assert code == 0 and err == ""
+        (row,) = out.splitlines()[2:]
+        label, n, d_n, re_, im_, *_ = row.split(",")
+        assert int(d_n) == int(n) + 1 and (float(re_), float(im_)) == (0.0, 0.0)
 
     def test_folner_window_of_rank_2_62(self, capsys):
         # the commutator lives on the window's boundary: one column leaks on
@@ -367,20 +368,6 @@ class TestOneLineFailures:
         assert code == 2 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error:")
-
-    def test_poly_storage_too_large_for_memory(self, capsys, monkeypatch):
-        # S*S - 1 at n = 1000: 1001 indices of 8 bytes fit; one offset of
-        # 16 bytes on 1003 padded indices does not, and is refused before
-        # the storage is built
-        poly = str(CORPUS / "valid" / "normal_poly.json")
-        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 16 * 1003 - 1)
-        code, out, err = run(capsys, "trace", "--op", poly, "--n", "1000")
-        assert code == 2 and out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("config error: the diagonal storage")
-        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 16 * 1003)
-        code, out, err = run(capsys, "trace", "--op", poly, "--n", "1000")
-        assert code == 0 and err == ""
 
     def test_pushforward_too_large_for_memory(self, capsys, monkeypatch):
         # 1000 nodes are counted at 33 bytes each, and hopping's evaluation
@@ -574,6 +561,10 @@ class TestNumericalFailures:
     HUGE = '{"kind": "toeplitz", "coeffs": {"0": 1e308, "1": 1e308, "-1": 1e308}, ' \
            '"selfadjoint": true}'
     HUGE_AM = '{"kind": "almost_mathieu", "coupling": 1e308, "freq": 0.3}'
+    # the numeric edge (index 0) and the closed-form run (index 1) each sum
+    # to -1e308; their exact sum overflows
+    HUGE_POLY = ('{"kind": "poly", "expr": {"op": {"kind": "toeplitz", '
+                 '"coeffs": {"0": -1e308, "1": 0.5}}}}')
 
     @pytest.mark.parametrize("spec, argv", [
         pytest.param(HUGE, ["trace", "--n", "4"], id="trace"),
@@ -584,6 +575,7 @@ class TestNumericalFailures:
         pytest.param(HUGE, ["tensor", "--n", "2"], id="tensor"),
         pytest.param(HUGE, ["tensor", "--n", "2", "--format", "json"], id="tensor-json"),
         pytest.param(HUGE_AM, ["trace", "--n", "4"], id="trace-almost-mathieu"),
+        pytest.param(HUGE_POLY, ["trace", "--n", "1"], id="trace-poly-edge"),
     ])
     def test_one_numerical_failure_line(self, capsys, tmp_path, spec, argv):
         path = tmp_path / "huge.json"

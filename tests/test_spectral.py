@@ -1096,6 +1096,25 @@ def test_solve_peaks_within_its_footprint(monkeypatch, d):
             assert len(counted) == 1 and peak <= counted[0], (label, check_residual, peak)
 
 
+@pytest.mark.parametrize("label", ["dense-halves", "complex-fold", "dense-complex"])
+def test_eigenvector_workspace_is_counted(monkeypatch, label):
+    # with eigenvectors LAPACK syevd / heevd allocate about 2 n^2 entries of
+    # workspace for a solve of order n, outside tracemalloc's view: physical
+    # memory between the count without it and the count with it refuses a
+    # checked solve, before anything is allocated, and still runs an
+    # eigenvalue-only one
+    d = 600
+    fold = {"dense-halves": "halves", "complex-fold": "complex"}.get(label)
+    order, size, arrays = ((d + 1) // 2, 8, 5) if fold == "halves" else (d, 8 if fold else 16, 3)
+    blocks = fl.spectral._RESIDUAL_BLOCKS * 16 * d * fl.spectral._residual_columns(d, d)
+    without = size * order * order * arrays + blocks
+    monkeypatch.setattr(fl._util, "_physical_memory", lambda: without + size * order * order)
+    op, proj = dict(_footprint_cases())[label], fl.Window(fl.N0, 0, d - 1)
+    with pytest.raises(fl._util.ConfigError, match="the eigensolve of a window of dimension 600"):
+        fl.compression_eigenvalues(op, proj, check_residual=True)
+    assert fl.compression_eigenvalues(op, proj).size == d
+
+
 def test_is_selfadjoint_matches_dense_verdict(monkeypatch):
     # the defect of `_hermitian_part`, read from diagonal storage, against the
     # dense max |M - M^dagger| <= tol, with tol on either side of the dense

@@ -431,10 +431,10 @@ class TestMemoryFootprint:
     def test_oversized_dense_window_is_config_error(self, monkeypatch, capsys, tmp_path,
                                                      eig_calls):
         # a bandwidth-3 symbol passes the tridiagonal pre-check at d = 200001,
-        # and its dense halves with eigenvectors, 40 (d - d // 2)^2 bytes, and
-        # four residual blocks of one complex column (16 d bytes, more than
-        # the 2^18 bytes a block holds at smaller d), 400 GB in all, are
-        # refused once its storage is read
+        # and its dense halves with eigenvectors and LAPACK's workspace for
+        # them, 56 (d - d // 2)^2 bytes, and four residual blocks of one
+        # complex column (16 d bytes, more than the 2^18 bytes a block holds
+        # at smaller d), 560 GB in all, are refused once its storage is read
         spec = tmp_path / "band3.json"
         spec.write_text('{"kind": "toeplitz", "coeffs": {"0": 0.5, "1": 1.0, "-1": 1.0, '
                         '"3": 0.25, "-3": 0.25}, "selfadjoint": true}')
@@ -444,7 +444,7 @@ class TestMemoryFootprint:
         assert code == 2
         assert out.out == ""
         err = out.err.splitlines()
-        need = 40 * 100001**2 + 4 * 16 * 200001
+        need = 56 * 100001**2 + 4 * 16 * 200001
         assert err == ["config error: the eigensolve of a window of dimension 200001 needs "
                        f"about {need / 2**30:.1f} GiB, more than the 64.0 GiB of physical memory"]
         assert eig_calls == []
@@ -473,13 +473,14 @@ class TestMemoryFootprint:
 
     def test_dense_estimate(self, monkeypatch, eig_calls):
         # a persymmetric complex compression folds into one real matrix of
-        # order d, formed in place: it, LAPACK's working copy and the
-        # eigenvectors, 24 d^2 bytes, and four complex blocks of the residual
-        # of 2^18 // (16 d) = 63 columns are 2.62 MB at d = 257
+        # order d, formed in place: it, LAPACK's working copy, the
+        # eigenvectors and LAPACK's workspace for them, 40 d^2 bytes, and
+        # four complex blocks of the residual of 2^18 // (16 d) = 63 columns
+        # are 3.68 MB at d = 257
         cplx = fl.Toeplitz({0: 0.3, 1: 0.5 + 0.5j, -1: 0.5 - 0.5j}, selfadjoint=True)
         seq = fl.finite_section_sequence(fl.N0, [32, 256])
         refs = {"c": fl.reference_pushforward(cplx)}
-        need = 24 * 257 * 257 + 4 * 16 * 257 * 63
+        need = 40 * 257 * 257 + 4 * 16 * 257 * 63
         monkeypatch.setattr(fl._util, "_physical_memory", lambda: need - 1)
         with pytest.raises(ConfigError, match="dimension 257"):
             fl.szego_pair_test([("c", cplx)], seq, refs, f_family=[fl.monomial(2)])

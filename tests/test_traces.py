@@ -6,6 +6,8 @@ import pytest
 
 from dense_oracle import compress
 import folner_lab as fl
+from folner_lab._util import ConfigError
+from folner_lab.operators import AdjE, _as_node
 
 ALPHA = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -238,9 +240,9 @@ class TestConvergenceReport:
             assert b <= 1.1 * a  # nonincreasing within 10% jitter
 
     def test_one_poly_evaluation_per_operator_on_a_non_nested_sequence(self, monkeypatch):
-        # windows that do not nest share one diagonal: each operator is
-        # evaluated once, on the union of the windows' runs
-        s = fl.Toeplitz({1: 1.0, -1: 0.5j})
+        # windows that do not nest share one diagonal: each operator with a
+        # callable diagonal is evaluated once, on the union of the windows' runs
+        s = fl.Band(1, ((1, lambda i: 1.0 + 0.0 * np.asarray(i)), (-1, 0.5j)), lattice=fl.N0)
         ops = [("a", fl.op_prod(s, s)), ("b", fl.op_sum(s, fl.op_scale(2.0, fl.identity())))]
         projs = (fl.finite_section(fl.N0, 32), fl.Window(fl.N0, 40, 50), fl.finite_section(fl.N0, 2))
         want = {(label, n): np.trace(compress(op, proj)) / proj.rank
@@ -248,9 +250,9 @@ class TestConvergenceReport:
         calls = []
         exact = fl.operators.exact_entries
 
-        def spy(op, idx, keep=None):
+        def spy(op, idx):
             calls.append(idx.size)
-            return exact(op, idx, keep)
+            return exact(op, idx)
 
         monkeypatch.setattr(fl.operators, "exact_entries", spy)
         seq = fl.ProjectionSequence(fl.N0, (1, 2, 3), projs)
@@ -259,6 +261,21 @@ class TestConvergenceReport:
         for row in rows:
             est = complex(row["estimate_re"], row["estimate_im"])
             assert est == pytest.approx(want[(row["label"], row["n"])], abs=1e-14)
+
+    def test_poly_storage_too_large_for_memory(self, monkeypatch):
+        # S*S - 1 with a callable weight at n = 1000, on the numeric path:
+        # 1001 indices of 8 bytes fit; one offset of 16 bytes on 1003 padded
+        # indices does not, and is refused before the storage is built
+        s = fl.Shift(weight=lambda i: 1.0 + 0.0 * np.asarray(i))
+        op = fl.op_sum(fl.op_prod(fl.Poly(AdjE(_as_node(s))), s),
+                       fl.op_scale(-1.0, fl.identity(fl.N0)))
+        seq = fl.finite_section_sequence(fl.N0, [1000])
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 16 * 1003 - 1)
+        with pytest.raises(ConfigError, match="the diagonal storage"):
+            fl.trace_convergence_report([("p", op)], seq)
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 16 * 1003)
+        (row,) = fl.trace_convergence_report([("p", op)], seq).rows
+        assert (row["estimate_re"], row["estimate_im"]) == (0.0, 0.0)
 
     def test_csv_has_version_stamp(self):
         seq = fl.finite_section_sequence(fl.N0, [2])
