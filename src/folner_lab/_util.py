@@ -1,5 +1,5 @@
-"""Shared helpers: the version stamp, the configuration error, the memory
-guard and deterministic report serialization."""
+"""Shared helpers: the version stamp, the errors the command line maps to
+exit codes, the memory guard and deterministic report serialization."""
 from __future__ import annotations
 
 import cmath
@@ -17,6 +17,13 @@ class ConfigError(ValueError):
 class SpecError(ValueError):
     """A spec the run cannot use, invalid or outside what a command covers:
     the command line's exit code 3."""
+
+
+class ResidualError(ArithmeticError):
+    """A solve broke the backward-stability contract, 1e-9 * scale * sqrt(d):
+    an eigenpair residual of a dense solve, or a Sturm count of a
+    tridiagonal one (`spectral._check_sturm`), left an eigenvalue farther
+    than that from the compression's.  The command line's exit code 1."""
 
 
 def _physical_memory():

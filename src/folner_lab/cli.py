@@ -15,15 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import VERSION, ConfigError, SpecError, check_footprint, report_csv, report_json
-from .diagnostics import folner_profile
+from ._util import VERSION, ConfigError, ResidualError, SpecError
+from ._util import check_footprint, report_csv, report_json
 from .operators import N0, Shift, Toeplitz
 from .projections import finite_section, finite_section_sequence
-from .spectral import ResidualError, reference_pushforward
 from .specio import SpecValidationError, load_spec_file
-from .szego import MissingReferenceError, monomial, szego_pair_test
-from .szego import hat_family, moments_reference, polynomial_family
-from .tensor import tensor_bound_check
 from .traces import canonical_trace, represent_nc, trace_convergence_report
 
 
@@ -71,6 +67,8 @@ def parse_f_family(text: str):
     COUNT >= 1 and LO < HI finite.  The monomials of poly:K hold
     (K + 1)(K + 2)/2 coefficients and the hats of hat:COUNT are COUNT
     objects, each checked against physical memory before any is built."""
+    from .szego import hat_family, monomial
+
     fam = []
     for part in text.split(","):
         part = part.strip()
@@ -153,9 +151,14 @@ def _sequence_for(ops, n_list):
 
 
 # -- subcommands ------------------------------------------------------------
+# Each imports the solver modules it calls (diagnostics, spectral, szego,
+# tensor), so that `validate` and `trace` compile none of them: with no
+# cached bytecode, compiling is most of a short run's set-up.
 
 
 def cmd_folner(args) -> int:
+    from .diagnostics import folner_profile
+
     p_list = parse_p_list(args.p)
     ops, _ = _load_operators(args.op)
     seq = _sequence_for(ops, parse_n_list(args.n))
@@ -176,6 +179,10 @@ def _trace_references(ops, ncpolys) -> dict:
 
 
 def cmd_szego(args) -> int:
+    from .spectral import reference_pushforward
+    from .szego import MissingReferenceError, moments_reference, polynomial_family
+    from .szego import szego_pair_test
+
     if args.nodes < 1:
         raise ConfigError("--nodes must be at least 1")
     if not 0 <= args.herm_tol < math.inf:
@@ -216,6 +223,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_tensor(args) -> int:
+    from .tensor import tensor_bound_check
+
     loaded, _ = _load_operators([args.op_a, args.op_b])
     (label_a, op_a), (label_b, op_b) = loaded
     rows = []
@@ -243,6 +252,8 @@ def cmd_tensor(args) -> int:
 
 def cmd_demo_shift(args) -> int:
     """Print the unilateral-shift table: exact 1/sqrt(n+1) commutator decay."""
+    from .diagnostics import folner_profile
+
     lines = [
         f"folner-lab {VERSION} -- unilateral shift S on l2(N0), windows {{0..n}}",
         f"{'n':>6} {'d_n':>6} {'ratio_p2':>22} {'1/sqrt(n+1)':>22} {'qd_gap':>8}",

@@ -8,7 +8,6 @@ around it, so they coincide with the infinite-dimensional commutator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -174,14 +173,16 @@ def qd_gap(op: OperatorSpec, proj) -> float:
     return _grid_norms(op, [proj])[0]["gap"]
 
 
-@dataclass
 class FolnerReport:
-    """Grid of ratios per (label, n, p) plus fitted log-log decay slopes."""
+    """Grid of ratios per (label, n, p) plus fitted log-log decay slopes,
+    `slopes` mapping (label, p) to a float or None."""
 
-    rows: list = field(default_factory=list)
-    slopes: dict = field(default_factory=dict)  # (label, p) -> float or None
+    __slots__ = ("rows", "slopes")
 
     COLUMNS = ("label", "n", "d_n", "p", "ratio", "off_corner", "qd_gap")
+
+    def __init__(self, rows: list, slopes: dict):
+        self.rows, self.slopes = rows, slopes
 
     def payload(self) -> dict:
         slopes = {f"{lab}|p={p}": s for (lab, p), s in sorted(self.slopes.items())}
@@ -240,11 +241,11 @@ def folner_profile(ops, seq, p_list=(1, 2)) -> FolnerReport:
                 )
     rows.sort(key=lambda r: (r["label"], r["n"], r["p"]))
 
-    report = FolnerReport(rows=rows)
+    slopes = {}
     for label, _ in ops:
         for p in p_list:
             pts = [r for r in rows if r["label"] == label and r["p"] == p]
-            report.slopes[(label, p)] = fit_decay_slope(
+            slopes[(label, p)] = fit_decay_slope(
                 [r["d_n"] for r in pts], [r["ratio"] for r in pts]
             )
-    return report
+    return FolnerReport(rows, slopes)

@@ -20,10 +20,8 @@ symbol's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import add, mul, neg
-from typing import Callable
 
 import numpy as np
 
@@ -260,6 +258,9 @@ class OperatorSpec:
     A `Dense` leaf instead keeps its entries in [0, support) x [0, support),
     and it and `Poly` have no `diags`.  Every spec but one with a callable
     diagonal also has a `symbol`, its `Element` on l2(Z).
+
+    Specs are plain classes, which cost nothing at import (see `Term`),
+    and compare by identity.
     """
 
     lattice: str
@@ -268,8 +269,7 @@ class OperatorSpec:
     diags = None
 
     def _set_diags(self, diags: dict):
-        object.__setattr__(self, "diags", diags)
-        object.__setattr__(self, "offsets", tuple(diags))
+        self.diags, self.offsets = diags, tuple(diags)
 
     def diagonal(self, k, rows):
         fn = self.diags[k]
@@ -321,31 +321,17 @@ class OperatorSpec:
         return op_scale(scalar, self)
 
 
-@dataclass(frozen=True)
 class Dense(OperatorSpec):
     """Explicit square matrix, acting on the first d basis vectors of l2(N0)."""
 
-    matrix: np.ndarray
-    lattice: str = N0
     bandwidth = 0
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+    def __init__(self, matrix, lattice: str = N0):
+        m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"dense spec needs a square matrix, got shape {m.shape}")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "support", m.shape[0])
-        object.__setattr__(self, "offsets", tuple(range(1 - m.shape[0], m.shape[0])))
-
-    def __hash__(self):
-        return hash((self.lattice, self.matrix.shape[0]))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Dense)
-            and self.lattice == other.lattice
-            and np.array_equal(self.matrix, other.matrix)
-        )
+        self.matrix, self.lattice, self.support = m, lattice, m.shape[0]
+        self.offsets = tuple(range(1 - m.shape[0], m.shape[0]))
 
     def diagonal(self, k, rows):
         rows = np.asarray(rows)
@@ -355,24 +341,18 @@ class Dense(OperatorSpec):
         return out
 
 
-@dataclass(frozen=True)
 class Toeplitz(OperatorSpec):
-    """Toeplitz operator on l2(N0) with entries a_{i-j} from a finite symbol."""
+    """Toeplitz operator on l2(N0) with entries a_{i-j} from a finite symbol:
+    `coeffs`, a map or pairs k -> a_k, kept as the sorted tuple of the
+    nonzero (k, complex a_k)."""
 
-    coeffs: tuple  # sorted tuple of (k, complex a_k)
-    selfadjoint: bool = False
-    lattice: str = N0
-
-    def __post_init__(self):
-        if isinstance(self.coeffs, dict):
-            items = self.coeffs.items()
-        else:
-            items = self.coeffs
+    def __init__(self, coeffs, selfadjoint: bool = False, lattice: str = N0):
+        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         cs = tuple(sorted((int(k), complex(v)) for k, v in items if v != 0))
-        object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "bandwidth", max((abs(k) for k, _ in cs), default=0))
+        self.coeffs, self.selfadjoint, self.lattice = cs, selfadjoint, lattice
+        self.bandwidth = max((abs(k) for k, _ in cs), default=0)
         self._set_diags({-k: v for k, v in cs})
-        if self.selfadjoint:
+        if selfadjoint:
             d = dict(cs)
             for k, v in cs:
                 if d.get(-k, 0j) != v.conjugate():
@@ -426,112 +406,108 @@ def toeplitz_from_samples(values, bandwidth: int, selfadjoint: bool = False) -> 
     theta = 2.0 * np.pi * np.arange(m) / m
     coeffs = {}
     for k in range(-bandwidth, bandwidth + 1):
-        a = np.mean(v * np.exp(-1j * k * theta))
-        coeffs[k] = a
+        coeffs[k] = np.mean(v * np.exp(-1j * k * theta))
     return Toeplitz(coeffs, selfadjoint=selfadjoint)
 
 
-@dataclass(frozen=True)
 class Shift(OperatorSpec):
     """Weighted unilateral shift on l2(N0): S e_i = w(i) e_{i+1}; the weight
     is a constant or a callable, default w == 1."""
 
-    weight: Callable[[np.ndarray], np.ndarray] | complex = 1.0
-    lattice: str = N0
     bandwidth = 1
 
-    def __post_init__(self):
+    def __init__(self, weight=1.0, lattice: str = N0):
+        self.weight, self.lattice = weight, lattice
         # S[i + 1, i] = w(i): row r holds w(r - 1) on offset -1
-        w = self.weight
-        self._set_diags({-1: (lambda rows: w(np.asarray(rows) - 1)) if callable(w) else w})
+        self._set_diags({-1: (lambda rows: weight(np.asarray(rows) - 1)) if callable(weight)
+                         else weight})
 
 
-@dataclass(frozen=True)
 class Band(OperatorSpec):
     """Band operator on l2(Z): (A psi)(n) = sum_{|j|<=b} d_j(n) psi(n+j).
 
-    Matrix entries: <e_i, A e_j> = d_{j-i}(i).  Diagonal functions may be
-    constants, `Wave`s or other callables (vectorized over integer arrays).
+    Matrix entries: <e_i, A e_j> = d_{j-i}(i).  `diagonals` maps or pairs
+    each offset to its function, kept as the pairs sorted by offset; a
+    function may be a constant, a `Wave` or another callable (vectorized
+    over integer arrays).
     """
 
-    bandwidth: int
-    diagonals: tuple = ()  # tuple of (offset, const-or-callable)
-    lattice: str = Z
-
-    def __post_init__(self):
-        if isinstance(self.diagonals, dict):
-            items = self.diagonals.items()
-        else:
-            items = self.diagonals
+    def __init__(self, bandwidth: int, diagonals=(), lattice: str = Z):
+        items = diagonals.items() if isinstance(diagonals, dict) else diagonals
         ds = tuple(sorted(items, key=lambda kv: kv[0]))
         for off, _ in ds:
-            if abs(off) > self.bandwidth:
-                raise ValueError(f"diagonal offset {off} exceeds bandwidth {self.bandwidth}")
-        object.__setattr__(self, "diagonals", ds)
+            if abs(off) > bandwidth:
+                raise ValueError(f"diagonal offset {off} exceeds bandwidth {bandwidth}")
+        self.bandwidth, self.diagonals, self.lattice = bandwidth, ds, lattice
         self._set_diags(dict(ds))
 
 
-@dataclass(frozen=True)
 class AlmostMathieu(OperatorSpec):
     """Discrete Schroedinger operator with cosine potential on l2(Z).
 
     Hopping terms 1 on offsets +-1 and diagonal 2*coupling*cos(2pi(freq*n + phase)).
     """
 
-    coupling: float
-    freq: float
-    phase: float = 0.0
-    lattice: str = Z
     bandwidth = 1
 
-    def __post_init__(self):
-        pot = Wave((Term(2.0 * self.coupling, self.freq, self.phase, cos=True),))
+    def __init__(self, coupling: float, freq: float, phase: float = 0.0, lattice: str = Z):
+        self.coupling, self.freq, self.phase, self.lattice = coupling, freq, phase, lattice
+        pot = Wave((Term(2.0 * coupling, freq, phase, cos=True),))
         self._set_diags({-1: 1.0, 0: pot, 1: 1.0})
 
 
 # polynomial expression nodes ------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SumE:
-    parts: tuple
+    """The sum of the expression nodes `parts`."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        self.parts = parts
 
 
-@dataclass(frozen=True)
 class ProdE:
-    parts: tuple
+    """The product of the expression nodes `parts`, left to right."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        self.parts = parts
 
 
-@dataclass(frozen=True)
 class AdjE:
-    child: object
+    """The adjoint of the expression node `child`."""
+
+    __slots__ = ("child",)
+
+    def __init__(self, child):
+        self.child = child
 
 
-@dataclass(frozen=True)
 class ScaleE:
-    scalar: complex
-    child: object
+    """The expression node `child` times the complex `scalar`."""
+
+    __slots__ = ("scalar", "child")
+
+    def __init__(self, scalar: complex, child):
+        self.scalar, self.child = scalar, child
 
 
-@dataclass(frozen=True)
 class Poly(OperatorSpec):
     """*-polynomial combination of operator specs sharing one lattice; its
     `offsets` are those of the diagonals its diagonal storage keeps, its
     `leaves` the leaf specs of its expression."""
 
-    expr: object
-    lattice: str = field(init=False)
-
-    def __post_init__(self):
-        leaves, bandwidth, offsets, support = _structure(self.expr)
+    def __init__(self, expr):
+        leaves, bandwidth, offsets, support = _structure(expr)
         lats = {leaf.lattice for leaf in leaves}
-        object.__setattr__(self, "leaves", tuple(leaves))
+        self.expr, self.leaves = expr, tuple(leaves)
         if len(lats) != 1:
             raise LatticeMismatchError(f"poly spec mixes lattices {sorted(map(str, lats))}")
-        object.__setattr__(self, "lattice", lats.pop())
-        object.__setattr__(self, "bandwidth", bandwidth)
-        object.__setattr__(self, "offsets", tuple(sorted(offsets)))
-        object.__setattr__(self, "support", support)
+        self.lattice, self.bandwidth, self.support = lats.pop(), bandwidth, support
+        self.offsets = tuple(sorted(offsets))
 
 
 def _structure(node) -> tuple:
@@ -546,11 +522,13 @@ def _structure(node) -> tuple:
         return leaves, bandwidth, offsets, support
     if not isinstance(node, (SumE, ProdE)):
         raise TypeError(f"not a polynomial node: {node!r}")
-    parts = [_structure(child) for child in node.parts]
-    leaves, widths, offsets, supports = zip(*parts) if parts else ((),) * 4
-    leaves, support = [leaf for part in leaves for leaf in part], max(supports, default=0)
+    if not node.parts:
+        raise ValueError(f"a polynomial {'sum' if isinstance(node, SumE) else 'product'} "
+                         "needs at least one term")
+    leaves, widths, offsets, supports = zip(*(_structure(child) for child in node.parts))
+    leaves, support = [leaf for part in leaves for leaf in part], max(supports)
     if isinstance(node, SumE):
-        return leaves, max(widths, default=0), set().union(*offsets), support
+        return leaves, max(widths), set().union(*offsets), support
     product = {0}
     for part in offsets:
         product = {a + b for a in product for b in part}
@@ -617,15 +595,16 @@ def identity(lattice: str = N0) -> OperatorSpec:
 # diagonal storage
 
 
-@dataclass(frozen=True)
 class Section:
     """Diagonal storage over a sorted index set: diags[k][p] = A[pad[p], pad[p] + k],
     zero where pad[p] + k is outside the contiguous run of pad holding pad[p].
     Runs of a padded set lie over twice the bandwidth apart, so no entry
     couples two of them and each run evaluates exactly as if alone."""
 
-    pad: np.ndarray
-    diags: dict
+    __slots__ = ("pad", "diags")
+
+    def __init__(self, pad: np.ndarray, diags: dict):
+        self.pad, self.diags = pad, diags
 
     @property
     def offsets(self) -> tuple:
@@ -693,7 +672,7 @@ def _times(x: dict, y: dict) -> dict:
 # ---------------------------------------------------------------------------
 # index runs: a sorted index set as sorted, disjoint, inclusive (lo, hi) pairs
 
-_INT64 = np.iinfo(np.int64)
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def index_runs(idx) -> tuple:
@@ -768,7 +747,7 @@ def pad_runs(op: OperatorSpec, runs) -> list:
 
 def _check_int64(runs, what: str):
     """ConfigError where the indices of runs leave int64."""
-    if runs[0][0] < _INT64.min or runs[-1][1] > _INT64.max:
+    if runs[0][0] < _INT64_MIN or runs[-1][1] > _INT64_MAX:
         raise ConfigError(
             f"{what} [{runs[0][0]}, {runs[-1][1]}] leave the 64-bit index range"
         )

@@ -6,40 +6,50 @@ an index set has as many as its indices have stretches.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
 from ._util import SpecError, check_footprint
-from .operators import _INT64, N0, Z, _LATTICES, index_runs, run_indices
+from .operators import _INT64_MAX, _INT64_MIN, N0, Z, _LATTICES, index_runs, run_indices
 
 
 class RankZeroError(SpecError):
     """A projection spec must have rank at least one."""
 
 
-@dataclass(frozen=True)
 class Projection:
-    """Orthogonal projection onto span{e_i : i in one of the runs}."""
+    """Orthogonal projection onto span{e_i : i in one of the runs}.  It is
+    its runs: they are what it shows, and two are equal when they are of
+    one class, on one lattice, with the same runs."""
 
-    lattice: str
-    runs: tuple
-    rank: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("lattice", "runs", "rank")
 
-    def __post_init__(self):
-        if self.lattice not in _LATTICES:
-            raise ValueError(f"unknown lattice {self.lattice!r}")
-        if self.lattice == N0 and self.runs[0][0] < 0:
+    def __init__(self, lattice: str, runs: tuple):
+        if lattice not in _LATTICES:
+            raise ValueError(f"unknown lattice {lattice!r}")
+        if lattice == N0 and runs[0][0] < 0:
             raise ValueError("a projection on n0 cannot contain negative indices")
-        object.__setattr__(self, "rank", sum(hi - lo + 1 for lo, hi in self.runs))
+        self.lattice, self.runs = lattice, runs
+        self.rank = sum(hi - lo + 1 for lo, hi in runs)
 
-    def index_array(self) -> np.ndarray:
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.lattice, self.runs) == (other.lattice, other.runs)
+
+    def __hash__(self):
+        return hash((self.lattice, self.runs))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(lattice={self.lattice!r}, runs={self.runs!r})"
+
+    def index_array(self):
+        """The sorted int64 array of the projection's indices."""
         check_footprint(8 * self.rank, f"the index array of a window of rank {self.rank}")
         return run_indices(self.runs)
 
 
 class Window(Projection):
     """Orthogonal projection onto span{e_lo, ..., e_hi} (inclusive)."""
+
+    __slots__ = ()
 
     def __init__(self, lattice: str, lo: int, hi: int):
         if hi < lo:
@@ -50,13 +60,15 @@ class Window(Projection):
 class IndexSet(Projection):
     """Projection onto an explicit strictly increasing finite index set."""
 
+    __slots__ = ()
+
     def __init__(self, lattice: str, indices):
         idx = tuple(int(i) for i in indices)
         if not idx:
             raise RankZeroError("empty index set")
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise ValueError("index set must be strictly increasing")
-        if idx[0] < _INT64.min or idx[-1] > _INT64.max:
+        if idx[0] < _INT64_MIN or idx[-1] > _INT64_MAX:
             raise ValueError("index set indices must fit in 64 bits")
         super().__init__(lattice, index_runs(idx))
 
@@ -72,15 +84,15 @@ def finite_section(lattice: str, n: int) -> Window:
     raise ValueError(f"unknown lattice {lattice!r}")
 
 
-@dataclass(frozen=True)
 class ProjectionSequence:
-    lattice: str
-    n_list: tuple
-    projections: tuple
+    """The projections of a sequence on one lattice, each with its order n."""
 
-    def __post_init__(self):
-        if not self.projections:
+    __slots__ = ("lattice", "n_list", "projections")
+
+    def __init__(self, lattice: str, n_list: tuple, projections: tuple):
+        if not projections:
             raise ValueError("empty projection sequence")
+        self.lattice, self.n_list, self.projections = lattice, n_list, projections
 
     def __iter__(self):
         return iter(zip(self.n_list, self.projections))

@@ -6,6 +6,8 @@ import json
 import math
 import re
 from contextlib import contextmanager
+from itertools import chain, compress, repeat
+from operator import is_
 
 import numpy as np
 
@@ -126,9 +128,7 @@ def operator_from_json(doc, where: str = "operator") -> OperatorSpec:
     kind = _need(doc, "kind", where)
     with _spec_errors(where):
         if kind == "dense":
-            rows = _need(doc, "matrix", where)
-            m = np.array([[_as_complex(x, where) for x in row] for row in rows])
-            return Dense(m)
+            return Dense(_dense_matrix(_need(doc, "matrix", where), where))
         if kind == "toeplitz":
             sa = doc.get("selfadjoint", False)
             if not isinstance(sa, bool):  # the schemas type it `boolean`
@@ -169,6 +169,28 @@ def operator_from_json(doc, where: str = "operator") -> OperatorSpec:
         if kind == "poly":
             return Poly(_poly_node(_need(doc, "expr", where), where + ".expr"))
     raise SpecValidationError(f"{where}: unknown operator kind {kind!r}")
+
+
+def _dense_matrix(rows, where: str) -> np.ndarray:
+    """The complex matrix of a `dense` spec's rows of numbers or [re, im]
+    pairs.  Rows of one length holding only numbers, or only pairs of
+    numbers, take one walk in C: into an object array, checked by type (a
+    bool or a string is no number) and converted to floats, the pairs
+    viewed as complex.  Anything else is read entry by entry, which names
+    the first bad entry."""
+    try:
+        a = np.array(rows, dtype=object)
+    except ValueError:
+        a = None
+    if (a is not None and a.size and (a.ndim == 2 or a.shape[2:] == (2,))
+            and set(map(type, a.ravel().tolist())) <= {int, float}):
+        try:
+            m = a.astype(float)
+        except OverflowError:  # an integer past the float range
+            pass
+        else:
+            return m.view(complex)[..., 0] if m.ndim == 3 else m
+    return np.array([[_as_complex(x, where) for x in row] for row in rows])
 
 
 def _poly_node(doc, where: str):
@@ -233,14 +255,45 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _nesting(doc) -> int:
-    """Depth of a JSON tree, counted level by level without recursion."""
+def _of_type(level: list, kinds: set, t: type):
+    """The nodes of type t in level, whose types are kinds."""
+    return level if len(kinds) == 1 else compress(level, map(is_, map(type, level), repeat(t)))
+
+
+def _depth(doc):
+    """The depth of a JSON tree, counted level by level without recursion,
+    or None where a float in it is not finite.  JSON decodes to exact
+    builtin types, so a level is split by type in C, with no Python call
+    per node."""
     depth, level = 0, [doc]
     while level:
         depth += 1
-        level = [child for node in level if isinstance(node, (dict, list))
-                 for child in (node.values() if isinstance(node, dict) else node)]
+        kinds = set(map(type, level))
+        if float in kinds and not all(map(math.isfinite, _of_type(level, kinds, float))):
+            return None
+        children = []
+        if list in kinds:
+            children += chain.from_iterable(_of_type(level, kinds, list))
+        if dict in kinds:
+            children += chain.from_iterable(map(dict.values, _of_type(level, kinds, dict)))
+        level = children
     return depth
+
+
+def _decode(text: str):
+    """The JSON document of text, every number in it finite, and its depth.
+    Decoded at the json module's own speed, then walked; a text that fails
+    either is decoded again with the finiteness hooks, which raise at its
+    first bad literal, naming it, as they would have from the start."""
+    try:
+        doc = json.loads(text)
+        depth = _depth(doc)
+        if depth is not None:
+            return doc, depth
+    except (ValueError, RecursionError):
+        pass
+    doc = json.loads(text, parse_float=_finite_float, parse_constant=_reject_constant)
+    return doc, _depth(doc)
 
 
 def load_spec_file(path):
@@ -252,10 +305,10 @@ def load_spec_file(path):
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_float=_finite_float, parse_constant=_reject_constant)
+            doc, depth = _decode(fh.read())
     except (OSError, ValueError, RecursionError) as exc:
         raise SpecValidationError(f"{path}: {exc}") from exc
-    if _nesting(doc) > MAX_NESTING:
+    if depth > MAX_NESTING:
         raise SpecValidationError(f"{path}: nested deeper than {MAX_NESTING} levels")
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SpecValidationError(f"{path}: spec document needs a 'kind' field")

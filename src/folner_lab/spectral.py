@@ -7,11 +7,10 @@ matrices."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import SpecError, check_footprint
+from ._util import ResidualError, SpecError, check_footprint
 from .operators import (
     _SYMBOL_CHUNK,
     OperatorSpec,
@@ -52,13 +51,6 @@ _TINY = np.finfo(float).tiny
 
 class NonHermitianError(SpecError):
     """Matrix deviates from Hermiticity beyond the allowed tolerance."""
-
-
-class ResidualError(ArithmeticError):
-    """A solve broke the backward-stability contract, 1e-9 * scale * sqrt(d):
-    an eigenpair residual of a dense solve, or a Sturm count of a
-    tridiagonal one (`_check_sturm`), left an eigenvalue farther than that
-    from the compression's."""
 
 
 class ComplexSymbolError(SpecError):
@@ -513,55 +505,48 @@ def hat(left: float, center: float, right: float) -> TestFunction:
 # measures
 
 
-@dataclass(frozen=True)
 class EmpiricalMeasure:
     """Finitely supported probability measure: eigenvalue atoms, weight 1/d each."""
 
-    atoms: np.ndarray
-    dim: int
+    __slots__ = ("atoms", "dim")
 
-    def __post_init__(self):
-        a = np.sort(np.asarray(self.atoms, dtype=float))
-        if a.size != self.dim or self.dim < 1:
+    def __init__(self, atoms, dim: int):
+        a = np.sort(np.asarray(atoms, dtype=float))
+        if a.size != dim or dim < 1:
             raise ValueError("atom count must equal the compression dimension")
-        object.__setattr__(self, "atoms", a)
+        self.atoms, self.dim = a, dim
 
     def cdf(self, x) -> np.ndarray:
         return np.searchsorted(self.atoms, np.asarray(x, dtype=float), side="right") / self.dim
 
 
-@dataclass(frozen=True)
 class ReferenceMeasure:
     """Limit spectral measure, as a sampled CDF grid and/or a moment list.
     A grid also keeps the mass of each node, diff(Fs, prepend=0), which
     every integral reads."""
 
-    xs: np.ndarray | None = None
-    Fs: np.ndarray | None = None
-    moments: tuple | None = None
-    masses: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("xs", "Fs", "moments", "masses")
 
-    def __post_init__(self):
-        if self.xs is not None:
-            xs = np.asarray(self.xs, dtype=float)
-            fs = np.asarray(self.Fs, dtype=float)
+    def __init__(self, xs=None, Fs=None, moments=None):
+        self.xs, self.Fs, self.moments, self.masses = xs, Fs, moments, None
+        if xs is not None:
+            xs = np.asarray(xs, dtype=float)
+            fs = np.asarray(Fs, dtype=float)
             if xs.shape != fs.shape or xs.ndim != 1 or xs.size == 0:
                 raise ValueError("CDF grid must be two equal-length 1-d arrays")
             if np.any(np.diff(xs) < 0) or np.any(np.diff(fs) < -1e-15):
                 raise ValueError("CDF grid must be nondecreasing")
             if fs[0] < -1e-15 or fs[-1] > 1 + 1e-15:
                 raise ValueError("CDF values must lie in [0, 1]")
-            object.__setattr__(self, "xs", xs)
             # steps down of round-off are lifted: every stored CDF is nondecreasing
             fs = np.maximum.accumulate(fs)
             masses = np.empty_like(fs)  # diff(fs, prepend=0), with no joined copy of fs
             masses[0] = fs[0]
             np.subtract(fs[1:], fs[:-1], out=masses[1:])
-            object.__setattr__(self, "Fs", fs)
-            object.__setattr__(self, "masses", masses)
-        if self.moments is not None:
-            object.__setattr__(self, "moments", tuple(float(m) for m in self.moments))
-        if self.xs is None and self.moments is None:
+            self.xs, self.Fs, self.masses = xs, fs, masses
+        if moments is not None:
+            self.moments = tuple(float(m) for m in moments)
+        if xs is None and moments is None:
             raise ValueError("reference measure needs a CDF grid or moments")
 
     def cdf(self, x) -> np.ndarray:

@@ -5,12 +5,11 @@ ratios and trace estimates."""
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._util import ConfigError, SpecError, report_csv, report_json
-from .diagnostics import FolnerReport, fit_decay_slope, folner_profile
+from .diagnostics import fit_decay_slope, folner_profile
 from .spectral import (
     EmpiricalMeasure,
     ReferenceMeasure,
@@ -25,7 +24,6 @@ from .spectral import (
 )
 from .traces import (
     NCPolynomial,
-    TraceReport,
     canonical_trace,
     nc_adjoint,
     nc_multiply,
@@ -98,19 +96,19 @@ def moments_reference(a: NCPolynomial, order: int = 6) -> ReferenceMeasure:
     return ReferenceMeasure(moments=moments)
 
 
-@dataclass
 class SzegoReport:
     """Per (operator, n, f) integral comparison, Kolmogorov track, summary,
-    and the coupled commutator-ratio and trace reports."""
+    and the coupled commutator-ratio and trace reports (a `FolnerReport` and
+    a `TraceReport`, or None); `plot_rows` holds each window's largest
+    error.  Built empty, filled by `szego_pair_test`."""
 
-    rows: list = field(default_factory=list)
-    kolmogorov_rows: list = field(default_factory=list)
-    plot_rows: list = field(default_factory=list)  # each window's largest error
-    summary: dict = field(default_factory=dict)
-    folner: FolnerReport | None = None
-    trace: TraceReport | None = None
+    __slots__ = ("rows", "kolmogorov_rows", "plot_rows", "summary", "folner", "trace")
 
     COLUMNS = ("label", "n", "d_n", "f", "empirical", "reference", "error")
+
+    def __init__(self):
+        self.rows, self.kolmogorov_rows, self.plot_rows, self.summary = [], [], [], {}
+        self.folner = self.trace = None
 
     def to_json(self) -> str:
         payload = {

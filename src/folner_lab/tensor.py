@@ -4,7 +4,6 @@ by the factor ratios weighted with the factor operator norms."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,16 +11,23 @@ from .diagnostics import INF, schatten_norm
 from .operators import OperatorSpec, padded_compression
 
 
-@dataclass(frozen=True)
 class TensorBoundRecord:
-    lhs: float           # ||(1 - P(x)Q)(A(x)B)(P(x)Q)||_2^2 / ||P(x)Q||_2^2
-    middle: float        # two-term factorized bound
-    rhs: float           # ||B||^2 r_A^2 + ||A||^2 r_B^2
-    slack: float         # rhs - lhs
-    ratio_a: float       # p=2 off-corner ratio of the left factor
-    ratio_b: float
-    norm_a: float        # operator norm of the padded left compression
-    norm_b: float
+    """Both sides of the bound for one pair of windows:
+
+    lhs      ||(1 - P(x)Q)(A(x)B)(P(x)Q)||_2^2 / ||P(x)Q||_2^2
+    middle   the two-term factorized bound
+    rhs      ||B||^2 r_A^2 + ||A||^2 r_B^2
+    slack    rhs - lhs
+    ratio_a  the p=2 off-corner ratio r_A of the left factor (ratio_b: right)
+    norm_a   the operator norm of the padded left compression (norm_b: right)
+    """
+
+    __slots__ = ("lhs", "middle", "rhs", "slack", "ratio_a", "ratio_b", "norm_a", "norm_b")
+
+    def __init__(self, lhs: float, middle: float, rhs: float, slack: float,
+                 ratio_a: float, ratio_b: float, norm_a: float, norm_b: float):
+        self.lhs, self.middle, self.rhs, self.slack = lhs, middle, rhs, slack
+        self.ratio_a, self.ratio_b, self.norm_a, self.norm_b = ratio_a, ratio_b, norm_a, norm_b
 
 
 def _hs2(m: np.ndarray) -> float:

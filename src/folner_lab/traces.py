@@ -12,7 +12,6 @@ or, for a diagonal that is a Python callable, numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -146,12 +145,16 @@ def trace_estimate(op: OperatorSpec, proj) -> complex:
     return _estimates(op, [proj])[0]
 
 
-@dataclass
 class TraceReport:
-    rows: list = field(default_factory=list)
+    """Rows of trace estimates, one per (label, n)."""
+
+    __slots__ = ("rows",)
 
     COLUMNS = ("label", "n", "d_n", "estimate_re", "estimate_im", "reference_re",
                "reference_im", "abs_error")
+
+    def __init__(self, rows: list):
+        self.rows = rows
 
     def payload(self) -> dict:
         return {"rows": self.rows}
@@ -193,4 +196,4 @@ def trace_convergence_report(ops, seq, refs=None) -> TraceReport:
                 row["abs_error"] = abs(est - ref)
             rows.append(row)
     rows.sort(key=lambda r: (r["label"], r["n"]))
-    return TraceReport(rows=rows)
+    return TraceReport(rows)

@@ -295,6 +295,24 @@ class TestValidate:
         assert code == 3
         assert err.strip()
 
+    @pytest.mark.parametrize("command", [["validate"], ["trace", "--n", "4", "--op"],
+                                         ["folner", "--n", "4", "--op"]],
+                             ids=lambda c: c[0])
+    def test_empty_product_is_one_spec_error(self, capsys, command):
+        # the schemas give `sum` and `prod` at least one term; an empty
+        # product once passed `validate` and then raised an IndexError
+        path = CORPUS / "invalid" / "poly_empty_prod.json"
+        code, out, err = run(capsys, *command, str(path))
+        assert code == 3 and out == ""
+        message = f"{path}: a polynomial product needs at least one term"
+        assert err.splitlines() == [message if command == ["validate"] else f"spec error: {message}"]
+
+    def test_empty_sum_is_one_spec_error(self, capsys, tmp_path):
+        path = tmp_path / "empty_sum.json"
+        path.write_text(json.dumps({"kind": "poly", "expr": {"sum": []}}))
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 3 and err.splitlines() == [f"{path}: a polynomial sum needs at least one term"]
+
 
 class TestExitCodes:
     def test_missing_file_is_spec_error(self, capsys):
@@ -391,7 +409,7 @@ class TestOneLineFailures:
             raise AssertionError("a monomial was built")
 
         monkeypatch.setattr(fl._util, "_physical_memory", lambda: 16 << 30)
-        monkeypatch.setattr(fl.cli, "monomial", unreachable)
+        monkeypatch.setattr(fl.szego, "monomial", unreachable)
         start = time.perf_counter()
         code, out, err = run(capsys, "szego", "--op", self.HARPER, "--n", "4", "--f", "poly:100000")
         assert time.perf_counter() - start < 5.0
@@ -413,7 +431,7 @@ class TestOneLineFailures:
             raise AssertionError("hats built")
 
         monkeypatch.setattr(fl._util, "_physical_memory", lambda: 619)
-        monkeypatch.setattr(fl.cli, "hat_family", unreachable)
+        monkeypatch.setattr(fl.szego, "hat_family", unreachable)
         with pytest.raises(ConfigError, match="hat:2:-1:1"):
             parse_f_family("hat:2:-1:1,poly:0")
         monkeypatch.undo()
@@ -455,7 +473,7 @@ class TestOneLineFailures:
         def unreachable(*args, **kwargs):
             raise AssertionError("numerics ran")
 
-        monkeypatch.setattr(fl.cli, "szego_pair_test", unreachable)
+        monkeypatch.setattr(fl.szego, "szego_pair_test", unreachable)
         code, out, err = run(capsys, "szego", "--op", self.HARPER, "--n", "4", *argv)
         assert code == 2 and out == ""
         lines = err.splitlines()
@@ -588,6 +606,22 @@ class TestNumericalFailures:
         assert code == 1 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure:")
+
+    @pytest.mark.parametrize("argv", [["validate"], ["trace", "--n", "4", "--op"]],
+                             ids=lambda argv: argv[0])
+    def test_samples_whose_fourier_sum_overflows(self, capsys, tmp_path, argv):
+        # the Fourier sum of a samples spec runs while the spec is built,
+        # under the command line's raising error state, so `validate` fails
+        # on it as every command does
+        path = tmp_path / "huge.json"
+        path.write_text('{"kind": "toeplitz", "samples": [1e308, -1e308, 1e308, 1e308, -1e308],'
+                        ' "bandwidth": 2}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv, str(path))
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: overflow")
 
     @pytest.mark.parametrize("spec", [HUGE, HUGE_AM])
     def test_spec_is_valid(self, capsys, tmp_path, spec):

@@ -1,13 +1,21 @@
 """Every module of the package uses each name it imports, and each of its
 module-level functions, classes and assigned names, and each name assigned
-in one of its class bodies, is used or exported."""
+in one of its class bodies, is used or exported.  The package exports
+lazily, from the table `_EXPORTS` of its __init__; every entry of that
+table names a definition, and every name the package exported when its
+__init__ imported them eagerly still resolves."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import folner_lab as fl
+
 SRC = Path(__file__).parent.parent / "src" / "folner_lab"
-# the package's __init__ imports names to export them
+# the package's __init__ exports names; it imports none of them to do so
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -44,16 +52,58 @@ def _assigned(body) -> list:
             if isinstance(name, ast.Name) and not name.id.startswith("__")]
 
 
+def lazy_exports(source: str) -> dict:
+    """The lazy export table of a package __init__: the dict literal it
+    assigns to `_EXPORTS`, submodule -> the names exported from it."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "_EXPORTS"
+                for target in node.targets):
+            return ast.literal_eval(node.value)
+    return {}
+
+
+def _bound(source: str) -> set:
+    """The names a module binds at its top level: by definition, plain or
+    annotated assignment, or import."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {name.id for target in targets for name in ast.walk(target)
+                      if isinstance(name, ast.Name)}
+    return names
+
+
+def dangling_exports(sources: dict) -> list:
+    """(module, "") of each submodule of the __init__'s lazy export table
+    that `sources` lacks, and (module, name) of each entry that its module
+    does not bind at top level."""
+    table = lazy_exports(sources.get("__init__", ""))
+    missing = [(module, "") for module in table if module not in sources]
+    return sorted(missing + [(module, name) for module, names in table.items()
+                             if module in sources
+                             for name in set(names) - _bound(sources[module])])
+
+
 def dead_definitions(sources: dict) -> list:
     """(module, name) of each module-level function, class or assigned name,
     and (module, "Class.NAME") of each name assigned in a class body, that
     no module of `sources` (module name -> source) reads, by name or as an
-    attribute, or imports; the package's __init__ exports what it imports."""
-    defined, used = [], set()
+    attribute, or imports.  A name in the lazy export table of the
+    package's __init__ is exported, and so read; a module-level dunder
+    function, such as PEP 562's `__getattr__`, is read by the interpreter."""
+    table = lazy_exports(sources.get("__init__", ""))
+    defined, used = [], {name for names in table.values() for name in names}
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not (
+                    node.name.startswith("__") and node.name.endswith("__")):
                 defined.append((module, node.name, node.name))
             if isinstance(node, ast.ClassDef):
                 defined += [(module, f"{node.name}.{name}", name)
@@ -88,3 +138,90 @@ def test_detects_an_unread_constant():
 def test_every_definition_is_used_or_exported():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert dead_definitions(sources) == []
+
+
+def test_lazy_exports_count_as_exported():
+    sources = {
+        "__init__": ('_EXPORTS = {"a": ("Kept", "kept")}\n\n\n'
+                     "def __getattr__(name):\n    return _EXPORTS[name]\n"),
+        "a": "class Kept:\n    pass\n\n\ndef kept():\n    pass\n\n\ndef dead():\n    pass\n",
+    }
+    assert lazy_exports(sources["__init__"]) == {"a": ("Kept", "kept")}
+    assert dead_definitions(sources) == [("a", "dead")]
+    assert dangling_exports(sources) == []
+
+
+def test_detects_a_dangling_export():
+    sources = {
+        "__init__": '_EXPORTS = {"a": ("read", "gone", "VALUE", "imported"), "b": ()}\n',
+        "a": "from json import loads as imported\nVALUE = 1\n\n\ndef read():\n    pass\n",
+    }
+    assert dangling_exports(sources) == [("a", "gone"), ("b", "")]
+
+
+def test_every_export_names_a_definition():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert lazy_exports(sources["__init__"]) and dangling_exports(sources) == []
+
+
+# What the package's __init__ exported while it imported every module:
+# each still resolves, as an attribute and by `from folner_lab import`.
+EAGER_EXPORTS = (
+    "AlmostMathieu", "Band", "Dense", "EmpiricalMeasure", "FolnerReport", "IndexSet",
+    "LatticeMismatchError", "MissingReferenceError", "N0", "NCPolynomial", "NonHermitianError",
+    "NotSelfAdjointError", "NyquistError", "OperatorSpec", "Poly", "ProjectionSequence",
+    "RankZeroError", "ReferenceMeasure", "ResidualError", "Shift", "SzegoReport",
+    "TensorBoundRecord", "Term", "TestFunction", "Toeplitz", "TraceReport", "Wave", "Window",
+    "Z", "almost_mathieu_element", "canonical_trace", "compression_eigenvalues",
+    "compression_moments", "default_f_family", "diagnostics", "empirical_measure",
+    "finite_section", "finite_section_sequence", "folner_profile", "folner_ratio", "hat",
+    "hat_family", "identity", "integrate", "kolmogorov_distance", "moments_reference",
+    "monomial", "nc_adjoint", "nc_monomial", "nc_multiply", "nc_one", "nc_u", "nc_v",
+    "op_prod", "op_scale", "op_sum", "operators", "projections", "qd_gap",
+    "reference_pushforward", "represent_nc", "schatten_norm", "spectral", "szego",
+    "szego_pair_test", "tensor", "tensor_bound_check", "toeplitz_from_samples",
+    "trace_convergence_report", "trace_estimate", "traces", "__version__",
+)
+
+
+@pytest.mark.parametrize("name", EAGER_EXPORTS)
+def test_eager_exports_still_resolve(name):
+    value, namespace = getattr(fl, name), {}
+    exec(f"from folner_lab import {name}", namespace)
+    assert namespace[name] is value and name in dir(fl)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        fl.nonexistent  # noqa: B018
+
+
+CORPUS = Path(__file__).parent / "corpus" / "valid"
+# what every run loads: the command line, and the loader with what it builds
+LOADER = {"folner_lab", "folner_lab._util", "folner_lab.cli", "folner_lab.operators",
+          "folner_lab.projections", "folner_lab.specio", "folner_lab.traces"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    pytest.param(["validate", *map(str, sorted(CORPUS.glob("*.json")))], LOADER, id="validate"),
+    pytest.param(["trace", "--op", str(CORPUS / "harper.json"), "--n", "1,2"], LOADER,
+                 id="trace"),
+    pytest.param(["folner", "--op", str(CORPUS / "normal_poly.json"), "--n", "1,2"],
+                 LOADER | {"folner_lab.diagnostics"}, id="folner"),
+])
+def test_a_subcommand_loads_only_what_it_runs(argv, loaded):
+    # in a fresh process: the modules of the package that one run imports;
+    # `validate`, the set-up of every benchmark workload, and `trace` load
+    # none of the solver modules
+    script = (
+        "import sys\n"
+        "from folner_lab.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'folner_lab'),"
+        " file=sys.stderr)\n"
+    )
+    src = str(SRC.parent)
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"0 {sorted(loaded)}"

@@ -31,6 +31,7 @@ def test_valid_corpus_matches_exactly_its_schema(path):
 BAND = {"kind": "band", "bandwidth": 1, "diagonals": [{"offset": 0, "fn": 1.0}]}
 TOEPLITZ = {"kind": "toeplitz", "coeffs": {"0": 1.0}}
 COS = {"type": "cos", "amp": 1.0, "freq": 0.3, "phase": 0.1}
+SHIFT = {"kind": "shift"}
 
 
 def _with(doc, **fields):
@@ -39,8 +40,8 @@ def _with(doc, **fields):
 
 # (id, document): each number field as a JSON number, an integral float, a
 # fraction, a string and a boolean; the boolean field as a boolean, a
-# string, an integer and null; and Toeplitz offset keys in and out of their
-# one spelling
+# string, an integer and null; Toeplitz offset keys in and out of their
+# one spelling; and polynomial sums and products of no term and of one
 NUMBER_CASES = [
     ("coupling-int", {"kind": "almost_mathieu", "coupling": 1, "freq": 0.3}),
     ("coupling-string", {"kind": "almost_mathieu", "coupling": "nan", "freq": 0.3}),
@@ -79,12 +80,16 @@ NUMBER_CASES = [
     ("coeffs-key-negative-zero", _with(TOEPLITZ, coeffs={"-0": 1.0})),
     ("coeffs-key-float", _with(TOEPLITZ, coeffs={"1.0": 1.0})),
     ("coeffs-key-newline", _with(TOEPLITZ, coeffs={"1\n": 1.0})),
+    ("poly-sum-empty", {"kind": "poly", "expr": {"sum": []}}),
+    ("poly-prod-empty", {"kind": "poly", "expr": {"sum": [{"op": SHIFT}, {"prod": []}]}}),
+    ("poly-sum-one", {"kind": "poly", "expr": {"sum": [{"op": SHIFT}]}}),
+    ("poly-prod-one", {"kind": "poly", "expr": {"prod": [{"op": SHIFT}]}}),
 ]
 
 
 ACCEPTED = {"coupling-int", "bandwidth-integral-float", "offset-integral-float",
             "window-integral-floats", "indices-integral-float", "ncpoly-m-integral-float",
-            "selfadjoint-bool", "coeffs-keys-signed"}
+            "selfadjoint-bool", "coeffs-keys-signed", "poly-sum-one", "poly-prod-one"}
 
 
 @pytest.mark.parametrize("name,doc", NUMBER_CASES, ids=[name for name, _ in NUMBER_CASES])

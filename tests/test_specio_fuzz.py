@@ -1,10 +1,14 @@
 """Fuzzing the spec loader: whatever a file holds, `load_spec_file` either
-returns a spec or raises SpecValidationError, never anything else."""
+returns a spec or raises SpecValidationError, never anything else; and a
+`dense` matrix loads as it would entry by entry."""
 import json
 
+import numpy as np
 import pytest
 
-from folner_lab.specio import SpecValidationError, load_spec_file
+from folner_lab.operators import Dense
+from folner_lab.specio import SpecValidationError, _as_complex, _spec_errors, load_spec_file
+from folner_lab.specio import operator_from_json
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings  # noqa: E402
@@ -59,3 +63,49 @@ def test_arbitrary_bytes(tmp_path, data):
 @example(doc={"kind": "shift", "weight": 10**400})
 def test_arbitrary_json_trees(tmp_path, doc):
     _load(tmp_path / "spec.json", json.dumps(doc).encode())
+
+
+numbers = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-2**1100, 2**1100)
+entries = (numbers | st.lists(numbers, min_size=2, max_size=2) | st.booleans()
+           | st.sampled_from(["1", None, [1.0, True], [0.0, 1.0, 2.0]]))
+
+
+def _square(cell):
+    return st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def _entry_by_entry(rows):
+    """The matrix of a dense spec's rows, or the message naming its first
+    bad entry, as the loader built it one entry at a time."""
+    try:
+        with _spec_errors("m"):
+            return Dense(np.array([[_as_complex(x, "m") for x in row] for row in rows])).matrix
+    except SpecValidationError as exc:
+        return str(exc)
+
+
+def _loaded(rows):
+    try:
+        return operator_from_json({"kind": "dense", "matrix": rows}, "m").matrix
+    except SpecValidationError as exc:
+        return str(exc)
+
+
+@FUZZ
+@given(rows=_square(numbers) | _square(st.lists(numbers, min_size=2, max_size=2))
+       | _square(entries) | st.lists(st.lists(entries, max_size=3), max_size=3))
+@example(rows=[[0.5, -0.0], [1, [-0.0, -0.0]]])
+@example(rows=[[[1.0, 2.0]], [[3.0, 4.0]]])
+@example(rows=[[[-0.0, 1.0]]])
+@example(rows=[[True]])
+@example(rows=[[2**1100]])
+def test_dense_matrix_loads_as_entry_by_entry(rows):
+    # rows of numbers or of [re, im] pairs take one walk in C; whatever
+    # they hold, the matrix is the one built entry by entry, bit for bit,
+    # and a bad entry gets the same message
+    want, got = _entry_by_entry(rows), _loaded(rows)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
