@@ -24,13 +24,16 @@ from .operators import (
 )
 
 # Windows of at least this order whose compression is tridiagonal, real or
-# complex, are solved for eigenvalues only by scipy's LAPACK sterf, as two
-# tridiagonal halves where the compression is persymmetric.  Below it a
-# dense solve costs less than importing scipy.linalg (0.26-0.36 s): at
-# d = 1025, certified, the import and the sterf solve take 0.28-0.32 s and
-# the solve alone 0.03-0.05 s, a dense eigh with the residual check
-# 0.29-0.30 s unfolded and 0.12-0.13 s as two folded halves (hopping and a
-# ramp on it, one BLAS thread, 2 shared vCPUs).
+# complex, are solved for eigenvalues only by LAPACK sterf from scipy's
+# compiled wrapper, as two tridiagonal halves where the compression is
+# persymmetric.  The first solve of a process loads that wrapper alone
+# (`_flapack`, about 20 ms and 4 MB), not the scipy.linalg package (0.33 s
+# and 29 MB).  At d = 1025, certified, in a fresh process, the load and the
+# sterf solve take 0.03-0.06 s, a dense eigh with the residual check
+# 0.21-0.30 s unfolded and 0.08-0.11 s as two folded halves (hopping and a
+# ramp on it, one BLAS thread, 2 shared vCPUs), so the tridiagonal path
+# pays below this order too; moving the threshold changes which solver's
+# eigenvalues, and so which ties, the goldens see.
 TRIDIAGONAL_MIN_DIM = 1000
 
 # Bytes of each temporary of the blocked residual check from storage, about
@@ -101,12 +104,46 @@ def _eigh(m: np.ndarray, vectors: bool):
     return np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
 
 
-def _sterf(a: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the real symmetric tridiagonal matrix with
-    diagonal a and off-diagonal e: LAPACK sterf, no eigenvectors."""
-    import scipy.linalg  # 0.26 s and 27 MB, paid only by large windows
+def _flapack():
+    """scipy's compiled LAPACK wrapper, scipy.linalg._flapack, without the
+    scipy.linalg package around it (0.33 s and 29 MB after numpy): after
+    scipy's own start-up (`import scipy`, 14 ms and 1.3 MB), the extension
+    file under scipy/linalg/ is loaded on its own (5 ms and 2.6 MB) and
+    registered in sys.modules, which caches it and hands it to the
+    scipy.linalg package should that be imported later."""
+    import importlib.machinery
+    import importlib.util
+    import sys
 
-    return scipy.linalg.eigvalsh_tridiagonal(a, e, lapack_driver="sterf")
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        where = f"{scipy.__path__[0]}/linalg"
+        spec = importlib.machinery.FileFinder(
+            where, (importlib.machinery.ExtensionFileLoader,
+                    importlib.machinery.EXTENSION_SUFFIXES)).find_spec(name)
+        if spec is None:
+            raise ModuleNotFoundError(f"no {name} extension under {where}", name=name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
+
+
+def _sterf(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the real symmetric tridiagonal matrix of
+    order at least 2 (the wrapper refuses order 1) with diagonal a and
+    off-diagonal e: LAPACK dsterf on copies of a and e, no eigenvectors, bit
+    for bit as scipy.linalg.eigvalsh_tridiagonal(a, e, lapack_driver="sterf").
+    LinAlgError for a non-finite entry, which sterf need not survive, or
+    where sterf fails (info != 0)."""
+    if not (np.isfinite(a).all() and np.isfinite(e).all()):
+        raise np.linalg.LinAlgError("non-finite entry in a tridiagonal matrix for sterf")
+    vals, info = _flapack().dsterf(a, e)
+    if info:
+        raise np.linalg.LinAlgError(f"sterf did not converge (LAPACK info={info})")
+    return vals
 
 
 def _stored(j: int, d: int) -> slice:

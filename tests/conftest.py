@@ -7,17 +7,17 @@ import pytest
 @pytest.fixture
 def eig_calls(monkeypatch):
     """(solver, dimension, dtype) of every np.linalg.eigvalsh / eigh and every
-    scipy.linalg.eigvalsh_tridiagonal call; the tridiagonal solver reports
-    its diagonal's length and dtype."""
-    import scipy.linalg
+    folner_lab.spectral._sterf call, reported as "sterf" with its
+    diagonal's length and dtype."""
+    from folner_lab import spectral
 
     calls = []
-    for mod, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"),
-                      (scipy.linalg, "eigvalsh_tridiagonal")):
+    for mod, name, label in ((np.linalg, "eigvalsh", "eigvalsh"), (np.linalg, "eigh", "eigh"),
+                             (spectral, "_sterf", "sterf")):
         orig = getattr(mod, name)
 
-        def spy(h, *args, _name=name, _orig=orig, **kwargs):
-            calls.append((_name, h.shape[0], h.dtype))
+        def spy(h, *args, _label=label, _orig=orig, **kwargs):
+            calls.append((_label, h.shape[0], h.dtype))
             return _orig(h, *args, **kwargs)
 
         monkeypatch.setattr(mod, name, spy)
@@ -26,13 +26,13 @@ def eig_calls(monkeypatch):
 
 @pytest.fixture
 def wrong_sterf(monkeypatch):
-    """wrong_sterf(kind) patches scipy.linalg.eigvalsh_tridiagonal so that
-    its first call returns a wrong spectrum: its eigenvalue of index 3
-    moved up by 1e-3 ("shift"), replaced by its upper neighbour
-    ("duplicate") or by NaN ("nan")."""
-    import scipy.linalg
+    """wrong_sterf(kind) patches folner_lab.spectral._sterf so that its
+    first call returns a wrong spectrum: its eigenvalue of index 3 moved up
+    by 1e-3 ("shift"), replaced by its upper neighbour ("duplicate") or by
+    NaN ("nan")."""
+    from folner_lab import spectral
 
-    orig = scipy.linalg.eigvalsh_tridiagonal
+    orig = spectral._sterf
 
     def patch(kind):
         calls = []
@@ -44,7 +44,7 @@ def wrong_sterf(monkeypatch):
             calls.append(vals.size)
             return vals
 
-        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", wrong)
+        monkeypatch.setattr(spectral, "_sterf", wrong)
         return calls
 
     return patch

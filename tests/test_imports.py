@@ -3,13 +3,17 @@ module-level functions, classes and assigned names, and each name assigned
 in one of its class bodies, is used or exported.  The package exports
 lazily, from the table `_EXPORTS` of its __init__; every entry of that
 table names a definition, and every name the package exported when its
-__init__ imported them eagerly still resolves."""
+__init__ imported them eagerly still resolves.  A subcommand loads only
+the modules it runs, and a tridiagonal solve loads scipy's compiled LAPACK
+wrapper without the scipy.linalg package."""
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import folner_lab as fl
@@ -225,3 +229,52 @@ def test_a_subcommand_loads_only_what_it_runs(argv, loaded):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == f"0 {sorted(loaded)}"
+
+
+
+def test_sterf_loads_no_scipy_linalg_package():
+    # hopping at n = 1024, d = 2049, is solved by sterf in two halves: in a
+    # fresh process through the wrapper loaded on its own, which a later
+    # `import scipy.linalg` reuses, and after `import scipy.linalg` through
+    # the package's; the outputs agree byte for byte
+    script = (
+        "import sys\n"
+        "first = sys.argv[1] == 'scipy.linalg first'\n"
+        "if first:\n"
+        "    import scipy.linalg\n"
+        "from folner_lab.cli import main\n"
+        "code = main(sys.argv[2:])\n"
+        "loaded = ('scipy.linalg' in sys.modules, 'scipy.linalg._flapack' in sys.modules)\n"
+        "import scipy.linalg\n"
+        "from folner_lab import spectral\n"
+        "print(code, *loaded, scipy.linalg.lapack.dsterf is spectral._flapack().dsterf,"
+        " file=sys.stderr)\n"
+    )
+    argv = ["szego", "--op", str(CORPUS / "hopping.json"), "--n", "1024"]
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    alone, package = (subprocess.run([sys.executable, "-c", script, first, *argv], env=env,
+                                     capture_output=True, timeout=120)
+                      for first in ("wrapper alone", "scipy.linalg first"))
+    assert alone.stderr.decode().splitlines()[-1] == "0 False True True", alone.stderr
+    assert package.stderr.decode().splitlines()[-1] == "0 True True True", package.stderr
+    assert alone.stdout.count(b",x^") == 7 and alone.stdout == package.stdout
+
+
+def test_sterf_failure_is_numerical_failure(monkeypatch, capsys):
+    # a LAPACK sterf that reports info > 0, no convergence, exits 1 with one
+    # numerical failure line; a non-finite entry for it is a LinAlgError too
+    from folner_lab import spectral
+    from folner_lab.cli import main
+
+    def dsterf(a, e):
+        return np.sort(a), 3
+
+    monkeypatch.setattr(spectral, "TRIDIAGONAL_MIN_DIM", 5)
+    monkeypatch.setattr(spectral, "_flapack", lambda: SimpleNamespace(dsterf=dsterf))
+    code = main(["szego", "--op", str(CORPUS / "hopping.json"), "--n", "16"])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert out.err.splitlines() == ["numerical failure: sterf did not converge (LAPACK info=3)"]
+    for a, e in (([0.0, np.nan, 0.0], [1.0, 1.0]), ([0.0, 0.0, 0.0], [1.0, np.inf])):
+        with pytest.raises(np.linalg.LinAlgError, match="^non-finite entry"):
+            spectral._sterf(np.array(a), np.array(e))

@@ -485,7 +485,7 @@ class TestTridiagonalPath:
         eig_calls.clear()
         vals = fl.compression_eigenvalues(op, proj, check_residual=check_residual)
         orders = halves(proj.rank) if persymmetric(m) else [proj.rank]
-        assert eig_calls == [("eigvalsh_tridiagonal", d, np.dtype(np.float64)) for d in orders]
+        assert eig_calls == [("sterf", d, np.dtype(np.float64)) for d in orders]
         tol = 1e-12 * max(1.0, float(np.max(np.abs(m))))
         assert np.max(np.abs(vals - expected)) <= tol
 
@@ -503,7 +503,7 @@ class TestTridiagonalPath:
                 vals = fl.compression_eigenvalues(op, proj)
                 assert np.max(np.abs(vals - want)) <= 1e-12 * max(1.0, np.max(np.abs(m)))
             assert eig_calls == ([("eigvalsh", n, real) for n in below]
-                                 + [("eigvalsh_tridiagonal", n, real) for n in at])
+                                 + [("sterf", n, real) for n in at])
 
     @pytest.mark.parametrize("op,proj", _dense_cases())
     def test_other_compressions_stay_dense(self, monkeypatch, eig_calls, op, proj):
@@ -539,19 +539,18 @@ class TestTridiagonalPath:
             expected = np.linalg.eigvalsh(compress(op, proj))
             eig_calls.clear()
             vals = fl.compression_eigenvalues(op, proj)
-            assert eig_calls == [("eigvalsh_tridiagonal", d, np.dtype(np.float64))
-                                 for d in orders]
+            assert eig_calls == [("sterf", d, np.dtype(np.float64)) for d in orders]
             assert np.max(np.abs(vals - expected)) <= 1e-12
 
     @pytest.mark.parametrize("check_residual", [False, True])
     @pytest.mark.parametrize("op,rank,solvers", [
         pytest.param(HOPPING, 7, ["eigvalsh"] * 2, id="below"),
-        pytest.param(HOPPING, 8, ["eigvalsh_tridiagonal"] * 2, id="at"),
+        pytest.param(HOPPING, 8, ["sterf"] * 2, id="at"),
         pytest.param(RAMP, 7, ["eigvalsh"], id="unfolded-below"),
-        pytest.param(RAMP, 8, ["eigvalsh_tridiagonal"], id="unfolded-at"),
+        pytest.param(RAMP, 8, ["sterf"], id="unfolded-at"),
         pytest.param(fl.op_prod(HOPPING, HOPPING), 9, ["eigvalsh"], id="poly-bandwidth-2-above"),
         pytest.param(fl.Toeplitz({0: 0.3, 1: 0.5 + 0.5j, -1: 0.5 - 0.5j}, selfadjoint=True), 9,
-                     ["eigvalsh_tridiagonal"] * 2, id="complex-above"),
+                     ["sterf"] * 2, id="complex-above"),
         pytest.param(fl.Toeplitz({0: 0.3, 1: 0.5 + 0.5j, -1: 0.5 - 0.5j, 2: 0.25j, -2: -0.25j},
                                  selfadjoint=True), 9,
                      ["eigvalsh"], id="complex-bandwidth-2-above"),
@@ -600,7 +599,7 @@ class TestTridiagonalPath:
             fl.compression_eigenvalues(op, proj, herm_tol=below)
         with pytest.raises(fl.NonHermitianError, match=re.escape(f"{dev:.3e}")):
             eigenvalues_hermitian(m, herm_tol=below)
-        assert [c[0] for c in eig_calls] == ["eigvalsh_tridiagonal", "eigvalsh"]
+        assert [c[0] for c in eig_calls] == ["sterf", "eigvalsh"]
 
 
 def _mirrored_positions(rng, lattice, d):
@@ -766,12 +765,10 @@ class TestFoldResidual:
     def test_perturbed_tridiagonal_half(self, monkeypatch, d, half):
         # one eigenvalue of one sterf half moved by 1e-3: the Sturm
         # certificate on the whole, unfolded tridiagonal catches it
-        import scipy.linalg
-
         monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 5)
         op = fl.Toeplitz({0: 0.3, 1: 0.7, -1: 0.7}, selfadjoint=True)
         proj = fl.Window(fl.N0, 0, d - 1)
-        orig, calls, seen = scipy.linalg.eigvalsh_tridiagonal, [], {}
+        orig, calls, seen = fl.spectral._sterf, [], {}
 
         def perturbed(*args, **kwargs):
             vals = orig(*args, **kwargs)
@@ -785,7 +782,7 @@ class TestFoldResidual:
             return check(a, e, *args)
 
         check = fl.spectral._check_sturm
-        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", perturbed)
+        monkeypatch.setattr(fl.spectral, "_sterf", perturbed)
         monkeypatch.setattr(fl.spectral, "_check_sturm", spy)
         with pytest.raises(fl.ResidualError, match=f"of {d},"):
             fl.compression_eigenvalues(op, proj, check_residual=True)
@@ -955,7 +952,7 @@ class TestSturmCertificate:
             if d < low:
                 assert solvers == ["eigvalsh"]
             else:
-                assert solvers == ["eigvalsh_tridiagonal"] * (2 if folds else 1)
+                assert solvers == ["sterf"] * (2 if folds else 1)
 
 
 def _sturm_case(rng, near_underflow=False):
@@ -1070,8 +1067,6 @@ def test_solve_peaks_within_its_footprint(monkeypatch, d):
     # only: its complex eigh at 2049 takes 4-16 s on two vCPUs, and the
     # unfolded count, complex d x d arrays, is the real matrix's too
     import tracemalloc
-
-    import scipy.linalg  # noqa: F401  (imported before the peaks are taken)
 
     counted = []
     check = fl.spectral.check_footprint

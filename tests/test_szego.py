@@ -353,11 +353,9 @@ class TestSzegoPair:
         rep = fl.szego_pair_test([("t", HOPPING), ("r", real_sym), ("u", RAMP)], seq, refs,
                                  f_family=[fl.monomial(2)])
         real = np.dtype(np.float64)
-        per_op = [("eigvalsh_tridiagonal", 3, real), ("eigvalsh_tridiagonal", 2, real),
-                  ("eigvalsh_tridiagonal", 5, real), ("eigvalsh_tridiagonal", 4, real),
-                  ("eigvalsh_tridiagonal", 9, real), ("eigvalsh_tridiagonal", 8, real)]
-        unfolded = [("eigvalsh_tridiagonal", 5, real), ("eigvalsh_tridiagonal", 9, real),
-                    ("eigvalsh_tridiagonal", 17, real)]
+        per_op = [("sterf", 3, real), ("sterf", 2, real), ("sterf", 5, real),
+                  ("sterf", 4, real), ("sterf", 9, real), ("sterf", 8, real)]
+        unfolded = [("sterf", 5, real), ("sterf", 9, real), ("sterf", 17, real)]
         assert eig_calls == per_op + per_op + unfolded
         row = next(r for r in rep.rows if r["label"] == "t" and r["n"] == 16)
         assert row["error"] == pytest.approx(2.0 / 17.0, abs=1e-12)
@@ -377,7 +375,7 @@ class TestSzegoPair:
         rep = fl.szego_pair_test([("t", HOPPING)], seq, refs)
         real = np.dtype(np.float64)
         assert ranks == [65]
-        assert eig_calls == [("eigvalsh_tridiagonal", n, real) for n in (33, 32, 3, 2)]
+        assert eig_calls == [("sterf", n, real) for n in (33, 32, 3, 2)]
         alone = fl.szego_pair_test([("t", HOPPING)], fl.ProjectionSequence(fl.N0, (1,), (big,)),
                                    refs)
         assert {r["f"] for r in rep.rows} == {r["f"] for r in alone.rows}
@@ -465,8 +463,7 @@ class TestMemoryFootprint:
         assert main(["szego", "--op", HOPPING_SPEC, "--n", "1000", "--f", "poly:2"]) == 0
         assert capsys.readouterr().err == ""
         real = np.dtype(np.float64)
-        assert eig_calls == [("eigvalsh_tridiagonal", 501, real),
-                             ("eigvalsh_tridiagonal", 500, real)]
+        assert eig_calls == [("sterf", 501, real), ("sterf", 500, real)]
         with pytest.raises(ConfigError, match="dimension 1001"):
             fl.spectral.check_solve_footprint(1001, tridiagonal=False, check_residual=True,
                                               fold="halves")
