@@ -6,7 +6,9 @@ matrix, where it is persymmetric (`_fold`), and as tridiagonal or dense
 matrices."""
 from __future__ import annotations
 
+import functools
 import math
+import sys
 
 import numpy as np
 
@@ -104,21 +106,26 @@ def _eigh(m: np.ndarray, vectors: bool):
     return np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
 
 
+@functools.cache
 def _flapack():
     """scipy's compiled LAPACK wrapper, scipy.linalg._flapack, without the
     scipy.linalg package around it (0.33 s and 29 MB after numpy): after
     scipy's own start-up (`import scipy`, 14 ms and 1.3 MB), the extension
-    file under scipy/linalg/ is loaded on its own (5 ms and 2.6 MB) and
-    registered in sys.modules, which caches it and hands it to the
-    scipy.linalg package should that be imported later."""
-    import importlib.machinery
-    import importlib.util
-    import sys
-
-    import scipy
-
+    file under scipy/linalg/ is loaded on its own (5 ms and 2.6 MB), or the
+    module already in sys.modules is reused, and kept by this function.
+    Loading a single-phase extension module like this one registers it in
+    sys.modules, and the import system binds a package's attribute only to
+    a submodule it loads itself, so a wrapper loaded here is taken back out:
+    a later `import scipy.linalg` then loads it again, binds `_flapack` and
+    finds the same functions, which the interpreter keeps once per process."""
     name = "scipy.linalg._flapack"
-    if name not in sys.modules:
+    module = sys.modules.get(name)
+    if module is None:
+        import importlib.machinery
+        import importlib.util
+
+        import scipy
+
         where = f"{scipy.__path__[0]}/linalg"
         spec = importlib.machinery.FileFinder(
             where, (importlib.machinery.ExtensionFileLoader,
@@ -127,8 +134,8 @@ def _flapack():
             raise ModuleNotFoundError(f"no {name} extension under {where}", name=name)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        sys.modules[name] = module
-    return sys.modules[name]
+        sys.modules.pop(name, None)
+    return module
 
 
 def _sterf(a: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -514,14 +521,43 @@ class TestFunction:
         self.params = params
         self.name = name
 
-    def __call__(self, x):
+    def __call__(self, x, out=None):
+        """f at the points of x, written into out (float64, of x's shape;
+        a new array by default).  A polynomial is polyval's Horner scheme,
+        c_K + x * 0 then c_k + y * x, in place; a hat is min(up, down), its
+        rising and falling ramps clipped to [0, 1], up written into out and
+        down formed a chunk of points at a time."""
         x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape) if out is None else out
         if self.kind == "poly":
-            return np.polynomial.polynomial.polyval(x, self.params)
+            c = self.params
+            np.multiply(x, 0.0, out=out)
+            np.add(c[-1], out, out=out)
+            for ck in c[-2::-1]:
+                np.multiply(out, x, out=out)
+                np.add(ck, out, out=out)
+            return out
         left, center, right = self.params
-        up = np.clip((x - left) / (center - left), 0.0, 1.0) if center > left else (x >= center) * 1.0
-        down = np.clip((right - x) / (right - center), 0.0, 1.0) if right > center else (x <= center) * 1.0
-        return np.minimum(up, down)
+        if center > left:
+            np.subtract(x, left, out=out)
+            np.divide(out, center - left, out=out)
+            np.clip(out, 0.0, 1.0, out=out)
+        else:
+            np.greater_equal(x, center, out=out)
+        flat, res = x.reshape(-1), out.reshape(-1)
+        step = max(1, min(flat.size, _SYMBOL_CHUNK))
+        scratch = np.empty(step)
+        for lo in range(0, flat.size, step):
+            at, up = flat[lo:lo + step], res[lo:lo + step]
+            down = scratch[:at.size]
+            if right > center:
+                np.subtract(right, at, out=down)
+                np.divide(down, right - center, out=down)
+                np.clip(down, 0.0, 1.0, out=down)
+            else:
+                np.less_equal(at, center, out=down)
+            np.minimum(up, down, out=up)
+        return out
 
     def __repr__(self):
         return f"TestFunction({self.name})"
@@ -559,38 +595,70 @@ class EmpiricalMeasure:
 
 class ReferenceMeasure:
     """Limit spectral measure, as a sampled CDF grid and/or a moment list.
-    A grid also keeps the mass of each node, diff(Fs, prepend=0), which
-    every integral reads."""
 
-    __slots__ = ("xs", "Fs", "moments", "masses")
+    A grid (xs, Fs) is validated and kept with the mass of each node,
+    diff(Fs, prepend=0), which every integral reads.  A grid of N sorted
+    samples xs given without Fs is the measure of mass 1/N at each sample
+    and keeps xs alone: its CDF k/N at the k-th node, bit for bit the grid
+    (xs, arange(1, N + 1) / N), and its masses are formed on demand."""
+
+    __slots__ = ("xs", "moments", "_fs", "_masses")
 
     def __init__(self, xs=None, Fs=None, moments=None):
-        self.xs, self.Fs, self.moments, self.masses = xs, Fs, moments, None
+        self.xs, self.moments, self._fs, self._masses = None, None, None, None
         if xs is not None:
             xs = np.asarray(xs, dtype=float)
-            fs = np.asarray(Fs, dtype=float)
-            if xs.shape != fs.shape or xs.ndim != 1 or xs.size == 0:
-                raise ValueError("CDF grid must be two equal-length 1-d arrays")
-            if np.any(np.diff(xs) < 0) or np.any(np.diff(fs) < -1e-15):
-                raise ValueError("CDF grid must be nondecreasing")
-            if fs[0] < -1e-15 or fs[-1] > 1 + 1e-15:
-                raise ValueError("CDF values must lie in [0, 1]")
-            # steps down of round-off are lifted: every stored CDF is nondecreasing
-            fs = np.maximum.accumulate(fs)
-            masses = np.empty_like(fs)  # diff(fs, prepend=0), with no joined copy of fs
-            masses[0] = fs[0]
-            np.subtract(fs[1:], fs[:-1], out=masses[1:])
-            self.xs, self.Fs, self.masses = xs, fs, masses
+            if xs.ndim != 1 or xs.size == 0:
+                raise ValueError("CDF grid must be a nonempty 1-d array")
+            if Fs is None:
+                if np.any(xs[1:] < xs[:-1]):
+                    raise ValueError("samples must be sorted")
+            else:
+                fs = np.asarray(Fs, dtype=float)
+                if xs.shape != fs.shape:
+                    raise ValueError("CDF grid must be two equal-length 1-d arrays")
+                if np.any(np.diff(xs) < 0) or np.any(np.diff(fs) < -1e-15):
+                    raise ValueError("CDF grid must be nondecreasing")
+                if fs[0] < -1e-15 or fs[-1] > 1 + 1e-15:
+                    raise ValueError("CDF values must lie in [0, 1]")
+                # steps down of round-off are lifted: every stored CDF is nondecreasing
+                fs = np.maximum.accumulate(fs)
+                masses = np.empty_like(fs)  # diff(fs, prepend=0), with no joined copy of fs
+                masses[0] = fs[0]
+                np.subtract(fs[1:], fs[:-1], out=masses[1:])
+                self._fs, self._masses = fs, masses
+            self.xs = xs
         if moments is not None:
             self.moments = tuple(float(m) for m in moments)
         if xs is None and moments is None:
             raise ValueError("reference measure needs a CDF grid or moments")
 
+    @property
+    def Fs(self):
+        """The CDF at each node of the grid, None without one."""
+        if self._fs is None and self.xs is not None:
+            return np.arange(1, self.xs.size + 1, dtype=float) / self.xs.size
+        return self._fs
+
+    @property
+    def masses(self):
+        """The mass of each node of the grid, None without one."""
+        if self._masses is None and self.xs is not None:
+            return _equal_masses(self.xs.size, 0, self.xs.size)
+        return self._masses
+
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         pos = np.searchsorted(self.xs, x, side="right")
-        out = np.where(pos > 0, self.Fs[np.minimum(pos, self.xs.size) - 1], 0.0)
-        return out
+        if self._fs is None:
+            return pos / self.xs.size
+        return np.where(pos > 0, self._fs[np.minimum(pos, self.xs.size) - 1], 0.0)
+
+
+def _equal_masses(n: int, lo: int, hi: int) -> np.ndarray:
+    """The masses of nodes lo..hi-1 of n nodes of mass 1/n each, bit for bit
+    the steps (k + 1)/n - k/n of their CDF."""
+    return np.diff(np.arange(lo, hi + 1, dtype=float) / n)
 
 
 def empirical_measure(op: OperatorSpec, proj, herm_tol: float = 1e-10) -> EmpiricalMeasure:
@@ -602,10 +670,13 @@ def integrate(meas, f: TestFunction) -> float:
     """Integral of a declared test function against a measure.
 
     Empirical: plain atom average.  Reference with a CDF grid:
-    Riemann-Stieltjes sum over the grid, a hat evaluated only on the nodes
-    of its support [left, right] and zero elsewhere, bit for bit the sum of
-    f at every node.  Moments-only references support polynomial f up to
-    the stored moment order.
+    Riemann-Stieltjes sum over the grid, f evaluated into one buffer of a
+    value a node, a hat only on the nodes of its support [left, right] and
+    zero elsewhere, bit for bit the sum of f at every node.  Against N
+    samples of mass 1/N each, the values are scaled by 1/N, exactly each
+    mass where N is a power of two, and otherwise by the masses, formed a
+    chunk of nodes at a time.  Moments-only references support polynomial
+    f up to the stored moment order.
     """
     if not isinstance(f, TestFunction):
         raise ValueError("integrand must come from the test-function family")
@@ -613,14 +684,20 @@ def integrate(meas, f: TestFunction) -> float:
         return float(np.mean(f(meas.atoms)))
     if isinstance(meas, ReferenceMeasure):
         if meas.xs is not None:
-            xs = meas.xs
+            xs, n = meas.xs, meas.xs.size
+            lo, hi = 0, n
             if f.kind == "hat":
                 lo, hi = np.searchsorted(xs, f.params[0]), np.searchsorted(xs, f.params[2], "right")
-                vals = np.zeros(xs.size)
-                vals[lo:hi] = f(xs[lo:hi])
+            vals = np.zeros(n)
+            f(xs[lo:hi], out=vals[lo:hi])
+            if meas._masses is not None:
+                vals[lo:hi] *= meas._masses[lo:hi]
+            elif n & (n - 1) == 0:
+                vals[lo:hi] *= 1.0 / n
             else:
-                vals = f(xs)
-            vals *= meas.masses
+                for at in range(lo, hi, _SYMBOL_CHUNK):
+                    stop = min(at + _SYMBOL_CHUNK, hi)
+                    vals[at:stop] *= _equal_masses(n, at, stop)
             return float(np.sum(vals))
         if f.kind != "poly":
             raise ValueError("moments-only reference measures integrate polynomials only")
@@ -636,23 +713,32 @@ def integrate(meas, f: TestFunction) -> float:
 def reference_pushforward(symbol: Toeplitz, grid_size: int = 1 << 16) -> ReferenceMeasure:
     """Pushforward of normalized Haar measure on the circle under the symbol.
 
-    F(x) is the fraction of uniformly sampled angles with g(theta) <= x,
-    computed by sampling and sorting.
+    F(x) is the fraction of the grid_size uniformly sampled angles with
+    g(theta) <= x, computed by sampling and sorting: the symbol is
+    evaluated a chunk of angles at a time, each chunk's imaginary part
+    checked against 1e-10 * max(1, sum |a_k|) (ComplexSymbolError beyond
+    it), and the real parts are sorted in place in the one array of
+    grid_size values that the measure keeps.
     """
-    # 33 bytes a node: the sorted values, the CDF given and kept, and the
-    # masses peak at 32.0 (2^16 and 2^20 nodes, tracemalloc), above the
-    # angles and values of the evaluation (24), which also holds bandwidth
-    # + 2 complex temporaries of a chunk of nodes (`Toeplitz.symbol_values`),
-    # counted with one more for the small objects around them
-    check_footprint(33 * grid_size + 16 * (symbol.bandwidth + 3) * min(grid_size, _SYMBOL_CHUNK),
+    # 16 bytes a node: the sorted values, kept, and one integrand buffer of
+    # as many values (`integrate`); sorting and checking the order of the
+    # values peaks at 9.  A chunk of nodes adds bandwidth + 5 complex
+    # temporaries: its angles, the moduli of its imaginary parts, and the
+    # values, term, exponentials and cast angles of `Toeplitz.symbol_values`,
+    # whose peak tracemalloc put at bandwidth + 4.5 (bandwidths 1, 2 and 6)
+    chunk = min(grid_size, _SYMBOL_CHUNK)
+    check_footprint(16 * grid_size + 16 * (symbol.bandwidth + 5) * chunk,
                     f"the pushforward reference of {grid_size} nodes")
-    vals = symbol.symbol_values(2.0 * np.pi * np.arange(grid_size) / grid_size)
-    if np.max(np.abs(vals.imag)) > 1e-10:
-        raise ComplexSymbolError("pushforward requires a real-valued symbol")
-    xs = np.sort(vals.real)
-    del vals  # freed before the measure's grid, CDF and masses are formed
-    fs = np.arange(1, grid_size + 1, dtype=float) / grid_size
-    return ReferenceMeasure(xs=xs, Fs=fs)
+    bound = 1e-10 * max(1.0, sum(abs(a) for _, a in symbol.coeffs))
+    xs = np.empty(grid_size)
+    for lo in range(0, grid_size, chunk):
+        hi = min(lo + chunk, grid_size)
+        vals = symbol.symbol_values(2.0 * np.pi * np.arange(lo, hi) / grid_size)
+        if np.max(np.abs(vals.imag)) > bound:
+            raise ComplexSymbolError("pushforward requires a real-valued symbol")
+        xs[lo:hi] = vals.real
+    xs.sort()
+    return ReferenceMeasure(xs=xs)
 
 
 def _grid(m) -> np.ndarray:

@@ -8,6 +8,11 @@ are cut out of the padded matrix.  Cubic in the window size; tests only.
 of a compression, an adjoint spec and a checked dense Hermitian eigensolve
 that tests compare the production paths against; `sturm_counts` is the
 reference form of the Sturm counts that certify a tridiagonal spectrum.
+`pushforward`, `StoredGrid`, `evaluate`, `integrate` and `kolmogorov` are
+the full-array forms of a pushforward reference, its stored CDF grid, a
+test function's values, an integral over the grid and a Kolmogorov
+distance against it, which the sorted array the production reference
+keeps must reproduce bit for bit.
 """
 import numpy as np
 
@@ -195,3 +200,47 @@ def tensor_lhs(a, idx_a, b, idx_b) -> float:
     leak = np.kron(ma[:, in_a], mb[:, in_b])
     leak[np.kron(in_a, in_b).astype(bool)] = 0.0
     return float(np.linalg.norm(leak) ** 2) / (idx_a.size * idx_b.size)
+
+
+def pushforward(symbol, grid_size: int) -> "StoredGrid":
+    """The pushforward of Haar measure under a real symbol on grid_size
+    angles, from every angle and value at once, with its CDF k/N stored."""
+    vals = symbol.symbol_values(2.0 * np.pi * np.arange(grid_size) / grid_size)
+    assert not np.any(np.abs(vals.imag) > 1e-10 * max(1.0, sum(abs(a) for _, a in symbol.coeffs)))
+    return StoredGrid(np.sort(vals.real), np.arange(1, grid_size + 1, dtype=float) / grid_size)
+
+
+class StoredGrid:
+    """A CDF grid (xs, Fs) kept with the mass of each node, diff(Fs, prepend=0)."""
+
+    def __init__(self, xs, fs):
+        self.xs, self.Fs = xs, np.maximum.accumulate(fs)
+        self.masses = np.diff(self.Fs, prepend=0.0)
+
+    def cdf(self, x):
+        pos = np.searchsorted(self.xs, np.asarray(x, dtype=float), side="right")
+        return np.where(pos > 0, self.Fs[np.minimum(pos, self.xs.size) - 1], 0.0)
+
+
+def evaluate(f, x) -> np.ndarray:
+    """A test function at the points of x: polyval, or the minimum of a hat's
+    clipped ramps, each on whole arrays."""
+    x = np.asarray(x, dtype=float)
+    if f.kind == "poly":
+        return np.polynomial.polynomial.polyval(x, f.params)
+    left, center, right = f.params
+    up = np.clip((x - left) / (center - left), 0.0, 1.0) if center > left else (x >= center) * 1.0
+    down = np.clip((right - x) / (right - center), 0.0, 1.0) if right > center else (x <= center) * 1.0
+    return np.minimum(up, down)
+
+
+def integrate(grid: StoredGrid, f) -> float:
+    """The Riemann-Stieltjes sum of f over every node of the grid."""
+    return float(np.sum(evaluate(f, grid.xs) * grid.masses))
+
+
+def kolmogorov(meas, grid: StoredGrid) -> float:
+    """sup |F - G| for an empirical measure and a grid, both CDFs at every
+    point of the merged grid."""
+    xs = np.unique(np.concatenate([meas.atoms, grid.xs]))
+    return float(np.max(np.abs(meas.cdf(xs) - grid.cdf(xs))))

@@ -148,6 +148,17 @@ class TestSzegoCommand:
         assert code == 3
         assert err.startswith("spec error:") and len(err.strip().splitlines()) == 1
 
+    def test_large_selfadjoint_symbol_runs(self, capsys, tmp_path):
+        # conjugate pairs of moduli near 10^7: the symbol's imaginary
+        # round-off, 1.9e-9, is far within 1e-10 * sum |a_k|
+        spec = tmp_path / "large.json"
+        spec.write_text(json.dumps({"kind": "toeplitz", "selfadjoint": True, "coeffs": {
+            "1": [12345678.9, 3456789.1], "-1": [12345678.9, -3456789.1],
+            "2": [7654321.3, -2345678.7], "-2": [7654321.3, 2345678.7]}}))
+        code, out, err = run(capsys, "szego", "--op", str(spec), "--n", "8,64")
+        assert code == 0 and err == ""
+        assert out.count(",x^") == 14
+
     def test_residual_breach_is_numerical_failure(self, capsys, monkeypatch):
         eigh = np.linalg.eigh
 
@@ -388,10 +399,10 @@ class TestOneLineFailures:
         assert len(lines) == 1 and lines[0].startswith("config error:")
 
     def test_pushforward_too_large_for_memory(self, capsys, monkeypatch):
-        # 1000 nodes are counted at 33 bytes each, and hopping's evaluation
-        # at four complex temporaries of 1000 nodes; the reference is refused
+        # 1000 nodes are counted at 16 bytes each, and hopping's evaluation
+        # at six complex temporaries of 1000 nodes; the reference is refused
         # before its arrays are built, the window's own storage is far smaller
-        need = 33 * 1000 + 16 * 4 * 1000
+        need = 16 * 1000 + 16 * 6 * 1000
         monkeypatch.setattr(fl._util, "_physical_memory", lambda: need - 1)
         code, out, err = run(capsys, "szego", "--op", self.HOPPING, "--n", "4", "--nodes", "1000")
         assert code == 2 and out == ""

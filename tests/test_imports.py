@@ -234,11 +234,14 @@ def test_a_subcommand_loads_only_what_it_runs(argv, loaded):
 
 def test_sterf_loads_no_scipy_linalg_package():
     # hopping at n = 1024, d = 2049, is solved by sterf in two halves: in a
-    # fresh process through the wrapper loaded on its own, which a later
-    # `import scipy.linalg` reuses, and after `import scipy.linalg` through
-    # the package's; the outputs agree byte for byte
+    # fresh process through the wrapper loaded on its own, which leaves
+    # neither scipy.linalg nor the wrapper in sys.modules, so that a later
+    # `import scipy.linalg` binds its `_flapack`, with the same dsterf; and
+    # after `import scipy.linalg` through the package's; the outputs agree
+    # byte for byte
     script = (
         "import sys\n"
+        "import numpy as np\n"
         "first = sys.argv[1] == 'scipy.linalg first'\n"
         "if first:\n"
         "    import scipy.linalg\n"
@@ -247,16 +250,17 @@ def test_sterf_loads_no_scipy_linalg_package():
         "loaded = ('scipy.linalg' in sys.modules, 'scipy.linalg._flapack' in sys.modules)\n"
         "import scipy.linalg\n"
         "from folner_lab import spectral\n"
+        "vals, info = scipy.linalg._flapack.dsterf(np.array([1.0, 1.0]), np.array([1.0]))\n"
         "print(code, *loaded, scipy.linalg.lapack.dsterf is spectral._flapack().dsterf,"
-        " file=sys.stderr)\n"
+        " vals.tolist(), info, file=sys.stderr)\n"
     )
     argv = ["szego", "--op", str(CORPUS / "hopping.json"), "--n", "1024"]
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     alone, package = (subprocess.run([sys.executable, "-c", script, first, *argv], env=env,
                                      capture_output=True, timeout=120)
                       for first in ("wrapper alone", "scipy.linalg first"))
-    assert alone.stderr.decode().splitlines()[-1] == "0 False True True", alone.stderr
-    assert package.stderr.decode().splitlines()[-1] == "0 True True True", package.stderr
+    assert alone.stderr.decode().splitlines()[-1] == "0 False False True [0.0, 2.0] 0", alone.stderr
+    assert package.stderr.decode().splitlines()[-1] == "0 True True True [0.0, 2.0] 0", package.stderr
     assert alone.stdout.count(b",x^") == 7 and alone.stdout == package.stdout
 
 

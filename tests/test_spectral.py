@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dense_oracle
 from dense_oracle import compress, eigenvalues_hermitian, op_adjoint, sturm_counts
 import folner_lab as fl
 from folner_lab.specio import load_spec_file
@@ -240,10 +241,25 @@ class TestPushforward:
         with pytest.raises(fl.spectral.ComplexSymbolError):
             fl.reference_pushforward(fl.Toeplitz({1: 1.0}))
 
+    def test_large_selfadjoint_symbol_accepted(self):
+        # exact conjugate pairs with moduli near 10^7: the values' imaginary
+        # round-off (1.9e-9 on values up to 4.0e7) is held to 1e-10 times
+        # sum |a_k|, not to 1e-10, and the grid is their sorted real parts
+        a1, a2 = 12345678.9 + 3456789.1j, 7654321.3 - 2345678.7j
+        sym = fl.Toeplitz({1: a1, -1: a1.conjugate(), 2: a2, -2: a2.conjugate()},
+                          selfadjoint=True)
+        nodes = 1 << 16
+        vals = sym.symbol_values(2.0 * np.pi * np.arange(nodes) / nodes)
+        assert 1e-10 < np.max(np.abs(vals.imag)) <= 1e-10 * sum(abs(a) for _, a in sym.coeffs)
+        ref = fl.reference_pushforward(sym, grid_size=nodes)
+        assert ref.xs.tobytes() == np.sort(vals.real).tobytes()
+
     def test_peak_within_its_memory_check(self, monkeypatch):
-        # the memory check counts 33 bytes a node and five complex
+        # the memory check counts 16 bytes a node and seven complex
         # temporaries of a chunk of nodes for a bandwidth-2 symbol: the
-        # traced peak of a five-term symbol at 2^16 nodes stays within it
+        # traced peak of a five-term symbol at 2^16 nodes stays within 9
+        # bytes a node (the sorted values and the check of their order) and
+        # those temporaries, and the measure keeps 8 bytes a node
         import tracemalloc
 
         sym = fl.Toeplitz({0: 0.5, 1: 1.0, -1: 1.0, 2: 0.25j, -2: -0.25j}, selfadjoint=True)
@@ -253,13 +269,76 @@ class TestPushforward:
         fl.reference_pushforward(sym, grid_size=64)
         tracemalloc.start()
         try:
-            fl.reference_pushforward(sym, grid_size=nodes)
-            peak = tracemalloc.get_traced_memory()[1]
+            ref = fl.reference_pushforward(sym, grid_size=nodes)
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         chunk = fl.operators._SYMBOL_CHUNK
-        assert need == [33 * 64 + 16 * 5 * 64, 33 * nodes + 16 * 5 * chunk]
-        assert peak <= need[1]
+        assert need == [16 * 64 + 16 * 7 * 64, 16 * nodes + 16 * 7 * chunk]
+        assert peak <= 9 * nodes + 16 * 7 * chunk <= need[1]
+        assert ref.xs.nbytes == 8 * nodes and kept <= 8 * nodes + 4096
+
+    @pytest.mark.parametrize("nodes", [1 << 16, 100003])
+    def test_integrals_peak_at_one_buffer(self, nodes):
+        # a hat over the whole grid and x^6 are evaluated into one buffer of
+        # a value a node; away from a power of two the masses are formed a
+        # chunk of nodes at a time, three arrays of a chunk
+        import tracemalloc
+
+        ref = fl.reference_pushforward(HOPPING, grid_size=nodes)
+        chunk = fl.operators._SYMBOL_CHUNK
+        for f in (fl.hat(-3.0, 0.0, 3.0), fl.monomial(6)):
+            fl.integrate(ref, f)
+            tracemalloc.start()
+            try:
+                fl.integrate(ref, f)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * nodes + 3 * 8 * chunk + 4096, (f, peak)
+
+
+class TestAgainstFullArrays:
+    """The sorted values, the CDF, every integral and the Kolmogorov
+    distance of a pushforward reference are bit for bit those of the grid
+    built from every angle and value at once, its CDF and masses stored
+    (tests/dense_oracle.py::pushforward)."""
+
+    SYMBOLS = {
+        "hopping": fl.Toeplitz({1: 1.0, -1: 1.0}, selfadjoint=True),
+        "real band 3": fl.Toeplitz({0: 0.5, 1: 1.0, -1: 1.0, 3: 0.25, -3: 0.25},
+                                   selfadjoint=True),
+        "complex": fl.Toeplitz({0: 0.3, 1: 0.7 - 0.2j, -1: 0.7 + 0.2j, 3: 0.25j, -3: -0.25j},
+                               selfadjoint=True),
+    }
+
+    @pytest.fixture(scope="class", params=[(s, n) for s in SYMBOLS for n in (64, 4099, 1 << 16)],
+                    ids=lambda p: f"{p[0]}-{p[1]}")
+    def pair(self, request):
+        sym = self.SYMBOLS[request.param[0]]
+        nodes = request.param[1]
+        return sym, fl.reference_pushforward(sym, nodes), dense_oracle.pushforward(sym, nodes)
+
+    def test_grid_and_cdf(self, pair):
+        _, ref, grid = pair
+        xs = grid.xs
+        assert ref.xs.tobytes() == xs.tobytes()
+        probes = np.concatenate([xs, (xs[1:] + xs[:-1]) / 2, [xs[0] - 1.0, xs[-1] + 1.0]])
+        assert ref.cdf(probes).tobytes() == grid.cdf(probes).tobytes()
+        assert ref.Fs.tobytes() == grid.Fs.tobytes()
+        assert ref.masses.tobytes() == grid.masses.tobytes()
+
+    def test_integrals(self, pair):
+        _, ref, grid = pair
+        for f in TestIntegrateOnSupport._family(grid.xs):
+            assert fl.integrate(ref, f).hex() == dense_oracle.integrate(grid, f).hex(), f
+            assert f(grid.xs).tobytes() == dense_oracle.evaluate(f, grid.xs).tobytes(), f
+
+    def test_kolmogorov(self, pair):
+        sym, ref, grid = pair
+        for n in (0, 9, 200):
+            meas = fl.empirical_measure(sym, fl.Window(fl.N0, 0, n))
+            assert fl.kolmogorov_distance(meas, ref) == dense_oracle.kolmogorov(meas, grid)
 
 
 class TestKolmogorov:
