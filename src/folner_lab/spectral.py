@@ -523,41 +523,42 @@ class TestFunction:
 
     def __call__(self, x, out=None):
         """f at the points of x, written into out (float64, of x's shape;
-        a new array by default).  A polynomial is polyval's Horner scheme,
+        a new array by default, a numpy float for a scalar x).  A polynomial is polyval's Horner scheme,
         c_K + x * 0 then c_k + y * x, in place; a hat is min(up, down), its
         rising and falling ramps clipped to [0, 1], up written into out and
         down formed a chunk of points at a time."""
         x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape) if out is None else out
+        res = np.empty(x.shape) if out is None else out
         if self.kind == "poly":
             c = self.params
-            np.multiply(x, 0.0, out=out)
-            np.add(c[-1], out, out=out)
+            np.multiply(x, 0.0, out=res)
+            np.add(c[-1], res, out=res)
             for ck in c[-2::-1]:
-                np.multiply(out, x, out=out)
-                np.add(ck, out, out=out)
-            return out
-        left, center, right = self.params
-        if center > left:
-            np.subtract(x, left, out=out)
-            np.divide(out, center - left, out=out)
-            np.clip(out, 0.0, 1.0, out=out)
+                np.multiply(res, x, out=res)
+                np.add(ck, res, out=res)
         else:
-            np.greater_equal(x, center, out=out)
-        flat, res = x.reshape(-1), out.reshape(-1)
-        step = max(1, min(flat.size, _SYMBOL_CHUNK))
-        scratch = np.empty(step)
-        for lo in range(0, flat.size, step):
-            at, up = flat[lo:lo + step], res[lo:lo + step]
-            down = scratch[:at.size]
-            if right > center:
-                np.subtract(right, at, out=down)
-                np.divide(down, right - center, out=down)
-                np.clip(down, 0.0, 1.0, out=down)
+            left, center, right = self.params
+            if center > left:
+                np.subtract(x, left, out=res)
+                np.divide(res, center - left, out=res)
+                np.clip(res, 0.0, 1.0, out=res)
             else:
-                np.less_equal(at, center, out=down)
-            np.minimum(up, down, out=up)
-        return out
+                np.greater_equal(x, center, out=res)
+            flat, vals = x.reshape(-1), res.reshape(-1)
+            step = max(1, min(flat.size, _SYMBOL_CHUNK))
+            scratch = np.empty(step)
+            for lo in range(0, flat.size, step):
+                at, up = flat[lo:lo + step], vals[lo:lo + step]
+                down = scratch[:at.size]
+                if right > center:
+                    np.subtract(right, at, out=down)
+                    np.divide(down, right - center, out=down)
+                    np.clip(down, 0.0, 1.0, out=down)
+                else:
+                    np.less_equal(at, center, out=down)
+                np.minimum(up, down, out=up)
+        # a scalar x gives a numpy float, as polyval and np.minimum do
+        return res[()] if out is None and x.ndim == 0 else res
 
     def __repr__(self):
         return f"TestFunction({self.name})"
@@ -600,7 +601,8 @@ class ReferenceMeasure:
     diff(Fs, prepend=0), which every integral reads.  A grid of N sorted
     samples xs given without Fs is the measure of mass 1/N at each sample
     and keeps xs alone: its CDF k/N at the k-th node, bit for bit the grid
-    (xs, arange(1, N + 1) / N), and its masses are formed on demand."""
+    (xs, arange(1, N + 1) / N), and its masses are formed on demand.
+    Unsorted samples are a ValueError."""
 
     __slots__ = ("xs", "moments", "_fs", "_masses")
 
@@ -673,8 +675,7 @@ def integrate(meas, f: TestFunction) -> float:
     Riemann-Stieltjes sum over the grid, f evaluated into one buffer of a
     value a node, a hat only on the nodes of its support [left, right] and
     zero elsewhere, bit for bit the sum of f at every node.  Against N
-    samples of mass 1/N each, the values are scaled by 1/N, exactly each
-    mass where N is a power of two, and otherwise by the masses, formed a
+    samples of mass 1/N each, the values are scaled by the masses, formed a
     chunk of nodes at a time.  Moments-only references support polynomial
     f up to the stored moment order.
     """
@@ -692,8 +693,6 @@ def integrate(meas, f: TestFunction) -> float:
             f(xs[lo:hi], out=vals[lo:hi])
             if meas._masses is not None:
                 vals[lo:hi] *= meas._masses[lo:hi]
-            elif n & (n - 1) == 0:
-                vals[lo:hi] *= 1.0 / n
             else:
                 for at in range(lo, hi, _SYMBOL_CHUNK):
                     stop = min(at + _SYMBOL_CHUNK, hi)

@@ -165,6 +165,14 @@ class TestIntegrate:
         f = fl.hat(-1.0, 0.0, 1.0)
         assert fl.integrate(ref, f) == pytest.approx(0.5)
 
+    def test_unsorted_samples_rejected(self):
+        with pytest.raises(ValueError):
+            fl.ReferenceMeasure(xs=np.array([0.0, 2.0, 1.0]))
+
+    def test_scalar_gives_numpy_float(self):
+        for f, x, v in ((fl.monomial(2), 3.0, 9.0), (fl.hat(0, 1, 2), 0.5, 0.5)):
+            assert type(f(x)) is np.float64 and f(x) == v
+
     def test_moments_only_reference(self):
         ref = fl.ReferenceMeasure(moments=(1.0, 0.0, 2.0))
         assert fl.integrate(ref, fl.monomial(2)) == pytest.approx(2.0)
@@ -241,19 +249,6 @@ class TestPushforward:
         with pytest.raises(fl.spectral.ComplexSymbolError):
             fl.reference_pushforward(fl.Toeplitz({1: 1.0}))
 
-    def test_large_selfadjoint_symbol_accepted(self):
-        # exact conjugate pairs with moduli near 10^7: the values' imaginary
-        # round-off (1.9e-9 on values up to 4.0e7) is held to 1e-10 times
-        # sum |a_k|, not to 1e-10, and the grid is their sorted real parts
-        a1, a2 = 12345678.9 + 3456789.1j, 7654321.3 - 2345678.7j
-        sym = fl.Toeplitz({1: a1, -1: a1.conjugate(), 2: a2, -2: a2.conjugate()},
-                          selfadjoint=True)
-        nodes = 1 << 16
-        vals = sym.symbol_values(2.0 * np.pi * np.arange(nodes) / nodes)
-        assert 1e-10 < np.max(np.abs(vals.imag)) <= 1e-10 * sum(abs(a) for _, a in sym.coeffs)
-        ref = fl.reference_pushforward(sym, grid_size=nodes)
-        assert ref.xs.tobytes() == np.sort(vals.real).tobytes()
-
     def test_peak_within_its_memory_check(self, monkeypatch):
         # the memory check counts 16 bytes a node and seven complex
         # temporaries of a chunk of nodes for a bandwidth-2 symbol: the
@@ -281,8 +276,8 @@ class TestPushforward:
     @pytest.mark.parametrize("nodes", [1 << 16, 100003])
     def test_integrals_peak_at_one_buffer(self, nodes):
         # a hat over the whole grid and x^6 are evaluated into one buffer of
-        # a value a node; away from a power of two the masses are formed a
-        # chunk of nodes at a time, three arrays of a chunk
+        # a value a node, and the masses are formed a chunk of nodes at a
+        # time, three arrays of a chunk
         import tracemalloc
 
         ref = fl.reference_pushforward(HOPPING, grid_size=nodes)
@@ -310,6 +305,11 @@ class TestAgainstFullArrays:
                                    selfadjoint=True),
         "complex": fl.Toeplitz({0: 0.3, 1: 0.7 - 0.2j, -1: 0.7 + 0.2j, 3: 0.25j, -3: -0.25j},
                                selfadjoint=True),
+        # conjugate pairs of moduli near 10^7, whose values' imaginary
+        # round-off exceeds 1e-10 but not 1e-10 * sum |a_k|
+        "large": fl.Toeplitz({1: 12345678.9 + 3456789.1j, -1: 12345678.9 - 3456789.1j,
+                              2: 7654321.3 - 2345678.7j, -2: 7654321.3 + 2345678.7j},
+                             selfadjoint=True),
     }
 
     @pytest.fixture(scope="class", params=[(s, n) for s in SYMBOLS for n in (64, 4099, 1 << 16)],
@@ -320,8 +320,11 @@ class TestAgainstFullArrays:
         return sym, fl.reference_pushforward(sym, nodes), dense_oracle.pushforward(sym, nodes)
 
     def test_grid_and_cdf(self, pair):
-        _, ref, grid = pair
+        sym, ref, grid = pair
         xs = grid.xs
+        if sym is self.SYMBOLS["large"]:
+            vals = sym.symbol_values(2.0 * np.pi * np.arange(xs.size) / xs.size)
+            assert np.max(np.abs(vals.imag)) > 1e-10
         assert ref.xs.tobytes() == xs.tobytes()
         probes = np.concatenate([xs, (xs[1:] + xs[:-1]) / 2, [xs[0] - 1.0, xs[-1] + 1.0]])
         assert ref.cdf(probes).tobytes() == grid.cdf(probes).tobytes()
