@@ -660,7 +660,9 @@ class ReferenceMeasure:
 def _equal_masses(n: int, lo: int, hi: int) -> np.ndarray:
     """The masses of nodes lo..hi-1 of n nodes of mass 1/n each, bit for bit
     the steps (k + 1)/n - k/n of their CDF."""
-    return np.diff(np.arange(lo, hi + 1, dtype=float) / n)
+    q = np.arange(lo, hi + 1, dtype=float)
+    q /= n
+    return q[1:] - q[:-1]
 
 
 def empirical_measure(op: OperatorSpec, proj, herm_tol: float = 1e-10) -> EmpiricalMeasure:
