@@ -179,7 +179,7 @@ def _trace_references(ops, ncpolys) -> dict:
 
 
 def cmd_szego(args) -> int:
-    from .spectral import reference_pushforward
+    from . import spectral
     from .szego import MissingReferenceError, moments_reference, polynomial_family
     from .szego import szego_pair_test
 
@@ -193,12 +193,17 @@ def cmd_szego(args) -> int:
     fam = parse_f_family(args.f) if args.f else None
     order = polynomial_family(fam)[1] if ncpolys else None
 
+    # a Toeplitz reference is built only after its operator's windows are
+    # solved, one at a time (`szego_pair_test`), and its memory guard runs
+    # here, before any solve
     refs = {}
     for label, op in ops:
         if label in ncpolys:
             refs[label] = moments_reference(ncpolys[label], order=order)
         elif isinstance(op, Toeplitz):
-            refs[label] = reference_pushforward(op, grid_size=args.nodes)
+            spectral.check_pushforward_footprint(op, args.nodes)
+            refs[label] = functools.partial(spectral.reference_pushforward, op,
+                                            grid_size=args.nodes)
         else:
             raise MissingReferenceError(
                 f"no reference measure available for {label!r} "

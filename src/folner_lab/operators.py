@@ -366,8 +366,8 @@ class Toeplitz(OperatorSpec):
         e^{-ik theta} is the conjugate of e^{ik theta} bit for bit (k theta
         is negated exactly, sin is odd and cos even), so each exponential is
         taken once per |k| and kept for the term of opposite sign, and a_0
-        is added as it is: at most bandwidth + 2 complex temporaries of a
-        chunk."""
+        is added as it is: at most bandwidth + 3 complex arrays of a chunk,
+        the cast angles of np.multiply(1j * k, at) and the values included."""
         vals = np.zeros(np.shape(theta), dtype=complex)
         keys = {k for k, _ in self.coeffs}
         for lo in range(0, vals.size, _SYMBOL_CHUNK):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -29,7 +30,8 @@ from .operators import (
 # complex, are solved for eigenvalues only by LAPACK sterf from scipy's
 # compiled wrapper, as two tridiagonal halves where the compression is
 # persymmetric.  The first solve of a process loads that wrapper alone
-# (`_flapack`, about 20 ms and 4 MB), not the scipy.linalg package (0.33 s
+# (`_flapack`, 3.5-5.3 ms and 2.4 MB of peak RSS after numpy, in fresh
+# processes), without scipy's start-up or the scipy.linalg package (0.33 s
 # and 29 MB).  At d = 1025, certified, in a fresh process, the load and the
 # sterf solve take 0.03-0.06 s, a dense eigh with the residual check
 # 0.21-0.30 s unfolded and 0.08-0.11 s as two folded halves (hopping and a
@@ -109,10 +111,15 @@ def _eigh(m: np.ndarray, vectors: bool):
 @functools.cache
 def _flapack():
     """scipy's compiled LAPACK wrapper, scipy.linalg._flapack, without the
-    scipy.linalg package around it (0.33 s and 29 MB after numpy): after
-    scipy's own start-up (`import scipy`, 14 ms and 1.3 MB), the extension
-    file under scipy/linalg/ is loaded on its own (5 ms and 2.6 MB), or the
-    module already in sys.modules is reused, and kept by this function.
+    scipy.linalg package around it (0.33 s and 29 MB after numpy) and
+    without scipy's own start-up (`import scipy`, 14 ms and 1.3 MB): the
+    module already in sys.modules is reused, or scipy's directory is found
+    by importlib.util.find_spec, which runs no scipy/__init__, and the
+    extension file under its linalg/ is loaded on its own (3.5-5.3 ms and
+    2.4 MB of peak RSS in fresh processes), and kept by this function.  On
+    Windows scipy is imported first, since its start-up adds the directory
+    of the wrapper's DLLs.  ModuleNotFoundError, naming scipy, where scipy
+    is not installed.
     Loading a single-phase extension module like this one registers it in
     sys.modules, and the import system binds a package's attribute only to
     a submodule it loads itself, so a wrapper loaded here is taken back out:
@@ -124,9 +131,16 @@ def _flapack():
         import importlib.machinery
         import importlib.util
 
-        import scipy
+        if os.name == "nt":
+            import scipy
 
-        where = f"{scipy.__path__[0]}/linalg"
+            root = scipy.__path__[0]
+        else:
+            found = importlib.util.find_spec("scipy")
+            if found is None:
+                raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+            root = found.submodule_search_locations[0]
+        where = f"{root}/linalg"
         spec = importlib.machinery.FileFinder(
             where, (importlib.machinery.ExtensionFileLoader,
                     importlib.machinery.EXTENSION_SUFFIXES)).find_spec(name)
@@ -335,12 +349,12 @@ def _sturm_counts(a: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
     return count
 
 
-def _check_sturm(a: np.ndarray, e: np.ndarray, vals: np.ndarray, scale: float):
-    """ResidualError unless the ascending vals are, index by index, within
-    tol = 1e-9 * scale * sqrt(d) of the eigenvalues mu of the tridiagonal
-    T of diagonal a and off-diagonal e: #{mu < vals_i - tol} <= i and
-    #{mu < vals_i + tol} >= i + 1 for every i, which is mu_i in
-    [vals_i - tol, vals_i + tol).
+def _check_sturm(solves: list, scale: float, d: int):
+    """ResidualError unless each solve ((a, e), vals) of a window of order
+    d has its ascending vals, index by index, within tol = 1e-9 * scale *
+    sqrt(d) of the eigenvalues mu of the tridiagonal T of diagonal a and
+    off-diagonal e: #{mu < vals_i - tol} <= i and #{mu < vals_i + tol} >=
+    i + 1 for every i, which is mu_i in [vals_i - tol, vals_i + tol).
 
     The counts run on T scaled by a power of two near 1 / scale, which is
     exact and keeps e2 and every shift far from overflow.  A count in
@@ -352,19 +366,40 @@ def _check_sturm(a: np.ndarray, e: np.ndarray, vals: np.ndarray, scale: float):
     By Weyl's inequality that matrix's eigenvalues lie within about
     6 eps * scale, 1.3e-15 * scale, of mu, under a millionth of tol.  A NaN
     eigenvalue gives NaN pivots, which count as no eigenvalue below it, and
-    fails."""
-    d = a.size
+    fails.
+
+    The two halves of a persymmetric window (`_tridiagonal_halves`) are
+    certified each on its own, at the window's tol.  They differ from the
+    halves of the exact similarity of the gauge by one rounding in two
+    entries, of at most 2 scale each, which moves their eigenvalues by a
+    few eps * scale (Weyl's inequality again).  And sorting moves no list
+    farther from another, index by index, than the two lists are apart, so
+    the merge of two sorted lists, each within tol of its half's spectrum
+    index by index, is within tol of the window's spectrum index by index.
+    A failure names the index of the eigenvalue in the window's sorted
+    list, and the counts on its half."""
     tol = 1e-9 * scale * math.sqrt(d)
     s = math.ldexp(1.0, -math.frexp(scale)[1])
-    counts = _sturm_counts(a * s, np.square(e * s), np.concatenate([vals - tol, vals + tol]) * s)
-    i = np.arange(d)
-    bad = np.flatnonzero((counts[:d] > i) | (counts[d:] <= i))
-    if bad.size:
-        k = int(bad[0])
-        raise ResidualError(
-            f"eigenvalue {k} of {d}, {vals[k]:.6g}, breaches contract {tol:.3e}: Sturm counts "
-            f"{counts[k]} below it - tol and {counts[d + k]} below it + tol, "
-            f"want <= {k} and >= {k + 1}")
+    start = 0
+    for (a, e), vals in solves:
+        n = a.size
+        counts = _sturm_counts(a * s, np.square(e * s),
+                               np.concatenate([vals - tol, vals + tol]) * s)
+        i = np.arange(n)
+        bad = np.flatnonzero((counts[:n] > i) | (counts[n:] <= i))
+        if bad.size:
+            i = int(bad[0])
+            where, k = "", i
+            if len(solves) > 1:
+                # the index in the window's sorted list, ties in half order
+                order = np.argsort(np.concatenate([v for _, v in solves]), kind="stable")
+                where = f" on its half, of order {n},"
+                k = int(np.flatnonzero(order == start + i)[0])
+            raise ResidualError(
+                f"eigenvalue {k} of {d}, {vals[i]:.6g}, breaches contract {tol:.3e}: Sturm "
+                f"counts{where} {counts[i]} below it - tol and {counts[n + i]} below it + tol, "
+                f"want <= {i} and >= {i + 1}")
+        start += n
 
 
 def check_solve_footprint(d: int, tridiagonal: bool, check_residual: bool, fold=None):
@@ -408,17 +443,17 @@ def _tridiagonal_eigenvalues(h: dict, d: int, scale: float, check_residual: bool
     order d, from the real T = D* H D of diagonal a = Re h_0 and
     off-diagonal |h_1| for a diagonal unitary D, which is never formed:
     sterf on T, or on its two halves where a and |h_1| are palindromes
-    (`_tridiagonal_halves`); with check_residual, certified on T by Sturm
-    counts (`_check_sturm`)."""
+    (`_tridiagonal_halves`); with check_residual, each solve certified by
+    Sturm counts on the matrix it solved (`_check_sturm`)."""
     check_solve_footprint(d, tridiagonal=True, check_residual=check_residual)
     zero = np.zeros(d)
     a, e = h.get(0, zero).real, np.abs(h.get(1, zero)[:-1])
-    vals = [_sterf(*ae) for ae in (_tridiagonal_halves(a, e) if _palindromic({0: a, 1: e}, d)
-                                   else [(a, e)])]
-    vals = vals[0] if len(vals) == 1 else np.sort(np.concatenate(vals))
+    parts = _tridiagonal_halves(a, e) if _palindromic({0: a, 1: e}, d) else [(a, e)]
+    solves = [(ae, _sterf(*ae)) for ae in parts]
     if check_residual:
-        _check_sturm(a, e, vals, scale)
-    return vals
+        _check_sturm(solves, scale, d)
+    vals = [v for _, v in solves]
+    return vals[0] if len(vals) == 1 else np.sort(np.concatenate(vals))
 
 
 def compression_eigenvalues(op: OperatorSpec, proj, herm_tol: float = 1e-10,
@@ -438,15 +473,15 @@ def compression_eigenvalues(op: OperatorSpec, proj, herm_tol: float = 1e-10,
     solved for eigenvalues only (`_tridiagonal_eigenvalues`): LAPACK sterf
     on the real T of diagonal Re h_0 and off-diagonal |h_1|, which is
     unitarily similar to H, as two halves where T is persymmetric, and
-    certified by Sturm counts on T, in O(d) memory.  Otherwise, where
-    every stored diagonal of H is a palindrome, H is persymmetric and is
-    folded (`_fold`): real H splits into two real halves of orders
-    ceil(d/2) and floor(d/2), complex H becomes one real symmetric matrix
-    of order d, each solved densely in real arithmetic; every other H is
-    scattered into one dense matrix.  The residuals of a dense solve are
-    formed from the storage of H itself, in column blocks.  A solve too
-    large for physical memory raises ConfigError before its arrays are
-    allocated.
+    certified by Sturm counts on T or on each half, in O(d) memory.
+    Otherwise, where every stored diagonal of H is a palindrome, H is
+    persymmetric and is folded (`_fold`): real H splits into two real
+    halves of orders ceil(d/2) and floor(d/2), complex H becomes one real
+    symmetric matrix of order d, each solved densely in real arithmetic;
+    every other H is scattered into one dense matrix.  The residuals of a
+    dense solve are formed from the storage of H itself, in column blocks.
+    A solve too large for physical memory raises ConfigError before its
+    arrays are allocated.
     """
     h, scale = _hermitian_compression(op, proj, herm_tol)
     d = proj.rank
@@ -711,16 +746,10 @@ def integrate(meas, f: TestFunction) -> float:
     raise TypeError(f"not a measure: {meas!r}")
 
 
-def reference_pushforward(symbol: Toeplitz, grid_size: int = 1 << 16) -> ReferenceMeasure:
-    """Pushforward of normalized Haar measure on the circle under the symbol.
-
-    F(x) is the fraction of the grid_size uniformly sampled angles with
-    g(theta) <= x, computed by sampling and sorting: the symbol is
-    evaluated a chunk of angles at a time, each chunk's imaginary part
-    checked against 1e-10 * max(1, sum |a_k|) (ComplexSymbolError beyond
-    it), and the real parts are sorted in place in the one array of
-    grid_size values that the measure keeps.
-    """
+def check_pushforward_footprint(symbol: Toeplitz, grid_size: int):
+    """ConfigError, before anything is allocated, when the pushforward
+    reference of symbol on grid_size nodes (`reference_pushforward`) and
+    its integrals exceed physical memory."""
     # 16 bytes a node: the sorted values, kept, and one integrand buffer of
     # as many values (`integrate`); sorting and checking the order of the
     # values peaks at 9.  A chunk of nodes adds bandwidth + 5 complex
@@ -730,6 +759,21 @@ def reference_pushforward(symbol: Toeplitz, grid_size: int = 1 << 16) -> Referen
     chunk = min(grid_size, _SYMBOL_CHUNK)
     check_footprint(16 * grid_size + 16 * (symbol.bandwidth + 5) * chunk,
                     f"the pushforward reference of {grid_size} nodes")
+
+
+def reference_pushforward(symbol: Toeplitz, grid_size: int = 1 << 16) -> ReferenceMeasure:
+    """Pushforward of normalized Haar measure on the circle under the symbol.
+
+    F(x) is the fraction of the grid_size uniformly sampled angles with
+    g(theta) <= x, computed by sampling and sorting: the symbol is
+    evaluated a chunk of angles at a time, each chunk's imaginary part
+    checked against 1e-10 * max(1, sum |a_k|) (ComplexSymbolError beyond
+    it), and the real parts are sorted in place in the one array of
+    grid_size values that the measure keeps.  The memory guard
+    (`check_pushforward_footprint`) runs first.
+    """
+    check_pushforward_footprint(symbol, grid_size)
+    chunk = min(grid_size, _SYMBOL_CHUNK)
     bound = 1e-10 * max(1.0, sum(abs(a) for _, a in symbol.coeffs))
     xs = np.empty(grid_size)
     for lo in range(0, grid_size, chunk):

@@ -130,11 +130,22 @@ class SzegoReport:
         return report_csv(self.plot_rows, ("label", "n", "d_n", "max_error"))
 
 
+def _has_grid(ref) -> bool:
+    """Whether a reference of `szego_pair_test`, a measure or a function
+    that builds one, carries a CDF grid."""
+    return callable(ref) or ref.xs is not None
+
+
 def szego_pair_test(ops, seq, refs, f_family=None, trace_refs=None,
                     sa_tol: float = 1e-10) -> SzegoReport:
     """Quantify weak convergence of empirical spectral measures to references.
 
-    `ops` is a list of (label, spec), `refs` maps label to ReferenceMeasure.
+    `ops` is a list of (label, spec), `refs` maps label to a
+    ReferenceMeasure, or to a function of no arguments that builds one
+    carrying a CDF grid (a pushforward reference): it is called once, after
+    that operator's windows are solved, and what it builds is dropped
+    before the next operator's solves, so that one such reference is held
+    at a time.
     Against a reference carrying a CDF grid, each window is solved once (the
     one of largest rank under the backward-stability contract of
     `compression_eigenvalues`, its spectrum spanning the default hats) and
@@ -152,7 +163,7 @@ def szego_pair_test(ops, seq, refs, f_family=None, trace_refs=None,
 
     projs = seq.projections
     top = max(range(len(projs)), key=lambda w: projs[w].rank)
-    if any(refs[label].xs is not None for label, _ in ops):
+    if any(_has_grid(refs[label]) for label, _ in ops):
         # even the cheapest solve of the certified largest window, a
         # tridiagonal one, must fit in memory, or the run stops before its
         # first solve
@@ -160,7 +171,7 @@ def szego_pair_test(ops, seq, refs, f_family=None, trace_refs=None,
     report = SzegoReport()
     for label, op in ops:
         ref = refs[label]
-        if ref.xs is None:
+        if not _has_grid(ref):
             fam, order = polynomial_family(f_family)
             measures = [ReferenceMeasure(moments=compression_moments(
                 op, proj, order, herm_tol=sa_tol)) for proj in projs]
@@ -170,6 +181,8 @@ def szego_pair_test(ops, seq, refs, f_family=None, trace_refs=None,
                 for w, proj in enumerate(projs)]
             atoms = measures[top].atoms
             fam = default_f_family((atoms[0], atoms[-1])) if f_family is None else f_family
+            if callable(ref):
+                ref = ref()
         ref_values = [integrate(ref, f) for f in fam]
         worst = []  # each window's largest error
         for (n, proj), meas in zip(seq, measures):

@@ -235,10 +235,11 @@ def test_a_subcommand_loads_only_what_it_runs(argv, loaded):
 def test_sterf_loads_no_scipy_linalg_package():
     # hopping at n = 1024, d = 2049, is solved by sterf in two halves: in a
     # fresh process through the wrapper loaded on its own, which leaves
-    # neither scipy.linalg nor the wrapper in sys.modules, so that a later
-    # `import scipy.linalg` binds its `_flapack`, with the same dsterf; and
-    # after `import scipy.linalg` through the package's; the outputs agree
-    # byte for byte
+    # neither scipy.linalg nor the wrapper in sys.modules, nor scipy itself
+    # but on Windows, where scipy's start-up sets up the wrapper's DLLs, so
+    # that a later `import scipy.linalg` binds its `_flapack`, with the
+    # same dsterf; and after `import scipy.linalg` through the package's;
+    # the outputs agree byte for byte
     script = (
         "import sys\n"
         "import numpy as np\n"
@@ -247,7 +248,8 @@ def test_sterf_loads_no_scipy_linalg_package():
         "    import scipy.linalg\n"
         "from folner_lab.cli import main\n"
         "code = main(sys.argv[2:])\n"
-        "loaded = ('scipy.linalg' in sys.modules, 'scipy.linalg._flapack' in sys.modules)\n"
+        "loaded = ('scipy' in sys.modules, 'scipy.linalg' in sys.modules,"
+        " 'scipy.linalg._flapack' in sys.modules)\n"
         "import scipy.linalg\n"
         "from folner_lab import spectral\n"
         "vals, info = scipy.linalg._flapack.dsterf(np.array([1.0, 1.0]), np.array([1.0]))\n"
@@ -259,9 +261,35 @@ def test_sterf_loads_no_scipy_linalg_package():
     alone, package = (subprocess.run([sys.executable, "-c", script, first, *argv], env=env,
                                      capture_output=True, timeout=120)
                       for first in ("wrapper alone", "scipy.linalg first"))
-    assert alone.stderr.decode().splitlines()[-1] == "0 False False True [0.0, 2.0] 0", alone.stderr
-    assert package.stderr.decode().splitlines()[-1] == "0 True True True [0.0, 2.0] 0", package.stderr
+    scipy_alone = os.name == "nt"
+    assert alone.stderr.decode().splitlines()[-1] == \
+        f"0 {scipy_alone} False False True [0.0, 2.0] 0", alone.stderr
+    assert package.stderr.decode().splitlines()[-1] == "0 True True True True [0.0, 2.0] 0", \
+        package.stderr
     assert alone.stdout.count(b",x^") == 7 and alone.stdout == package.stdout
+
+
+def test_wrapper_without_scipy_is_module_not_found(monkeypatch):
+    # where no scipy is found, loading the wrapper raises ModuleNotFoundError
+    # naming scipy, and caches nothing
+    import importlib.util
+
+    from folner_lab import spectral
+
+    if os.name == "nt":
+        pytest.skip("on Windows the wrapper is found through `import scipy`")
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, *args: None if name == "scipy" else find_spec(name, *args))
+    spectral._flapack.cache_clear()
+    try:
+        with pytest.raises(ModuleNotFoundError, match="scipy") as exc:
+            spectral._flapack()
+        assert exc.value.name == "scipy"
+        assert spectral._flapack.cache_info().currsize == 0
+    finally:
+        spectral._flapack.cache_clear()
 
 
 def test_sterf_failure_is_numerical_failure(monkeypatch, capsys):

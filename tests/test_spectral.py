@@ -808,8 +808,8 @@ class TestPersymmetricFold:
 class TestFoldResidual:
     """A wrong eigenvalue of any folded tridiagonal solve, or a wrong
     eigenvector of any folded dense one, breaches the contract, which is
-    checked against the compression itself: by Sturm counts on its whole
-    tridiagonal, or against its storage with each vector unfolded."""
+    checked against the compression itself: by Sturm counts on each half of
+    its tridiagonal, or against its storage with each vector unfolded."""
 
     def _spy(self, monkeypatch):
         """The storage and order each residual check reads, and the
@@ -844,7 +844,7 @@ class TestFoldResidual:
     @pytest.mark.parametrize("half", [0, 1], ids=["symmetric", "antisymmetric"])
     def test_perturbed_tridiagonal_half(self, monkeypatch, d, half):
         # one eigenvalue of one sterf half moved by 1e-3: the Sturm
-        # certificate on the whole, unfolded tridiagonal catches it
+        # certificate on the halves of the compression's tridiagonal catches it
         monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 5)
         op = fl.Toeplitz({0: 0.3, 1: 0.7, -1: 0.7}, selfadjoint=True)
         proj = fl.Window(fl.N0, 0, d - 1)
@@ -857,9 +857,9 @@ class TestFoldResidual:
             calls.append(vals.size)
             return vals
 
-        def spy(a, e, *args):
-            seen["a"], seen["e"] = a.copy(), e.copy()
-            return check(a, e, *args)
+        def spy(solves, *args):
+            seen["halves"] = [(a.copy(), e.copy()) for (a, e), _ in solves]
+            return check(solves, *args)
 
         check = fl.spectral._check_sturm
         monkeypatch.setattr(fl.spectral, "_sterf", perturbed)
@@ -868,8 +868,10 @@ class TestFoldResidual:
             fl.compression_eigenvalues(op, proj, check_residual=True)
         assert calls == halves(d)
         m = compress(op, proj)
-        assert np.array_equal(seen["a"], np.diag(m).real)
-        assert np.array_equal(seen["e"], np.abs(np.diag(m, 1)))
+        want = fl.spectral._tridiagonal_halves(np.diag(m).real, np.abs(np.diag(m, 1)))
+        assert [a.size for a, _ in seen["halves"]] == halves(d)
+        for (a, e), (wa, we) in zip(seen["halves"], want):
+            assert np.array_equal(a, wa) and np.array_equal(e, we)
 
     @pytest.mark.parametrize("d", [16, 17])
     def test_perturbed_complex_fold(self, monkeypatch, d):
@@ -983,6 +985,43 @@ class TestSturmCertificate:
         with pytest.raises(fl.ResidualError, match=r"^eigenvalue \d+ of 64, .* breaches contract"):
             fl.compression_eigenvalues(op, proj, check_residual=True)
         assert calls == (halves(64) if op is HOPPING else [64])
+
+    @pytest.mark.parametrize("kind", ["shift", "duplicate", "missing"])
+    @pytest.mark.parametrize("half", [0, 1], ids=["symmetric", "antisymmetric"])
+    @pytest.mark.parametrize("d", [64, 65])
+    def test_each_half_is_certified_on_its_own(self, monkeypatch, d, half, kind):
+        # the halves of a persymmetric window are certified by Sturm counts
+        # on each half: the eigenvalue of index 3 of either half moved up by
+        # 1e-3, replaced by its upper neighbour, or missing (those above it
+        # moved down one place, the top one repeated) fails at half index 3,
+        # and the message names that value's index in the window's sorted
+        # list
+        monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 8)
+        orig, returned = fl.spectral._sterf, []
+
+        def wrong(*args):
+            vals = orig(*args)
+            if len(returned) == half:
+                if kind == "shift":
+                    vals[3] += 1e-3
+                elif kind == "duplicate":
+                    vals[3] = vals[4]
+                else:
+                    vals = np.append(np.delete(vals, 3), vals[-1])
+            returned.append(vals)
+            return vals
+
+        monkeypatch.setattr(fl.spectral, "_sterf", wrong)
+        with pytest.raises(fl.ResidualError) as exc:
+            fl.compression_eigenvalues(HOPPING, fl.Window(fl.N0, 0, d - 1), check_residual=True)
+        assert [v.size for v in returned] == halves(d)
+        match = re.fullmatch(rf"eigenvalue (\d+) of {d}, (\S+), breaches contract \S+: Sturm "
+                             rf"counts on its half, of order {halves(d)[half]}, \d+ below it "
+                             r"- tol and \d+ below it \+ tol, want <= 3 and >= 4", str(exc.value))
+        assert match, str(exc.value)
+        merged = np.sort(np.concatenate(returned))
+        assert match[2] == f"{returned[half][3]:.6g}" == f"{merged[int(match[1])]:.6g}"
+        assert merged[int(match[1])] == returned[half][3]
 
     def test_counts_match_dense_eigvalsh(self):
         # generic irreducible tridiagonals, at their diagonal entries and

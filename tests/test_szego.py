@@ -1,7 +1,9 @@
+import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -396,6 +398,12 @@ class TestSzegoPair:
 HOPPING_SPEC = str(CORPUS / "valid" / "hopping.json")
 
 
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
 @pytest.mark.parametrize("kind", ["shift", "duplicate", "nan"])
 def test_perturbed_sterf_exit_1(monkeypatch, capsys, wrong_sterf, kind):
     # a wrong eigenvalue of the largest window fails its Sturm certificate
@@ -406,6 +414,83 @@ def test_perturbed_sterf_exit_1(monkeypatch, capsys, wrong_sterf, kind):
     err = out.err.splitlines()
     assert code == 1 and out.out == ""
     assert len(err) == 1 and err[0].startswith("numerical failure: eigenvalue ")
+
+
+class TestReferenceDeferral:
+    """szego builds each Toeplitz operator's pushforward reference only
+    after that operator's windows are solved, and drops it before the next
+    operator's: one reference is held at a time.  Its memory guard still
+    runs before any window is solved."""
+
+    def _symbol(self, tmp_path, coeffs, name="wide"):
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps({"kind": "toeplitz", "coeffs": coeffs}))
+        return str(spec)
+
+    def test_one_reference_at_a_time(self, monkeypatch, capsys, tmp_path):
+        # hopping, then a real bandwidth-3 symbol: every window of an
+        # operator is solved before its reference is built, and while the
+        # second operator's windows are solved, the first's reference, held
+        # only through a weak reference to its nodes, is gone
+        wide = self._symbol(tmp_path, {"0": 0.5, "3": 0.25, "-3": 0.25, "1": 1.0, "-1": 1.0})
+        events, built = [], []
+        solve, build = fl.szego.compression_eigenvalues, fl.spectral.reference_pushforward
+
+        def spy_solve(op, proj, **kwargs):
+            assert all(r() is None for r in built), "a reference outlived its pass"
+            events.append(("solve", op.bandwidth))
+            return solve(op, proj, **kwargs)
+
+        def spy_build(symbol, **kwargs):
+            events.append(("reference", symbol.bandwidth))
+            ref = build(symbol, **kwargs)
+            built.append(weakref.ref(ref.xs))
+            return ref
+
+        monkeypatch.setattr(fl.szego, "compression_eigenvalues", spy_solve)
+        monkeypatch.setattr(fl.spectral, "reference_pushforward", spy_build)
+        code, out, err = run_cli(capsys, "szego", "--op", HOPPING_SPEC, "--op", wide,
+                                 "--n", "4,8,16", "--format", "json")
+        assert code == 0 and err == ""
+        assert events == [("solve", 1)] * 3 + [("reference", 1)] + \
+            [("solve", 3)] * 3 + [("reference", 3)]
+        # the same rows as with every reference built before any solve
+        monkeypatch.undo()
+        ops = [("hopping", HOPPING), ("wide", load_spec_file(wide)[1])]
+        seq = fl.finite_section_sequence(fl.N0, [4, 8, 16])
+        eager = fl.szego_pair_test(ops, seq, {label: fl.reference_pushforward(op)
+                                              for label, op in ops})
+        assert json.loads(out)["rows"] == json.loads(eager.to_json())["rows"]
+
+    def test_refused_reference_stops_before_any_solve(self, monkeypatch, capsys, tmp_path):
+        # at --nodes 1000 hopping's reference counts 16 * 1000 + 16 * 6 *
+        # 1000 bytes and the bandwidth-3 symbol's 16 * 1000 + 16 * 8 * 1000:
+        # with memory for the first only, the run exits 2 on the second's
+        # guard, and no window is solved nor any reference built
+        wide = self._symbol(tmp_path, {"0": 0.5, "3": 0.25, "-3": 0.25})
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solved or built after a refused reference")
+
+        monkeypatch.setattr(fl._util, "_physical_memory", lambda: 16 * 1000 + 16 * 6 * 1000)
+        monkeypatch.setattr(fl.szego, "compression_eigenvalues", unreachable)
+        monkeypatch.setattr(fl.spectral, "reference_pushforward", unreachable)
+        code, out, err = run_cli(capsys, "szego", "--op", HOPPING_SPEC, "--op", wide,
+                                 "--n", "4", "--nodes", "1000")
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("config error: the pushforward reference of 1000 nodes")
+
+    def test_non_real_second_symbol(self, capsys, tmp_path):
+        # 1 + 0.5i e^(9i theta) is not real, but no window up to n = 8 sees
+        # offset 9, so its compressions are Hermitian: the realness check,
+        # now in its operator's pass, exits 3 with the one line it gave
+        # before any solve
+        odd = self._symbol(tmp_path, {"0": 1.0, "9": [0.0, 0.5]}, name="odd")
+        for argv in (["--op", HOPPING_SPEC, "--op", odd], ["--op", odd]):
+            code, out, err = run_cli(capsys, "szego", *argv, "--n", "4,8")
+            assert code == 3 and out == ""
+            assert err.splitlines() == ["spec error: pushforward requires a real-valued symbol"]
 
 
 class TestMemoryFootprint:
