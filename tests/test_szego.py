@@ -419,8 +419,8 @@ def test_perturbed_sterf_exit_1(monkeypatch, capsys, wrong_sterf, kind):
 class TestReferenceDeferral:
     """szego builds each Toeplitz operator's pushforward reference only
     after that operator's windows are solved, and drops it before the next
-    operator's: one reference is held at a time.  Its memory guard still
-    runs before any window is solved."""
+    operator's: one reference is held at a time.  Every reference's memory
+    guard runs before any window is solved."""
 
     def _symbol(self, tmp_path, coeffs, name="wide"):
         spec = tmp_path / f"{name}.json"
@@ -483,9 +483,9 @@ class TestReferenceDeferral:
 
     def test_non_real_second_symbol(self, capsys, tmp_path):
         # 1 + 0.5i e^(9i theta) is not real, but no window up to n = 8 sees
-        # offset 9, so its compressions are Hermitian: the realness check,
-        # now in its operator's pass, exits 3 with the one line it gave
-        # before any solve
+        # offset 9, so its compressions are Hermitian: the realness check in
+        # its operator's pass exits 3 with one line, whether the symbol
+        # comes second or alone
         odd = self._symbol(tmp_path, {"0": 1.0, "9": [0.0, 0.5]}, name="odd")
         for argv in (["--op", HOPPING_SPEC, "--op", odd], ["--op", odd]):
             code, out, err = run_cli(capsys, "szego", *argv, "--n", "4,8")
