@@ -27,17 +27,21 @@ from .operators import (
 )
 
 # Windows of at least this order whose compression is tridiagonal, real or
-# complex, are solved for eigenvalues only by LAPACK sterf from scipy's
-# compiled wrapper, as two tridiagonal halves where the compression is
-# persymmetric.  The first solve of a process loads that wrapper alone
-# (`_flapack`, 3.5-5.3 ms and 2.4 MB of peak RSS after numpy, in fresh
-# processes), without scipy's start-up or the scipy.linalg package (0.33 s
-# and 29 MB).  At d = 1025, certified, in a fresh process, the load and the
-# sterf solve take 0.03-0.06 s, a dense eigh with the residual check
-# 0.21-0.30 s unfolded and 0.08-0.11 s as two folded halves (hopping and a
-# ramp on it, one BLAS thread, 2 shared vCPUs), so the tridiagonal path
-# pays below this order too; moving the threshold changes which solver's
-# eigenvalues, and so which ties, the goldens see.
+# complex, are solved for eigenvalues only, as two tridiagonal halves where
+# the compression is persymmetric: in closed form where it is a section of
+# a bandwidth-1 Toeplitz operator (`_cosine_halves`), which loads no LAPACK,
+# and otherwise by LAPACK sterf from scipy's compiled wrapper, which the
+# first sterf solve of a process loads alone (`_flapack`, 3.5-5.3 ms and
+# 2.4 MB of peak RSS after numpy, in fresh processes), without scipy's
+# start-up or the scipy.linalg package (0.33 s and 29 MB).  Hopping's
+# halves at d = 2049 take 0.1 ms in closed form against 34 ms by sterf, and
+# 18 ms against 47 ms with the Sturm certificate, which then dominates
+# (fastest of seven, one BLAS thread, 2 shared vCPUs).  At d = 1025,
+# certified, in a fresh process, the load and the sterf solve take
+# 0.03-0.06 s, a dense eigh with the residual check 0.21-0.30 s unfolded
+# and 0.08-0.11 s as two folded halves (hopping and a ramp on it), so the
+# tridiagonal path pays below this order too; moving the threshold changes
+# which solver's eigenvalues, and so which ties, the goldens see.
 TRIDIAGONAL_MIN_DIM = 1000
 
 # Bytes of each temporary of the blocked residual check from storage, about
@@ -124,7 +128,10 @@ def _flapack():
     sys.modules, and the import system binds a package's attribute only to
     a submodule it loads itself, so a wrapper loaded here is taken back out:
     a later `import scipy.linalg` then loads it again, binds `_flapack` and
-    finds the same functions, which the interpreter keeps once per process."""
+    finds the same functions, which the interpreter keeps once per process.
+    Only `_sterf` calls this, for tridiagonal windows that are not
+    Toeplitz sections; a process whose tridiagonal windows are all solved
+    in closed form (`_cosine_halves`) never loads the wrapper."""
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
     if module is None:
@@ -245,6 +252,18 @@ def _tridiagonal_halves(a: np.ndarray, e: np.ndarray) -> list:
         sa[m - 1] += e[m - 1]
         ta[m - 1] -= e[m - 1]
     return [(sa, se), (ta, e[:m - 1])]
+
+
+def _cosine_halves(a: float, e: float, d: int) -> list:
+    """Ascending eigenvalues of the halves S and T (see `_tridiagonal_halves`)
+    of the real tridiagonal Toeplitz matrix of order d >= 2 with diagonal a
+    and off-diagonal e >= 0, in closed form: a + 2 e cos(k pi / (d + 1)),
+    k = 1..d, of eigenvector sin(j k pi / (d + 1)), j = 1..d, symmetric for
+    odd k, which are S's, and antisymmetric for even k, which are T's
+    (Boettcher & Silbermann, Introduction to Large Truncated Toeplitz
+    Matrices, 1999)."""
+    return [np.sort(a + 2.0 * e * np.cos(np.pi * np.arange(k, d + 1, 2) / (d + 1)))
+            for k in (1, 2)]
 
 
 def _unfold(w: np.ndarray, d: int, part: str, out: np.ndarray) -> np.ndarray:
@@ -441,15 +460,23 @@ def check_solve_footprint(d: int, tridiagonal: bool, check_residual: bool, fold=
 def _tridiagonal_eigenvalues(h: dict, d: int, scale: float, check_residual: bool):
     """Ascending eigenvalues of the Hermitian tridiagonal H of storage h and
     order d, from the real T = D* H D of diagonal a = Re h_0 and
-    off-diagonal |h_1| for a diagonal unitary D, which is never formed:
-    sterf on T, or on its two halves where a and |h_1| are palindromes
-    (`_tridiagonal_halves`); with check_residual, each solve certified by
-    Sturm counts on the matrix it solved (`_check_sturm`)."""
+    off-diagonal |h_1| for a diagonal unitary D, which is never formed.
+    Where every entry of a is the same finite number, exactly, and so is
+    every entry of |h_1| (a section of a bandwidth-1 Toeplitz operator),
+    T is persymmetric and its two halves (`_tridiagonal_halves`) are
+    solved in closed form (`_cosine_halves`); otherwise sterf runs on T,
+    or on its two halves where a and |h_1| are palindromes.  With
+    check_residual, each solve is certified by Sturm counts on the matrix
+    it solved (`_check_sturm`), the closed form's halves as sterf's."""
     check_solve_footprint(d, tridiagonal=True, check_residual=check_residual)
     zero = np.zeros(d)
     a, e = h.get(0, zero).real, np.abs(h.get(1, zero)[:-1])
-    parts = _tridiagonal_halves(a, e) if _palindromic({0: a, 1: e}, d) else [(a, e)]
-    solves = [(ae, _sterf(*ae)) for ae in parts]
+    if all(np.isfinite(v[0]) and (v == v[0]).all() for v in (a, e)):
+        halves = _tridiagonal_halves(a, e)
+        solves = list(zip(halves, _cosine_halves(float(a[0]), float(e[0]), d)))
+    else:
+        parts = _tridiagonal_halves(a, e) if _palindromic({0: a, 1: e}, d) else [(a, e)]
+        solves = [(ae, _sterf(*ae)) for ae in parts]
     if check_residual:
         _check_sturm(solves, scale, d)
     vals = [v for _, v in solves]
@@ -470,10 +497,12 @@ def compression_eigenvalues(op: OperatorSpec, proj, herm_tol: float = 1e-10,
     The compression is built and checked once, in diagonal storage by
     position (`_hermitian_compression`).  A window of order at least
     TRIDIAGONAL_MIN_DIM whose H is tridiagonal, real or complex, is
-    solved for eigenvalues only (`_tridiagonal_eigenvalues`): LAPACK sterf
-    on the real T of diagonal Re h_0 and off-diagonal |h_1|, which is
-    unitarily similar to H, as two halves where T is persymmetric, and
-    certified by Sturm counts on T or on each half, in O(d) memory.
+    solved for eigenvalues only (`_tridiagonal_eigenvalues`) from the real
+    T of diagonal Re h_0 and off-diagonal |h_1|, which is unitarily
+    similar to H: in closed form, a + 2e cos(k pi / (d + 1)), where T has
+    one diagonal entry a and one off-diagonal entry e, else by LAPACK
+    sterf; as two halves where T is persymmetric, and certified by Sturm
+    counts on T or on each half, in O(d) memory.
     Otherwise, where every stored diagonal of H is a palindrome, H is
     persymmetric and is folded (`_fold`): real H splits into two real
     halves of orders ceil(d/2) and floor(d/2), complex H becomes one real

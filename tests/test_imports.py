@@ -233,40 +233,61 @@ def test_a_subcommand_loads_only_what_it_runs(argv, loaded):
 
 
 def test_sterf_loads_no_scipy_linalg_package():
-    # hopping at n = 1024, d = 2049, is solved by sterf in two halves: in a
-    # fresh process through the wrapper loaded on its own, which leaves
-    # neither scipy.linalg nor the wrapper in sys.modules, nor scipy itself
-    # but on Windows, where scipy's start-up sets up the wrapper's DLLs, so
-    # that a later `import scipy.linalg` binds its `_flapack`, with the
-    # same dsterf; and after `import scipy.linalg` through the package's;
-    # the outputs agree byte for byte
+    # almost-Mathieu at n = 1024, d = 2049, is tridiagonal but not
+    # Toeplitz: solved by sterf in two halves and certified, in a fresh
+    # process through the wrapper loaded on its own, which leaves neither
+    # scipy.linalg nor the wrapper in sys.modules, nor scipy itself but on
+    # Windows, where scipy's start-up sets up the wrapper's DLLs, so that a
+    # later `import scipy.linalg` binds its `_flapack`, with the same
+    # dsterf; and after `import scipy.linalg` through the package's; the
+    # eigenvalues agree byte for byte
     script = (
-        "import sys\n"
+        "import hashlib, math, sys\n"
         "import numpy as np\n"
-        "first = sys.argv[1] == 'scipy.linalg first'\n"
-        "if first:\n"
+        "if sys.argv[1] == 'scipy.linalg first':\n"
         "    import scipy.linalg\n"
-        "from folner_lab.cli import main\n"
-        "code = main(sys.argv[2:])\n"
+        "import folner_lab as fl\n"
+        "from folner_lab import spectral\n"
+        "op = fl.AlmostMathieu(1.5, (math.sqrt(5.0) - 1.0) / 2.0)\n"
+        "vals = fl.compression_eigenvalues(op, fl.finite_section(fl.Z, 1024), check_residual=True)\n"
         "loaded = ('scipy' in sys.modules, 'scipy.linalg' in sys.modules,"
         " 'scipy.linalg._flapack' in sys.modules)\n"
         "import scipy.linalg\n"
-        "from folner_lab import spectral\n"
-        "vals, info = scipy.linalg._flapack.dsterf(np.array([1.0, 1.0]), np.array([1.0]))\n"
-        "print(code, *loaded, scipy.linalg.lapack.dsterf is spectral._flapack().dsterf,"
-        " vals.tolist(), info, file=sys.stderr)\n"
+        "small, info = scipy.linalg._flapack.dsterf(np.array([1.0, 1.0]), np.array([1.0]))\n"
+        "print(vals.size, hashlib.sha256(vals.tobytes()).hexdigest())\n"
+        "print(*loaded, scipy.linalg.lapack.dsterf is spectral._flapack().dsterf,"
+        " small.tolist(), info, file=sys.stderr)\n"
     )
-    argv = ["szego", "--op", str(CORPUS / "hopping.json"), "--n", "1024"]
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    alone, package = (subprocess.run([sys.executable, "-c", script, first, *argv], env=env,
+    alone, package = (subprocess.run([sys.executable, "-c", script, first], env=env,
                                      capture_output=True, timeout=120)
                       for first in ("wrapper alone", "scipy.linalg first"))
     scipy_alone = os.name == "nt"
     assert alone.stderr.decode().splitlines()[-1] == \
-        f"0 {scipy_alone} False False True [0.0, 2.0] 0", alone.stderr
-    assert package.stderr.decode().splitlines()[-1] == "0 True True True True [0.0, 2.0] 0", \
+        f"{scipy_alone} False False True [0.0, 2.0] 0", alone.stderr
+    assert package.stderr.decode().splitlines()[-1] == "True True True True [0.0, 2.0] 0", \
         package.stderr
-    assert alone.stdout.count(b",x^") == 7 and alone.stdout == package.stdout
+    assert alone.stdout.startswith(b"2049 ") and alone.stdout == package.stdout
+
+
+def test_closed_form_loads_no_scipy():
+    # hopping's windows are bandwidth-1 Toeplitz sections, solved in closed
+    # form: a certified szego at n = 1024, 4096 (d up to 8193) loads no
+    # LAPACK wrapper and no scipy module at all
+    script = (
+        "import sys\n"
+        "from folner_lab.cli import main\n"
+        "from folner_lab import spectral\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, spectral._flapack.cache_info().currsize,"
+        " sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+    )
+    argv = ["szego", "--op", str(CORPUS / "hopping.json"), "--n", "1024,4096"]
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+                          capture_output=True, timeout=120)
+    assert proc.stderr.decode().splitlines()[-1] == "0 0 []", proc.stderr
+    assert proc.stdout.count(b",x^") == 14
 
 
 def test_wrapper_without_scipy_is_module_not_found(monkeypatch):
@@ -292,9 +313,11 @@ def test_wrapper_without_scipy_is_module_not_found(monkeypatch):
         spectral._flapack.cache_clear()
 
 
-def test_sterf_failure_is_numerical_failure(monkeypatch, capsys):
+def test_sterf_failure_is_numerical_failure(monkeypatch, capsys, valley):
     # a LAPACK sterf that reports info > 0, no convergence, exits 1 with one
-    # numerical failure line; a non-finite entry for it is a LinAlgError too
+    # numerical failure line (hopping's windows with a palindromic diagonal
+    # added, which are not Toeplitz and so reach sterf); a non-finite entry
+    # for it is a LinAlgError too
     from folner_lab import spectral
     from folner_lab.cli import main
 

@@ -473,6 +473,15 @@ def test_reference_measure_validation():
         fl.ReferenceMeasure()
 
 
+def valley(d, base=HOPPING):
+    """base, on n0, plus the diagonal 0.01 min(n, d - 1 - n): for a
+    bandwidth-1 Toeplitz base its window 0..d-1 is tridiagonal and
+    persymmetric but not Toeplitz, so it reaches sterf's halves, not the
+    closed form."""
+    return fl.op_sum(base, fl.Band(0, ((0, lambda n: 0.01 * np.minimum(n, d - 1 - n)),),
+                                   lattice=fl.N0))
+
+
 def _tridiagonal_cases():
     """Seeded real bandwidth-1 operators, each on a window and on a gapped
     index set of its lattice."""
@@ -482,8 +491,11 @@ def _tridiagonal_cases():
     up = rng.uniform(-1.0, 1.0, 400)
     weight = rng.uniform(0.5, 1.5, 400)
     a0, a1 = rng.uniform(-1.0, 1.0, 2)
+    toeplitz = fl.Toeplitz({0: a0, 1: a1, -1: a1}, selfadjoint=True)
     ops = {
-        "toeplitz": fl.Toeplitz({0: a0, 1: a1, -1: a1}, selfadjoint=True),
+        "toeplitz": toeplitz,
+        # persymmetric on the 61-position window, not Toeplitz
+        "valley": valley(61, toeplitz),
         "shift_poly": fl.op_sum(fl.Shift(lambda n: weight[n]),
                                 op_adjoint(fl.Shift(lambda n: weight[n])),
                                 fl.op_scale(0.5, fl.identity(fl.N0))),
@@ -544,46 +556,62 @@ def halves(rank):
     return [rank - rank // 2, rank // 2]
 
 
+def constant_tridiagonal(m):
+    """Whether the real gauge of the tridiagonal m, of diagonal Re m_ii and
+    off-diagonal |m_i,i+1|, has one diagonal entry and one off-diagonal
+    entry: the windows solved in closed form."""
+    a, e = np.diag(m).real, np.abs(np.diag(m, 1))
+    return bool((a == a[0]).all() and (e == e[0]).all())
+
+
 # a real bandwidth-1 operator on n0 whose compressions are never persymmetric
 RAMP = fl.op_sum(HOPPING, fl.Band(0, ((0, lambda n: 0.01 * n),), lattice=fl.N0))
 
 
+
 class TestTridiagonalPath:
     """Real bandwidth-1 compressions at or above TRIDIAGONAL_MIN_DIM are solved
-    from their diagonals, as two tridiagonal halves where persymmetric; the
-    threshold is lowered so small windows take it."""
+    from their diagonals, as two tridiagonal halves where persymmetric, in
+    closed form where Toeplitz; the threshold is lowered so small windows
+    take it."""
 
     @pytest.mark.parametrize("check_residual", [False, True])
     @pytest.mark.parametrize("op,proj", _tridiagonal_cases())
     def test_matches_dense_eigvalsh(self, monkeypatch, eig_calls, op, proj, check_residual):
-        # toeplitz-window is persymmetric and solved as two halves; the other
-        # cases are not and take one solve; eigenvalues only, with
-        # check_residual or without
+        # toeplitz-window is persymmetric and Toeplitz, its halves solved in
+        # closed form; valley-window is persymmetric and not Toeplitz, its
+        # halves solved by sterf; the other cases are not persymmetric and
+        # take one sterf solve; eigenvalues only, with check_residual or
+        # without
         monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 2)
         m = compress(op, proj)
         expected = np.linalg.eigvalsh(m)
         eig_calls.clear()
         vals = fl.compression_eigenvalues(op, proj, check_residual=check_residual)
         orders = halves(proj.rank) if persymmetric(m) else [proj.rank]
-        assert eig_calls == [("sterf", d, np.dtype(np.float64)) for d in orders]
+        solver = "cosine" if constant_tridiagonal(m) else "sterf"
+        assert eig_calls == [(solver, d, np.dtype(np.float64)) for d in orders]
         tol = 1e-12 * max(1.0, float(np.max(np.abs(m))))
         assert np.max(np.abs(vals - expected)) <= tol
 
     def test_crossover_pinned(self, eig_calls):
         # below the threshold the dense solves run, at it the tridiagonal
-        # ones: two halves of the persymmetric hopping, one solve of the ramp
+        # ones: two halves of the persymmetric hopping in closed form, two
+        # sterf halves of the persymmetric valley, one sterf solve of the ramp
         d = fl.spectral.TRIDIAGONAL_MIN_DIM
         real = np.dtype(np.float64)
-        for op, below, at in ((HOPPING, halves(d - 1), halves(d)), (RAMP, [d - 1], [d])):
+        for ops, below, at in (((HOPPING, HOPPING), halves(d - 1), ("cosine", halves(d))),
+                               ((valley(d - 1), valley(d)), halves(d - 1), ("sterf", halves(d))),
+                               ((RAMP, RAMP), [d - 1], ("sterf", [d]))):
             projs = [fl.Window(fl.N0, 0, rank - 1) for rank in (d - 1, d)]
-            sections = [compress(op, proj) for proj in projs]
+            sections = [compress(op, proj) for op, proj in zip(ops, projs)]
             expected = [np.linalg.eigvalsh(m) for m in sections]
             eig_calls.clear()
-            for proj, m, want in zip(projs, sections, expected):
+            for op, proj, m, want in zip(ops, projs, sections, expected):
                 vals = fl.compression_eigenvalues(op, proj)
                 assert np.max(np.abs(vals - want)) <= 1e-12 * max(1.0, np.max(np.abs(m)))
             assert eig_calls == ([("eigvalsh", n, real) for n in below]
-                                 + [("sterf", n, real) for n in at])
+                                 + [(at[0], n, real) for n in at[1]])
 
     @pytest.mark.parametrize("op,proj", _dense_cases())
     def test_other_compressions_stay_dense(self, monkeypatch, eig_calls, op, proj):
@@ -610,27 +638,37 @@ class TestTridiagonalPath:
 
     def test_tridiagonal_by_position(self, monkeypatch, eig_calls):
         # index offsets +-2 on the even indices couple neighbouring positions;
-        # the even indices alone are their own mirror and fold into halves,
-        # an isolated last index breaks the mirror and takes one solve
+        # the even indices alone are their own mirror and Toeplitz by
+        # position, and fold into halves solved in closed form; a gap of 4
+        # in the middle keeps the mirror but uncouples two positions, and
+        # its halves take sterf; an isolated last index breaks the mirror
+        # and takes one sterf solve
         monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 2)
         op = fl.Toeplitz({0: 0.5, 2: 1.0, -2: 1.0}, selfadjoint=True)
-        for tail, orders in (((), [20, 20]), ((81,), [41])):
-            proj = fl.IndexSet(fl.N0, tuple(range(0, 80, 2)) + tail)
+        for indices, solver, orders in ((range(0, 80, 2), "cosine", [20, 20]),
+                                        ([*range(0, 40, 2), *range(42, 82, 2)], "sterf",
+                                         [20, 20]),
+                                        ([*range(0, 80, 2), 81], "sterf", [41])):
+            proj = fl.IndexSet(fl.N0, tuple(indices))
             expected = np.linalg.eigvalsh(compress(op, proj))
             eig_calls.clear()
             vals = fl.compression_eigenvalues(op, proj)
-            assert eig_calls == [("sterf", d, np.dtype(np.float64)) for d in orders]
+            assert eig_calls == [(solver, d, np.dtype(np.float64)) for d in orders]
             assert np.max(np.abs(vals - expected)) <= 1e-12
 
     @pytest.mark.parametrize("check_residual", [False, True])
     @pytest.mark.parametrize("op,rank,solvers", [
         pytest.param(HOPPING, 7, ["eigvalsh"] * 2, id="below"),
-        pytest.param(HOPPING, 8, ["sterf"] * 2, id="at"),
+        pytest.param(HOPPING, 8, ["cosine"] * 2, id="at"),
+        pytest.param(valley(8), 8, ["sterf"] * 2, id="valley-at"),
         pytest.param(RAMP, 7, ["eigvalsh"], id="unfolded-below"),
         pytest.param(RAMP, 8, ["sterf"], id="unfolded-at"),
         pytest.param(fl.op_prod(HOPPING, HOPPING), 9, ["eigvalsh"], id="poly-bandwidth-2-above"),
         pytest.param(fl.Toeplitz({0: 0.3, 1: 0.5 + 0.5j, -1: 0.5 - 0.5j}, selfadjoint=True), 9,
-                     ["sterf"] * 2, id="complex-above"),
+                     ["cosine"] * 2, id="complex-above"),
+        pytest.param(valley(9, fl.Toeplitz({0: 0.3, 1: 0.5 + 0.5j, -1: 0.5 - 0.5j},
+                                           selfadjoint=True)), 9,
+                     ["sterf"] * 2, id="complex-valley-above"),
         pytest.param(fl.Toeplitz({0: 0.3, 1: 0.5 + 0.5j, -1: 0.5 - 0.5j, 2: 0.25j, -2: -0.25j},
                                  selfadjoint=True), 9,
                      ["eigvalsh"], id="complex-bandwidth-2-above"),
@@ -697,7 +735,9 @@ def _fold_cases():
     windows of n0 and z and on gapped index sets mirrored by position, at
     orders 1-7 and odd and even up to 2049, real tridiagonal and wider
     ones past TRIDIAGONAL_MIN_DIM; almost-Mathieu on windows of z centred
-    at 0, where its potential is even."""
+    at 0, where its potential is even; and past TRIDIAGONAL_MIN_DIM, as
+    tridiagonal windows that are not Toeplitz, a valley at d = 2048 and
+    almost-Mathieu at d = 2049."""
     rng = np.random.default_rng(41)
     alpha = (math.sqrt(5.0) - 1.0) / 2.0
     cases = []
@@ -719,9 +759,10 @@ def _fold_cases():
             proj = fl.Window(lattice, lo, lo + d - 1)
         cases.append((f"toeplitz d={d} bw={bw} {'complex' if cx else 'real'} {kind}",
                       fl.Toeplitz(coeffs, lattice=lattice), proj, case % 2 == 1))
-    for n in (0, 4, 500, 501):
+    for n in (0, 4, 500, 501, 1024):
         cases.append((f"almost-mathieu n={n}", fl.AlmostMathieu(float(rng.uniform(0.2, 2.0)), alpha),
                       fl.finite_section(fl.Z, n), n % 2 == 0))
+    cases.append(("valley d=2048", valley(2048), fl.Window(fl.N0, 0, 2047), False))
     return cases
 
 
@@ -753,9 +794,11 @@ class TestPersymmetricFold:
 
     def test_matches_dense_eigvalsh(self, eig_calls):
         # every eigenvalue within 1e-12 of the scale, and with check_residual
-        # every eigenpair within the residual contract, from real solves
+        # every eigenpair within the residual contract, from real solves:
+        # sterf's halves or the closed form's past TRIDIAGONAL_MIN_DIM
         real = np.dtype(np.float64)
         cases = _fold_cases()
+        solvers = set()
         for label, op, proj, check_residual in cases:
             m = compress(op, proj)
             assert persymmetric(m), label
@@ -765,10 +808,15 @@ class TestPersymmetricFold:
             d = proj.rank
             orders = [d] if m.imag.any() else [n for n in halves(d) if n]
             assert [(c[1], c[2]) for c in eig_calls] == [(n, real) for n in orders], label
+            if d >= fl.spectral.TRIDIAGONAL_MIN_DIM and not np.triu(m, 2).any():
+                solver = "cosine" if constant_tridiagonal(m) else "sterf"
+                assert {c[0] for c in eig_calls} == {solver}, label
+                solvers.add(solver)
             tol = 1e-12 * max(1.0, float(np.max(np.abs(m))))
             assert np.max(np.abs(vals - expected)) <= tol, label
         assert {(p.rank % 2, check) for _, _, p, check in cases if p.rank > 2000} == \
             {(0, False), (1, True)}
+        assert solvers == {"cosine", "sterf"}
 
     @pytest.mark.parametrize("check_residual", [False, True])
     @pytest.mark.parametrize("label,op,proj", _unfolded_cases(),
@@ -844,9 +892,10 @@ class TestFoldResidual:
     @pytest.mark.parametrize("half", [0, 1], ids=["symmetric", "antisymmetric"])
     def test_perturbed_tridiagonal_half(self, monkeypatch, d, half):
         # one eigenvalue of one sterf half moved by 1e-3: the Sturm
-        # certificate on the halves of the compression's tridiagonal catches it
+        # certificate on the halves of the compression's tridiagonal catches
+        # it (a valley, which is not Toeplitz, so that sterf solves it)
         monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 5)
-        op = fl.Toeplitz({0: 0.3, 1: 0.7, -1: 0.7}, selfadjoint=True)
+        op = valley(d, fl.Toeplitz({0: 0.3, 1: 0.7, -1: 0.7}, selfadjoint=True))
         proj = fl.Window(fl.N0, 0, d - 1)
         orig, calls, seen = fl.spectral._sterf, [], {}
 
@@ -973,29 +1022,31 @@ COMPLEX_BANDS = {
 class TestSturmCertificate:
     """A tridiagonal window is solved for eigenvalues only, and with
     check_residual each eigenvalue is certified, index by index, by Sturm
-    counts on the whole compression."""
+    counts on the whole compression or on each of its halves, whether sterf
+    or the closed form solved it."""
 
     @pytest.mark.parametrize("kind", ["shift", "duplicate", "nan"])
-    @pytest.mark.parametrize("op", [HOPPING, RAMP, COMPLEX_BANDS["phases-ramp"]],
+    @pytest.mark.parametrize("op,orders", [(valley(64), halves(64)), (RAMP, [64]),
+                                           (COMPLEX_BANDS["phases-ramp"], [64])],
                              ids=["folded", "unfolded", "complex"])
-    def test_wrong_sterf_spectrum_raises(self, monkeypatch, wrong_sterf, op, kind):
+    def test_wrong_sterf_spectrum_raises(self, monkeypatch, wrong_sterf, op, orders, kind):
         monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 8)
         proj = fl.Window(fl.N0, 0, 63)
         calls = wrong_sterf(kind)
         with pytest.raises(fl.ResidualError, match=r"^eigenvalue \d+ of 64, .* breaches contract"):
             fl.compression_eigenvalues(op, proj, check_residual=True)
-        assert calls == (halves(64) if op is HOPPING else [64])
+        assert calls == orders
 
     @pytest.mark.parametrize("kind", ["shift", "duplicate", "missing"])
     @pytest.mark.parametrize("half", [0, 1], ids=["symmetric", "antisymmetric"])
     @pytest.mark.parametrize("d", [64, 65])
     def test_each_half_is_certified_on_its_own(self, monkeypatch, d, half, kind):
-        # the halves of a persymmetric window are certified by Sturm counts
-        # on each half: the eigenvalue of index 3 of either half moved up by
-        # 1e-3, replaced by its upper neighbour, or missing (those above it
-        # moved down one place, the top one repeated) fails at half index 3,
-        # and the message names that value's index in the window's sorted
-        # list
+        # the halves of a persymmetric window (a valley, which sterf
+        # solves) are certified by Sturm counts on each half: the eigenvalue
+        # of index 3 of either half moved up by 1e-3, replaced by its upper
+        # neighbour, or missing (those above it moved down one place, the
+        # top one repeated) fails at half index 3, and the message names
+        # that value's index in the window's sorted list
         monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 8)
         orig, returned = fl.spectral._sterf, []
 
@@ -1013,7 +1064,8 @@ class TestSturmCertificate:
 
         monkeypatch.setattr(fl.spectral, "_sterf", wrong)
         with pytest.raises(fl.ResidualError) as exc:
-            fl.compression_eigenvalues(HOPPING, fl.Window(fl.N0, 0, d - 1), check_residual=True)
+            fl.compression_eigenvalues(valley(d), fl.Window(fl.N0, 0, d - 1),
+                                       check_residual=True)
         assert [v.size for v in returned] == halves(d)
         match = re.fullmatch(rf"eigenvalue (\d+) of {d}, (\S+), breaches contract \S+: Sturm "
                              rf"counts on its half, of order {halves(d)[half]}, \d+ below it "
@@ -1054,8 +1106,9 @@ class TestSturmCertificate:
 
     @pytest.mark.parametrize("name", sorted(COMPLEX_BANDS))
     def test_complex_windows_match_dense(self, eig_calls, name):
-        # on both sides of TRIDIAGONAL_MIN_DIM: dense below, the real
-        # gauge's sterf at and above it, certified in the largest window
+        # on both sides of TRIDIAGONAL_MIN_DIM: dense below, at and above it
+        # the real gauge's halves in closed form where Toeplitz, else its
+        # sterf, certified in the largest window
         op, low = COMPLEX_BANDS[name], fl.spectral.TRIDIAGONAL_MIN_DIM
         folds = name == "symbol-sampled"
         for d, check in ((low - 1, False), (low, False), (low + 1, True)):
@@ -1071,7 +1124,105 @@ class TestSturmCertificate:
             if d < low:
                 assert solvers == ["eigvalsh"]
             else:
-                assert solvers == ["sterf"] * (2 if folds else 1)
+                assert solvers == (["cosine"] * 2 if folds else ["sterf"])
+
+
+class TestClosedForm:
+    """A tridiagonal window whose real gauge has one diagonal entry a and
+    one off-diagonal entry e, a bandwidth-1 Toeplitz section, is solved in
+    closed form: a + 2e cos(k pi / (d + 1)), k = 1..d, odd k in the
+    symmetric half and even k in the antisymmetric one, each certified by
+    Sturm counts as sterf's halves are."""
+
+    @pytest.mark.parametrize("d", [1000, 1001, 1025, 2048, 2049])
+    def test_matches_sterf_and_dense(self, eig_calls, d):
+        # a_0 = -0.4 and a_1 = 0.7 e^(i phase) on windows of n0 and z: every
+        # eigenvalue, certified, within 1e-13 * scale of sterf's on the
+        # whole real gauge and, for one phase and lattice a d, of the dense
+        # oracle's on the compression (a complex a_1 at every d)
+        real = np.dtype(np.float64)
+        phases = [0.0, math.pi, 1.0, math.pi / 2, 2.5]
+        for i, phase in enumerate(phases):
+            a1 = 0.7 * complex(np.exp(1j * phase)) if i > 1 else 0.7 * math.cos(phase)
+            for lattice in (fl.N0, fl.Z):
+                op = fl.Toeplitz({0: -0.4, 1: a1, -1: np.conj(a1)}, lattice=lattice,
+                                 selfadjoint=True)
+                lo = 0 if lattice == fl.N0 else -(d // 2)
+                proj = fl.Window(lattice, lo, lo + d - 1)
+                eig_calls.clear()
+                vals = fl.compression_eigenvalues(op, proj, check_residual=True)
+                assert eig_calls == [("cosine", n, real) for n in halves(d)]
+                h, scale = fl.spectral._hermitian_compression(op, proj, 1e-10)
+                assert scale == 1.0
+                want = fl.spectral._sterf(h[0].real.copy(), np.abs(h[1][:-1]))
+                assert np.max(np.abs(vals - want)) <= 1e-13, (phase, lattice)
+                if (i, lattice) == (2 + d % 3, fl.Z if d % 2 else fl.N0):
+                    dense = eigenvalues_hermitian(compress(op, proj))
+                    assert np.max(np.abs(vals - dense)) <= 1e-13, (phase, lattice)
+
+    @pytest.mark.parametrize("d", [2, 3, 16, 17, 1000, 1001])
+    def test_odd_k_is_the_symmetric_half(self, d):
+        # the eigenvector sin(j k pi / (d + 1)) of a + 2e cos(k pi / (d + 1))
+        # reads the same backwards for odd k and changes sign for even k, so
+        # the odd k are the symmetric half's eigenvalues and the even k the
+        # antisymmetric half's, each within 1e-13 of a dense solve of that
+        # half of `_tridiagonal_halves`
+        a, e = -0.4, 0.7
+        k = np.arange(1, d + 1)
+        vecs = np.sin(np.outer(k, k) * np.pi / (d + 1))
+        assert np.allclose(vecs[::-1], vecs * np.where(k % 2, 1.0, -1.0), atol=1e-12)
+        lam = a + 2.0 * e * np.cos(k * np.pi / (d + 1))
+        sym, anti = fl.spectral._cosine_halves(a, e, d)
+        assert np.array_equal(sym, np.sort(lam[k % 2 == 1]))
+        assert np.array_equal(anti, np.sort(lam[k % 2 == 0]))
+        for got, (ha, he) in zip((sym, anti),
+                                 fl.spectral._tridiagonal_halves(np.full(d, a), np.full(d - 1, e))):
+            want = np.linalg.eigvalsh(np.diag(ha) + np.diag(he, 1) + np.diag(he, -1))
+            assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_only_exactly_constant_storage(self, eig_calls):
+        # the test reads the storage, exactly: two mirrored diagonal
+        # entries, or two mirrored off-diagonal moduli, an ulp off take
+        # sterf's halves; a zero off-diagonal takes the closed form, every
+        # eigenvalue a exactly; storage with a NaN or an infinity is refused
+        # by sterf as before
+        d = 1000
+        for j, at in ((0, ()), (0, (d // 2 - 1, d // 2)), (1, (10, d - 12))):
+            h = {0: np.full(d, 0.3), 1: np.full(d, 0.7 + 0.0j)}
+            for p in at:
+                h[j][p] = np.nextafter(h[j][p].real, 1.0)
+            eig_calls.clear()
+            vals = fl.spectral._tridiagonal_eigenvalues(h, d, 1.0, check_residual=True)
+            assert [c[0] for c in eig_calls] == ["sterf" if at else "cosine"] * 2
+            want = tridiagonal_eigs(d - 1) * 0.7 + 0.3  # of order d
+            assert np.max(np.abs(vals - want)) <= 1e-13
+        vals = fl.spectral._tridiagonal_eigenvalues({0: np.full(d, 0.3)}, d, 1.0, True)
+        assert np.array_equal(vals, np.full(d, 0.3))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(np.linalg.LinAlgError, match="^non-finite entry"):
+                fl.spectral._tridiagonal_eigenvalues({0: np.full(d, bad)}, d, 1.0, True)
+
+    @pytest.mark.parametrize("kind", ["shift", "duplicate", "nan", "missing"])
+    @pytest.mark.parametrize("half", [0, 1], ids=["symmetric", "antisymmetric"])
+    @pytest.mark.parametrize("d", [1000, 1001])
+    def test_wrong_closed_form_raises(self, wrong_cosine, d, half, kind):
+        # the eigenvalue of index 3 of either half moved up by 1e-3,
+        # replaced by its upper neighbour or by NaN, or missing, fails the
+        # Sturm certificate of that half at half index 3, and the message
+        # names that value's index in the window's sorted list
+        calls = wrong_cosine(kind, half)
+        with pytest.raises(fl.ResidualError) as exc:
+            fl.compression_eigenvalues(HOPPING, fl.Window(fl.N0, 0, d - 1), check_residual=True)
+        (returned,) = calls
+        assert [v.size for v in returned] == halves(d)
+        match = re.fullmatch(rf"eigenvalue (\d+) of {d}, (\S+), breaches contract \S+: Sturm "
+                             rf"counts on its half, of order {halves(d)[half]}, \d+ below it "
+                             r"- tol and \d+ below it \+ tol, want <= 3 and >= 4", str(exc.value))
+        assert match, str(exc.value)
+        assert match[2] == f"{returned[half][3]:.6g}"
+        if kind != "nan":
+            merged = np.sort(np.concatenate(returned))
+            assert merged[int(match[1])] == returned[half][3]
 
 
 def _sturm_case(rng, near_underflow=False):

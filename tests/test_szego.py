@@ -21,6 +21,12 @@ ALPHA = (math.sqrt(5.0) - 1.0) / 2.0
 HOPPING = fl.Toeplitz({1: 1.0, -1: 1.0}, selfadjoint=True)
 # a real bandwidth-1 operator on n0 whose compressions are never persymmetric
 RAMP = fl.op_sum(HOPPING, fl.Band(0, ((0, lambda n: 0.01 * n),), lattice=fl.N0))
+# hopping on z, and with the even potential 0.01 |n| (a valley) or the odd
+# one 0.01 n (a ramp) added: on the windows of z centred at 0 the first two
+# are persymmetric, and only hopping is Toeplitz
+HOPPING_Z = fl.Toeplitz({1: 1.0, -1: 1.0}, lattice=fl.Z, selfadjoint=True)
+VALLEY_Z = fl.op_sum(HOPPING_Z, fl.Band(0, ((0, lambda n: 0.01 * np.abs(n)),), lattice=fl.Z))
+RAMP_Z = fl.op_sum(HOPPING_Z, fl.Band(0, ((0, lambda n: 0.01 * n),), lattice=fl.Z))
 
 
 def _exact_moments(a, order):
@@ -345,22 +351,23 @@ class TestSzegoPair:
     def test_one_eigensolve_per_window_tridiagonal(self, monkeypatch, eig_calls):
         # above the tridiagonal threshold every window is solved for
         # eigenvalues only, the largest one certified by Sturm counts, and no
-        # dense solve runs at all; the persymmetric symbols take two
-        # tridiagonal halves, the ramp one solve
+        # dense solve runs at all; on the windows of z centred at 0 the
+        # persymmetric symbols take two tridiagonal halves in closed form,
+        # the valley two sterf halves, the ramp one sterf solve
         monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 5)
-        real_sym = fl.Toeplitz({0: 0.3, 1: 0.7, -1: 0.7}, selfadjoint=True)
-        seq = fl.finite_section_sequence(fl.N0, [4, 8, 16])
-        refs = {"t": fl.reference_pushforward(HOPPING), "r": fl.reference_pushforward(real_sym),
-                "u": fl.reference_pushforward(HOPPING)}
-        rep = fl.szego_pair_test([("t", HOPPING), ("r", real_sym), ("u", RAMP)], seq, refs,
-                                 f_family=[fl.monomial(2)])
+        real_sym = fl.Toeplitz({0: 0.3, 1: 0.7, -1: 0.7}, lattice=fl.Z, selfadjoint=True)
+        seq = fl.finite_section_sequence(fl.Z, [4, 8, 16])
+        hop = fl.reference_pushforward(HOPPING_Z)
+        refs = {"t": hop, "r": fl.reference_pushforward(real_sym), "v": hop, "u": hop}
+        rep = fl.szego_pair_test([("t", HOPPING_Z), ("r", real_sym), ("v", VALLEY_Z),
+                                  ("u", RAMP_Z)], seq, refs, f_family=[fl.monomial(2)])
         real = np.dtype(np.float64)
-        per_op = [("sterf", 3, real), ("sterf", 2, real), ("sterf", 5, real),
-                  ("sterf", 4, real), ("sterf", 9, real), ("sterf", 8, real)]
-        unfolded = [("sterf", 5, real), ("sterf", 9, real), ("sterf", 17, real)]
-        assert eig_calls == per_op + per_op + unfolded
+        orders = [5, 4, 9, 8, 17, 16]
+        assert eig_calls == ([("cosine", n, real) for n in orders] * 2
+                             + [("sterf", n, real) for n in orders]
+                             + [("sterf", n, real) for n in (9, 17, 33)])
         row = next(r for r in rep.rows if r["label"] == "t" and r["n"] == 16)
-        assert row["error"] == pytest.approx(2.0 / 17.0, abs=1e-12)
+        assert row["error"] == pytest.approx(2.0 / 33.0, abs=1e-12)
 
     def test_largest_window_takes_the_residual_check_wherever_it_stands(
             self, monkeypatch, eig_calls):
@@ -371,14 +378,15 @@ class TestSzegoPair:
         ranks = []
         monkeypatch.setattr(fl.szego, "check_solve_footprint",
                             lambda rank, **kwargs: ranks.append(rank))
-        big, small = fl.finite_section(fl.N0, 64), fl.finite_section(fl.N0, 4)
+        # (a valley on windows of z centred at 0, whose halves sterf solves)
+        big, small = fl.finite_section(fl.Z, 32), fl.finite_section(fl.Z, 2)
         refs = {"t": fl.reference_pushforward(HOPPING)}
-        seq = fl.ProjectionSequence(fl.N0, (1, 2), (big, small))
-        rep = fl.szego_pair_test([("t", HOPPING)], seq, refs)
+        seq = fl.ProjectionSequence(fl.Z, (1, 2), (big, small))
+        rep = fl.szego_pair_test([("t", VALLEY_Z)], seq, refs)
         real = np.dtype(np.float64)
         assert ranks == [65]
         assert eig_calls == [("sterf", n, real) for n in (33, 32, 3, 2)]
-        alone = fl.szego_pair_test([("t", HOPPING)], fl.ProjectionSequence(fl.N0, (1,), (big,)),
+        alone = fl.szego_pair_test([("t", VALLEY_Z)], fl.ProjectionSequence(fl.Z, (1,), (big,)),
                                    refs)
         assert {r["f"] for r in rep.rows} == {r["f"] for r in alone.rows}
 
@@ -405,8 +413,10 @@ def run_cli(capsys, *argv):
 
 
 @pytest.mark.parametrize("kind", ["shift", "duplicate", "nan"])
-def test_perturbed_sterf_exit_1(monkeypatch, capsys, wrong_sterf, kind):
+def test_perturbed_sterf_exit_1(monkeypatch, capsys, wrong_sterf, valley, kind):
     # a wrong eigenvalue of the largest window fails its Sturm certificate
+    # (hopping's windows with a palindromic diagonal added, so that sterf
+    # solves them)
     monkeypatch.setattr(fl.spectral, "TRIDIAGONAL_MIN_DIM", 5)
     wrong_sterf(kind)
     code = main(["szego", "--op", HOPPING_SPEC, "--n", "16"])
@@ -414,6 +424,21 @@ def test_perturbed_sterf_exit_1(monkeypatch, capsys, wrong_sterf, kind):
     err = out.err.splitlines()
     assert code == 1 and out.out == ""
     assert len(err) == 1 and err[0].startswith("numerical failure: eigenvalue ")
+
+
+@pytest.mark.parametrize("kind", ["shift", "duplicate", "nan", "missing"])
+@pytest.mark.parametrize("half", [0, 1], ids=["symmetric", "antisymmetric"])
+def test_perturbed_closed_form_exit_1(capsys, wrong_cosine, half, kind):
+    # hopping's largest window, d = 1025, is solved in closed form: a wrong
+    # eigenvalue of either half fails its Sturm certificate, with one line
+    calls = wrong_cosine(kind, half)
+    code = main(["szego", "--op", HOPPING_SPEC, "--n", "16,1024"])
+    out = capsys.readouterr()
+    err = out.err.splitlines()
+    assert code == 1 and out.out == ""
+    assert len(err) == 1 and err[0].startswith("numerical failure: eigenvalue ")
+    assert f"on its half, of order {(513, 512)[half]}," in err[0]
+    assert [[v.size for v in halves] for halves in calls] == [[513, 512]]
 
 
 class TestReferenceDeferral:
@@ -540,15 +565,20 @@ class TestMemoryFootprint:
         assert capsys.readouterr().err.startswith("config error:")
         assert eig_calls == []
 
-    def test_window_the_fold_can_solve_runs(self, monkeypatch, capsys, eig_calls):
+    def test_window_the_fold_can_solve_runs(self, request, monkeypatch, capsys, eig_calls):
         # at d = 1001 the tridiagonal halves and their certificate (256 KB)
         # fit in 6 MiB, where the dense halves with eigenvectors (10.0 MB)
-        # would not
+        # would not: hopping's in closed form, then sterf's once a
+        # palindromic diagonal is added
         monkeypatch.setattr(fl._util, "_physical_memory", lambda: 6 << 20)
-        assert main(["szego", "--op", HOPPING_SPEC, "--n", "1000", "--f", "poly:2"]) == 0
-        assert capsys.readouterr().err == ""
         real = np.dtype(np.float64)
-        assert eig_calls == [("sterf", 501, real), ("sterf", 500, real)]
+        for solver in ("cosine", "sterf"):
+            if solver == "sterf":
+                request.getfixturevalue("valley")
+            eig_calls.clear()
+            assert main(["szego", "--op", HOPPING_SPEC, "--n", "1000", "--f", "poly:2"]) == 0
+            assert capsys.readouterr().err == ""
+            assert eig_calls == [(solver, 501, real), (solver, 500, real)]
         with pytest.raises(ConfigError, match="dimension 1001"):
             fl.spectral.check_solve_footprint(1001, tridiagonal=False, check_residual=True,
                                               fold="halves")
