@@ -1,13 +1,33 @@
-"""Shared helpers: the version stamp, the errors the command line maps to
-exit codes, the memory guard and deterministic report serialization."""
+"""Shared helpers: numpy on first use, the version stamp, the errors the
+command line maps to exit codes, the memory guard and deterministic report
+serialization."""
 from __future__ import annotations
 
 import cmath
+import importlib.util
 import io
 import json
 import os
+import sys
 
 VERSION = "0.1.0"
+
+
+def lazy_numpy():
+    """numpy: the module itself where it is imported already, else one
+    installed in sys.modules that runs numpy's import on its first
+    attribute access (`importlib.util.LazyLoader`).  A run that reads no
+    numpy attribute, such as `validate` on most spec kinds, never pays for
+    numpy's import, about two thirds of the command line's start-up."""
+    np = sys.modules.get("numpy")
+    if np is None:
+        spec = importlib.util.find_spec("numpy")
+        if spec is None:
+            raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        np = sys.modules["numpy"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(np)
+    return np
 
 
 class ConfigError(ValueError):

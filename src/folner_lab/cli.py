@@ -13,14 +13,16 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from ._util import VERSION, ConfigError, ResidualError, SpecError
-from ._util import check_footprint, report_csv, report_json
+from ._util import check_footprint, lazy_numpy, report_csv, report_json
 from .operators import N0, Shift, Toeplitz
 from .projections import finite_section, finite_section_sequence
 from .specio import SpecValidationError, load_spec_file
 from .traces import canonical_trace, represent_nc, trace_convergence_report
+
+# numpy is imported at its first use: `--help`, argument errors and
+# `validate` on specs that compute nothing never import it
+np = lazy_numpy()
 
 
 def parse_n_list(text: str):
@@ -366,6 +368,11 @@ def main(argv=None) -> int:
     # rebound after the parser was built (patched or wrapped) is what runs
     command = globals()[args.func.__name__]
     try:
+        # `validate` runs outside the error state, which would import numpy
+        # for every spec: its one numeric step, the Fourier sum of a
+        # `samples` spec, raises on overflow by itself
+        if args.command == "validate":
+            return command(args)
         # overflow and invalid operations are numerical failures, not warnings
         with np.errstate(over="raise", invalid="raise"):
             return command(args)

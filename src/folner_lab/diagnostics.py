@@ -175,14 +175,25 @@ def qd_gap(op: OperatorSpec, proj) -> float:
 
 class FolnerReport:
     """Grid of ratios per (label, n, p) plus fitted log-log decay slopes,
-    `slopes` mapping (label, p) to a float or None."""
+    `slopes` mapping (label, p) to a float or None.  The slopes are fitted
+    on first read: a CSV report, which does not print them, fits none."""
 
-    __slots__ = ("rows", "slopes")
+    __slots__ = ("rows", "_slopes")
 
     COLUMNS = ("label", "n", "d_n", "p", "ratio", "off_corner", "qd_gap")
 
-    def __init__(self, rows: list, slopes: dict):
-        self.rows, self.slopes = rows, slopes
+    def __init__(self, rows: list):
+        self.rows, self._slopes = rows, None
+
+    @property
+    def slopes(self) -> dict:
+        if self._slopes is None:
+            pts = {}
+            for r in self.rows:
+                pts.setdefault((r["label"], r["p"]), []).append(r)
+            self._slopes = {key: fit_decay_slope([r["d_n"] for r in rs], [r["ratio"] for r in rs])
+                            for key, rs in pts.items()}
+        return self._slopes
 
     def payload(self) -> dict:
         slopes = {f"{lab}|p={p}": s for (lab, p), s in sorted(self.slopes.items())}
@@ -240,12 +251,4 @@ def folner_profile(ops, seq, p_list=(1, 2)) -> FolnerReport:
                     }
                 )
     rows.sort(key=lambda r: (r["label"], r["n"], r["p"]))
-
-    slopes = {}
-    for label, _ in ops:
-        for p in p_list:
-            pts = [r for r in rows if r["label"] == label and r["p"] == p]
-            slopes[(label, p)] = fit_decay_slope(
-                [r["d_n"] for r in pts], [r["ratio"] for r in pts]
-            )
-    return FolnerReport(rows, slopes)
+    return FolnerReport(rows)

@@ -23,9 +23,9 @@ import math
 from functools import cached_property, lru_cache
 from operator import add, mul, neg
 
-import numpy as np
+from ._util import ConfigError, SpecError, check_footprint, lazy_numpy
 
-from ._util import ConfigError, SpecError, check_footprint
+np = lazy_numpy()
 
 N0 = "n0"
 Z = "z"
@@ -395,7 +395,10 @@ def toeplitz_from_samples(values, bandwidth: int, selfadjoint: bool = False) -> 
     """Recover Fourier coefficients |k| <= bandwidth from uniform symbol samples.
 
     Uses the plain discrete Fourier sum; requires at least 2*bandwidth + 1
-    samples (Nyquist bound for the requested band).
+    samples (Nyquist bound for the requested band).  A sum that overflows
+    or turns invalid raises FloatingPointError, whatever numpy's error state
+    around the call: finite samples whose coefficients are not finite make
+    no spec.
     """
     v = np.asarray(values, dtype=complex)
     m = v.size
@@ -405,8 +408,9 @@ def toeplitz_from_samples(values, bandwidth: int, selfadjoint: bool = False) -> 
         )
     theta = 2.0 * np.pi * np.arange(m) / m
     coeffs = {}
-    for k in range(-bandwidth, bandwidth + 1):
-        coeffs[k] = np.mean(v * np.exp(-1j * k * theta))
+    with np.errstate(over="raise", invalid="raise"):
+        for k in range(-bandwidth, bandwidth + 1):
+            coeffs[k] = np.mean(v * np.exp(-1j * k * theta))
     return Toeplitz(coeffs, selfadjoint=selfadjoint)
 
 

@@ -9,11 +9,9 @@ from contextlib import contextmanager
 from itertools import chain, compress, repeat
 from operator import is_
 
-import numpy as np
-
 from . import operators as ops
 from . import projections as prj
-from ._util import SpecError
+from ._util import SpecError, lazy_numpy
 from .operators import (
     AlmostMathieu,
     Band,
@@ -28,6 +26,7 @@ from .operators import (
 )
 from .traces import NCPolynomial
 
+np = lazy_numpy()
 
 # Deepest JSON nesting a spec file may have: a polynomial nested this deep
 # is evaluated well inside the interpreter's recursion limit.

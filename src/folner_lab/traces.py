@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from ._util import check_footprint, report_csv, report_json
+from ._util import check_footprint, lazy_numpy, report_csv, report_json
 from .operators import Band, Element, OperatorSpec, Term, Wave
 from .operators import diagonal_entries, diagonal_sum, run_indices, widen_runs
+
+np = lazy_numpy()
 
 
 class AlphaMismatchError(ValueError):

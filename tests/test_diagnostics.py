@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from folner_lab.cli import main
 from folner_lab.diagnostics import fit_decay_slope
 
 ALPHA = (math.sqrt(5.0) - 1.0) / 2.0
+CORPUS = Path(__file__).parent / "corpus" / "valid"
 
 
 class TestSchattenNorm:
@@ -168,6 +170,24 @@ class TestProfile:
         assert body.startswith("# folner-lab")
         assert "label,n,d_n,p,ratio,off_corner,qd_gap" in body
         assert '"slopes"' in rep.to_json()
+
+    def test_slopes_are_fitted_on_first_read(self, monkeypatch, capsys):
+        # a CSV report prints no slope and fits none; a JSON one fits each
+        # (label, p) once, to the slope of its rows
+        fits = []
+        polyfit = np.polyfit
+        monkeypatch.setattr(np, "polyfit", lambda *a, **k: fits.append(a) or polyfit(*a, **k))
+        argv = ["folner", "--op", str(CORPUS / "shift.json"), "--op", str(CORPUS / "hopping.json"),
+                "--n", "1,2,4,8", "--p", "1,2"]
+        assert main(argv) == 0 and fits == []
+        capsys.readouterr()
+        assert main([*argv, "--format", "json"]) == 0 and len(fits) == 4
+        report = json.loads(capsys.readouterr().out)
+        for label in ("shift", "hopping"):
+            for p in (1, 2):
+                rows = [r for r in report["rows"] if r["label"] == label and r["p"] == p]
+                assert report["slopes"][f"{label}|p={p}"] == fit_decay_slope(
+                    [r["d_n"] for r in rows], [r["ratio"] for r in rows])
 
 
 class TestBoundaryCost:

@@ -4,9 +4,11 @@ in one of its class bodies, is used or exported.  The package exports
 lazily, from the table `_EXPORTS` of its __init__; every entry of that
 table names a definition, and every name the package exported when its
 __init__ imported them eagerly still resolves.  A subcommand loads only
-the modules it runs, and a tridiagonal solve loads scipy's compiled LAPACK
-wrapper without the scipy.linalg package."""
+the modules it runs, `--help`, argument errors and `validate` on spec kinds
+that compute nothing never run numpy's import, and a tridiagonal solve
+loads scipy's compiled LAPACK wrapper without the scipy.linalg package."""
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -229,6 +231,89 @@ def test_a_subcommand_loads_only_what_it_runs(argv, loaded):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == f"0 {sorted(loaded)}"
+
+
+# The corpus files whose validation computes with arrays, and so runs
+# numpy's import: a dense matrix, an index set's runs, a samples spec's
+# Fourier sum and their invalid forms.  Every other file validates without
+# numpy, whose import is most of a fresh `validate`'s time.
+NUMPY_AT_VALIDATE = {"valid/dense_pauli.json", "valid/scatter.json", "valid/symbol_sampled.json",
+                     "invalid/bad_complex.json", "invalid/undersampled_symbol.json"}
+SPECS = sorted(CORPUS.parent.glob("*/*.json"))
+# numpy's compiled core, which its import loads first: a numpy installed
+# for its first use and never used leaves it out
+NUMPY_RAN = "any(m in sys.modules for m in ('numpy._core.multiarray', 'numpy.core.multiarray'))"
+
+
+def _steps_after_import(argvs, first=""):
+    """Runs `first`, imports folner_lab.cli and runs each argv through its
+    `main`, in one fresh process; returns (exit code, stdout, whether numpy
+    ran) after each, and whether numpy ran after the import, as a first
+    entry (None, "", ran)."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        f"{first}\n"
+        "import folner_lab.cli\n"
+        f"steps = [[None, '', {NUMPY_RAN}]]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        try:\n"
+        "            code = folner_lab.cli.main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        f"    steps.append([code, out.getvalue(), {NUMPY_RAN}])\n"
+        "print(json.dumps(steps))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_help_argument_errors_and_validate_run_without_numpy():
+    # in a fresh process: importing the command line, --help, --version, an
+    # argument error (exit 2) and `validate` on every corpus file whose
+    # validation computes nothing, valid (exit 0) or not (exit 3), leave
+    # numpy's import unrun
+    free = [p for p in SPECS if p.relative_to(CORPUS.parent).as_posix() not in NUMPY_AT_VALIDATE]
+    assert {p.parent.name for p in free} == {"valid", "invalid"}
+    argvs = [["--help"], ["--version"], ["folner", "--n", "1"],
+             ["trace", "--op", str(CORPUS / "shift.json"), "--n", "1", "--format", "xml"],
+             *(["validate", str(p)] for p in free)]
+    codes = [0, 0, 2, 2, *(0 if p.parent.name == "valid" else 3 for p in free)]
+    steps = _steps_after_import(argvs)
+    assert [ran for _, _, ran in steps] == [False] * (len(argvs) + 1)
+    assert [code for code, _, _ in steps[1:]] == codes
+
+
+@pytest.mark.parametrize("name", sorted(NUMPY_AT_VALIDATE))
+def test_validate_runs_numpy_only_where_a_spec_computes(name):
+    # the pinned corpus files do run numpy's import while they validate,
+    # each in a fresh process; a new numpy use on the validate path of any
+    # other file fails the test above
+    path = CORPUS.parent / name
+    steps = _steps_after_import([["validate", str(path)]])
+    assert steps == [[None, "", False],
+                     [0 if path.parent.name == "valid" else 3, steps[1][1], True]]
+
+
+def test_runs_after_a_numpy_free_validate_print_the_same_bytes():
+    # `folner` and `szego` after a `validate` that left numpy unrun, in the
+    # same process, print what they print where numpy was imported first
+    hopping, shift, harper = (str(CORPUS / f"{name}.json") for name in ("hopping", "shift", "harper"))
+    argvs = [["validate", hopping, shift, harper],
+             ["folner", "--op", hopping, "--op", shift, "--n", "1,2,5,8", "--format", "json"],
+             ["szego", "--op", harper, "--n", "2,8,32", "--format", "json"],
+             ["szego", "--op", hopping, "--n", "2,8,32"]]
+    lazy = _steps_after_import(argvs)
+    eager = _steps_after_import(argvs, first="import numpy")
+    assert [ran for _, _, ran in lazy] == [False, False, True, True, True]
+    assert [ran for _, _, ran in eager] == [True] * 5
+    assert [code for code, _, _ in lazy[1:]] == [0] * 4
+    assert [step[:2] for step in lazy] == [step[:2] for step in eager]
+    assert '"slopes"' in lazy[2][1] and '"folner"' in lazy[3][1] and ",x^" in lazy[4][1]
 
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,17 @@ class TestToeplitzSections:
     def test_nyquist_bound(self):
         with pytest.raises(fl.NyquistError):
             fl.toeplitz_from_samples(np.ones(4), bandwidth=2)
+
+    def test_fourier_sum_that_overflows_raises(self):
+        # finite samples whose mean overflows: a FloatingPointError from a
+        # library call, under numpy's default error state, not a warning
+        # and inf + nan j coefficients
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="^overflow"):
+                fl.toeplitz_from_samples([1e308, -1e308, 1e308, 1e308, -1e308], bandwidth=2)
+        assert np.geterr() == before
 
     def test_selfadjoint_flag_checks_coefficients(self):
         with pytest.raises(ValueError):
