@@ -322,16 +322,45 @@ class OperatorSpec:
 
 
 class Dense(OperatorSpec):
-    """Explicit square matrix, acting on the first d basis vectors of l2(N0)."""
+    """Explicit square matrix, acting on the first d basis vectors of l2(N0).
+
+    `Dense(matrix)` holds the complex matrix at once.  The spec loader
+    calls `Dense.of_entries` with the entries it checked: the support comes
+    from the rows' lengths, and the matrix is formed on the first read of
+    `matrix`, so that validating a spec runs no numpy."""
 
     bandwidth = 0
 
     def __init__(self, matrix, lattice: str = N0):
-        m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"dense spec needs a square matrix, got shape {m.shape}")
-        self.matrix, self.lattice, self.support = m, lattice, m.shape[0]
-        self.offsets = tuple(range(1 - m.shape[0], m.shape[0]))
+        self.matrix = np.asarray(matrix, dtype=complex)
+        self._set_support(self.matrix.shape, lattice)
+
+    @classmethod
+    def of_entries(cls, entries, shape: tuple, pairs: bool):
+        """The Dense of a matrix's entries row by row: an `array` of
+        doubles, with `pairs` those of its [re, im] pairs, or a list of
+        complex numbers; `shape` is (rows, entries a row)."""
+        self = cls.__new__(cls)
+        self._set_support(shape, N0)
+        self._entries = entries, pairs
+        return self
+
+    def _set_support(self, shape: tuple, lattice: str):
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"dense spec needs a square matrix, got shape {shape}")
+        self.lattice, self.support = lattice, shape[0]
+        self.offsets = tuple(range(1 - shape[0], shape[0]))
+
+    @cached_property
+    def matrix(self):
+        """The complex matrix of the entries given to `of_entries`, formed
+        on first read: doubles cast to complex, or with `pairs` viewed as
+        complex, bit for bit the entries' values."""
+        entries, pairs = self._entries
+        m = np.array(entries)
+        if pairs:
+            m = m.view(complex)
+        return m.astype(complex, copy=False).reshape(self.support, self.support)
 
     def diagonal(self, k, rows):
         rows = np.asarray(rows)
@@ -394,18 +423,19 @@ class Toeplitz(OperatorSpec):
 def toeplitz_from_samples(values, bandwidth: int, selfadjoint: bool = False) -> Toeplitz:
     """Recover Fourier coefficients |k| <= bandwidth from uniform symbol samples.
 
-    Uses the plain discrete Fourier sum; requires at least 2*bandwidth + 1
-    samples (Nyquist bound for the requested band).  A sum that overflows
-    or turns invalid raises FloatingPointError, whatever numpy's error state
-    around the call: finite samples whose coefficients are not finite make
-    no spec.
+    Uses the plain discrete Fourier sum of the sequence `values`; requires
+    at least 2*bandwidth + 1 samples (Nyquist bound for the requested
+    band), counted before numpy runs.  A sum that overflows or turns
+    invalid raises FloatingPointError, whatever numpy's error state around
+    the call: finite samples whose coefficients are not finite make no
+    spec.
     """
-    v = np.asarray(values, dtype=complex)
-    m = v.size
+    m = len(values)
     if m < 2 * bandwidth + 1:
         raise NyquistError(
             f"{m} samples cannot resolve coefficients up to |k| = {bandwidth}"
         )
+    v = np.asarray(values, dtype=complex)
     theta = 2.0 * np.pi * np.arange(m) / m
     coeffs = {}
     with np.errstate(over="raise", invalid="raise"):

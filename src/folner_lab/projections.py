@@ -7,7 +7,7 @@ an index set has as many as its indices have stretches.
 from __future__ import annotations
 
 from ._util import SpecError, check_footprint
-from .operators import _INT64_MAX, _INT64_MIN, N0, Z, _LATTICES, index_runs, run_indices
+from .operators import _INT64_MAX, _INT64_MIN, N0, Z, _LATTICES, run_indices
 
 
 class RankZeroError(SpecError):
@@ -58,7 +58,8 @@ class Window(Projection):
 
 
 class IndexSet(Projection):
-    """Projection onto an explicit strictly increasing finite index set."""
+    """Projection onto an explicit strictly increasing finite index set,
+    split into its runs in the one pass that checks the order."""
 
     __slots__ = ()
 
@@ -66,11 +67,17 @@ class IndexSet(Projection):
         idx = tuple(int(i) for i in indices)
         if not idx:
             raise RankZeroError("empty index set")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError("index set must be strictly increasing")
+        runs, lo = [], idx[0]
+        for a, b in zip(idx, idx[1:]):
+            if b <= a:
+                raise ValueError("index set must be strictly increasing")
+            if b != a + 1:
+                runs.append((lo, a))
+                lo = b
+        runs.append((lo, idx[-1]))
         if idx[0] < _INT64_MIN or idx[-1] > _INT64_MAX:
             raise ValueError("index set indices must fit in 64 bits")
-        super().__init__(lattice, index_runs(idx))
+        super().__init__(lattice, tuple(runs))
 
 
 def finite_section(lattice: str, n: int) -> Window:

@@ -127,7 +127,7 @@ def operator_from_json(doc, where: str = "operator") -> OperatorSpec:
     kind = _need(doc, "kind", where)
     with _spec_errors(where):
         if kind == "dense":
-            return Dense(_dense_matrix(_need(doc, "matrix", where), where))
+            return Dense.of_entries(*_dense_matrix(_need(doc, "matrix", where), where))
         if kind == "toeplitz":
             sa = doc.get("selfadjoint", False)
             if not isinstance(sa, bool):  # the schemas type it `boolean`
@@ -170,26 +170,35 @@ def operator_from_json(doc, where: str = "operator") -> OperatorSpec:
     raise SpecValidationError(f"{where}: unknown operator kind {kind!r}")
 
 
-def _dense_matrix(rows, where: str) -> np.ndarray:
-    """The complex matrix of a `dense` spec's rows of numbers or [re, im]
-    pairs.  Rows of one length holding only numbers, or only pairs of
-    numbers, take one walk in C: into an object array, checked by type (a
-    bool or a string is no number) and converted to floats, the pairs
-    viewed as complex.  Anything else is read entry by entry, which names
-    the first bad entry."""
-    try:
-        a = np.array(rows, dtype=object)
-    except ValueError:
-        a = None
-    if (a is not None and a.size and (a.ndim == 2 or a.shape[2:] == (2,))
-            and set(map(type, a.ravel().tolist())) <= {int, float}):
-        try:
-            m = a.astype(float)
-        except OverflowError:  # an integer past the float range
-            pass
-        else:
-            return m.view(complex)[..., 0] if m.ndim == 3 else m
-    return np.array([[_as_complex(x, where) for x in row] for row in rows])
+def _dense_matrix(rows, where: str) -> tuple:
+    """(entries, shape, pairs) of a `dense` spec's rows of numbers or
+    [re, im] pairs, for `Dense.of_entries`, checked with builtins alone:
+    numpy forms the matrix on its first read.  Rows of one length holding
+    only numbers, or only pairs of numbers, are checked by type in C, with
+    no Python call per entry (a bool or a string is no number), and their
+    numbers stored as doubles in an `array`, which refuses an integer past
+    the float range.  Anything else is read entry by entry into complex
+    numbers, which names the first bad entry; rows of differing lengths
+    then get numpy's own message."""
+    if (type(rows) is list and set(map(type, rows)) == {list}
+            and len(set(map(len, rows))) == 1):
+        cells = list(chain.from_iterable(rows))
+        kinds = set(map(type, cells))
+        pairs = kinds == {list} and set(map(len, cells)) == {2}
+        if pairs:
+            cells = list(chain.from_iterable(cells))
+            kinds = set(map(type, cells))
+        if kinds and kinds <= {int, float}:
+            from array import array  # an extension module: loaded for dense specs only
+            try:
+                return array("d", cells), (len(rows), len(rows[0])), pairs
+            except OverflowError:  # an integer past the float range
+                pass
+    walked = [[_as_complex(x, where) for x in row] for row in rows]
+    widths = set(map(len, walked))
+    if len(widths) > 1:
+        np.array(walked)  # raises numpy's message for ragged rows
+    return list(chain.from_iterable(walked)), (len(walked), *widths), False
 
 
 def _poly_node(doc, where: str):

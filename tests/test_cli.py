@@ -622,8 +622,8 @@ class TestNumericalFailures:
                              ids=lambda argv: argv[0])
     def test_samples_whose_fourier_sum_overflows(self, capsys, tmp_path, argv):
         # the Fourier sum of a samples spec runs while the spec is built,
-        # under the command line's raising error state, so `validate` fails
-        # on it as every command does
+        # under `toeplitz_from_samples`' own raising error state, so
+        # `validate` fails on it as every command does
         path = tmp_path / "huge.json"
         path.write_text('{"kind": "toeplitz", "samples": [1e308, -1e308, 1e308, 1e308, -1e308],'
                         ' "bandwidth": 2}')

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import folner_lab as fl
+from folner_lab.specio import load_spec_file
 
 SRC = Path(__file__).parent.parent / "src" / "folner_lab"
 # the package's __init__ exports names; it imports none of them to do so
@@ -234,11 +235,14 @@ def test_a_subcommand_loads_only_what_it_runs(argv, loaded):
 
 
 # The corpus files whose validation computes with arrays, and so runs
-# numpy's import: a dense matrix, an index set's runs, a samples spec's
-# Fourier sum and their invalid forms.  Every other file validates without
-# numpy, whose import is most of a fresh `validate`'s time.
-NUMPY_AT_VALIDATE = {"valid/dense_pauli.json", "valid/scatter.json", "valid/symbol_sampled.json",
-                     "invalid/bad_complex.json", "invalid/undersampled_symbol.json"}
+# numpy's import: a samples spec's Fourier sum.  Every other file validates
+# without numpy, whose import is most of a fresh `validate`'s time; a dense
+# matrix is checked with builtins and an index set split into runs in
+# Python, and a samples spec with too few samples is refused before its sum.
+NUMPY_AT_VALIDATE = {"valid/symbol_sampled.json"}
+# the corpus files that hold arrays: dense matrices, index sets, samples
+ARRAY_SPECS = NUMPY_AT_VALIDATE | {"valid/dense_pauli.json", "valid/scatter.json",
+                                   "invalid/bad_complex.json", "invalid/undersampled_symbol.json"}
 SPECS = sorted(CORPUS.parent.glob("*/*.json"))
 # numpy's compiled core, which its import loads first: a numpy installed
 # for its first use and never used leaves it out
@@ -288,15 +292,72 @@ def test_help_argument_errors_and_validate_run_without_numpy():
     assert [code for code, _, _ in steps[1:]] == codes
 
 
-@pytest.mark.parametrize("name", sorted(NUMPY_AT_VALIDATE))
+@pytest.mark.parametrize("name", sorted(ARRAY_SPECS))
 def test_validate_runs_numpy_only_where_a_spec_computes(name):
-    # the pinned corpus files do run numpy's import while they validate,
-    # each in a fresh process; a new numpy use on the validate path of any
-    # other file fails the test above
+    # each corpus file holding an array, in a fresh process: the pinned ones
+    # run numpy's import while they validate, the others do not; a new
+    # numpy use on the validate path of any other file fails the test above
     path = CORPUS.parent / name
     steps = _steps_after_import([["validate", str(path)]])
-    assert steps == [[None, "", False],
-                     [0 if path.parent.name == "valid" else 3, steps[1][1], True]]
+    assert steps == [[None, "", False], [0 if path.parent.name == "valid" else 3, steps[1][1],
+                                         name in NUMPY_AT_VALIDATE]]
+
+
+def _dense_spec(rng, cell, size=64, rows=None):
+    """A dense spec document of `rows` (default `size`) rows of `size`
+    cells, each drawn by cell(rng)."""
+    return {"kind": "dense",
+            "matrix": [[cell(rng) for _ in range(size)] for _ in range(rows or size)]}
+
+
+def _number(rng):
+    return float(rng.standard_normal()) if rng.random() < 0.5 else int(rng.integers(-9, 10))
+
+
+DENSE_SPECS = {
+    # name: (spec document of a seeded generator, exit code of `validate`)
+    "ints": (lambda rng: _dense_spec(rng, lambda r: int(r.integers(-2**40, 2**40))), 0),
+    "floats": (lambda rng: _dense_spec(rng, lambda r: float(r.standard_normal())), 0),
+    "numbers": (lambda rng: _dense_spec(rng, _number), 0),
+    "pairs": (lambda rng: _dense_spec(rng, lambda r: [_number(r), _number(r)]), 0),
+    "mixed": (lambda rng: _dense_spec(
+        rng, lambda r: _number(r) if r.random() < 0.5 else [_number(r), _number(r)]), 0),
+    "non-square": (lambda rng: _dense_spec(rng, _number, size=5, rows=4), 3),
+    "pairs-non-square": (lambda rng: _dense_spec(rng, lambda r: [1.0, 2.0], size=3, rows=2), 3),
+    "int-past-float": (lambda rng: {"kind": "dense", "matrix": [[1, 2.0], [10**400, 3]]}, 3),
+}
+
+
+def test_dense_specs_validate_without_numpy(tmp_path):
+    # in one fresh process, `validate` on generated dense specs, valid and
+    # not, leaves numpy's import unrun, with each one's exit code
+    rng = np.random.default_rng(32)
+    paths = []
+    for name, (make, _) in DENSE_SPECS.items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(make(rng)))
+    steps = _steps_after_import([["validate", str(p)] for p in paths])
+    assert [ran for _, _, ran in steps] == [False] * (len(paths) + 1)
+    assert [code for code, _, _ in steps[1:]] == [code for _, code in DENSE_SPECS.values()]
+
+
+@pytest.mark.parametrize("name", [n for n, (_, code) in DENSE_SPECS.items() if code == 0])
+def test_a_loaded_dense_forms_its_matrix_on_first_read(tmp_path, name):
+    # a loaded Dense holds no array until `matrix` is read, and then the
+    # one of Dense(np.array(...)) of the same entries, byte for byte
+    doc = DENSE_SPECS[name][0](np.random.default_rng(7))
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(doc))
+    kind, op = load_spec_file(path)
+    assert kind == "operator" and op.support == 64 and op.offsets == tuple(range(-63, 64))
+    assert "matrix" not in vars(op)
+    want = fl.Dense(np.array([[complex(*x) if isinstance(x, list) else x for x in row]
+                              for row in doc["matrix"]]))
+    got = op.matrix
+    assert "matrix" in vars(op) and op.matrix is got
+    assert got.dtype == want.matrix.dtype and got.shape == want.matrix.shape
+    assert got.tobytes() == want.matrix.tobytes()
+    assert "matrix" in vars(want)  # a library call holds its matrix at once
 
 
 def test_runs_after_a_numpy_free_validate_print_the_same_bytes():

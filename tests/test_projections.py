@@ -31,6 +31,24 @@ def test_runs():
     assert repr(p) == "IndexSet(lattice='z', runs=((-4, -3), (-1, -1), (2, 4)))"
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_index_set_runs_match_index_runs(seed):
+    # the runs an index set splits while it checks the order are those of
+    # `index_runs` on its int64 array: gapped sets, single points, and
+    # indices at the int64 bounds
+    rng = np.random.default_rng(seed)
+    lo, hi = -(2**63), 2**63 - 1
+    idx = set(rng.integers(-40, 40, size=rng.integers(1, 30)).tolist())
+    idx |= {lo, lo + 1, hi} if seed % 2 else {hi - 2, hi - 1}
+    if seed % 3 == 0:
+        idx |= {lo + 5}  # a single point beside the bound's run
+    idx = tuple(sorted(idx))
+    runs = fl.IndexSet(fl.Z, idx).runs
+    assert runs == fl.operators.index_runs(np.array(idx))
+    assert all(type(x) is int for run in runs for x in run)
+    assert fl.IndexSet(fl.Z, idx[:1]).runs == ((idx[0], idx[0]),)
+
+
 def test_window_and_index_set_of_the_same_indices():
     w, s = fl.Window(fl.Z, -2, 3), fl.IndexSet(fl.Z, range(-2, 4))
     assert w.runs == s.runs and w.rank == s.rank == 6
