@@ -373,12 +373,14 @@ class Dense(OperatorSpec):
 class Toeplitz(OperatorSpec):
     """Toeplitz operator on l2(N0) with entries a_{i-j} from a finite symbol:
     `coeffs`, a map or pairs k -> a_k, kept as the sorted tuple of the
-    nonzero (k, complex a_k)."""
+    nonzero (k, complex a_k).  With selfadjoint, a_{-k} == conj(a_k) is
+    checked at construction (ValueError where it fails); the flag is not
+    kept."""
 
     def __init__(self, coeffs, selfadjoint: bool = False, lattice: str = N0):
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         cs = tuple(sorted((int(k), complex(v)) for k, v in items if v != 0))
-        self.coeffs, self.selfadjoint, self.lattice = cs, selfadjoint, lattice
+        self.coeffs, self.lattice = cs, lattice
         self.bandwidth = max((abs(k) for k, _ in cs), default=0)
         self._set_diags({-k: v for k, v in cs})
         if selfadjoint:

@@ -644,7 +644,8 @@ def hat(left: float, center: float, right: float) -> TestFunction:
 
 
 class EmpiricalMeasure:
-    """Finitely supported probability measure: eigenvalue atoms, weight 1/d each."""
+    """Finitely supported probability measure: eigenvalue atoms, weight 1/d
+    each.  A NaN or an infinite atom is a ValueError."""
 
     __slots__ = ("atoms", "dim")
 
@@ -652,81 +653,45 @@ class EmpiricalMeasure:
         a = np.sort(np.asarray(atoms, dtype=float))
         if a.size != dim or dim < 1:
             raise ValueError("atom count must equal the compression dimension")
+        if not (math.isfinite(a[0]) and math.isfinite(a[-1])):  # NaN sorts last
+            raise ValueError("atoms must be finite")
         self.atoms, self.dim = a, dim
 
     def cdf(self, x) -> np.ndarray:
-        return np.searchsorted(self.atoms, np.asarray(x, dtype=float), side="right") / self.dim
+        return _sample_cdf(self.atoms, x)
 
 
 class ReferenceMeasure:
-    """Limit spectral measure, as a sampled CDF grid and/or a moment list.
+    """Limit spectral measure, as N sorted samples of mass 1/N each and/or a
+    moment list.  Unsorted samples, and a NaN or an infinite one, are a
+    ValueError."""
 
-    A grid (xs, Fs) is validated and kept with the mass of each node,
-    diff(Fs, prepend=0), which every integral reads.  A grid of N sorted
-    samples xs given without Fs is the measure of mass 1/N at each sample
-    and keeps xs alone: its CDF k/N at the k-th node, bit for bit the grid
-    (xs, arange(1, N + 1) / N), and its masses are formed on demand.
-    Unsorted samples are a ValueError."""
+    __slots__ = ("xs", "moments")
 
-    __slots__ = ("xs", "moments", "_fs", "_masses")
-
-    def __init__(self, xs=None, Fs=None, moments=None):
-        self.xs, self.moments, self._fs, self._masses = None, None, None, None
+    def __init__(self, xs=None, *, moments=None):
+        self.xs, self.moments = None, None
         if xs is not None:
             xs = np.asarray(xs, dtype=float)
             if xs.ndim != 1 or xs.size == 0:
-                raise ValueError("CDF grid must be a nonempty 1-d array")
-            if Fs is None:
-                if np.any(xs[1:] < xs[:-1]):
-                    raise ValueError("samples must be sorted")
-            else:
-                fs = np.asarray(Fs, dtype=float)
-                if xs.shape != fs.shape:
-                    raise ValueError("CDF grid must be two equal-length 1-d arrays")
-                if np.any(np.diff(xs) < 0) or np.any(np.diff(fs) < -1e-15):
-                    raise ValueError("CDF grid must be nondecreasing")
-                if fs[0] < -1e-15 or fs[-1] > 1 + 1e-15:
-                    raise ValueError("CDF values must lie in [0, 1]")
-                # steps down of round-off are lifted: every stored CDF is nondecreasing
-                fs = np.maximum.accumulate(fs)
-                masses = np.empty_like(fs)  # diff(fs, prepend=0), with no joined copy of fs
-                masses[0] = fs[0]
-                np.subtract(fs[1:], fs[:-1], out=masses[1:])
-                self._fs, self._masses = fs, masses
+                raise ValueError("samples must be a nonempty 1-d array")
+            # a NaN compares false with its neighbours, and sorted finite
+            # ends bound every other sample
+            if not (np.all(xs[1:] >= xs[:-1]) and math.isfinite(xs[0])
+                    and math.isfinite(xs[-1])):
+                raise ValueError("samples must be sorted and finite")
             self.xs = xs
         if moments is not None:
             self.moments = tuple(float(m) for m in moments)
         if xs is None and moments is None:
-            raise ValueError("reference measure needs a CDF grid or moments")
-
-    @property
-    def Fs(self):
-        """The CDF at each node of the grid, None without one."""
-        if self._fs is None and self.xs is not None:
-            return np.arange(1, self.xs.size + 1, dtype=float) / self.xs.size
-        return self._fs
-
-    @property
-    def masses(self):
-        """The mass of each node of the grid, None without one."""
-        if self._masses is None and self.xs is not None:
-            return _equal_masses(self.xs.size, 0, self.xs.size)
-        return self._masses
+            raise ValueError("reference measure needs samples or moments")
 
     def cdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        pos = np.searchsorted(self.xs, x, side="right")
-        if self._fs is None:
-            return pos / self.xs.size
-        return np.where(pos > 0, self._fs[np.minimum(pos, self.xs.size) - 1], 0.0)
+        return _sample_cdf(self.xs, x)
 
 
-def _equal_masses(n: int, lo: int, hi: int) -> np.ndarray:
-    """The masses of nodes lo..hi-1 of n nodes of mass 1/n each, bit for bit
-    the steps (k + 1)/n - k/n of their CDF."""
-    q = np.arange(lo, hi + 1, dtype=float)
-    q /= n
-    return q[1:] - q[:-1]
+def _sample_cdf(samples: np.ndarray, x) -> np.ndarray:
+    """The CDF at x of the measure of mass 1/N at each of N sorted samples."""
+    return np.searchsorted(samples, np.asarray(x, dtype=float), side="right") / samples.size
 
 
 def empirical_measure(op: OperatorSpec, proj, herm_tol: float = 1e-10) -> EmpiricalMeasure:
@@ -737,33 +702,16 @@ def empirical_measure(op: OperatorSpec, proj, herm_tol: float = 1e-10) -> Empiri
 def integrate(meas, f: TestFunction) -> float:
     """Integral of a declared test function against a measure.
 
-    Empirical: plain atom average.  Reference with a CDF grid:
-    Riemann-Stieltjes sum over the grid, f evaluated into one buffer of a
-    value a node, a hat only on the nodes of its support [left, right] and
-    zero elsewhere, bit for bit the sum of f at every node.  Against N
-    samples of mass 1/N each, the values are scaled by the masses, formed a
-    chunk of nodes at a time.  Moments-only references support polynomial
-    f up to the stored moment order.
+    Against N sorted samples of mass 1/N each, the atoms of an empirical
+    measure or the nodes of a reference, it is the mean of f over the
+    samples: f is written into one zero buffer of a value a sample, a hat
+    only on the samples of its support [left, right], and the buffer is
+    averaged, bit for bit np.mean of f at every sample.  Moments-only
+    references support polynomial f up to the stored moment order.
     """
     if not isinstance(f, TestFunction):
         raise ValueError("integrand must come from the test-function family")
-    if isinstance(meas, EmpiricalMeasure):
-        return float(np.mean(f(meas.atoms)))
-    if isinstance(meas, ReferenceMeasure):
-        if meas.xs is not None:
-            xs, n = meas.xs, meas.xs.size
-            lo, hi = 0, n
-            if f.kind == "hat":
-                lo, hi = np.searchsorted(xs, f.params[0]), np.searchsorted(xs, f.params[2], "right")
-            vals = np.zeros(n)
-            f(xs[lo:hi], out=vals[lo:hi])
-            if meas._masses is not None:
-                vals[lo:hi] *= meas._masses[lo:hi]
-            else:
-                for at in range(lo, hi, _SYMBOL_CHUNK):
-                    stop = min(at + _SYMBOL_CHUNK, hi)
-                    vals[at:stop] *= _equal_masses(n, at, stop)
-            return float(np.sum(vals))
+    if isinstance(meas, ReferenceMeasure) and meas.xs is None:
         if f.kind != "poly":
             raise ValueError("moments-only reference measures integrate polynomials only")
         coeffs = f.params
@@ -772,7 +720,13 @@ def integrate(meas, f: TestFunction) -> float:
                 f"need moments up to order {len(coeffs) - 1}, have {len(meas.moments) - 1}"
             )
         return float(sum(c * m for c, m in zip(coeffs, meas.moments)))
-    raise TypeError(f"not a measure: {meas!r}")
+    xs = _grid(meas)
+    lo, hi = 0, xs.size
+    if f.kind == "hat":
+        lo, hi = np.searchsorted(xs, f.params[0]), np.searchsorted(xs, f.params[2], "right")
+    vals = np.zeros(xs.size)
+    f(xs[lo:hi], out=vals[lo:hi])
+    return float(np.mean(vals))
 
 
 def check_pushforward_footprint(symbol: Toeplitz, grid_size: int):
@@ -816,7 +770,7 @@ def reference_pushforward(symbol: Toeplitz, grid_size: int = 1 << 16) -> Referen
 
 
 def _grid(m) -> np.ndarray:
-    """The points where the CDF of a measure steps."""
+    """The sorted samples of a measure, where its CDF steps."""
     if isinstance(m, EmpiricalMeasure):
         return m.atoms
     if isinstance(m, ReferenceMeasure):

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 from pathlib import Path
@@ -161,9 +162,9 @@ class TestIntegrate:
             fl.integrate(meas, lambda x: x)
 
     def test_hat_against_reference_grid(self):
-        ref = fl.ReferenceMeasure(xs=np.array([0.0, 1.0]), Fs=np.array([0.5, 1.0]))
-        f = fl.hat(-1.0, 0.0, 1.0)
-        assert fl.integrate(ref, f) == pytest.approx(0.5)
+        # four samples of mass 1/4: the hat is 1, 0.5, 0 and 0 at them
+        ref = fl.ReferenceMeasure(xs=np.array([0.0, 0.5, 1.0, 2.0]))
+        assert fl.integrate(ref, fl.hat(-1.0, 0.0, 1.0)) == 0.375
 
     def test_scalar_gives_numpy_float(self):
         for f, x, v in ((fl.monomial(2), 3.0, 9.0), (fl.hat(0, 1, 2), 0.5, 0.5)):
@@ -179,22 +180,22 @@ class TestIntegrate:
 
 
 class TestIntegrateOnSupport:
-    """Against a CDF grid a hat is evaluated only on the nodes of its
-    support, and every integral reads the masses kept with the grid: bit
-    for bit the Riemann-Stieltjes sum of f at every node."""
+    """Against N sorted samples of mass 1/N each a hat is evaluated only on
+    the samples of its support: bit for bit the mean of f at every sample
+    (tests/dense_oracle.py::integrate)."""
 
     @staticmethod
-    def _refs():
+    def _samples():
         rng = np.random.default_rng(67)
-        xs = np.sort(np.round(rng.uniform(-1.0, 1.0, 300), 2))  # repeated nodes
-        fs = np.cumsum(rng.uniform(0.0, 1.0, 300))
-        fs /= fs[-1]
-        fs[40] = fs[39] - 1e-16  # a dip of round-off, lifted by the measure
+        return np.sort(np.round(rng.uniform(-1.0, 1.0, 300), 2))  # repeated samples
+
+    @classmethod
+    def _refs(cls):
         band = fl.Toeplitz({0: 0.5, 1: 1.0, -1: 1.0, 3: 0.25, -3: 0.25}, selfadjoint=True)
         return [fl.reference_pushforward(fl.Toeplitz({1: 1.0, -1: 1.0})),
                 fl.reference_pushforward(band, grid_size=4099),
-                fl.ReferenceMeasure(xs=xs, Fs=fs),
-                fl.ReferenceMeasure(xs=np.array([0.25]), Fs=np.array([1.0]))]
+                fl.ReferenceMeasure(xs=cls._samples()),
+                fl.ReferenceMeasure(xs=np.array([0.25]))]
 
     @staticmethod
     def _family(xs):
@@ -217,14 +218,17 @@ class TestIntegrateOnSupport:
     def test_bit_identical_to_the_full_grid_sum(self):
         for ref in self._refs():
             for f in self._family(ref.xs):
-                want = float(np.sum(f(ref.xs) * np.diff(ref.Fs, prepend=0.0)))
+                want = dense_oracle.integrate(ref.xs, f)
                 assert fl.integrate(ref, f).hex() == want.hex(), (ref.xs.size, f)
 
-    def test_masses_are_the_steps_of_the_stored_cdf(self):
-        for ref in self._refs():
-            assert ref.masses.tobytes() == np.diff(ref.Fs, prepend=0.0).tobytes()
-            assert np.all(ref.masses >= 0.0)
-        assert fl.ReferenceMeasure(moments=(1.0, 0.0)).masses is None
+    def test_empirical_and_reference_on_the_same_samples(self):
+        # one rule for both measures: the same sorted samples, as atoms or
+        # as nodes, integrate to the same bits
+        for xs in (self._samples(), fl.reference_pushforward(HOPPING, grid_size=4099).xs,
+                   np.array([0.25])):
+            meas, ref = fl.EmpiricalMeasure(xs, xs.size), fl.ReferenceMeasure(xs=xs)
+            for f in self._family(xs):
+                assert fl.integrate(meas, f).hex() == fl.integrate(ref, f).hex(), (xs.size, f)
 
 
 class TestPushforward:
@@ -272,8 +276,7 @@ class TestPushforward:
     @pytest.mark.parametrize("nodes", [1 << 16, 100003])
     def test_integrals_peak_at_one_buffer(self, nodes):
         # a hat over the whole grid and x^6 are evaluated into one buffer of
-        # a value a node, and the masses are formed a chunk of nodes at a
-        # time, three arrays of a chunk
+        # a value a node, the hat's falling ramp a chunk of nodes at a time
         import tracemalloc
 
         ref = fl.reference_pushforward(HOPPING, grid_size=nodes)
@@ -286,14 +289,15 @@ class TestPushforward:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 8 * nodes + 3 * 8 * chunk + 4096, (f, peak)
+            assert peak <= 8 * nodes + 8 * chunk + 4096, (f, peak)
 
 
 class TestAgainstFullArrays:
     """The sorted values, the CDF, every integral and the Kolmogorov
     distance of a pushforward reference are bit for bit those of the grid
-    built from every angle and value at once, its CDF and masses stored
-    (tests/dense_oracle.py::pushforward)."""
+    built from every angle and value at once, its CDF stored
+    (tests/dense_oracle.py::pushforward), and of the mean of f over every
+    sample (tests/dense_oracle.py::integrate)."""
 
     SYMBOLS = {
         "hopping": fl.Toeplitz({1: 1.0, -1: 1.0}, selfadjoint=True),
@@ -324,13 +328,11 @@ class TestAgainstFullArrays:
         assert ref.xs.tobytes() == xs.tobytes()
         probes = np.concatenate([xs, (xs[1:] + xs[:-1]) / 2, [xs[0] - 1.0, xs[-1] + 1.0]])
         assert ref.cdf(probes).tobytes() == grid.cdf(probes).tobytes()
-        assert ref.Fs.tobytes() == grid.Fs.tobytes()
-        assert ref.masses.tobytes() == grid.masses.tobytes()
 
     def test_integrals(self, pair):
         _, ref, grid = pair
         for f in TestIntegrateOnSupport._family(grid.xs):
-            assert fl.integrate(ref, f).hex() == dense_oracle.integrate(grid, f).hex(), f
+            assert fl.integrate(ref, f).hex() == dense_oracle.integrate(grid.xs, f).hex(), f
             assert f(grid.xs).tobytes() == dense_oracle.evaluate(f, grid.xs).tobytes(), f
 
     def test_kolmogorov(self, pair):
@@ -386,10 +388,7 @@ class TestKolmogorov:
 
         def reference():
             xs = np.sort(np.round(rng.normal(size=int(rng.integers(1, 12))), 1))
-            fs = np.sort(rng.uniform(size=xs.size))
-            fs[-1] = rng.choice([fs[-1], 1.0])
-            ref = fl.ReferenceMeasure(xs=xs, Fs=fs)
-            return ref, lambda x: fs[xs <= x].max(initial=0.0)
+            return fl.ReferenceMeasure(xs=xs), lambda x: np.count_nonzero(xs <= x) / xs.size
 
         (a, fa), (b, fb) = [rng.choice([empirical, reference])() for _ in range(2)]
         grid = np.unique(np.concatenate([m.atoms if hasattr(m, "atoms") else m.xs
@@ -413,6 +412,26 @@ def merged_grid_kolmogorov(a, b):
 
 
 HOPPING = fl.Toeplitz({1: 1.0, -1: 1.0}, selfadjoint=True)
+
+
+@functools.cache
+def hopping_spectrum(d):
+    """The dense oracle of hopping's window of order d: np.linalg.eigvalsh of
+    its compression, exactly real and so solved in real arithmetic,
+    computed once per module and read-only."""
+    m = compress(HOPPING, fl.Window(fl.N0, 0, d - 1))
+    assert not m.imag.any()
+    vals = np.linalg.eigvalsh(m.real)
+    vals.flags.writeable = False
+    return vals
+
+
+def toeplitz_spectrum(a0, a1, d):
+    """The ascending spectrum of a window of order d of the bandwidth-1
+    Toeplitz operator of diagonal a0 and off-diagonals a1 and conj(a1),
+    unitarily similar to a0 + |a1| times hopping's: from the dense oracle
+    of that window (`hopping_spectrum`)."""
+    return a0 + abs(a1) * hopping_spectrum(d)
 
 
 class TestKolmogorovAgainstMergedGrid:
@@ -451,26 +470,35 @@ class TestKolmogorovAgainstMergedGrid:
                 meas = fl.empirical_measure(sym, fl.Window(fl.N0, 0, n))
                 assert fl.kolmogorov_distance(meas, ref) == merged_grid_kolmogorov(meas, ref)
 
-    def test_cdf_dipping_by_round_off(self):
-        # a reference CDF may step down by up to 1e-15; it is stored as its
-        # running maximum, and a pushforward CDF, which never dips, as it is
-        fs = np.array([0.5, 0.5 - 1e-16, 0.75, 1.0])
-        ref = fl.ReferenceMeasure(xs=np.array([0.0, 1.0, 2.0, 3.0]), Fs=fs)
-        assert np.all(np.diff(ref.Fs) >= 0)
-        assert np.max(np.abs(ref.Fs - fs)) <= 1e-15
-        meas = fl.EmpiricalMeasure(np.array([0.5]), 1)
-        assert fl.kolmogorov_distance(meas, ref) == merged_grid_kolmogorov(meas, ref)
-        assert np.array_equal(fl.reference_pushforward(HOPPING, grid_size=64).Fs,
-                              np.arange(1, 65) / 64)
-
 
 def test_reference_measure_validation():
-    with pytest.raises(ValueError):
-        fl.ReferenceMeasure(xs=np.array([0.0, 1.0]), Fs=np.array([0.8, 0.2]))
-    with pytest.raises(ValueError):
-        fl.ReferenceMeasure(xs=np.array([0.0, 2.0, 1.0]))  # unsorted samples
+    for xs in ([0.0, 2.0, 1.0], [1.0, 1.0, 0.0], [], [[0.0, 1.0]]):  # unsorted, empty, 2-d
+        with pytest.raises(ValueError):
+            fl.ReferenceMeasure(xs=np.array(xs))
     with pytest.raises(ValueError):
         fl.ReferenceMeasure()
+    with pytest.raises(TypeError):  # moments are named, never a second array
+        fl.ReferenceMeasure(np.array([0.0, 1.0]), np.array([0.5, 1.0]))
+    ref = fl.ReferenceMeasure(xs=np.array([0.0, 0.0, 1.0]))  # ties count as sorted
+    assert ref.cdf([-1.0, 0.0, 0.5, 1.0]).tolist() == [0.0, 2 / 3, 2 / 3, 1.0]
+
+
+NON_FINITE = [[0.0, np.nan, 1.0], [np.nan, 0.0, 1.0], [0.0, 1.0, np.nan], [np.nan],
+              [-np.inf, 0.0], [0.0, np.inf], [np.inf], [-np.inf, np.inf]]
+
+
+@pytest.mark.parametrize("xs", NON_FINITE)
+def test_reference_measure_refuses_non_finite_samples(xs):
+    # a NaN compares false with its neighbours, so an order check alone
+    # passes [0, nan, 1], whose Kolmogorov distance to [nan, 0] read 0.5
+    with pytest.raises(ValueError, match="finite"):
+        fl.ReferenceMeasure(xs=np.array(xs))
+
+
+@pytest.mark.parametrize("xs", NON_FINITE)
+def test_empirical_measure_refuses_non_finite_atoms(xs):
+    with pytest.raises(ValueError, match="finite"):
+        fl.EmpiricalMeasure(np.array(xs), len(xs))
 
 
 def valley(d, base=HOPPING):
@@ -605,7 +633,8 @@ class TestTridiagonalPath:
                                ((RAMP, RAMP), [d - 1], ("sterf", [d]))):
             projs = [fl.Window(fl.N0, 0, rank - 1) for rank in (d - 1, d)]
             sections = [compress(op, proj) for op, proj in zip(ops, projs)]
-            expected = [np.linalg.eigvalsh(m) for m in sections]
+            expected = [np.linalg.eigvalsh(m.real) for m in sections]  # exactly real
+            assert not any(m.imag.any() for m in sections)
             eig_calls.clear()
             for op, proj, m, want in zip(ops, projs, sections, expected):
                 vals = fl.compression_eigenvalues(op, proj)
@@ -795,17 +824,25 @@ class TestPersymmetricFold:
     def test_matches_dense_eigvalsh(self, eig_calls):
         # every eigenvalue within 1e-12 of the scale, and with check_residual
         # every eigenpair within the residual contract, from real solves:
-        # sterf's halves or the closed form's past TRIDIAGONAL_MIN_DIM
+        # sterf's halves or the closed form's past TRIDIAGONAL_MIN_DIM; the
+        # dense oracle solves an exactly real compression in real arithmetic,
+        # and a bandwidth-1 Toeplitz window past TRIDIAGONAL_MIN_DIM reads
+        # hopping's, shared with TestClosedForm
         real = np.dtype(np.float64)
         cases = _fold_cases()
         solvers = set()
         for label, op, proj, check_residual in cases:
             m = compress(op, proj)
             assert persymmetric(m), label
-            expected = np.linalg.eigvalsh(m)
+            d = proj.rank
+            if d >= fl.spectral.TRIDIAGONAL_MIN_DIM and isinstance(op, fl.Toeplitz) \
+                    and op.bandwidth == 1 and isinstance(proj, fl.Window):
+                coeffs = dict(op.coeffs)
+                expected = toeplitz_spectrum(coeffs.get(0, 0.0).real, coeffs[1], d)
+            else:
+                expected = np.linalg.eigvalsh(m if m.imag.any() else m.real)
             eig_calls.clear()
             vals = fl.compression_eigenvalues(op, proj, check_residual=check_residual)
-            d = proj.rank
             orders = [d] if m.imag.any() else [n for n in halves(d) if n]
             assert [(c[1], c[2]) for c in eig_calls] == [(n, real) for n in orders], label
             if d >= fl.spectral.TRIDIAGONAL_MIN_DIM and not np.triu(m, 2).any():
@@ -1138,10 +1175,12 @@ class TestClosedForm:
     def test_matches_sterf_and_dense(self, eig_calls, d):
         # a_0 = -0.4 and a_1 = 0.7 e^(i phase) on windows of n0 and z: every
         # eigenvalue, certified, within 1e-13 * scale of sterf's on the
-        # whole real gauge and, for one phase and lattice a d, of the dense
-        # oracle's on the compression (a complex a_1 at every d)
+        # whole real gauge, solved once for each gauge it reads, and of the
+        # dense oracle of hopping's window of order d, scaled by |a_1| and
+        # shifted by a_0 (`toeplitz_spectrum`)
         real = np.dtype(np.float64)
         phases = [0.0, math.pi, 1.0, math.pi / 2, 2.5]
+        sterf = {}
         for i, phase in enumerate(phases):
             a1 = 0.7 * complex(np.exp(1j * phase)) if i > 1 else 0.7 * math.cos(phase)
             for lattice in (fl.N0, fl.Z):
@@ -1154,11 +1193,13 @@ class TestClosedForm:
                 assert eig_calls == [("cosine", n, real) for n in halves(d)]
                 h, scale = fl.spectral._hermitian_compression(op, proj, 1e-10)
                 assert scale == 1.0
-                want = fl.spectral._sterf(h[0].real.copy(), np.abs(h[1][:-1]))
-                assert np.max(np.abs(vals - want)) <= 1e-13, (phase, lattice)
-                if (i, lattice) == (2 + d % 3, fl.Z if d % 2 else fl.N0):
-                    dense = eigenvalues_hermitian(compress(op, proj))
-                    assert np.max(np.abs(vals - dense)) <= 1e-13, (phase, lattice)
+                a, e = h[0].real, np.abs(h[1][:-1])
+                gauge = (a.tobytes(), e.tobytes())
+                if gauge not in sterf:
+                    sterf[gauge] = fl.spectral._sterf(a.copy(), e)
+                assert np.max(np.abs(vals - sterf[gauge])) <= 1e-13, (phase, lattice)
+                dense = toeplitz_spectrum(-0.4, a1, d)
+                assert np.max(np.abs(vals - dense)) <= 1e-13, (phase, lattice)
 
     @pytest.mark.parametrize("d", [2, 3, 16, 17, 1000, 1001])
     def test_odd_k_is_the_symmetric_half(self, d):
