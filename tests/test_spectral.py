@@ -633,8 +633,8 @@ class TestTridiagonalPath:
                                ((RAMP, RAMP), [d - 1], ("sterf", [d]))):
             projs = [fl.Window(fl.N0, 0, rank - 1) for rank in (d - 1, d)]
             sections = [compress(op, proj) for op, proj in zip(ops, projs)]
-            expected = [np.linalg.eigvalsh(m.real) for m in sections]  # exactly real
             assert not any(m.imag.any() for m in sections)
+            expected = [np.linalg.eigvalsh(m.real) for m in sections]  # in real arithmetic
             eig_calls.clear()
             for op, proj, m, want in zip(ops, projs, sections, expected):
                 vals = fl.compression_eigenvalues(op, proj)
