@@ -140,7 +140,7 @@ def _grid_norms(op: OperatorSpec, projs) -> list:
     """
     sets = [_index_sets(op, proj) for proj in projs]
     union = widen_runs(sorted(r for _, near in sets for r in near), 0)
-    src = exact_entries(op, run_indices(union))
+    src = exact_entries(op, union)
     outs = [run_indices(out) for out, _ in sets]
     nears = [run_indices(near) for _, near in sets]
     shapes = {}

@@ -13,14 +13,20 @@ Entries are numeric; traces are symbolic.  Every spec without a callable
 diagonal is also an `Element`, its `symbol`: the one algebra of banded
 operators with trigonometric diagonals, with one product, one adjoint and
 one closed-form `run_sum`, whose rotation-algebra case is
-`traces.NCPolynomial`.  `diagonal_sum` reads a trace from it, evaluating
-numerically only the few indices where a compression's diagonal is not the
-symbol's.
+`traces.NCPolynomial`.  `diagonal_sums` reads a grid's traces from it,
+evaluating numerically, once per grid, only the one region where a
+compression's diagonal is not the symbol's.
+
+Every entry point takes a projection's runs, sorted (lo, hi) pairs, and
+pads them as runs (`pad_runs`); an index array is formed only where
+positions are read, after the memory check of what it feeds.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from operator import add, mul, neg
 
 from ._util import ConfigError, SpecError, check_footprint, lazy_numpy
@@ -292,19 +298,6 @@ class OperatorSpec:
                   default=1)
         zero = Element(dict.fromkeys(term[1] for term in terms), den)
         return _symbol(self.expr if poly else self, zero)
-
-    @cached_property
-    def edge(self) -> tuple:
-        """(lo, diagonal) of the indices lo, lo + 1, ... where the diagonal
-        of a compression is not its `symbol`'s, evaluated once: below
-        support + bandwidth on n0 for a `Poly`, where truncated products
-        differ from the l2(Z) formula, and within bandwidth of a `Dense`
-        support."""
-        bw = self.bandwidth if isinstance(self, Poly) else 0
-        lo = 0 if self.lattice == N0 else -bw
-        if not (self.support or (bw and self.lattice == N0)):
-            return lo, np.zeros(0, dtype=complex)
-        return lo, diagonal_entries(self, np.arange(lo, self.support + bw, dtype=np.int64))
 
     def __add__(self, other):
         return op_sum(self, other)
@@ -711,17 +704,6 @@ def _times(x: dict, y: dict) -> dict:
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
-def index_runs(idx) -> tuple:
-    """Maximal contiguous runs of a sorted index array."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if not idx.size:
-        return ()
-    cut = np.flatnonzero(np.diff(idx) != 1)
-    los = idx[np.r_[0, cut + 1]].tolist()
-    his = idx[np.r_[cut, idx.size - 1]].tolist()
-    return tuple(zip(los, his))
-
-
 def run_indices(runs) -> np.ndarray:
     """The sorted index array of runs."""
     parts = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in runs]
@@ -789,22 +771,24 @@ def _check_int64(runs, what: str):
         )
 
 
-def pad_indices(op: OperatorSpec, idx: np.ndarray) -> np.ndarray:
-    """The index array of `pad_runs` for a sorted index array: O(|idx|)."""
-    return run_indices(pad_runs(op, index_runs(idx)))
+def _size(runs) -> int:
+    """The number of indices in runs."""
+    return sum(hi - lo + 1 for lo, hi in runs)
 
 
-def exact_entries(op: OperatorSpec, idx: np.ndarray):
-    """The exact entries of op on idx x pad and pad x idx, for
-    pad = pad_indices(op, idx), as `offsets` and `diagonal(k, rows)`: a leaf
-    answers itself, a polynomial is evaluated once in diagonal storage,
+def exact_entries(op: OperatorSpec, runs):
+    """The exact entries of op on runs x pad and pad x runs, for the padded
+    runs pad = pad_runs(op, runs), as `offsets` and `diagonal(k, rows)`: a
+    leaf answers itself, a polynomial is evaluated once in diagonal storage,
     after its 16 bytes an offset and padded index are checked against
     physical memory."""
     if not isinstance(op, Poly):
         return op
-    pad = pad_indices(op, idx)
-    check_footprint(16 * pad.size * len(op.offsets),
-                    f"the diagonal storage of a polynomial on {pad.size} padded indices")
+    pad = pad_runs(op, runs)
+    size = _size(pad)
+    check_footprint(16 * size * len(op.offsets),
+                    f"the diagonal storage of a polynomial on {size} padded indices")
+    pad = run_indices(pad)
     return Section(pad, _storage(op.expr, pad))
 
 
@@ -868,47 +852,69 @@ def padded_compression(op: OperatorSpec, proj):
     The padded set captures every nonzero entry of A P and P A, so
     commutators and off-corner blocks cut from A by `inside` are exact.
     A is scattered from the padded set's storage by position (`_positions`).
-    A section too large for physical memory raises ConfigError before it
-    is allocated.
+    A section too large for physical memory raises ConfigError before it,
+    or any index array, is allocated.
     """
     _check_lattice(op, proj)
-    idx = proj.index_array()
-    pad = pad_indices(op, idx)
-    check_footprint(_SECTION_ARRAYS * 16 * pad.size**2,
-                    f"a padded section of order {pad.size}")
-    return _scatter(_positions(exact_entries(op, pad), pad), pad.size), np.isin(pad, idx)
+    pad = pad_runs(op, proj.runs)
+    size = _size(pad)
+    check_footprint(_SECTION_ARRAYS * 16 * size**2, f"a padded section of order {size}")
+    idx = run_indices(pad)
+    return _scatter(_positions(exact_entries(op, pad), idx), size), np.isin(idx, proj.index_array())
 
 
-def diagonal_entries(op: OperatorSpec, idx: np.ndarray) -> np.ndarray:
-    """Diagonal of the compression to the sorted indices idx: offset 0 of
-    the exact entries on them.  The caller checks the lattice."""
-    src = exact_entries(op, idx)
+def diagonal_entries(op: OperatorSpec, runs) -> np.ndarray:
+    """Diagonal of the compression to the indices of runs: offset 0 of the
+    exact entries on them.  The caller checks the lattice and the footprint
+    of the runs' index array."""
+    src = exact_entries(op, runs)
     if 0 not in src.offsets:
-        return np.zeros(idx.size, dtype=complex)
-    return src.diagonal(0, idx)
+        return np.zeros(_size(runs), dtype=complex)
+    return src.diagonal(0, run_indices(runs))
 
 
-def diagonal_sum(op: OperatorSpec, proj):
-    """Tr(A P), the sum of the compression's diagonal over the projection's
-    runs: from op's `symbol`, in closed form on each run, O(runs x terms),
-    but on op's `edge`, from its numeric diagonal.  None where a diagonal
-    that the trace reads is another callable: any of a `Poly`'s, offset 0
-    of a leaf's.  LatticeMismatchError on a lattice mismatch, whatever the
-    spec, ConfigError where an index leaves int64, and FloatingPointError
-    where the sum is not finite."""
-    _check_lattice(op, proj)
+def diagonal_sums(op: OperatorSpec, projs) -> list:
+    """Tr(A P) for each projection P of projs: the sum of the compression's
+    diagonal over P's runs, from op's `symbol` in closed form on each run,
+    O(runs x terms), outside one numeric region.  The region is where the
+    diagonal is not the symbol's: below support + bandwidth on n0 for a
+    `Poly`, where truncated products differ from the l2(Z) formula; within
+    bandwidth of a `Dense` support; and every index where a diagonal that
+    the trace reads is another callable, any of a `Poly`'s or offset 0 of a
+    leaf's.  The region is evaluated once, on the union of the projections'
+    runs, and each P sums its own slices of it; an empty region evaluates
+    nothing.  LatticeMismatchError on a lattice mismatch, ConfigError where
+    an index leaves int64 or the region's index array does not fit in
+    physical memory, and FloatingPointError where a sum is not finite."""
+    for proj in projs:
+        _check_lattice(op, proj)
+        _check_int64(proj.runs, "indices")
     sym = op.symbol
     if sym is None and op.diags is not None:  # a leaf's trace reads its offset 0 alone
         sym = Band(0, ((0, op.diags.get(0, 0.0)),)).symbol
+    union = widen_runs(sorted(run for proj in projs for run in proj.runs), 0)
     if sym is None:
-        return None
-    _check_int64(proj.runs, "indices")
-    lo, diag = op.edge
-    edge = [(lo, lo + diag.size - 1)] if diag.size else []
-    # summed exactly: a gapped set may have thousands of runs
-    sums = [sym.run_sum(a, b) for a, b in (subtract_runs(proj.runs, edge) if edge else proj.runs)]
-    sums += [complex(diag[a - lo:b - lo + 1].sum()) for a, b in intersect_runs(proj.runs, edge)]
-    try:
-        return complex(math.fsum(z.real for z in sums), math.fsum(z.imag for z in sums))
-    except (OverflowError, ValueError) as exc:  # an exact sum past the float range, or inf - inf
-        raise FloatingPointError(f"the trace over {proj.rank} indices is not finite: {exc}") from exc
+        region = union
+    else:
+        bw = op.bandwidth if isinstance(op, Poly) else 0
+        lo = 0 if op.lattice == N0 else -bw
+        region = [(lo, op.support + bw - 1)] if op.support or (bw and op.lattice == N0) else []
+    numeric = intersect_runs(union, region)
+    size = _size(numeric)
+    check_footprint(8 * size, f"the index array of {size} window indices")
+    diag = diagonal_entries(op, numeric) if numeric else None
+    los, starts = [lo for lo, _ in numeric], [0, *accumulate(hi - lo + 1 for lo, hi in numeric)]
+    out = []
+    for proj in projs:
+        # summed exactly: a gapped set may have thousands of runs
+        sums = [sym.run_sum(a, b) for a, b in subtract_runs(proj.runs, region)]
+        for a, b in intersect_runs(proj.runs, region):
+            j = bisect_right(los, a) - 1
+            at = starts[j] + a - los[j]
+            sums.append(complex(diag[at:at + b - a + 1].sum()))
+        try:
+            out.append(complex(math.fsum(z.real for z in sums), math.fsum(z.imag for z in sums)))
+        except (OverflowError, ValueError) as exc:  # an exact sum past the float range, or inf - inf
+            raise FloatingPointError(
+                f"the trace over {proj.rank} indices is not finite: {exc}") from exc
+    return out

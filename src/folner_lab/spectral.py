@@ -87,7 +87,7 @@ def _hermitian_part(op: OperatorSpec, proj):
     the dense matrix M."""
     _check_lattice(op, proj)
     idx = proj.index_array()
-    diags = _positions(exact_entries(op, idx), idx)
+    diags = _positions(exact_entries(op, proj.runs), idx)
     if not any(v.imag.any() for v in diags.values()):
         diags = {j: v.real for j, v in diags.items()}
     scale = max([1.0, *(float(np.max(np.abs(v))) for v in diags.values())])

@@ -6,18 +6,16 @@ are elements over the one frequency alpha: u^m v^k sits on offset -m with
 key (k,), in the covariant representation on l2(Z).  Commutation phases
 are exact binary fractions, reduced in integers, and only exponentiated
 when a numeric coefficient is requested, so long products do not drift.
-Traces of compressions come from the symbol of a spec (`diagonal_sum`),
-or, for a diagonal that is a Python callable, numerically.
+Traces of compressions come from `operators.diagonal_sums`: in closed
+form from the symbol of a spec, outside one numeric region per grid, which
+for a diagonal that is a Python callable is every index.
 """
 from __future__ import annotations
 
 import math
 
-from ._util import check_footprint, lazy_numpy, report_csv, report_json
-from .operators import Band, Element, OperatorSpec, Term, Wave
-from .operators import diagonal_entries, diagonal_sum, run_indices, widen_runs
-
-np = lazy_numpy()
+from ._util import report_csv, report_json
+from .operators import Band, Element, OperatorSpec, Term, Wave, diagonal_sums
 
 
 class AlphaMismatchError(ValueError):
@@ -118,31 +116,10 @@ def represent_nc(a: NCPolynomial, phi: float = 0.0) -> OperatorSpec:
 # trace estimates
 
 
-def _estimates(op: OperatorSpec, projs) -> list:
-    """Tr(A P) / Tr(P) for each window P of `projs`, nested or not: the
-    symbolic `diagonal_sum` of each window, where op's trace has a symbol.
-    A diagonal that is a Python callable is evaluated once, on the union of
-    the windows' runs, and each window sums its own slices of it: the values
-    of its own diagonal in order, so the same sums, bit for bit, as on the
-    window alone."""
-    sums = [diagonal_sum(op, proj) for proj in projs]
-    if sums[0] is None:
-        union = widen_runs(sorted(r for proj in projs for r in proj.runs), 0)
-        size = sum(hi - lo + 1 for lo, hi in union)
-        check_footprint(8 * size, f"the index array of {size} window indices")
-        idx = run_indices(union)
-        diag = diagonal_entries(op, idx)
-        for w, proj in enumerate(projs):
-            at = np.searchsorted(idx, [lo for lo, _ in proj.runs]).tolist()
-            parts = [diag[a:a + hi - lo + 1] for a, (lo, hi) in zip(at, proj.runs)]
-            sums[w] = (parts[0] if len(parts) == 1 else np.concatenate(parts)).sum()
-    return [complex(total / proj.rank) for total, proj in zip(sums, projs)]
-
-
 def trace_estimate(op: OperatorSpec, proj) -> complex:
-    """Tr(A P) / Tr(P): the normalized diagonal sum of the compression, in
-    closed form over the projection's runs where `diagonal_sum` has one."""
-    return _estimates(op, [proj])[0]
+    """Tr(A P) / Tr(P): the normalized diagonal sum of the compression
+    (`diagonal_sums`)."""
+    return diagonal_sums(op, [proj])[0] / proj.rank
 
 
 class TraceReport:
@@ -170,15 +147,16 @@ def trace_convergence_report(ops, seq, refs=None) -> TraceReport:
     """Grid of trace estimates, with absolute errors where a reference is known.
 
     `ops` is a list of (label, spec); `refs` maps label to a complex
-    reference trace.  Each window's runs are summed in closed form from the
-    operator's symbol (`diagonal_sum`); a diagonal that is a Python callable
-    is evaluated once per grid, on the union of its windows, and only one
-    operator's diagonal is held at a time.
+    reference trace.  Each window's runs are summed by `diagonal_sums`, in
+    closed form from the operator's symbol outside one numeric region that
+    is evaluated once per grid, on the union of its windows; only one
+    operator's region is held at a time.
     """
     refs = refs or {}
     rows = []
     for label, op in ops:
-        for (n, proj), est in zip(seq, _estimates(op, seq.projections)):
+        for (n, proj), total in zip(seq, diagonal_sums(op, seq.projections)):
+            est = total / proj.rank
             row = {
                 "label": label,
                 "n": n,

@@ -6,7 +6,8 @@ are cut out of the padded matrix.  Cubic in the window size; tests only.
 
 `compress`, `op_adjoint` and `eigenvalues_hermitian` are the reference forms
 of a compression, an adjoint spec and a checked dense Hermitian eigensolve
-that tests compare the production paths against; `sturm_counts` is the
+that tests compare the production paths against; `index_runs` is the
+reference form of the runs an index set splits into; `sturm_counts` is the
 reference form of the Sturm counts that certify a tridiagonal spectrum.
 `pushforward`, `StoredGrid`, `evaluate`, `integrate` and `kolmogorov` are
 the full-array forms of a pushforward reference, its stored CDF grid, a
@@ -28,7 +29,18 @@ def compress(op, proj) -> np.ndarray:
     scattered from the production storage by position."""
     _check_lattice(op, proj)
     idx = proj.index_array()
-    return _scatter(_positions(exact_entries(op, idx), idx), idx.size)
+    return _scatter(_positions(exact_entries(op, proj.runs), idx), idx.size)
+
+
+def index_runs(idx) -> tuple:
+    """Maximal contiguous runs (lo, hi) of a sorted index array."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if not idx.size:
+        return ()
+    cut = np.flatnonzero(np.diff(idx) != 1)
+    los = idx[np.r_[0, cut + 1]].tolist()
+    his = idx[np.r_[cut, idx.size - 1]].tolist()
+    return tuple(zip(los, his))
 
 
 def op_adjoint(op) -> OperatorSpec:

@@ -9,7 +9,7 @@ import pytest
 
 import folner_lab as fl
 from folner_lab._util import ConfigError
-from folner_lab.operators import AdjE, Term, Wave, _as_node, diagonal_entries, diagonal_sum
+from folner_lab.operators import AdjE, Term, Wave, _as_node, diagonal_entries, diagonal_sums
 from folner_lab.specio import load_spec_file
 
 NORMAL_POLY = Path(__file__).parent / "corpus" / "valid" / "normal_poly.json"
@@ -98,7 +98,7 @@ class TestProductsAt50Digits:
         rng = np.random.default_rng(2302)
         for lo, hi in ((2**62 - 40, 2**62 + 40), (2**63 - 61, 2**63 - 1), (-2**62, -2**62 + 20)):
             poly = _poly_z(rng)
-            got = diagonal_sum(poly, fl.Window(fl.Z, lo, hi))
+            got = diagonal_sums(poly, [fl.Window(fl.Z, lo, hi)])[0]
             with mpmath.workdps(50):
                 want = complex(mpmath.fsum(_mp_entry(poly.expr, n, n) for n in range(lo, hi + 1)))
             assert abs(got - want) <= 1e-14 * _scale(poly.symbol) * (hi - lo + 1)
@@ -172,8 +172,7 @@ class TestClosedFormTraces:
             op = _trig_poly(rng, lattice)
             proj = _projection(rng, lattice, op.bandwidth)
             got = fl.trace_estimate(op, proj)
-            assert diagonal_sum(op, proj) is not None
-            want = complex(diagonal_entries(op, proj.index_array()).sum()) / proj.rank
+            want = complex(diagonal_entries(op, proj.runs).sum()) / proj.rank
             assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (case, op, proj)
 
     @pytest.mark.parametrize("op", [
@@ -182,7 +181,7 @@ class TestClosedFormTraces:
     ], ids=["poly", "dense"])
     def test_closed_form(self, op):
         proj = fl.Window(fl.N0, 0, 9)
-        assert diagonal_sum(op, proj) == diagonal_entries(op, proj.index_array()).sum()
+        assert diagonal_sums(op, [proj]) == [diagonal_entries(op, proj.runs).sum()]
 
     def test_normal_poly_builds_no_window_index_array(self, monkeypatch):
         # S*S - I is zero on l2(N0): the closed form gives 0 on every window,

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dense_oracle import compress, op_adjoint
+from dense_oracle import compress, index_runs, op_adjoint
 import folner_lab as fl
 
 ALPHA = (math.sqrt(5.0) - 1.0) / 2.0
@@ -123,7 +123,7 @@ MISMATCH_CALLS = {
     "compress": compress,
     "padded_compression": fl.operators.padded_compression,
     "trace_estimate": fl.trace_estimate,
-    "diagonal_sum": fl.operators.diagonal_sum,
+    "diagonal_sums": lambda op, proj: fl.operators.diagonal_sums(op, [proj]),
     "folner_ratio": fl.folner_ratio,
     "compression_eigenvalues": fl.compression_eigenvalues,
     "compression_moments": lambda op, proj: fl.compression_moments(op, proj, 4),
@@ -264,7 +264,7 @@ class TestIndexRuns:
 
     def test_run_arithmetic(self):
         ops = fl.operators
-        runs = ops.index_runs(np.array([-3, -2, 0, 4, 5, 6]))
+        runs = index_runs(np.array([-3, -2, 0, 4, 5, 6]))
         assert runs == ((-3, -2), (0, 0), (4, 6))
         assert ops.run_indices(runs).tolist() == [-3, -2, 0, 4, 5, 6]
         assert ops.run_indices(()).size == 0
@@ -283,7 +283,7 @@ class TestIndexRuns:
         for lattice in (fl.N0, fl.Z):
             op = _random_poly(rng, lattice)
             if isinstance(op, fl.Poly):
-                src = fl.operators.exact_entries(op, np.arange(3, 9))
+                src = fl.operators.exact_entries(op, [(3, 8)])
                 assert op.offsets == tuple(sorted(src.offsets))
 
 
@@ -311,6 +311,6 @@ def test_poly_diagonal_is_offset_0_of_the_full_storage():
         op = _random_poly(rng, lattice)
         proj = _random_projection(rng, lattice)
         idx = proj.index_array()
-        src = fl.operators.exact_entries(op, idx)
+        src = fl.operators.exact_entries(op, proj.runs)
         want = src.diagonal(0, idx) if 0 in src.offsets else np.zeros(idx.size, dtype=complex)
-        assert np.array_equal(fl.operators.diagonal_entries(op, idx), want), case
+        assert np.array_equal(fl.operators.diagonal_entries(op, proj.runs), want), case

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import dense_oracle
 import folner_lab as fl
 from folner_lab.projections import Projection
 
@@ -34,7 +35,7 @@ def test_runs():
 @pytest.mark.parametrize("seed", range(8))
 def test_index_set_runs_match_index_runs(seed):
     # the runs an index set splits while it checks the order are those of
-    # `index_runs` on its int64 array: gapped sets, single points, and
+    # `dense_oracle.index_runs` on its int64 array: gapped sets, single points, and
     # indices at the int64 bounds
     rng = np.random.default_rng(seed)
     lo, hi = -(2**63), 2**63 - 1
@@ -44,7 +45,7 @@ def test_index_set_runs_match_index_runs(seed):
         idx |= {lo + 5}  # a single point beside the bound's run
     idx = tuple(sorted(idx))
     runs = fl.IndexSet(fl.Z, idx).runs
-    assert runs == fl.operators.index_runs(np.array(idx))
+    assert runs == dense_oracle.index_runs(np.array(idx))
     assert all(type(x) is int for run in runs for x in run)
     assert fl.IndexSet(fl.Z, idx[:1]).runs == ((idx[0], idx[0]),)
 

@@ -250,9 +250,9 @@ class TestConvergenceReport:
         calls = []
         exact = fl.operators.exact_entries
 
-        def spy(op, idx):
-            calls.append(idx.size)
-            return exact(op, idx)
+        def spy(op, runs):
+            calls.append(sum(hi - lo + 1 for lo, hi in runs))
+            return exact(op, runs)
 
         monkeypatch.setattr(fl.operators, "exact_entries", spy)
         seq = fl.ProjectionSequence(fl.N0, (1, 2, 3), projs)

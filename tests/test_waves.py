@@ -8,7 +8,7 @@ import pytest
 
 import folner_lab as fl
 from folner_lab._util import ConfigError
-from folner_lab.operators import Term, Wave, _sinpi, _turns, diagonal_entries, diagonal_sum
+from folner_lab.operators import Term, Wave, _sinpi, _turns, diagonal_entries, diagonal_sums
 from folner_lab.specio import operator_from_json
 
 ALPHA = (math.sqrt(5.0) - 1.0) / 2.0
@@ -174,12 +174,9 @@ class TestLeafDiagonals:
             # small indices keep the rounding of each numeric entry under 1e-12
             proj = _random_projection(rng, lattice, int(rng.integers(1, 200)))
             for op in _leaves(lattice):
-                got = diagonal_sum(op, proj)
-                entries = diagonal_entries(op, proj.index_array())
-                fn = op.diags.get(0)
-                if callable(fn) and not isinstance(fn, Wave):
-                    assert got is None
-                    continue
+                # a callable's sum is numeric, run by run
+                got = diagonal_sums(op, [proj])[0]
+                entries = diagonal_entries(op, proj.runs)
                 tol = 1e-12 * proj.rank * float(np.max(np.abs(entries)))
                 assert abs(got - entries.sum()) <= tol, (case, op)
 
@@ -192,8 +189,8 @@ class TestRunSums:
             lattice = fl.N0 if rng.random() < 0.5 else fl.Z
             proj = _random_projection(rng, lattice, int(rng.integers(1, 10**4 + 1)))
             band = fl.Band(0, ((0, wave),), lattice=lattice)
-            got = diagonal_sum(band, proj)
-            want = diagonal_entries(band, proj.index_array()).sum()
+            got = diagonal_sums(band, [proj])[0]
+            want = diagonal_entries(band, proj.runs).sum()
             assert abs(got - want) <= _numeric_tol(wave, proj)
 
     def test_against_50_digit_sums(self):
@@ -204,7 +201,7 @@ class TestRunSums:
             d = 10**4 if case < 2 else int(rng.integers(1, 2000))
             proj = _random_projection(rng, lattice, d)
             band = fl.Band(0, ((0, wave),), lattice=lattice)
-            got = diagonal_sum(band, proj)
+            got = diagonal_sums(band, [proj])[0]
             assert abs(got - _mp_sum(wave, proj.runs)) <= 1e-15 * _scale(wave, proj)
 
     @pytest.mark.parametrize("f", FREQS)
@@ -212,9 +209,9 @@ class TestRunSums:
         wave = Wave((Term(0.75 - 0.5j, f, 0.375), Term(1.25, f, 0.1, cos=True)))
         proj = fl.IndexSet(fl.Z, (-7, -6, -5, 3, 4, 9, 100, 101))
         band = fl.Band(0, ((0, wave),))
-        got = diagonal_sum(band, proj)
+        got = diagonal_sums(band, [proj])[0]
         assert abs(got - _mp_sum(wave, proj.runs)) <= 1e-15 * _scale(wave, proj)
-        want = diagonal_entries(band, proj.index_array()).sum()
+        want = diagonal_entries(band, proj.runs).sum()
         assert abs(got - want) <= _numeric_tol(wave, proj)
 
     def test_cosine_halves_sum_to_its_real_part_bit_for_bit(self):
@@ -235,14 +232,14 @@ class TestRunSums:
             d = hi - lo + 1
             width = d if abs(g) * d * 2**30 <= fd else _sinpi(g * d, fd) / _sinpi(g, fd)
             want = complex(c * (math.cos(2.0 * math.pi * turns) * width))
-            assert diagonal_sum(band, fl.Window(fl.Z, lo, hi)) == want
+            assert diagonal_sums(band, [fl.Window(fl.Z, lo, hi)])[0] == want
 
     def test_many_runs(self):
         # ten thousand runs of one index whose sums all point one way: summed
         # one after the other they would lose about sqrt(runs) ulps
         wave = Wave((Term(1.0 - 0.5j, 1e-9, 0.125),))
         proj = fl.IndexSet(fl.Z, tuple(range(-10**4, 10**4, 2)))
-        got = diagonal_sum(fl.Band(0, ((0, wave),)), proj)
+        got = diagonal_sums(fl.Band(0, ((0, wave),)), [proj])[0]
         assert abs(got - _mp_sum(wave, proj.runs)) <= 1e-15 * _scale(wave, proj)
 
 
@@ -263,7 +260,7 @@ class TestHugeWindows:
         wave = Wave((Term(1.0 + 2.0j, ALPHA, 0.25),))
         proj = fl.Window(fl.Z, 2**63 - 2000, 2**63 - 1)
         band = fl.Band(0, ((0, wave),))
-        assert abs(diagonal_sum(band, proj) - _mp_sum(wave, proj.runs)) \
+        assert abs(diagonal_sums(band, [proj])[0] - _mp_sum(wave, proj.runs)) \
             <= 1e-15 * _scale(wave, proj)
 
     def test_constants_and_missing_diagonals(self):
@@ -279,14 +276,16 @@ class TestHugeWindows:
 
 class TestNumericPathKept:
     # a diagonal that is a Python callable, of a leaf or under a polynomial,
-    # has no closed form; `Poly` and `Dense` specs of constants and waves
-    # do (tests/test_algebra.py)
+    # has no closed form: the whole window is the numeric region, and its
+    # sum is that of its entries; `Poly` and `Dense` specs of constants and
+    # waves have one (tests/test_algebra.py)
     @pytest.mark.parametrize("op", [
         fl.op_sum(fl.Shift(weight=lambda i: np.cos(np.asarray(i))), fl.identity(fl.N0)),
         fl.Band(0, ((0, lambda n: np.exp(1j * np.asarray(n))),), lattice=fl.N0),
     ], ids=["poly", "callable"])
     def test_no_closed_form(self, op):
-        assert diagonal_sum(op, fl.Window(fl.N0, 0, 9)) is None
+        proj = fl.Window(fl.N0, 0, 9)
+        assert diagonal_sums(op, [proj]) == [complex(diagonal_entries(op, proj.runs).sum())]
 
     def test_closed_form_builds_no_index_array(self, monkeypatch):
         def forbidden(self):
