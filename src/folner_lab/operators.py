@@ -84,6 +84,20 @@ def _unit(num: int, den: int) -> complex:
 _phase = lru_cache(maxsize=1 << 12)(_unit)
 
 
+def _turns_at(f: float, s: int, n):
+    """f (n + s) modulo 1, in [-1/2, 1/2), as the nearest floats, for the
+    int64 array n: reduced exactly where f = num / 2^e has e <= 64, as the
+    wrapping uint64 product num (n + s) shifted left by 64 - e, which keeps
+    its low e bits, and read as a signed fraction of 2^64; else f (n + s)."""
+    num, den = f.as_integer_ratio()
+    if den > 2**64:
+        return f * (n + s if s else n)
+    with np.errstate(over="ignore"):  # the product wraps modulo 2^64 on purpose
+        t = np.asarray(n, dtype=np.int64).astype(np.uint64) * np.uint64(num % den)
+        t = (t + np.uint64(num * s % den)) << np.uint64(65 - den.bit_length())
+    return t.view(np.int64) * 2.0**-64
+
+
 def _units(x: float, den: int) -> int:
     """x * den, for a float x whose denominator divides den."""
     num, d = x.as_integer_ratio()
@@ -107,10 +121,10 @@ class Term(tuple):
         return f"Term{tuple.__repr__(self)}"
 
     def __call__(self, n):
-        # the operations of the formula replaced, less a product with 1 and
-        # a sum with 0, which change no bit of these values
+        # the formula with f (n + s) reduced exactly modulo 1, then the
+        # phase added, less a product with 1, which changes no bit
         c, f, phase, k, s, cos = self
-        turns = f * (n + s if s else n) + phase
+        turns = _turns_at(f, s, n) + phase
         v = np.cos(2.0 * np.pi * k * turns) if cos else np.exp(2j * np.pi * k * turns)
         if c != 1:
             v = c * v
@@ -119,9 +133,10 @@ class Term(tuple):
 
 class Wave(tuple):
     """Trigonometric diagonal function, the tuple of its one or more `Term`s:
-    n -> their sum.  Each term evaluates with the formula of the spec it came
-    from, so its entries are those of that formula bit for bit; its sums are
-    taken symbolically, by `Element`."""
+    n -> their sum.  Each term evaluates the formula of the spec it came
+    from with f (n + s) reduced exactly modulo 1 (`_turns_at`), so its
+    entries keep their phase at any int64 index, as `Element` keeps those
+    of its sums."""
 
     __slots__ = ()
 

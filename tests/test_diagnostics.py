@@ -88,6 +88,56 @@ def off_corner(op, proj, p):
     return fl.folner_profile([("a", op)], seq, p_list=(p,)).rows[0]["off_corner"]
 
 
+def _mp_entry(op, row: int, k: int):
+    """A[row, row + k] of a band of `Wave`s and constants at 60 digits, from
+    the terms' own fields: the oracle of entries at any int64 index."""
+    import mpmath
+
+    fn = op.diags.get(k, 0.0)
+    if not isinstance(fn, fl.Wave):
+        return mpmath.mpc(complex(fn))
+    total = mpmath.mpc(0)
+    for c, f, phase, kk, s, cos in fn:
+        theta = 2 * kk * (mpmath.mpf(f) * (row + s) + mpmath.mpf(phase))
+        total += mpmath.mpc(c) * (mpmath.cospi(theta) if cos else mpmath.expjpi(theta))
+    return total
+
+
+def _wave_bands():
+    """cos and exp off-diagonals, and a represented u v term, whose moduli
+    turn with their phases."""
+    cos = fl.Wave((fl.Term(1.0, ALPHA, 0.0, cos=True),))
+    exp = fl.Wave((fl.Term(1.0, ALPHA, 0.3), fl.Term(0.5, 0.1, 0.25)))
+    u, v = fl.nc_u(ALPHA), fl.nc_v(ALPHA)
+    return {"cos": fl.Band(1, ((-1, cos), (1, cos))),
+            "exp": fl.Band(1, ((-1, exp), (1, 2.0))),
+            "uv": fl.represent_nc(fl.nc_multiply(u, v) + 0.5 * u, phi=0.1)}
+
+
+class TestPhasesAtHugeWindows:
+    # the commutator of a bandwidth-1 band with a window [-n, n] has four
+    # entries, each its own singular value: A[-n - 1, -n], A[n + 1, n] and
+    # A[-n, -n - 1], A[n, n + 1], evaluated at indices near 2^40 and 2^62
+    @pytest.mark.parametrize("name", ["cos", "exp", "uv"])
+    @pytest.mark.parametrize("n", [2**40, 2**62])
+    def test_ratios_and_gap_against_60_digits(self, name, n):
+        import mpmath
+
+        op = _wave_bands()[name]
+        proj = fl.finite_section(fl.Z, n)
+        with mpmath.workdps(60):
+            mods = [abs(_mp_entry(op, row, k))
+                    for row, k in ((-n - 1, 1), (n + 1, -1), (-n, -1), (n, 1))]
+            want = {1: mpmath.fsum(mods) / proj.rank,
+                    2: mpmath.sqrt(mpmath.fsum(m**2 for m in mods) / proj.rank),
+                    "gap": max(mods)}
+        for p in (1, 2):
+            got = fl.folner_ratio(op, proj, p)
+            assert abs(got - float(want[p])) <= 1e-12 * float(want[p]), (name, n, p)
+        gap = fl.qd_gap(op, proj)
+        assert abs(gap - float(want["gap"])) <= 1e-12 * float(want["gap"]), (name, n)
+
+
 class TestOffCorner:
     def test_shift_single_column(self):
         s = fl.Shift()

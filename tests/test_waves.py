@@ -20,6 +20,20 @@ def _bits(a) -> bytes:
     return np.ascontiguousarray(a, dtype=complex).tobytes()
 
 
+def _turns_at(f: float, n: np.ndarray, s: int = 0) -> np.ndarray:
+    """f (n + s) modulo 1 in [-1/2, 1/2), entry by entry in Python integers,
+    as the nearest floats; the float product where f's denominator exceeds
+    2^64, as the formula reads it."""
+    num, den = f.as_integer_ratio()
+    if den > 2**64:
+        return f * (n + s)
+    out = []
+    for x in n.tolist():
+        m = num * (x + s) % den
+        out.append((m - den if 2 * m >= den else m) / den)
+    return np.array(out)
+
+
 def _random_wave(rng) -> Wave:
     terms = []
     for _ in range(int(rng.integers(1, 4))):
@@ -73,7 +87,8 @@ def _numeric_tol(wave, proj) -> float:
 
 
 class TestPointwise:
-    """Each Wave is bit for bit the closure it replaces."""
+    """Each Wave is bit for bit the closure it replaces, with f (n + s)
+    reduced exactly modulo 1."""
 
     N = np.arange(-5000, 5001, dtype=np.int64)
 
@@ -83,17 +98,17 @@ class TestPointwise:
             amp, phase = float(rng.uniform(0.5, 2.0)), float(rng.random())
             cos = operator_from_json({"kind": "band", "bandwidth": 0, "diagonals": [
                 {"offset": 0, "fn": {"type": "cos", "amp": amp, "freq": freq, "phase": phase}}]})
-            want = amp * np.cos(2.0 * np.pi * (freq * self.N + phase)) + 0j
+            want = amp * np.cos(2.0 * np.pi * (_turns_at(freq, self.N) + phase)) + 0j
             assert _bits(cos.diagonal(0, self.N)) == _bits(want)
             exp = operator_from_json({"kind": "band", "bandwidth": 0, "diagonals": [
                 {"offset": 0, "fn": {"type": "exp", "freq": freq, "phase": phase}}]})
-            want = np.exp(2j * np.pi * (freq * self.N + phase))
+            want = np.exp(2j * np.pi * (_turns_at(freq, self.N) + phase))
             assert _bits(exp.diagonal(0, self.N)) == _bits(want)
 
     def test_almost_mathieu_potential(self):
         for lam, alpha, phi in ((0.5, ALPHA, 0.0), (1.7, 0.3, 0.125), (0.9, 1e-9, 0.7)):
             am = fl.AlmostMathieu(lam, alpha, phi)
-            want = 2.0 * lam * np.cos(2.0 * np.pi * (alpha * self.N + phi)) + 0j
+            want = 2.0 * lam * np.cos(2.0 * np.pi * (_turns_at(alpha, self.N) + phi)) + 0j
             assert _bits(am.diagonal(0, self.N)) == _bits(want)
 
     def test_represent_nc_modulation_sums(self):
@@ -106,7 +121,7 @@ class TestPointwise:
             for m, k in a.monomials():
                 if -m == off:
                     c = a.coefficient(m, k)
-                    acc += c * np.exp(2j * np.pi * k * (ALPHA * (self.N + off) + phi))
+                    acc += c * np.exp(2j * np.pi * k * (_turns_at(ALPHA, self.N, off) + phi))
             assert _bits(op.diagonal(off, self.N)) == _bits(acc)
 
 
@@ -139,7 +154,7 @@ def _formula(op, k, rows):
     if isinstance(op, fl.AlmostMathieu):
         if k:
             return np.full(np.shape(rows), 1.0 + 0j)
-        return 2.0 * op.coupling * np.cos(2.0 * np.pi * (op.freq * rows + op.phase)) + 0j
+        return 2.0 * op.coupling * np.cos(2.0 * np.pi * (_turns_at(op.freq, rows) + op.phase)) + 0j
     fn = dict(op.diagonals)[k]
     if callable(fn):
         return np.asarray(fn(rows), dtype=complex)
