@@ -686,7 +686,8 @@ class ReferenceMeasure:
             raise ValueError("reference measure needs samples or moments")
 
     def cdf(self, x) -> np.ndarray:
-        return _sample_cdf(self.xs, x)
+        """ValueError for a moments-only reference, which has no samples."""
+        return _sample_cdf(_grid(self), x)
 
 
 def _sample_cdf(samples: np.ndarray, x) -> np.ndarray:
@@ -775,7 +776,8 @@ def _grid(m) -> np.ndarray:
         return m.atoms
     if isinstance(m, ReferenceMeasure):
         if m.xs is None:
-            raise ValueError("Kolmogorov distance needs CDF data, not bare moments")
+            raise ValueError("a moments-only reference measure has no samples, "
+                             "which its CDF and the Kolmogorov distance need")
         return m.xs
     raise TypeError(f"not a measure: {m!r}")
 

@@ -16,6 +16,9 @@ from folner_lab.cli import ConfigError, build_parser, main, parse_f_family, pars
 from folner_lab.specio import load_spec_file
 
 CORPUS = Path(__file__).parent / "corpus"
+# the valid operator specs: every valid spec but the projection specs
+OPERATOR_SPECS = [p for p in sorted((CORPUS / "valid").glob("*.json"))
+                  if json.loads(p.read_text())["kind"] not in ("window", "index_set")]
 
 
 def run(capsys, *argv):
@@ -265,6 +268,18 @@ class TestTensorCommand:
         assert len(lines) == 1 and lines[0].startswith("config error:")
         assert "100002" in lines[0]
         assert sizes == [(12, 12), (12, 12)]
+
+    @pytest.mark.parametrize("spec_a", OPERATOR_SPECS, ids=lambda p: p.stem)
+    def test_every_pair_at_2_62_is_refused_before_any_array(self, capsys, spec_a):
+        # a factor section of order 2^62 + 2 or more is refused by its memory
+        # check before any index array of its runs is formed: one config
+        # error line, never numpy's "array is too big" traceback
+        for spec_b in OPERATOR_SPECS:
+            code, out, err = run(capsys, "tensor", "--op-a", str(spec_a), "--op-b", str(spec_b),
+                                 "--n", "dyadic:62:62")
+            lines = err.splitlines()
+            assert code == 2 and out == "", (spec_a.stem, spec_b.stem, err)
+            assert len(lines) == 1 and lines[0].startswith("config error:"), (spec_a, spec_b)
 
     def test_options(self):
         args = build_parser().parse_args(["tensor", "--op-a", "a", "--op-b", "b", "--n", "1"])

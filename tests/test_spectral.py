@@ -483,6 +483,16 @@ def test_reference_measure_validation():
     assert ref.cdf([-1.0, 0.0, 0.5, 1.0]).tolist() == [0.0, 2 / 3, 2 / 3, 1.0]
 
 
+def test_moments_only_reference_has_no_cdf():
+    # a moments-only reference has no samples: its CDF says so, as the
+    # Kolmogorov distance does, where numpy's searchsorted failed on None
+    ref = fl.ReferenceMeasure(moments=(1.0, 0.0))
+    with pytest.raises(ValueError, match="has no samples"):
+        ref.cdf(0.0)
+    with pytest.raises(ValueError, match="has no samples"):
+        fl.kolmogorov_distance(fl.EmpiricalMeasure(np.array([0.0]), 1), ref)
+
+
 NON_FINITE = [[0.0, np.nan, 1.0], [np.nan, 0.0, 1.0], [0.0, 1.0, np.nan], [np.nan],
               [-np.inf, 0.0], [0.0, np.inf], [np.inf], [-np.inf, np.inf]]
 
