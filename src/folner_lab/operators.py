@@ -17,9 +17,8 @@ one closed-form `run_sum`, whose rotation-algebra case is
 evaluating numerically, once per grid, only the one region where a
 compression's diagonal is not the symbol's.
 
-Every entry point takes a projection's runs, sorted (lo, hi) pairs, and
-pads them as runs (`pad_runs`); an index array is formed only where
-positions are read, after the memory check of what it feeds.
+Entry points take a projection's runs and pad them as runs; an index array
+is formed only where positions are read, after the memory check it feeds.
 """
 from __future__ import annotations
 
@@ -86,9 +85,8 @@ _phase = lru_cache(maxsize=1 << 12)(_unit)
 
 def _turns_at(f: float, s: int, n):
     """f (n + s) modulo 1, in [-1/2, 1/2), as the nearest floats, for the
-    int64 array n: reduced exactly where f = num / 2^e has e <= 64, as the
-    wrapping uint64 product num (n + s) shifted left by 64 - e, which keeps
-    its low e bits, and read as a signed fraction of 2^64; else f (n + s)."""
+    int64 array n; exact where f = num / 2^e has e <= 64, as the low e bits
+    of the wrapping uint64 product num (n + s), read as a signed fraction."""
     num, den = f.as_integer_ratio()
     if den > 2**64:
         return f * (n + s if s else n)
@@ -908,12 +906,10 @@ def diagonal_sums(op: OperatorSpec, projs) -> list:
     if sym is None and op.diags is not None:  # a leaf's trace reads its offset 0 alone
         sym = Band(0, ((0, op.diags.get(0, 0.0)),)).symbol
     union = widen_runs(sorted(run for proj in projs for run in proj.runs), 0)
-    if sym is None:
-        region = union
-    else:
-        bw = op.bandwidth if isinstance(op, Poly) else 0
-        lo = 0 if op.lattice == N0 else -bw
-        region = [(lo, op.support + bw - 1)] if op.support or (bw and op.lattice == N0) else []
+    bw = op.bandwidth if isinstance(op, Poly) else 0
+    lo = 0 if op.lattice == N0 else -bw
+    edge = [(lo, op.support + bw - 1)] if op.support or (bw and op.lattice == N0) else []
+    region = union if sym is None else edge
     numeric = intersect_runs(union, region)
     size = _size(numeric)
     check_footprint(8 * size, f"the index array of {size} window indices")

@@ -686,7 +686,6 @@ class ReferenceMeasure:
             raise ValueError("reference measure needs samples or moments")
 
     def cdf(self, x) -> np.ndarray:
-        """ValueError for a moments-only reference, which has no samples."""
         return _sample_cdf(_grid(self), x)
 
 

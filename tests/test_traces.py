@@ -262,6 +262,20 @@ class TestConvergenceReport:
             est = complex(row["estimate_re"], row["estimate_im"])
             assert est == pytest.approx(want[(row["label"], row["n"])], abs=1e-14)
 
+    def test_an_empty_numeric_region_evaluates_nothing(self, monkeypatch):
+        # a z-lattice polynomial of waves, free of Dense leaves, is summed in
+        # closed form on every window: no entry is evaluated
+        def forbidden(*args):
+            raise AssertionError("entries evaluated")
+
+        am = fl.AlmostMathieu(0.5, ALPHA, 0.25)
+        op = fl.op_sum(fl.op_prod(am, am), fl.op_scale(0.5j, am))
+        monkeypatch.setattr(fl.operators, "exact_entries", forbidden)
+        seq = fl.finite_section_sequence(fl.Z, [1, 2, 3, 2**40])
+        rows = fl.trace_convergence_report([("p", op)], seq).rows
+        want = np.trace(compress(op, seq.projections[0])) / 3
+        assert complex(rows[0]["estimate_re"], rows[0]["estimate_im"]) == pytest.approx(want)
+
     def test_poly_storage_too_large_for_memory(self, monkeypatch):
         # S*S - 1 with a callable weight at n = 1000, on the numeric path:
         # 1001 indices of 8 bytes fit; one offset of 16 bytes on 1003 padded
