@@ -68,14 +68,16 @@ def _turns(num: int, den: int) -> float:
 
 
 def _sinpi(num: int, den: int) -> float:
-    """sin(pi num/den), its argument reduced exactly into [-1, 1)."""
-    return math.sin(2.0 * math.pi * _turns(num, 2 * den))
+    """sin(pi num/den), its argument reduced exactly into [-1, 1), and 0 at -1."""
+    angle = 2.0 * math.pi * _turns(num, 2 * den)
+    return 0.0 if angle == -math.pi else math.sin(angle)
 
 
 def _unit(num: int, den: int) -> complex:
-    """e^{2 pi i num/den}, its argument reduced exactly into [-pi, pi)."""
+    """e^{2 pi i num/den}, its argument reduced exactly into [-pi, pi), and
+    -1 at -pi, so that _unit(-num, den) is conj(_unit(num, den)) bit for bit."""
     angle = 2.0 * math.pi * _turns(num, den)
-    return complex(math.cos(angle), math.sin(angle))
+    return -1 + 0j if angle == -math.pi else complex(math.cos(angle), math.sin(angle))
 
 
 # `_unit` for coefficients: the phases of a power's terms repeat, as
@@ -149,55 +151,56 @@ class Wave(tuple):
         return out
 
 
+class AlphaMismatchError(ValueError):
+    """Elements over different frequencies cannot be combined."""
+
+
 class Element:
     """A banded operator on l2(Z) with trigonometric diagonals, held
-    symbolically: `terms` maps an offset a and an integer vector ks to a
-    ledger {p: c}, and row n's entry on offset a sums c e^{2 pi i (ks . freqs
-    n + p / den)}.  The frequencies are distinct floats, and every frequency
-    and phase is a multiple of 1/den, a power of two, so phases are integers
-    p modulo den, reduced exactly.  Terms are keyed by ks, not by ks . freqs
-    modulo 1, so v^k stays apart from 1 at alpha = 0 or 1/2.  Over one
-    frequency this is the rotation algebra, u^m v^k on offset -m with
-    ks = (k,); over several, the crossed product by the shift of the
-    characters n -> e^{2 pi i f n}.  Elements combine over one frequency set
-    and den, as those of one spec do."""
+    symbolically: `terms` maps an offset a and an integer vector ks to one
+    coefficient c, and row n's entry on offset a sums c e^{2 pi i G (n + a/2)}
+    for G = ks . freqs, the phase read at the hop's midpoint.  The
+    frequencies are distinct floats, multiples of 1/den, a power of two, so
+    the phases a product gains are integers modulo 2 den, reduced exactly,
+    and the adjoint, c -> conj(c), is an exact involution.  Terms are keyed
+    by ks, not by G modulo 1, so v^k stays apart from 1 at alpha = 0 or 1/2.
+    Over one frequency this is the rotation algebra, u^m v^k on offset -m
+    with ks = (k,); over several, the crossed product by the shift of the
+    characters n -> e^{2 pi i f n}.  Elements combine over one frequency
+    set, as those of one spec do; AlphaMismatchError otherwise."""
 
     __slots__ = ("freqs", "den", "units", "terms")
 
-    def __init__(self, freqs=(), den: int = 1):
-        """The zero element over freqs and den."""
-        self.freqs, self.den, self.terms = tuple(freqs), den, {}
-        self.units = tuple(_units(f, den) for f in self.freqs)
+    def __init__(self, freqs=()):
+        """The zero element over freqs."""
+        self.freqs, self.terms = tuple(freqs), {}
+        self.den = max((f.as_integer_ratio()[1] for f in self.freqs), default=1)
+        self.units = tuple(_units(f, self.den) for f in self.freqs)
 
     def _new(self, terms) -> "Element":
-        """The element over these frequencies summing the terms (key, p, c)."""
+        """The element over these frequencies summing the terms (key, c)."""
         out = object.__new__(type(self))
         out.freqs, out.den, out.units, out.terms = self.freqs, self.den, self.units, {}
-        for key, p, c in terms:
-            led = out.terms.setdefault(key, {})
-            p %= self.den
-            led[p] = led.get(p, 0) + c
-        for key, led in list(out.terms.items()):
-            if 0 in led.values():  # cancelled terms leave
-                out.terms[key] = led = {p: c for p, c in led.items() if c != 0}
-                if not led:
-                    del out.terms[key]
+        for key, c in terms:
+            out.terms[key] = out.terms.get(key, 0) + c
+        if 0 in out.terms.values():  # cancelled terms leave
+            out.terms = {key: c for key, c in out.terms.items() if c != 0}
         return out
 
-    def _items(self):
-        return ((key, p, c) for key, led in self.terms.items() for p, c in led.items())
-
     def _coerce(self, other) -> "Element":
-        if isinstance(other, Element):
-            return other
-        return self._new([((0, (0,) * len(self.freqs)), 0, complex(other))])
+        if not isinstance(other, Element):
+            return self._new([((0, (0,) * len(self.freqs)), complex(other))])
+        if other.freqs != self.freqs:
+            raise AlphaMismatchError(f"elements over the frequencies {self.freqs} and "
+                                     f"{other.freqs} do not combine")
+        return other
 
     def _dot(self, ks) -> int:
         """den times the frequency ks . freqs."""
         return sum(map(mul, ks, self.units))
 
     def __add__(self, other):
-        return self._new([*self._items(), *self._coerce(other)._items()])
+        return self._new([*self.terms.items(), *self._coerce(other).terms.items()])
 
     __radd__ = __add__
 
@@ -208,46 +211,40 @@ class Element:
         return self * scalar
 
     def __mul__(self, other):
-        """The one product: (A B)[n, n + a + b] = A[n, n + a] B[n + a, n + a + b],
-        so a term of B, read on row n + a, gains the phase a (ks . freqs)."""
+        """The one product: (A B)[n, n + a + b] = A[n, n + a] B[n + a, n + a + b].
+        Read at the product's midpoint n + (a + b)/2, a term of A of
+        frequency G_A and one of B of frequency G_B gain the phase
+        e^{i pi (a G_B - b G_A)}."""
         if not isinstance(other, Element):
-            return self._new((key, p, c * other) for key, p, c in self._items())
-        right = [(b, ks, self._dot(ks), list(led.items()))
-                 for (b, ks), led in self._coerce(other).terms.items()]
-        # each key of the product is formed once per pair of ledgers
-        return self._new((key, p1 + a * g + p2, c1 * c2)
-                         for (a, ks1), led1 in self.terms.items() for b, ks2, g, led2 in right
-                         for key in [(a + b, tuple(map(add, ks1, ks2)))]
-                         for p1, c1 in led1.items() for p2, c2 in led2)
+            return self._new((key, c * other) for key, c in self.terms.items())
+        den = 2 * self.den
+        right = [(b, ks, self._dot(ks), c) for (b, ks), c in self._coerce(other).terms.items()]
+        return self._new(((a + b, tuple(map(add, ks1, ks2))),
+                          c1 * c2 * _phase(a * g2 - b * g1, den))
+                         for (a, ks1), c1 in self.terms.items() for g1 in [self._dot(ks1)]
+                         for b, ks2, g2, c2 in right)
 
     def adjoint(self) -> "Element":
-        """A*[n, n - a] = conj(A[n - a, n]): offset -a, ks -> -ks and
-        p -> a (ks . freqs) - p."""
-        return self._new(((-a, tuple(map(neg, ks))), a * self._dot(ks) - p, c.conjugate())
-                         for (a, ks), p, c in self._items())
-
-    def _coefficient(self, key, turn: int = 0) -> complex:
-        """sum_p c e^{2 pi i (p + turn) / den} over the ledger of key."""
-        return sum((c * _phase(p + turn, self.den) for p, c in self.terms.get(key, {}).items()),
-                   0j)
+        """A*[n, n - a] = conj(A[n - a, n]), whose hop has the midpoint of
+        A's: offset -a, ks -> -ks and c -> conj(c)."""
+        return self._new(((-a, tuple(map(neg, ks))), c.conjugate())
+                         for (a, ks), c in self.terms.items())
 
     def inner(self, other) -> complex:
         """tau(x* y) for x = self, tau the coefficient of ks = 0 on offset 0:
-        x* y pairs each offset and ks of x with the same of y, their phases
-        cancelling, so it sums conj(X) Y over their coefficients."""
-        return sum((self._coefficient(key).conjugate() * other._coefficient(key)
-                    for key in self.terms if key in other.terms), 0j)
+        x* y pairs each offset and ks of x with the same of y, at a phase
+        of 1, so it sums conj(X) Y over their coefficients."""
+        return sum((c.conjugate() * other.terms[key] for key, c in self.terms.items()
+                    if key in other.terms), 0j)
 
     def run_sum(self, lo: int, hi: int) -> complex:
         """The sum of the offset-0 diagonal over n = lo..hi in closed form,
         O(terms): for G = ks . freqs, reduced modulo 1 to g / den in
         [-1/2, 1/2), sum_n e^{2 pi i G n} = e^{i pi G (lo + hi)} sin(pi G d) /
         sin(pi G) over the d = hi - lo + 1 entries, every phase reduced in
-        integers, so as accurate near 2^63 as near 0.  A term adds
-        c (e^{i theta} width), so a cosine's halves sum to c (cos theta
-        width) bit for bit."""
+        integers, so as accurate near 2^63 as near 0."""
         den, d, total, widths = self.den, hi - lo + 1, 0j, {}
-        for (a, ks), led in self.terms.items():
+        for (a, ks), c in self.terms.items():
             if a:
                 continue
             g = self._dot(ks) % den
@@ -258,8 +255,7 @@ class Element:
                 # below |G d| = 2^-30 the ratio of sines is d to within 2^-60
                 width = widths[g] = (d if abs(g) * d * 2**30 <= den
                                      else _sinpi(g * d, den) / _sinpi(g, den))
-            for p, c in led.items():
-                total += c * (_unit(2 * p + g * (lo + hi), 2 * den) * width)
+            total += c * (_unit(g * (lo + hi), 2 * den) * width)
         return total
 
 
@@ -306,10 +302,7 @@ class OperatorSpec:
                for fn in leaf.diags.values()]
         if any(callable(fn) and not isinstance(fn, Wave) for fn in fns):
             return None
-        terms = [term for fn in fns if isinstance(fn, Wave) for term in fn]
-        den = max((x.as_integer_ratio()[1] for _, f, phase, *_ in terms for x in (f, phase)),
-                  default=1)
-        zero = Element(dict.fromkeys(term[1] for term in terms), den)
+        zero = Element(dict.fromkeys(term[1] for fn in fns if isinstance(fn, Wave) for term in fn))
         return _symbol(self.expr if poly else self, zero)
 
     def __add__(self, other):
@@ -579,10 +572,10 @@ def _structure(node) -> tuple:
 
 def _symbol(node, zero: Element) -> Element:
     """The `Element` of an expression node free of callables, over the
-    frequencies and den of zero."""
+    frequencies of zero."""
     if isinstance(node, OperatorSpec):
-        return zero._new(((k, ks), p, c) for k, fn in (node.diags or {}).items()
-                         for ks, p, c in _diagonal_terms(fn, zero))
+        return zero._new(((k, ks), c) for k, fn in (node.diags or {}).items()
+                         for ks, c in _diagonal_terms(fn, k, zero))
     if isinstance(node, AdjE):
         return _symbol(node.child, zero).adjoint()
     if isinstance(node, ScaleE):
@@ -591,18 +584,24 @@ def _symbol(node, zero: Element) -> Element:
     return sum(parts, zero) if isinstance(node, SumE) else math.prod(parts[1:], start=parts[0])
 
 
-def _diagonal_terms(fn, zero: Element):
-    """The terms (ks, p, c) of a constant or `Wave` diagonal over the basis
-    of zero, c cos(theta) as (c/2) e^{i theta} + (c/2) e^{-i theta}."""
+def _diagonal_terms(fn, off: int, zero: Element):
+    """The terms (ks, c) of a constant or `Wave` diagonal on offset off over
+    the basis of zero, c cos(theta) as (c/2) e^{i theta} + (c/2) e^{-i theta}.
+    A term's phase at the hop's midpoint, k (f (s - off/2) + phase), is
+    reduced exactly, in units of 1/2D for D the larger denominator of f and
+    phase, and folded into c."""
     if not isinstance(fn, Wave):
-        yield (0,) * len(zero.freqs), 0, complex(fn)
+        yield (0,) * len(zero.freqs), complex(fn)
         return
     for c, f, phase, k, s, cos in fn:
         ks = tuple(k if g == f else 0 for g in zero.freqs)
-        p = k * (_units(f, zero.den) * s + _units(phase, zero.den))
-        yield ks, p, c / 2 if cos else c
+        den = max(f.as_integer_ratio()[1], phase.as_integer_ratio()[1])
+        turn = k * (_units(f, den) * (2 * s - off) + 2 * _units(phase, den))
         if cos:
-            yield tuple(map(neg, ks)), -p, c / 2
+            c /= 2
+        yield ks, c * _unit(turn, 2 * den)
+        if cos:
+            yield tuple(map(neg, ks)), c * _unit(-turn, 2 * den)
 
 
 def _as_node(op):

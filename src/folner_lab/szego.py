@@ -5,11 +5,13 @@ ratios and trace estimates."""
 from __future__ import annotations
 
 import cmath
+from operator import mul
 
 import numpy as np
 
 from ._util import ConfigError, SpecError, report_csv, report_json
 from .diagnostics import fit_decay_slope, folner_profile
+from .operators import Element
 from .spectral import (
     EmpiricalMeasure,
     ReferenceMeasure,
@@ -22,13 +24,7 @@ from .spectral import (
     monomial,
     power_traces,
 )
-from .traces import (
-    NCPolynomial,
-    canonical_trace,
-    nc_adjoint,
-    nc_multiply,
-    trace_convergence_report,
-)
+from .traces import trace_convergence_report
 
 
 class MissingReferenceError(SpecError):
@@ -70,23 +66,26 @@ def polynomial_family(f_family=None):
     return polys, max(len(f.params) - 1 for f in polys)
 
 
-def moments_reference(a: NCPolynomial, order: int = 6) -> ReferenceMeasure:
-    """Moment list tau(a^0..a^order) of a self-adjoint rotation-algebra
-    element, from `power_traces` under tau's inner product tau(x* y).
+def moments_reference(a: Element, order: int = 6) -> ReferenceMeasure:
+    """Moment list tau(a^0..a^order) of a self-adjoint `Element`, tau the
+    coefficient of ks = 0 on offset 0, from `power_traces` under tau's
+    inner product tau(x* y).
 
     Both checks are relative to the size of what they test, since round-off
-    grows with it: a = a* to 1e-12 of max(1, |a|_1), |a|_1 the sum of the
-    coefficients' moduli, and each tau(a^k) real to 1e-10 of max(1, |a|_1^k).
-    A moment that overflows is a ConfigError naming its order.
+    grows with it: a = a* key by key to 1e-12 of max(1, |a|_1), |a|_1 the
+    sum of the coefficients' moduli, and each tau(a^k) real to 1e-10 of
+    max(1, |a|_1^k).  A moment that overflows is a ConfigError naming its
+    order.
     """
-    star = nc_adjoint(a)
-    norm = sum(abs(a.coefficient(m, k)) for m, k in a.monomials())
-    for m, k in set(a.monomials()) | set(star.monomials()):
-        if abs(a.coefficient(m, k) - star.coefficient(m, k)) > 1e-12 * max(1.0, norm):
+    star = a.adjoint().terms
+    norm = sum(map(abs, a.terms.values()))
+    for key in a.terms.keys() | star.keys():
+        if abs(a.terms.get(key, 0) - star.get(key, 0)) > 1e-12 * max(1.0, norm):
             raise NotSelfAdjointError("moment reference requires a = a*")
+    one = (0, (0,) * len(a.freqs))
     moments, scale = [1.0], 1.0
-    for k, t in enumerate(power_traces(a, order, nc_multiply, NCPolynomial.inner,
-                                       canonical_trace), 1):
+    for k, t in enumerate(power_traces(a, order, mul, Element.inner,
+                                       lambda x: x.terms.get(one, 0j)), 1):
         scale *= norm
         if not cmath.isfinite(t):
             raise ConfigError(f"the moment of order {k} of the reference overflows")

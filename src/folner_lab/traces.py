@@ -3,48 +3,49 @@ one-frequency case of the symbolic algebra `operators.Element`.
 
 Noncommutative polynomials in unitaries u, v with v u = e^{2 pi i alpha} u v
 are elements over the one frequency alpha: u^m v^k sits on offset -m with
-key (k,), in the covariant representation on l2(Z).  Commutation phases
-are exact binary fractions, reduced in integers, and only exponentiated
-when a numeric coefficient is requested, so long products do not drift.
-Traces of compressions come from `operators.diagonal_sums`: in closed
-form from the symbol of a spec, outside one numeric region per grid, which
-for a diagonal that is a Python callable is every index.
+key (k,), in the covariant representation on l2(Z), and holds one
+coefficient, its phase read at the hop's midpoint.  The commutation phases
+of products are exact binary fractions, reduced in integers, and the
+adjoint is an exact involution.  Traces of compressions come from
+`operators.diagonal_sums`: in closed form from the symbol of a spec,
+outside one numeric region per grid, which for a diagonal that is a
+Python callable is every index.
 """
 from __future__ import annotations
 
 import math
 
+from . import operators
 from ._util import report_csv, report_json
-from .operators import Band, Element, OperatorSpec, Term, Wave, diagonal_sums
+from .operators import Band, Element, OperatorSpec, Term, Wave, _phase, diagonal_sums
 
-
-class AlphaMismatchError(ValueError):
-    """Rotation-algebra elements with different frequencies cannot be combined."""
+# raised where elements over different frequencies meet
+AlphaMismatchError = operators.AlphaMismatchError
 
 
 class NCPolynomial(Element):
     """Normal-ordered polynomial sum_{m,k} c_{m,k} u^m v^k, built from a map
-    from (m, k) to a phase ledger {r: c} meaning the coefficient
-    sum_r c e^{2 pi i alpha r}; as an `Element`, u^m v^k is the key
-    (-m, (k,)) of `terms`."""
+    from (m, k) to a map {r: c} of exact phases meaning the coefficient
+    c_{m,k} = sum_r c e^{2 pi i alpha r}, summed once into one number; as
+    an `Element`, u^m v^k is the key (-m, (k,)) of `terms`, whose
+    coefficient is c_{m,k} e^{-i pi alpha k m}, its phase at the hop's
+    midpoint."""
 
     __slots__ = ()
 
     def __init__(self, alpha: float, terms=None):
-        super().__init__((alpha,), alpha.as_integer_ratio()[1])
-        # u^m v^k is e^{2 pi i alpha k (n - m)} on offset -m
-        self.terms = self._new(((-int(m), (int(k),)), self.units[0] * (int(r) - int(k) * int(m)),
-                                complex(c)) for (m, k), ledger in (terms or {}).items()
-                               for r, c in ledger.items()).terms
+        super().__init__((alpha,))
+        units, den = self.units[0], 2 * self.den
+        # u^m v^k is c_{m,k} e^{2 pi i alpha k (n - m)} on offset -m, whose
+        # midpoint is n - m/2
+        self.terms = self._new(((-int(m), (int(k),)),
+                                complex(c) * _phase(units * (2 * int(r) - int(k) * int(m)), den))
+                               for (m, k), phases in (terms or {}).items()
+                               for r, c in phases.items()).terms
 
     @property
     def alpha(self) -> float:
         return self.freqs[0]
-
-    def _coerce(self, other):
-        if isinstance(other, Element) and other.freqs != self.freqs:
-            raise AlphaMismatchError("frequency mismatch")
-        return super()._coerce(other)
 
     def power(self, k: int) -> "NCPolynomial":
         if k < 0:
@@ -53,7 +54,7 @@ class NCPolynomial(Element):
 
     def coefficient(self, m: int, k: int) -> complex:
         """c_{m,k}, the coefficient of u^m v^k."""
-        return self._coefficient((-m, (k,)), turn=self.units[0] * k * m)
+        return self.terms.get((-m, (k,)), 0j) * _phase(self.units[0] * k * m, 2 * self.den)
 
     def monomials(self):
         return sorted((-a, ks[0]) for a, ks in self.terms)

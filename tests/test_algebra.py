@@ -72,13 +72,14 @@ def _mp_entry(node, r, col):
 
 def _scale(sym) -> float:
     """Sum of |c| over the terms on offset 0."""
-    return sum(abs(c) for (a, _), led in sym.terms.items() if a == 0 for c in led.values())
+    return sum(abs(c) for (a, _), c in sym.terms.items() if a == 0)
 
 
 class TestProductsAt50Digits:
     def test_entries_near_2_62(self):
-        # every diagonal of the symbolic product, evaluated from its exact
-        # phases, against the product of the leaves' entries at 50 digits
+        # every diagonal of the symbolic product, each coefficient's phase
+        # read at the hop's midpoint n + a/2, against the product of the
+        # leaves' entries at 50 digits
         rng = np.random.default_rng(2301)
         for _ in range(3):
             poly = _poly_z(rng)
@@ -87,10 +88,9 @@ class TestProductsAt50Digits:
                 for a in {a for a, _ in sym.terms}:
                     with mpmath.workdps(50):
                         got = mpmath.fsum(
-                            mpmath.mpc(c) * mpmath.expjpi(2 * mpmath.mpf(sym._dot(ks) * n + p)
+                            mpmath.mpc(c) * mpmath.expjpi(mpmath.mpf(sym._dot(ks) * (2 * n + a))
                                                           / sym.den)
-                            for (b, ks), led in sym.terms.items() if b == a
-                            for p, c in led.items())
+                            for (b, ks), c in sym.terms.items() if b == a)
                         want = _mp_entry(poly.expr, n, n + a)
                     assert abs(complex(got - want)) <= 1e-15 * (1 + abs(complex(want))), (n, a)
 
@@ -110,10 +110,29 @@ class TestProductsAt50Digits:
         assert x.adjoint().adjoint().terms == x.terms
         lhs, rhs = (x * y).adjoint(), y.adjoint() * x.adjoint()
         assert lhs.terms.keys() == rhs.terms.keys()
-        for key, led in lhs.terms.items():
-            assert led.keys() == rhs.terms[key].keys()
-            for p, c in led.items():
-                assert abs(c - rhs.terms[key][p]) <= 1e-15 * max(1.0, abs(c))
+        for key, c in lhs.terms.items():
+            assert abs(c - rhs.terms[key]) <= 1e-15 * max(1.0, abs(c))
+
+
+class TestFrequencySets:
+    """Elements over different frequencies do not combine: their keys
+    would merge terms of different frequencies."""
+
+    QUARTER = fl.Band(0, ((0, Wave((Term(1.0, 0.25, cos=True),))),))
+    EIGHTH = fl.Band(0, ((0, Wave((Term(1.0, 0.125, cos=True),))),))
+
+    def test_the_spec_sum_has_one_symbol(self):
+        # cos(pi/2) + cos(pi/4) at n = 1
+        got = (self.QUARTER + self.EIGHTH).symbol.run_sum(1, 1)
+        assert abs(got - 0.5**0.5) <= 1e-15
+
+    @pytest.mark.parametrize("combine", [lambda a, b: a + b, lambda a, b: b + a,
+                                         lambda a, b: a * b, lambda a, b: b - a],
+                             ids=["a+b", "b+a", "a*b", "b-a"])
+    def test_symbols_over_different_frequencies_do_not_combine(self, combine):
+        a, b = self.QUARTER.symbol, self.EIGHTH.symbol
+        with pytest.raises(fl.traces.AlphaMismatchError, match="do not combine"):
+            combine(a, b)
 
 
 def _trig_leaf(rng, lattice):

@@ -109,9 +109,9 @@ class TestMomentsReference:
 
     def test_forms_only_the_powers_it_traces(self, monkeypatch):
         # tau(a^0..a^order) needs the half powers a^1..a^ceil(order/2) only;
-        # every product, through `*` or `nc_multiply`, is counted
+        # every product of elements, through `*` or `nc_multiply`, is counted
         _, h = load_spec_file(CORPUS / "valid" / "harper.json")
-        mul = fl.traces.nc_multiply
+        mul = fl.operators.Element.__mul__
         for order in (0, 1, 2, 5, 6, 9):
             products = []
 
@@ -119,8 +119,7 @@ class TestMomentsReference:
                 products.append(y)
                 return mul(x, y)
 
-            monkeypatch.setattr(fl.traces, "nc_multiply", counted)
-            monkeypatch.setattr(fl.szego, "nc_multiply", counted)
+            monkeypatch.setattr(fl.operators.Element, "__mul__", counted)
             ref = fl.moments_reference(h, order=order)
             monkeypatch.undo()
             assert len(products) <= math.ceil(order / 2), order
@@ -129,13 +128,31 @@ class TestMomentsReference:
                 assert abs(m - want) <= 1e-12 * max(1.0, abs(want)), (order, k)
 
     def test_harper_moments_against_a_50_digit_oracle(self):
-        # tau(a^k) for k <= 30 to 1e-13 of max(1, |tau(a^k)|); the full
-        # powers a^k it replaces drift to 4.5e-13 at k = 30
+        # tau(a^k) for k <= 60 to 1e-14 of max(1, |tau(a^k)|), one
+        # coefficient per monomial rounded once per product
         _, h = load_spec_file(CORPUS / "valid" / "harper.json")
-        want = _exact_moments(h, 30)
-        got = fl.moments_reference(h, order=30).moments
-        for k in range(31):
-            assert abs(got[k] - want[k]) <= 1e-13 * max(1.0, abs(want[k])), k
+        want = _exact_moments(h, 60)
+        got = fl.moments_reference(h, order=60).moments
+        for k in range(61):
+            assert abs(got[k] - want[k]) <= 1e-14 * max(1.0, abs(want[k])), k
+
+    def test_a_power_holds_one_coefficient_per_monomial(self):
+        # Harper's a^j spans the monomials u^m v^k with |m| + |k| <= j of
+        # the parity of j, (j + 1)^2 of them, each one complex number
+        _, h = load_spec_file(CORPUS / "valid" / "harper.json")
+        for j in (10, 20, 30):
+            terms = h.power(j).terms
+            assert len(terms) == (j + 1) ** 2, j
+            assert all(type(c) is complex for c in terms.values()), j
+
+    def test_any_element_has_moments(self):
+        # the almost-Mathieu spec's symbol is Harper's element, u + u* +
+        # 0.5 (v + v*), built from its diagonals and not as an NCPolynomial
+        _, am = load_spec_file(CORPUS / "valid" / "almost_mathieu.json")
+        _, h = load_spec_file(CORPUS / "valid" / "harper.json")
+        got = fl.moments_reference(am.symbol, order=6).moments
+        want = fl.moments_reference(h, order=6).moments
+        assert got == pytest.approx(want, rel=0, abs=1e-12)
 
 
 class TestFamilies:

@@ -229,10 +229,11 @@ class TestRunSums:
         want = diagonal_entries(band, proj.runs).sum()
         assert abs(got - want) <= _numeric_tol(wave, proj)
 
-    def test_cosine_halves_sum_to_its_real_part_bit_for_bit(self):
-        # c cos(theta) splits into (c/2) e^{+-i theta}, and each half adds
-        # (c/2)(e^{i theta} width): the pair is, bit for bit, the one-term
-        # formula c (cos theta width) with the phases reduced in integers
+    def test_cosine_halves_sum_to_a_real_value_within_4_eps(self):
+        # c cos(theta) splits into (c/2) e^{+-i theta}, two coefficients
+        # conjugate bit for bit, so the pair sums to a real number; it is
+        # within 4 eps c |width| of the one-term formula c (cos theta width)
+        # with the phases reduced in integers
         rng = np.random.default_rng(15)
         for _ in range(200):
             c, f, phase = float(rng.uniform(0.5, 2.0)), float(rng.random()), float(rng.random())
@@ -246,8 +247,19 @@ class TestRunSums:
             turns = _turns(pn * (2 * m // pd) + g * (lo + hi) * (m // fd), 2 * m)
             d = hi - lo + 1
             width = d if abs(g) * d * 2**30 <= fd else _sinpi(g * d, fd) / _sinpi(g, fd)
-            want = complex(c * (math.cos(2.0 * math.pi * turns) * width))
-            assert diagonal_sums(band, [fl.Window(fl.Z, lo, hi)])[0] == want
+            want = c * (math.cos(2.0 * math.pi * turns) * width)
+            got = diagonal_sums(band, [fl.Window(fl.Z, lo, hi)])[0]
+            assert got.imag == 0.0
+            assert abs(got.real - want) <= 4 * np.finfo(float).eps * c * abs(width)
+
+    @pytest.mark.parametrize("f, phase", [(0.25, 0.5), (0.125, 0.5), (0.5, 0.0), (0.5, 0.25)])
+    def test_cosine_at_half_turns_sums_to_a_real_value(self, f, phase):
+        # a half turn, reduced to -pi, has the unit -1 and the sine 0, so
+        # the halves stay conjugate and a frequency-1/2 width is 0 at even d
+        band = fl.Band(0, ((0, Wave((Term(1.0, f, phase, cos=True),))),))
+        wins = [fl.Window(fl.Z, lo, lo + d) for lo in (0, 1, 3, 2**40 + 1) for d in range(6)]
+        for win, got in zip(wins, diagonal_sums(band, wins)):
+            assert got.imag == 0.0, win.runs
 
     def test_many_runs(self):
         # ten thousand runs of one index whose sums all point one way: summed
