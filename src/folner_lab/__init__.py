@@ -16,8 +16,8 @@ _EXPORTS = {
     "diagnostics": ("FolnerReport", "folner_profile", "folner_ratio", "qd_gap",
                     "schatten_norm"),
     "operators": ("AlmostMathieu", "Band", "Dense", "LatticeMismatchError", "N0",
-                  "NyquistError", "OperatorSpec", "Poly", "Shift", "Term", "Toeplitz", "Wave",
-                  "Z", "identity", "op_prod", "op_scale", "op_sum", "toeplitz_from_samples"),
+                  "NyquistError", "OperatorSpec", "Poly", "Shift", "Toeplitz", "Wave", "Z",
+                  "identity", "op_prod", "op_scale", "op_sum", "toeplitz_from_samples"),
     "projections": ("IndexSet", "ProjectionSequence", "RankZeroError", "Window",
                     "finite_section", "finite_section_sequence"),
     "specio": (),

@@ -13,7 +13,8 @@ Entries are numeric; traces are symbolic.  Every spec without a callable
 diagonal is also an `Element`, its `symbol`: the one algebra of banded
 operators with trigonometric diagonals, with one product, one adjoint and
 one closed-form `run_sum`, whose rotation-algebra case is
-`traces.NCPolynomial`.  `diagonal_sums` reads a grid's traces from it,
+`traces.NCPolynomial`, and a `Wave` diagonal is that algebra's terms of
+one offset.  `diagonal_sums` reads a grid's traces from the symbol,
 evaluating numerically, once per grid, only the one region where a
 compression's diagonal is not the symbol's.
 
@@ -85,70 +86,18 @@ def _unit(num: int, den: int) -> complex:
 _phase = lru_cache(maxsize=1 << 12)(_unit)
 
 
-def _turns_at(f: float, s: int, n):
-    """f (n + s) modulo 1, in [-1/2, 1/2), as the nearest floats, for the
-    int64 array n; exact where f = num / 2^e has e <= 64, as the low e bits
-    of the wrapping uint64 product num (n + s), read as a signed fraction."""
-    num, den = f.as_integer_ratio()
-    if den > 2**64:
-        return f * (n + s if s else n)
-    with np.errstate(over="ignore"):  # the product wraps modulo 2^64 on purpose
-        t = np.asarray(n, dtype=np.int64).astype(np.uint64) * np.uint64(num % den)
-        t = (t + np.uint64(num * s % den)) << np.uint64(65 - den.bit_length())
+def _phases(g: int, den: int, a: int, n):
+    """G (n + a/2) modulo 1, in [-1/2, 1/2), as the nearest floats, for
+    G = g/den and the int64 array n (see `Wave`)."""
+    r = 1 + a % 2  # G (n + a/2) = g (r n + r a/2) / (r den), in integers
+    if r * den > 2**64:
+        return r * _turns(g, r * den) * (n + a / 2)
+    with np.errstate(over="ignore"):  # the products wrap modulo 2^64 on purpose
+        m = n.view(np.uint64)
+        if a:
+            m = m * np.uint64(r) + np.uint64(r * a // 2 % 2**64)
+        t = m * np.uint64(g % 2**64) << np.uint64(65 - (r * den).bit_length())
     return t.view(np.int64) * 2.0**-64
-
-
-def _units(x: float, den: int) -> int:
-    """x * den, for a float x whose denominator divides den."""
-    num, d = x.as_integer_ratio()
-    return num * (den // d)
-
-
-class Term(tuple):
-    """c * exp(2 pi i k (f (n + s) + phase)), or c * cos(2 pi k (f (n + s) + phase))
-    with `cos`, as the tuple (c, f, phase, k, s, cos); k and s are integers.
-
-    Like `Wave`, a tuple subclass: a NamedTuple or a frozen dataclass would
-    add 0.3 to 1 ms to every import.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, c, f, phase=0.0, k=1, s=0, cos=False):
-        return tuple.__new__(cls, (c, f, phase, k, s, cos))
-
-    def __repr__(self):
-        return f"Term{tuple.__repr__(self)}"
-
-    def __call__(self, n):
-        # the formula with f (n + s) reduced exactly modulo 1, then the
-        # phase added, less a product with 1, which changes no bit
-        c, f, phase, k, s, cos = self
-        turns = _turns_at(f, s, n) + phase
-        v = np.cos(2.0 * np.pi * k * turns) if cos else np.exp(2j * np.pi * k * turns)
-        if c != 1:
-            v = c * v
-        return v + 0j if cos else v
-
-
-class Wave(tuple):
-    """Trigonometric diagonal function, the tuple of its one or more `Term`s:
-    n -> their sum.  Each term evaluates the formula of the spec it came
-    from with f (n + s) reduced exactly modulo 1 (`_turns_at`), so its
-    entries keep their phase at any int64 index, as `Element` keeps those
-    of its sums."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return f"Wave({tuple.__repr__(self)})"
-
-    def __call__(self, n):
-        n = np.asarray(n)
-        out = self[0](n)
-        for term in self[1:]:
-            out += term(n)
-        return out
 
 
 class AlphaMismatchError(ValueError):
@@ -174,8 +123,9 @@ class Element:
     def __init__(self, freqs=()):
         """The zero element over freqs."""
         self.freqs, self.terms = tuple(freqs), {}
-        self.den = max((f.as_integer_ratio()[1] for f in self.freqs), default=1)
-        self.units = tuple(_units(f, self.den) for f in self.freqs)
+        ratios = [f.as_integer_ratio() for f in self.freqs]
+        self.den = max([d for _, d in ratios], default=1)
+        self.units = tuple([num * (self.den // d) for num, d in ratios])  # den times each
 
     def _new(self, terms) -> "Element":
         """The element over these frequencies summing the terms (key, c)."""
@@ -259,6 +209,66 @@ class Element:
         return total
 
 
+class Wave(Element):
+    """A trigonometric diagonal function: `Element` terms of one offset a,
+    called on int64 rows n for that offset's entries, sum c e^{2 pi i G
+    (n + a/2)}.  Each phase is reduced modulo 1 in integers, as the wrapping
+    uint64 product g (r n + r a/2) over r den, r = 1 + a mod 2, where
+    r den <= 2^64, else as g/(r den) reduced into [-1/2, 1/2), its sign
+    kept, times r (n + a/2).  Keys ks and -ks of conjugate coefficients are
+    one real cosine 2 Re(c e^{i theta}), so cosine diagonals stay exactly
+    real, and those of phase 0 even bit for bit."""
+
+    __slots__ = ()
+
+    def __init__(self, freqs, terms: dict, offset: int = 0):
+        """The wave over freqs of the terms {ks: c} on offset `offset`."""
+        super().__init__(freqs)
+        self.terms = {(offset, ks): c for ks, c in terms.items() if c != 0}
+
+    @classmethod
+    def of(cls, freq: float, phase: float = 0.0, c=1.0, cos: bool = False) -> "Wave":
+        """n -> c e^{2 pi i (freq n + phase)}, or with cos c cos(2 pi (freq n
+        + phase)) as its two halves, the phase folded into c exactly."""
+        unit = _phase(*phase.as_integer_ratio())
+        if not cos:
+            return cls((freq,), {(1,): c * unit})
+        return cls((freq,), {(1,): c / 2 * unit, (-1,): c / 2 * unit.conjugate()})
+
+    def _placed(self, off: int, zero: Element):
+        """The terms of this wave on offset off over the frequencies of zero,
+        one on offset a times e^{i pi G (a - off)}, reduced exactly."""
+        at = [zero.freqs.index(f) for f in self.freqs]
+        for (a, ks), c in self.terms.items():
+            wide = [0] * len(zero.freqs)
+            for i, k in zip(at, ks):
+                wide[i] = k
+            wide = tuple(wide)
+            yield (off, wide), (c if a == off
+                                else c * _unit(zero._dot(wide) * (a - off), 2 * zero.den))
+
+    def __call__(self, n):
+        n = np.asarray(n, dtype=np.int64)
+        vals, paired = [], set()
+        for (a, ks), c in self.terms.items():
+            if (a, ks) in paired:
+                continue
+            turns = _phases(self._dot(ks), self.den, a, n)
+            conj = (a, tuple(map(neg, ks)))
+            if conj != (a, ks) and self.terms.get(conj) == c.conjugate():
+                paired.add(conj)  # c e^{i theta} + conj(c) e^{-i theta}, exactly real
+                theta = 2.0 * np.pi * turns
+                v = np.cos(theta)
+                v *= 2 * c.real
+                if c.imag:
+                    v -= 2 * c.imag * np.sin(theta)
+                vals.append(v + 0j)
+            else:
+                v = np.exp(2j * np.pi * turns)
+                vals.append(v if c == 1 else c * v)
+        return sum(vals[1:], vals[0]) if vals else np.zeros(n.shape, dtype=complex)
+
+
 # ---------------------------------------------------------------------------
 # spec variants
 
@@ -274,8 +284,8 @@ class OperatorSpec:
     and it and `Poly` have no `diags`.  Every spec but one with a callable
     diagonal also has a `symbol`, its `Element` on l2(Z).
 
-    Specs are plain classes, which cost nothing at import (see `Term`),
-    and compare by identity.
+    Specs are plain classes, which cost nothing at import, and compare by
+    identity.
     """
 
     lattice: str
@@ -302,7 +312,7 @@ class OperatorSpec:
                for fn in leaf.diags.values()]
         if any(callable(fn) and not isinstance(fn, Wave) for fn in fns):
             return None
-        zero = Element(dict.fromkeys(term[1] for fn in fns if isinstance(fn, Wave) for term in fn))
+        zero = Element(dict.fromkeys(f for fn in fns if isinstance(fn, Wave) for f in fn.freqs))
         return _symbol(self.expr if poly else self, zero)
 
     def __add__(self, other):
@@ -464,7 +474,7 @@ class Band(OperatorSpec):
     Matrix entries: <e_i, A e_j> = d_{j-i}(i).  `diagonals` maps or pairs
     each offset to its function, kept as the pairs sorted by offset; a
     function may be a constant, a `Wave` or another callable (vectorized
-    over integer arrays).
+    over integer arrays).  A `Wave` gives its own offset's entries.
     """
 
     def __init__(self, bandwidth: int, diagonals=(), lattice: str = Z):
@@ -487,8 +497,7 @@ class AlmostMathieu(OperatorSpec):
 
     def __init__(self, coupling: float, freq: float, phase: float = 0.0, lattice: str = Z):
         self.coupling, self.freq, self.phase, self.lattice = coupling, freq, phase, lattice
-        pot = Wave((Term(2.0 * coupling, freq, phase, cos=True),))
-        self._set_diags({-1: 1.0, 0: pot, 1: 1.0})
+        self._set_diags({-1: 1.0, 0: Wave.of(freq, phase, 2.0 * coupling, cos=True), 1: 1.0})
 
 
 # polynomial expression nodes ------------------------------------------------
@@ -574,34 +583,15 @@ def _symbol(node, zero: Element) -> Element:
     """The `Element` of an expression node free of callables, over the
     frequencies of zero."""
     if isinstance(node, OperatorSpec):
-        return zero._new(((k, ks), c) for k, fn in (node.diags or {}).items()
-                         for ks, c in _diagonal_terms(fn, k, zero))
+        return zero._new(term for k, fn in (node.diags or {}).items()
+                         for term in (fn._placed(k, zero) if isinstance(fn, Wave)
+                                      else [((k, (0,) * len(zero.freqs)), complex(fn))]))
     if isinstance(node, AdjE):
         return _symbol(node.child, zero).adjoint()
     if isinstance(node, ScaleE):
         return node.scalar * _symbol(node.child, zero)
     parts = [_symbol(child, zero) for child in node.parts]
     return sum(parts, zero) if isinstance(node, SumE) else math.prod(parts[1:], start=parts[0])
-
-
-def _diagonal_terms(fn, off: int, zero: Element):
-    """The terms (ks, c) of a constant or `Wave` diagonal on offset off over
-    the basis of zero, c cos(theta) as (c/2) e^{i theta} + (c/2) e^{-i theta}.
-    A term's phase at the hop's midpoint, k (f (s - off/2) + phase), is
-    reduced exactly, in units of 1/2D for D the larger denominator of f and
-    phase, and folded into c."""
-    if not isinstance(fn, Wave):
-        yield (0,) * len(zero.freqs), complex(fn)
-        return
-    for c, f, phase, k, s, cos in fn:
-        ks = tuple(k if g == f else 0 for g in zero.freqs)
-        den = max(f.as_integer_ratio()[1], phase.as_integer_ratio()[1])
-        turn = k * (_units(f, den) * (2 * s - off) + 2 * _units(phase, den))
-        if cos:
-            c /= 2
-        yield ks, c * _unit(turn, 2 * den)
-        if cos:
-            yield tuple(map(neg, ks)), c * _unit(-turn, 2 * den)
 
 
 def _as_node(op):

@@ -2,6 +2,7 @@
 rotation-algebra polynomial specs.  Schemas are documented under docs/."""
 from __future__ import annotations
 
+import gc
 import json
 import math
 import re
@@ -19,7 +20,6 @@ from .operators import (
     OperatorSpec,
     Poly,
     Shift,
-    Term,
     Toeplitz,
     Wave,
     toeplitz_from_samples,
@@ -113,11 +113,11 @@ def _band_fn(doc, where: str):
         amp = _number(_need(doc, "amp", where), where, "amp")
         freq = _number(_need(doc, "freq", where), where, "freq")
         phase = _number(doc.get("phase", 0.0), where, "phase")
-        return Wave((Term(amp, freq, phase, cos=True),))
+        return Wave.of(freq, phase, amp, cos=True)
     if kind == "exp":
         freq = _number(_need(doc, "freq", where), where, "freq")
         phase = _number(doc.get("phase", 0.0), where, "phase")
-        return Wave((Term(1.0, freq, phase),))
+        return Wave.of(freq, phase)
     raise SpecValidationError(f"{where}: unknown diagonal function type {kind!r}")
 
 
@@ -309,20 +309,27 @@ def load_spec_file(path):
 
     NaN, +-Infinity and literals that overflow a float are rejected: every
     number in a spec must be finite.  So are files that cannot be read or
-    decoded, and documents nested deeper than MAX_NESTING.
+    decoded, and documents nested deeper than MAX_NESTING.  The cyclic
+    collector is paused: a large spec's many new lists form no cycle.
     """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc, depth = _decode(fh.read())
-    except (OSError, ValueError, RecursionError) as exc:
-        raise SpecValidationError(f"{path}: {exc}") from exc
-    if depth > MAX_NESTING:
-        raise SpecValidationError(f"{path}: nested deeper than {MAX_NESTING} levels")
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise SpecValidationError(f"{path}: spec document needs a 'kind' field")
-    kind = doc["kind"]
-    if kind == "ncpoly":
-        return "ncpoly", ncpoly_from_json(doc, str(path))
-    if kind in ("window", "index_set"):
-        return "projection", projection_from_json(doc, str(path))
-    return "operator", operator_from_json(doc, str(path))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc, depth = _decode(fh.read())
+        except (OSError, ValueError, RecursionError) as exc:
+            raise SpecValidationError(f"{path}: {exc}") from exc
+        if depth > MAX_NESTING:
+            raise SpecValidationError(f"{path}: nested deeper than {MAX_NESTING} levels")
+        if not isinstance(doc, dict) or "kind" not in doc:
+            raise SpecValidationError(f"{path}: spec document needs a 'kind' field")
+        kind = doc["kind"]
+        if kind == "ncpoly":
+            return "ncpoly", ncpoly_from_json(doc, str(path))
+        if kind in ("window", "index_set"):
+            return "projection", projection_from_json(doc, str(path))
+        return "operator", operator_from_json(doc, str(path))
+    finally:
+        if enabled:
+            gc.enable()

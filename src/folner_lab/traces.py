@@ -17,7 +17,7 @@ import math
 
 from . import operators
 from ._util import report_csv, report_json
-from .operators import Band, Element, OperatorSpec, Term, Wave, _phase, diagonal_sums
+from .operators import Band, Element, OperatorSpec, Wave, _phase, diagonal_sums
 
 # raised where elements over different frequencies meet
 AlphaMismatchError = operators.AlphaMismatchError
@@ -101,16 +101,18 @@ def represent_nc(a: NCPolynomial, phi: float = 0.0) -> OperatorSpec:
     """Concrete l2(Z) representation: u = two-sided shift, v = modulation.
 
     u e_n = e_{n+1} and v e_n = e^{2 pi i (alpha n + phi)} e_n, so a maps to
-    a band operator whose diagonals are `Wave`s: the modulation sums
-    c e^{2 pi i k (alpha (n + off) + phi)} of a's normal-ordered monomials.
+    a band operator whose diagonals are `Wave`s: on each offset, a's terms
+    there, each coefficient times e^{2 pi i k phi}, reduced exactly.  At
+    phi = 0 the coefficients are a's, and so the band's `symbol` is a.
     """
+    num, den = phi.as_integer_ratio()
     by_offset = {}
-    for m, k in a.monomials():
-        by_offset.setdefault(-m, []).append(Term(a.coefficient(m, k), a.alpha, phi, k=k, s=-m))
+    for (off, ks), c in a.terms.items():
+        by_offset.setdefault(off, {})[ks] = c * _phase(ks[0] * num, den) if num else c
     if not by_offset:
         return Band(0, ((0, 0.0),))
-    bw = max(abs(off) for off in by_offset)
-    return Band(bw, tuple((off, Wave(tuple(terms))) for off, terms in sorted(by_offset.items())))
+    return Band(max(map(abs, by_offset)),
+                {off: Wave(a.freqs, terms, off) for off, terms in by_offset.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 import folner_lab as fl
 from folner_lab._util import ConfigError
-from folner_lab.operators import AdjE, Term, Wave, _as_node, diagonal_entries, diagonal_sums
+from folner_lab.operators import AdjE, Wave, _as_node, diagonal_entries, diagonal_sums
 from folner_lab.specio import load_spec_file
 
 NORMAL_POLY = Path(__file__).parent / "corpus" / "valid" / "normal_poly.json"
@@ -26,10 +26,10 @@ def _band(rng, lattice=fl.Z) -> fl.Band:
     diags = []
     for off in range(-2, 3):
         if off == 0:
-            fn = Wave((Term(float(rng.uniform(0.5, 2.0)), float(rng.random()),
-                            float(rng.random()), cos=True),))
+            amp, f, phase = float(rng.uniform(0.5, 2.0)), float(rng.random()), float(rng.random())
+            fn = Wave.of(f, phase, amp, cos=True)
         elif abs(off) == 1:
-            fn = Wave((Term(1.0, float(rng.random()), float(rng.random())),))
+            fn = Wave.of(float(rng.random()), float(rng.random()))
         else:
             fn = _c(rng)
         diags.append((off, fn))
@@ -44,14 +44,13 @@ def _poly_z(rng, lattice=fl.Z) -> fl.Poly:
 
 
 def _mp_diagonal(fn, n):
-    """A leaf's diagonal function at the integer n, at the working precision."""
+    """A leaf's diagonal function at the integer n, at the working precision:
+    a wave's terms c e^{2 pi i G (n + a/2)} for the keys (a, ks)."""
     if not isinstance(fn, Wave):
         return mpmath.mpc(fn)
-    total = mpmath.mpc(0)
-    for c, f, phase, k, s, cos in fn:
-        z = mpmath.expjpi(2 * k * (mpmath.mpf(f) * (n + s) + mpmath.mpf(phase)))
-        total += mpmath.mpc(c) * (z.real if cos else z)
-    return total
+    return mpmath.fsum(mpmath.mpc(c) * mpmath.expjpi(2 * mpmath.fsum(map(mpmath.fmul, ks, fn.freqs))
+                                                     * (n + mpmath.mpf(a) / 2))
+                       for (a, ks), c in fn.terms.items())
 
 
 def _mp_entry(node, r, col):
@@ -118,8 +117,8 @@ class TestFrequencySets:
     """Elements over different frequencies do not combine: their keys
     would merge terms of different frequencies."""
 
-    QUARTER = fl.Band(0, ((0, Wave((Term(1.0, 0.25, cos=True),))),))
-    EIGHTH = fl.Band(0, ((0, Wave((Term(1.0, 0.125, cos=True),))),))
+    QUARTER = fl.Band(0, ((0, Wave.of(0.25, cos=True)),))
+    EIGHTH = fl.Band(0, ((0, Wave.of(0.125, cos=True)),))
 
     def test_the_spec_sum_has_one_symbol(self):
         # cos(pi/2) + cos(pi/4) at n = 1

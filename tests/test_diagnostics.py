@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 from pathlib import Path
@@ -90,24 +91,26 @@ def off_corner(op, proj, p):
 
 def _mp_entry(op, row: int, k: int):
     """A[row, row + k] of a band of `Wave`s and constants at 60 digits, from
-    the terms' own fields: the oracle of entries at any int64 index."""
+    the waves' own terms, c e^{2 pi i G (row + a/2)} for the key (a, ks):
+    the oracle of entries at any int64 index."""
     import mpmath
 
     fn = op.diags.get(k, 0.0)
     if not isinstance(fn, fl.Wave):
         return mpmath.mpc(complex(fn))
     total = mpmath.mpc(0)
-    for c, f, phase, kk, s, cos in fn:
-        theta = 2 * kk * (mpmath.mpf(f) * (row + s) + mpmath.mpf(phase))
-        total += mpmath.mpc(c) * (mpmath.cospi(theta) if cos else mpmath.expjpi(theta))
+    for (a, ks), c in fn.terms.items():
+        g = mpmath.fsum(kk * mpmath.mpf(f) for kk, f in zip(ks, fn.freqs))
+        total += mpmath.mpc(c) * mpmath.expjpi(2 * g * (row + mpmath.mpf(a) / 2))
     return total
 
 
 def _wave_bands():
     """cos and exp off-diagonals, and a represented u v term, whose moduli
     turn with their phases."""
-    cos = fl.Wave((fl.Term(1.0, ALPHA, 0.0, cos=True),))
-    exp = fl.Wave((fl.Term(1.0, ALPHA, 0.3), fl.Term(0.5, 0.1, 0.25)))
+    cos = fl.Wave.of(ALPHA, cos=True)
+    exp = fl.Wave((ALPHA, 0.1), {(1, 0): cmath.exp(0.6j * math.pi),
+                                 (0, 1): 0.5 * cmath.exp(0.5j * math.pi)})
     u, v = fl.nc_u(ALPHA), fl.nc_v(ALPHA)
     return {"cos": fl.Band(1, ((-1, cos), (1, cos))),
             "exp": fl.Band(1, ((-1, exp), (1, 2.0))),

@@ -1,11 +1,13 @@
 """Fuzzing the spec loader: whatever a file holds, `load_spec_file` either
 returns a spec or raises SpecValidationError, never anything else; and a
 `dense` matrix loads as it would entry by entry."""
+import gc
 import json
 
 import numpy as np
 import pytest
 
+from folner_lab import specio
 from folner_lab.operators import Dense
 from folner_lab.specio import SpecValidationError, _as_complex, _spec_errors, load_spec_file
 from folner_lab.specio import operator_from_json
@@ -109,3 +111,26 @@ def test_dense_matrix_loads_as_entry_by_entry(rows):
         assert got == want
     else:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_the_collector_is_paused_and_restored(tmp_path, monkeypatch, enabled):
+    # off while the file is decoded, on or off after as the caller had it,
+    # after a spec and after a SpecValidationError alike
+    seen, decode = [], specio._decode
+    monkeypatch.setattr(specio, "_decode", lambda text: (seen.append(gc.isenabled()),
+                                                         decode(text))[1])
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({"kind": "dense", "matrix": [[[1.0, 2.0]] * 3] * 3}))
+    bad.write_text(json.dumps({"kind": "band", "bandwidth": 0.5, "diagonals": []}))
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert load_spec_file(good)[0] == "operator"
+        assert gc.isenabled() == enabled
+        with pytest.raises(SpecValidationError):
+            load_spec_file(bad)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]

@@ -151,6 +151,15 @@ class TestRepresentation:
         uv = compress(fl.op_prod(u, v), proj)
         assert np.max(np.abs(vu - cmath.exp(2j * math.pi * ALPHA) * uv)) < 1e-13
 
+    def test_symbol_at_phase_0_is_the_element_bit_for_bit(self):
+        u, v = fl.nc_u(ALPHA), fl.nc_v(ALPHA)
+        uv, u2v = u * v, (0.5 + 0.25j) * (u * u * v)
+        mixed = uv + u2v + uv.adjoint() + u2v.adjoint() + 0.3
+        for a in (fl.almost_mathieu_element(ALPHA, 0.5), mixed):
+            sym = fl.represent_nc(a).symbol
+            assert sym.freqs == a.freqs and sym.terms == a.terms
+            assert all(repr(c) == repr(a.terms[key]) for key, c in sym.terms.items())
+
     def test_monomial_diagonal_faithfulness(self):
         # interior diagonal equals the pointwise diagonal symbol of the monomial
         idx = np.arange(-5, 6)

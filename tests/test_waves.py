@@ -1,6 +1,8 @@
-"""Trigonometric diagonals (`Wave`): entries bit-identical to the formulas
-they replace, and run sums in closed form against numeric and 50-digit sums."""
+"""Trigonometric diagonals (`Wave`): entries bit-identical to their formula
+with each phase reduced in Python integers, and run sums in closed form
+against numeric and 50-digit sums."""
 import math
+from operator import mul
 
 import mpmath
 import numpy as np
@@ -8,40 +10,69 @@ import pytest
 
 import folner_lab as fl
 from folner_lab._util import ConfigError
-from folner_lab.operators import Term, Wave, _sinpi, _turns, diagonal_entries, diagonal_sums
+from folner_lab.operators import Wave, _sinpi, _turns, _unit, diagonal_entries, diagonal_sums
 from folner_lab.specio import operator_from_json
 
 ALPHA = (math.sqrt(5.0) - 1.0) / 2.0
 # 0, subnormal, tiny, Nyquist and one below 1: the reductions' edge cases
 FREQS = (0.0, 5e-324, 1e-9, 0.5, 1.0 - 1e-9)
+EDGE = 2**63 - 1
 
 
 def _bits(a) -> bytes:
     return np.ascontiguousarray(a, dtype=complex).tobytes()
 
 
-def _turns_at(f: float, n: np.ndarray, s: int = 0) -> np.ndarray:
-    """f (n + s) modulo 1 in [-1/2, 1/2), entry by entry in Python integers,
-    as the nearest floats; the float product where f's denominator exceeds
-    2^64, as the formula reads it."""
-    num, den = f.as_integer_ratio()
-    if den > 2**64:
-        return f * (n + s)
-    out = []
-    for x in n.tolist():
-        m = num * (x + s) % den
-        out.append((m - den if 2 * m >= den else m) / den)
-    return np.array(out)
+def _py_phases(wave: Wave, ks, a: int, n: np.ndarray) -> np.ndarray:
+    """G (n + a/2) modulo 1 in [-1/2, 1/2), G = ks . freqs, entry by entry in
+    Python integers, as the nearest floats; where r den > 2^64, r = 1 + a
+    mod 2, the reduced g/(r den) times r (n + a/2) in floats, as the formula
+    reads it."""
+    g, den, r = wave._dot(ks), wave.den, 1 + a % 2
+    if r * den > 2**64:
+        return r * _turns(g, r * den) * (n + a / 2)
+    return np.array([_turns(g * (2 * x + a), 2 * den) for x in n.tolist()])
+
+
+def _wave_formula(wave: Wave, n: np.ndarray) -> np.ndarray:
+    """The wave's entries at the rows n: a key (a, ks) and its conjugate
+    (a, -ks) of the conjugate coefficient as 2 Re(c e^{i theta}), any
+    other as c e^{i theta}, theta = 2 pi G (n + a/2) reduced by
+    `_py_phases`."""
+    vals, paired = [], set()
+    for (a, ks), c in wave.terms.items():
+        if (a, ks) in paired:
+            continue
+        turns = _py_phases(wave, ks, a, n)
+        conj = (a, tuple(-k for k in ks))
+        if conj != (a, ks) and wave.terms.get(conj) == c.conjugate():
+            paired.add(conj)
+            theta = 2.0 * np.pi * turns
+            v = 2 * c.real * np.cos(theta)
+            if c.imag:
+                v = v - 2 * c.imag * np.sin(theta)
+            vals.append(v + 0j)
+        else:
+            v = np.exp(2j * np.pi * turns)
+            vals.append(v if c == 1 else c * v)
+    return sum(vals[1:], vals[0]) if vals else np.zeros(n.shape, dtype=complex)
+
+
+def _random_freq(rng) -> float:
+    return float(FREQS[rng.integers(len(FREQS))] if rng.random() < 0.5 else rng.random())
 
 
 def _random_wave(rng) -> Wave:
-    terms = []
+    """One to three keys over one or two frequencies on an offset in -2..2,
+    some with their conjugate key of the conjugate coefficient (a cosine)."""
+    freqs = tuple(dict.fromkeys(_random_freq(rng) for _ in range(int(rng.integers(1, 3)))))
+    terms = {}
     for _ in range(int(rng.integers(1, 4))):
-        f = float(FREQS[rng.integers(len(FREQS))] if rng.random() < 0.5 else rng.random())
-        terms.append(Term(complex(*rng.standard_normal(2)), f, float(rng.random()),
-                          k=int(rng.choice([-1, 1])), s=int(rng.integers(-2, 3)),
-                          cos=bool(rng.random() < 0.4)))
-    return Wave(tuple(terms))
+        ks = tuple(int(k) for k in rng.choice([-1, 1], size=len(freqs)))
+        terms[ks] = c = complex(*rng.standard_normal(2))
+        if rng.random() < 0.4:
+            terms[tuple(-k for k in ks)] = c.conjugate()
+    return Wave(freqs, terms, int(rng.integers(-2, 3)))
 
 
 def _random_projection(rng, lattice, d):
@@ -54,19 +85,23 @@ def _random_projection(rng, lattice, d):
     return fl.IndexSet(lattice, tuple(int(i) for i in keep))
 
 
+def _mp_frequency(wave, ks):
+    return mpmath.fsum(k * mpmath.mpf(f) for k, f in zip(ks, wave.freqs))
+
+
 def _mp_sum(wave, runs) -> complex:
     """The diagonal's sum over runs at 50 digits, term by term, as a running
-    product of the term's unit ratio e^{2 pi i k f}."""
+    product of the term's unit ratio e^{2 pi i G}."""
     with mpmath.workdps(50):
         total = mpmath.mpc(0)
-        for c, f, phase, k, s, cos in wave:
-            f, phase = mpmath.mpf(f), mpmath.mpf(phase)
-            step = mpmath.expjpi(2 * k * f)
+        for (a, ks), c in wave.terms.items():
+            g = _mp_frequency(wave, ks)
+            step = mpmath.expjpi(2 * g)
             for lo, hi in runs:
-                z = mpmath.expjpi(2 * k * (f * (lo + s) + phase))
+                z = mpmath.expjpi(2 * g * (lo + mpmath.mpf(a) / 2))
                 acc = mpmath.mpc(0)
                 for _ in range(hi - lo + 1):
-                    acc += z.real if cos else z
+                    acc += z
                     z *= step
                 total += mpmath.mpc(c) * acc
         return complex(total)
@@ -74,21 +109,27 @@ def _mp_sum(wave, runs) -> complex:
 
 def _scale(wave, proj) -> float:
     """Sum of |c| over the summed entries: the sums' natural size."""
-    return proj.rank * sum(abs(c) for c, *_ in wave)
+    return proj.rank * sum(abs(c) for c in wave.terms.values())
 
 
 def _numeric_tol(wave, proj) -> float:
     """1e-12 of `_scale`, plus the rounding of the numeric entries: the
-    argument 2 pi k (f (n + s) + phase) of each is off by up to about
-    2 pi * 3 ulp of k f (n + s), under 4e-15 |k f (n + s)|."""
+    argument 2 pi G (n + a/2) of each is off by up to about 2 pi * 3 ulp of
+    G (n + a/2), under 4e-15 |G (n + a/2)|."""
     lo, hi = proj.runs[0][0], proj.runs[-1][1]
-    arg = max(abs(k * f) * max(abs(lo + s), abs(hi + s)) for _, f, _, k, s, _ in wave)
+    arg = max(abs(sum(map(mul, ks, wave.freqs))) * max(abs(lo + a / 2), abs(hi + a / 2))
+              for a, ks in wave.terms)
     return (1e-12 + 4e-15 * arg) * _scale(wave, proj)
 
 
+def _spec_wave(fn: dict) -> Wave:
+    return operator_from_json({"kind": "band", "bandwidth": 0,
+                               "diagonals": [{"offset": 0, "fn": fn}]}).diags[0]
+
+
 class TestPointwise:
-    """Each Wave is bit for bit the closure it replaces, with f (n + s)
-    reduced exactly modulo 1."""
+    """Each wave's entries are bit for bit its formula with every phase
+    reduced in Python integers, its spec's phase folded into c exactly."""
 
     N = np.arange(-5000, 5001, dtype=np.int64)
 
@@ -96,33 +137,67 @@ class TestPointwise:
         rng = np.random.default_rng(11)
         for freq in (*FREQS, ALPHA, float(rng.random())):
             amp, phase = float(rng.uniform(0.5, 2.0)), float(rng.random())
-            cos = operator_from_json({"kind": "band", "bandwidth": 0, "diagonals": [
-                {"offset": 0, "fn": {"type": "cos", "amp": amp, "freq": freq, "phase": phase}}]})
-            want = amp * np.cos(2.0 * np.pi * (_turns_at(freq, self.N) + phase)) + 0j
-            assert _bits(cos.diagonal(0, self.N)) == _bits(want)
-            exp = operator_from_json({"kind": "band", "bandwidth": 0, "diagonals": [
-                {"offset": 0, "fn": {"type": "exp", "freq": freq, "phase": phase}}]})
-            want = np.exp(2j * np.pi * (_turns_at(freq, self.N) + phase))
-            assert _bits(exp.diagonal(0, self.N)) == _bits(want)
+            unit = _unit(*phase.as_integer_ratio())
+            cos = _spec_wave({"type": "cos", "amp": amp, "freq": freq, "phase": phase})
+            assert cos.freqs == (freq,) and cos.terms == {
+                (0, (1,)): amp / 2 * unit, (0, (-1,)): amp / 2 * unit.conjugate()}
+            assert _bits(cos(self.N)) == _bits(_wave_formula(cos, self.N))
+            exp = _spec_wave({"type": "exp", "freq": freq, "phase": phase})
+            assert exp.freqs == (freq,) and exp.terms == {(0, (1,)): unit}
+            assert _bits(exp(self.N)) == _bits(_wave_formula(exp, self.N))
 
     def test_almost_mathieu_potential(self):
         for lam, alpha, phi in ((0.5, ALPHA, 0.0), (1.7, 0.3, 0.125), (0.9, 1e-9, 0.7)):
             am = fl.AlmostMathieu(lam, alpha, phi)
-            want = 2.0 * lam * np.cos(2.0 * np.pi * (_turns_at(alpha, self.N) + phi)) + 0j
-            assert _bits(am.diagonal(0, self.N)) == _bits(want)
+            pot = am.diags[0]
+            unit = _unit(*phi.as_integer_ratio())
+            assert pot.terms == {(0, (1,)): lam * unit, (0, (-1,)): lam * unit.conjugate()}
+            assert _bits(am.diagonal(0, self.N)) == _bits(_wave_formula(pot, self.N))
 
     def test_represent_nc_modulation_sums(self):
         h = fl.almost_mathieu_element(ALPHA, 0.5)
         a = fl.nc_multiply(h, fl.nc_multiply(h, h)) + 0.25j * fl.nc_monomial(ALPHA, 1, 2)
         phi = 0.3
         op = fl.represent_nc(a, phi=phi)
-        for off, _ in op.diagonals:
-            acc = np.zeros(self.N.shape, dtype=complex)
-            for m, k in a.monomials():
-                if -m == off:
-                    c = a.coefficient(m, k)
-                    acc += c * np.exp(2j * np.pi * k * (_turns_at(ALPHA, self.N, off) + phi))
-            assert _bits(op.diagonal(off, self.N)) == _bits(acc)
+        num, den = phi.as_integer_ratio()
+        assert {off for off, _ in op.diagonals} == {off for off, _ in a.terms}
+        for off, wave in op.diagonals:
+            assert wave.freqs == a.freqs and wave.terms == {
+                (b, ks): c * _unit(ks[0] * num, den) for (b, ks), c in a.terms.items() if b == off}
+            assert _bits(op.diagonal(off, self.N)) == _bits(_wave_formula(wave, self.N))
+
+    @pytest.mark.parametrize("f", [3 * 2.0**-70, 2.0**-1074, ALPHA])
+    def test_shifted_entries_at_the_int64_edge_against_50_digits(self, f):
+        # u^-s v^k is e^{2 pi i k f (n + s)} on offset s: at n = +-(2^63 - 1)
+        # the index n + s leaves int64, and no sum n + s may be formed there;
+        # k = -1 needs kf reduced with its sign, not into [0, 1)
+        rows = np.array([EDGE, -EDGE, EDGE - 2, 1 - EDGE], dtype=np.int64)
+        for s in (-2, -1, 1, 2):
+            for k in (1, -1):
+                got = fl.represent_nc(fl.nc_monomial(f, -s, k)).diagonal(s, rows)
+                with mpmath.workdps(50):
+                    want = [complex(mpmath.expjpi(2 * k * mpmath.mpf(f) * (n + s)))
+                            for n in rows.tolist()]
+                assert np.max(np.abs(got - want)) <= 1e-15, (f, s, k)
+
+    def test_cosine_diagonals_are_exactly_real_and_phase_0_even(self):
+        rng = np.random.default_rng(16)
+        rows = np.concatenate([[EDGE, 1 - EDGE, 0, 1, 2**62], rng.integers(-EDGE, EDGE, 2000)])
+        rows = np.concatenate([rows, -rows])  # row i and row i + rows.size / 2 are n and -n
+        waves = []
+        for freq in (*FREQS, ALPHA, 2.0**-70, float(rng.random())):
+            for phase in (0.0, 0.3, float(rng.random())):
+                waves.append((phase, _spec_wave({"type": "cos", "amp": 1.5, "freq": freq,
+                                                 "phase": phase})))
+                waves.append((phase, fl.AlmostMathieu(0.7, freq, phase).diags[0]))
+        harper = fl.represent_nc(fl.almost_mathieu_element(ALPHA, 0.5), phi=0.3)
+        waves.append((0.3, harper.diags[0]))
+        for phase, wave in waves:
+            got = wave(rows)
+            assert not got.imag.any(), (wave.freqs, phase)
+            if phase == 0.0:
+                half = rows.size // 2
+                assert _bits(got[:half]) == _bits(got[half:]), wave.freqs
 
 
 def _weight(n):
@@ -131,7 +206,9 @@ def _weight(n):
 
 def _leaves(lattice) -> list:
     """One leaf of each kind and each diagonal-function type."""
-    wave = Wave((Term(0.75 - 0.5j, ALPHA, 0.375), Term(1.25, 0.3, 0.1, k=-1, s=2, cos=True)))
+    # an exponential and a cosine over two frequencies, read at n + 1
+    half = 0.625 * _unit(*(0.1).as_integer_ratio())
+    wave = Wave((ALPHA, 0.3), {(1, 0): 0.75 - 0.5j, (0, 1): half, (0, -1): half.conjugate()}, 2)
     return [
         fl.Toeplitz({2: 1.0 + 1.0j, 0: 0.5, -1: -2.0j}, lattice=lattice),
         fl.Shift(weight=0.5 - 2.0j, lattice=lattice),
@@ -151,11 +228,9 @@ def _formula(op, k, rows):
         if callable(op.weight):
             return np.asarray(op.weight(np.asarray(rows) - 1), dtype=complex)
         return np.full(np.shape(rows), complex(op.weight))
-    if isinstance(op, fl.AlmostMathieu):
-        if k:
-            return np.full(np.shape(rows), 1.0 + 0j)
-        return 2.0 * op.coupling * np.cos(2.0 * np.pi * (_turns_at(op.freq, rows) + op.phase)) + 0j
-    fn = dict(op.diagonals)[k]
+    fn = op.diags[k]
+    if isinstance(fn, Wave):
+        return _wave_formula(fn, rows)
     if callable(fn):
         return np.asarray(fn(rows), dtype=complex)
     return np.full(np.shape(rows), complex(fn))
@@ -221,7 +296,7 @@ class TestRunSums:
 
     @pytest.mark.parametrize("f", FREQS)
     def test_each_edge_frequency(self, f):
-        wave = Wave((Term(0.75 - 0.5j, f, 0.375), Term(1.25, f, 0.1, cos=True)))
+        wave = Wave.of(f, 0.375, 0.75 - 0.5j) + Wave.of(f, 0.1, 1.25, cos=True)
         proj = fl.IndexSet(fl.Z, (-7, -6, -5, 3, 4, 9, 100, 101))
         band = fl.Band(0, ((0, wave),))
         got = diagonal_sums(band, [proj])[0]
@@ -239,7 +314,7 @@ class TestRunSums:
             c, f, phase = float(rng.uniform(0.5, 2.0)), float(rng.random()), float(rng.random())
             lo = int(rng.integers(-2**62, 2**62))
             hi = lo + int(rng.integers(0, 10**6))
-            band = fl.Band(0, ((0, Wave((Term(c, f, phase, cos=True),))),))
+            band = fl.Band(0, ((0, Wave.of(f, phase, c, cos=True)),))
             fn, fd = f.as_integer_ratio()
             pn, pd = phase.as_integer_ratio()
             g = fn % fd - (fd if 2 * (fn % fd) >= fd else 0)
@@ -256,7 +331,7 @@ class TestRunSums:
     def test_cosine_at_half_turns_sums_to_a_real_value(self, f, phase):
         # a half turn, reduced to -pi, has the unit -1 and the sine 0, so
         # the halves stay conjugate and a frequency-1/2 width is 0 at even d
-        band = fl.Band(0, ((0, Wave((Term(1.0, f, phase, cos=True),))),))
+        band = fl.Band(0, ((0, Wave.of(f, phase, cos=True)),))
         wins = [fl.Window(fl.Z, lo, lo + d) for lo in (0, 1, 3, 2**40 + 1) for d in range(6)]
         for win, got in zip(wins, diagonal_sums(band, wins)):
             assert got.imag == 0.0, win.runs
@@ -264,7 +339,7 @@ class TestRunSums:
     def test_many_runs(self):
         # ten thousand runs of one index whose sums all point one way: summed
         # one after the other they would lose about sqrt(runs) ulps
-        wave = Wave((Term(1.0 - 0.5j, 1e-9, 0.125),))
+        wave = Wave.of(1e-9, 0.125, 1.0 - 0.5j)
         proj = fl.IndexSet(fl.Z, tuple(range(-10**4, 10**4, 2)))
         got = diagonal_sums(fl.Band(0, ((0, wave),)), [proj])[0]
         assert abs(got - _mp_sum(wave, proj.runs)) <= 1e-15 * _scale(wave, proj)
@@ -284,7 +359,7 @@ class TestHugeWindows:
         assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_window_at_the_int64_edge(self):
-        wave = Wave((Term(1.0 + 2.0j, ALPHA, 0.25),))
+        wave = Wave.of(ALPHA, 0.25, 1.0 + 2.0j)
         proj = fl.Window(fl.Z, 2**63 - 2000, 2**63 - 1)
         band = fl.Band(0, ((0, wave),))
         assert abs(diagonal_sums(band, [proj])[0] - _mp_sum(wave, proj.runs)) \
